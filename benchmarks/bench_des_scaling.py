@@ -1,23 +1,20 @@
-"""DES scaling benchmark: seed event loop versus the production engine.
+"""DES scaling benchmark: seed simulator stack versus the production one.
 
-Three arms run the same 64-source dumbbell configuration:
+Two arms run the same 64-source dumbbell configuration:
 
 * ``seed`` -- a faithful inline copy of the seed simulator stack (commit
   ``c0f79ee``): dataclass events compared through a generated ``__lt__``,
   an f-string label allocated per scheduled event, one numpy-vectorised
   drift evaluation per control tick and one scalar RNG call per packet;
-* ``reference`` -- the current shared simulator code on the preserved
-  :class:`~repro.queueing.ReferenceEventQueue` (isolates the event-engine
-  delta from the shared-path optimisations);
 * ``fast`` -- the current production stack (tuple-heap engine,
   allocation-free scheduling, periodic timers, buffered jitter).
 
-Rounds are interleaved so machine-load drift affects all arms equally and
+Rounds are interleaved so machine-load drift affects both arms equally and
 the minimum per arm is reported.  The assertions guard *correctness only*:
 
-* all three arms must produce bit-identical traces on the measured
-  dumbbell run and on the canonical single-bottleneck configurations
-  (rate-based and window-based), and
+* both arms must produce bit-identical traces on the measured dumbbell run
+  and on the canonical single-bottleneck configurations (rate-based and
+  window-based), and
 * the DES-vs-FP cross-validation metrics must be structurally sound and
   physically sane.
 
@@ -492,11 +489,8 @@ def _check_canonical_parity(duration):
     checked = []
     for label, config in _canonical_configs():
         seed_trace, _ = _SeedSimulator(config).run(duration)
-        fast = Simulator(config, engine="fast").run(duration)
-        reference = Simulator(config, engine="reference").run(duration)
+        fast = Simulator(config).run(duration)
         _assert_bit_identical(f"{label} (seed vs fast)", seed_trace,
-                              fast.trace)
-        _assert_bit_identical(f"{label} (reference vs fast)", reference.trace,
                               fast.trace)
         checked.append(label)
     return checked
@@ -504,7 +498,7 @@ def _check_canonical_parity(duration):
 
 def _measure_dumbbell(n_sources, duration, rounds):
     config = dumbbell_scenario(n_sources=n_sources, seed=11)
-    times = {"seed": [], "reference": [], "fast": []}
+    times = {"seed": [], "fast": []}
     traces = {}
     events = {}
     for _ in range(rounds):
@@ -513,13 +507,7 @@ def _measure_dumbbell(n_sources, duration, rounds):
         times["seed"].append(time.perf_counter() - started)
 
         started = time.perf_counter()
-        result = Simulator(config, engine="reference").run(duration)
-        times["reference"].append(time.perf_counter() - started)
-        traces["reference"] = result.trace
-        events["reference"] = result.events_executed
-
-        started = time.perf_counter()
-        result = Simulator(config, engine="fast").run(duration)
+        result = Simulator(config).run(duration)
         times["fast"].append(time.perf_counter() - started)
         traces["fast"] = result.trace
         events["fast"] = result.events_executed
@@ -527,9 +515,7 @@ def _measure_dumbbell(n_sources, duration, rounds):
     label = f"dumbbell-{n_sources}"
     _assert_bit_identical(f"{label} (seed vs fast)", traces["seed"],
                           traces["fast"])
-    _assert_bit_identical(f"{label} (reference vs fast)", traces["reference"],
-                          traces["fast"])
-    assert events["seed"] == events["reference"] == events["fast"]
+    assert events["seed"] == events["fast"]
 
     best = {arm: min(samples) for arm, samples in times.items()}
     return {
@@ -538,11 +524,8 @@ def _measure_dumbbell(n_sources, duration, rounds):
         "rounds": rounds,
         "events": events["fast"],
         "seed_seconds": round(best["seed"], 4),
-        "reference_seconds": round(best["reference"], 4),
         "fast_seconds": round(best["fast"], 4),
         "speedup_vs_seed": round(best["seed"] / best["fast"], 3),
-        "speedup_vs_reference_engine":
-            round(best["reference"] / best["fast"], 3),
         "fast_events_per_second": round(events["fast"] / best["fast"]),
     }
 
@@ -552,7 +535,7 @@ def _measure_scaling(sizes, duration):
     for n_sources in sizes:
         config = dumbbell_scenario(n_sources=n_sources, seed=11)
         started = time.perf_counter()
-        result = Simulator(config, engine="fast").run(duration)
+        result = Simulator(config).run(duration)
         elapsed = time.perf_counter() - started
         rows.append({
             "n_sources": n_sources,

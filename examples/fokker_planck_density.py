@@ -62,9 +62,9 @@ def main() -> None:
     comparison = compare_with_density(ensemble, fp)
     print(format_key_values("PDE versus 3000-particle Langevin ensemble", {
         "FP mean queue": fp.final_moments.mean_q,
-        "MC mean queue": float(ensemble.mean_queue[-1]),
+        "MC mean queue": float(ensemble.mean_queue_series[-1]),
         "FP std queue": fp.final_moments.std_q,
-        "MC std queue": float(ensemble.std_queue[-1]),
+        "MC std queue": float(ensemble.std_queue_series[-1]),
         "|mean difference|": comparison["mean_queue_difference"],
         "|std difference|": comparison["std_queue_difference"],
         "marginal L1 distance": comparison["marginal_l1_distance"],

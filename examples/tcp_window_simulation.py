@@ -33,7 +33,7 @@ def run_and_report(title: str, config, duration: float = 300.0) -> None:
     ]
     print(format_table(rows, title=title))
     print(format_key_values("  summary", {
-        "mean queue length": result.mean_queue_length,
+        "mean queue length": result.mean_queue,
         "utilization": result.utilization(),
         "Jain fairness index": result.fairness_index(),
         "total losses": result.total_losses,

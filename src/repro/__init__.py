@@ -83,7 +83,6 @@ from .core import (
     DiscreteGenerator,
     FokkerPlanckResult,
     FokkerPlanckSolver,
-    ReducedSystemSolver,
     SparseOperator,
     SteadyStateEstimate,
     assemble_generator,
@@ -213,7 +212,6 @@ __all__ = [
     "FokkerPlanckResult",
     "BoundaryConditions",
     "DensityMoments",
-    "ReducedSystemSolver",
     "compute_moments",
     "marginal_q",
     "marginal_v",

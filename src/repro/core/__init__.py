@@ -12,20 +12,14 @@ upwind advection step in ``q`` (velocity ``ν``), a conservative upwind
 advection step in ``ν`` (velocity ``g``), and a Crank-Nicolson diffusion
 step in ``q``.  Reflecting boundaries keep the probability mass at one.
 
-The reduced (σ = 0) hyperbolic system can alternatively be solved along its
-characteristics, reproducing the paper's Section 5 analysis directly
-(:mod:`repro.core.reduced`).
+The reduced (σ = 0) hyperbolic system is solved along its characteristics
+by :mod:`repro.characteristics`, which reproduces the paper's Section 5
+analysis directly.
 """
 
-from .advection import (
-    UpwindAdvection,
-    cfl_time_step,
-    cfl_time_step_from_speeds,
-    upwind_advect_q,
-    upwind_advect_v,
-)
+from .advection import UpwindAdvection, cfl_time_step, cfl_time_step_from_speeds
 from .boundary import BoundaryConditions
-from .diffusion import CrankNicolsonDiffusion, crank_nicolson_diffuse_q
+from .diffusion import CrankNicolsonDiffusion
 from .initial import (
     delta_initial_density,
     gaussian_initial_density,
@@ -33,19 +27,15 @@ from .initial import (
 )
 from .generator import DiscreteGenerator, SparseOperator, assemble_generator
 from .moments import DensityMoments, compute_moments, marginal_q, marginal_v, tail_probability
-from .reduced import ReducedSystemSolver
 from .solver import FokkerPlanckSolver, FokkerPlanckResult, DensitySnapshot
 from .steady_state import SteadyStateEstimate, estimate_steady_state, relaxation_time
 
 __all__ = [
     "UpwindAdvection",
-    "upwind_advect_q",
-    "upwind_advect_v",
     "cfl_time_step",
     "cfl_time_step_from_speeds",
     "BoundaryConditions",
     "CrankNicolsonDiffusion",
-    "crank_nicolson_diffuse_q",
     "delta_initial_density",
     "gaussian_initial_density",
     "uniform_initial_density",
@@ -54,7 +44,6 @@ __all__ = [
     "marginal_q",
     "marginal_v",
     "tail_probability",
-    "ReducedSystemSolver",
     "FokkerPlanckSolver",
     "FokkerPlanckResult",
     "DensitySnapshot",

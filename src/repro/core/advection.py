@@ -15,18 +15,13 @@ boundary at ``q = 0`` is handled by the boundary-condition object (mass that
 would be advected below zero is reflected back into the first cell,
 implementing the paper's convention ``ν = 0`` when ``Q = 0`` and ``λ < μ``).
 
-Performance.  The kernels are exposed in two forms:
-
-* :class:`UpwindAdvection` binds the scheme to one grid and preallocates
-  every scratch array (interface fluxes, flux differences, upwind products)
-  plus the grid-dependent invariants (the contiguous ``ν < 0`` / ``ν > 0``
-  column ranges, and -- via :meth:`UpwindAdvection.set_drift` -- the
-  interface drift, its upwind mask and ``max |g|``).  Repeated steps
-  therefore run allocation-free; this is what the Fokker-Planck solver's
-  hot loop uses.
-* :func:`upwind_advect_q` / :func:`upwind_advect_v` keep the original
-  stateless signatures (returning a fresh array per call) on top of a small
-  per-grid workspace cache.
+Performance.  :class:`UpwindAdvection` binds the scheme to one grid and
+preallocates every scratch array (interface fluxes, flux differences,
+upwind products) plus the grid-dependent invariants (the contiguous
+``ν < 0`` / ``ν > 0`` column ranges, and -- via
+:meth:`UpwindAdvection.set_drift` -- the interface drift, its upwind mask
+and ``max |g|``).  Repeated steps therefore run allocation-free; this is
+what the Fokker-Planck solver's hot loop uses.
 
 The floating-point arithmetic is ordered exactly as in the original
 per-call implementation, so the optimized kernels are bit-compatible with
@@ -49,8 +44,7 @@ from ..numerics.grids import PhaseGrid2D
 #: matmul), so the advection-side and diffusion-side flushes always agree.
 FLUSH_THRESHOLD = 1e-150
 
-__all__ = ["UpwindAdvection", "upwind_advect_q", "upwind_advect_v",
-           "cfl_time_step"]
+__all__ = ["UpwindAdvection", "cfl_time_step"]
 
 
 def cfl_time_step(grid: PhaseGrid2D, v_drift: np.ndarray, cfl: float,
@@ -205,8 +199,12 @@ class UpwindAdvection:
                  clamp: bool = True) -> np.ndarray:
         """Advect along the queue axis with per-column velocity ``ν``.
 
+        *dt* must satisfy the CFL condition (checked).  With
+        *reflect_at_zero* (the default, matching the paper's model) mass
+        that would flow out through ``q = 0`` is retained in the first cell
+        instead of leaving the domain: a queue cannot become negative.
         Writes into *out* when given (must not alias *density*); otherwise
-        returns a new array.  See :func:`upwind_advect_q` for the scheme.
+        returns a new array.
 
         With ``scaled=True`` the Courant factor ``dt/dq`` is folded into the
         (1-D, per-dt cached) velocity rows, which removes one full-array
@@ -284,9 +282,17 @@ class UpwindAdvection:
                  scaled: bool = False) -> np.ndarray:
         """Advect along the growth-rate axis with the installed drift.
 
-        Requires a prior :meth:`set_drift`.  Writes into *out* when given
-        (must not alias *density*); otherwise returns a new array.  See
-        :func:`upwind_advect_v` for the scheme.
+        The term is conservative, ``(g f)_ν``, so the interface flux uses
+        the upwind cell value multiplied by the interface drift (the average
+        of the two adjacent cell drifts).  Both ν-boundaries are no-flux
+        walls: the control law cannot push the rate outside the modelled
+        range, so mass accumulates at the boundary cells rather than
+        disappearing; the grid should be wide enough that this is
+        negligible.
+
+        Requires a prior :meth:`set_drift`; *dt* is CFL-checked.  Writes
+        into *out* when given (must not alias *density*); otherwise returns
+        a new array.
 
         With ``flush=True`` the final non-negativity clamp also zeroes
         values below :data:`FLUSH_THRESHOLD` (used by the solver when the
@@ -345,74 +351,3 @@ class UpwindAdvection:
         else:
             np.maximum(out, 0.0, out=out)
         return out
-
-
-#: Per-grid workspace cache backing the stateless convenience functions.
-_WORKSPACE_CACHE: OrderedDict = OrderedDict()
-_WORKSPACE_CACHE_SIZE = 8
-
-
-def _workspace(grid: PhaseGrid2D) -> UpwindAdvection:
-    workspace = _WORKSPACE_CACHE.get(grid)
-    if workspace is None:
-        workspace = UpwindAdvection(grid)
-        _WORKSPACE_CACHE[grid] = workspace
-        if len(_WORKSPACE_CACHE) > _WORKSPACE_CACHE_SIZE:
-            _WORKSPACE_CACHE.popitem(last=False)
-    else:
-        _WORKSPACE_CACHE.move_to_end(grid)
-    return workspace
-
-
-def upwind_advect_q(density: np.ndarray, grid: PhaseGrid2D, dt: float,
-                    reflect_at_zero: bool = True) -> np.ndarray:
-    """Advect the density along the queue axis with per-column velocity ``ν``.
-
-    Parameters
-    ----------
-    density:
-        Joint density on the grid, shape ``(nq, nv)``.
-    grid:
-        The phase grid.
-    dt:
-        Time step (must satisfy the CFL condition; checked).
-    reflect_at_zero:
-        When true (the default, matching the paper's model), mass that would
-        flow out through ``q = 0`` is retained in the first cell instead of
-        leaving the domain: a queue cannot become negative.
-
-    Returns
-    -------
-    numpy.ndarray
-        The advected density (new array).
-    """
-    return _workspace(grid).advect_q(density, dt,
-                                     reflect_at_zero=reflect_at_zero)
-
-
-def upwind_advect_v(density: np.ndarray, grid: PhaseGrid2D, drift: np.ndarray,
-                    dt: float) -> np.ndarray:
-    """Advect the density along the growth-rate axis with velocity ``g(q, λ)``.
-
-    The term is conservative, ``(g f)_ν``, so the interface flux uses the
-    upwind cell value multiplied by the interface drift (taken as the
-    average of the two adjacent cell drifts).  Both ν-boundaries are treated
-    as no-flux walls: the control law cannot push the rate outside the
-    modelled range, so mass accumulates at the boundary cells rather than
-    disappearing.  The grid should be chosen wide enough that this is a
-    negligible effect (validated by the mass-conservation tests).
-
-    Parameters
-    ----------
-    density:
-        Joint density, shape ``(nq, nv)``.
-    grid:
-        The phase grid.
-    drift:
-        Drift ``g`` evaluated at the cell centres, shape ``(nq, nv)``.
-    dt:
-        Time step (CFL-checked).
-    """
-    workspace = _workspace(grid)
-    workspace.set_drift(drift)
-    return workspace.advect_v(density, dt)

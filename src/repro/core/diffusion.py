@@ -39,10 +39,9 @@ import numpy as np
 
 from ..numerics.backend import NumericsBackend, get_backend
 from ..numerics.grids import PhaseGrid2D
-from ..numerics.tridiag import solve_tridiagonal  # noqa: F401  (re-export)
 from .advection import FLUSH_THRESHOLD
 
-__all__ = ["CrankNicolsonDiffusion", "crank_nicolson_diffuse_q"]
+__all__ = ["CrankNicolsonDiffusion"]
 
 #: Above this many queue cells the dense combined operator (nq² memory,
 #: nq²·nv work per substep) loses to the O(nq·nv) factorized banded solve.
@@ -294,55 +293,3 @@ class CrankNicolsonDiffusion:
             step.apply(source, target)
             source = target
         return out
-
-
-#: Small cache behind the stateless convenience function below, so repeated
-#: calls with the same grid and σ (the common pattern in tests and simple
-#: scripts) still hit the per-``r`` operator cache.
-_OPERATOR_CACHE: OrderedDict = OrderedDict()
-_OPERATOR_CACHE_SIZE = 8
-
-
-def _cached_operator(grid: PhaseGrid2D, sigma: float) -> CrankNicolsonDiffusion:
-    key = (grid, sigma)
-    operator = _OPERATOR_CACHE.get(key)
-    if operator is None:
-        operator = CrankNicolsonDiffusion(grid, sigma)
-        _OPERATOR_CACHE[key] = operator
-        if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
-            _OPERATOR_CACHE.popitem(last=False)
-    else:
-        _OPERATOR_CACHE.move_to_end(key)
-    return operator
-
-
-def crank_nicolson_diffuse_q(density: np.ndarray, grid: PhaseGrid2D,
-                             sigma: float, dt: float) -> np.ndarray:
-    """Apply one Crank-Nicolson step of ``f_t = (σ²/2) f_qq`` to *density*.
-
-    Stateless convenience wrapper around :class:`CrankNicolsonDiffusion`
-    (which long-running callers should hold directly to reuse its scratch
-    buffers).
-
-    Parameters
-    ----------
-    density:
-        Joint density, shape ``(nq, nv)``.  Each ν-column diffuses
-        independently along q.
-    grid:
-        The phase grid.
-    sigma:
-        Diffusion coefficient σ of Equation 14 (σ = 0 returns the input
-        unchanged, without copying).
-    dt:
-        Time step.
-
-    Returns
-    -------
-    numpy.ndarray
-        The diffused density (a new array, non-negative), or *density*
-        itself when σ = 0.
-    """
-    if sigma == 0.0:
-        return density
-    return _cached_operator(grid, float(sigma)).step(density, dt)

@@ -162,7 +162,6 @@ def cross_validate(
     q_max: float = 40.0,
     v_span: float = 1.5,
     seed: int = 11,
-    engine: str = "fast",
     control_interval: float = 0.5,
     jitter_fraction: float = 0.1,
 ) -> CrossValidationReport:
@@ -180,8 +179,8 @@ def cross_validate(
         DES horizon and the fraction of it discarded before averaging.
     t_end, nq, nv, q_max, v_span:
         FP horizon and phase-grid resolution.
-    seed, engine, control_interval, jitter_fraction:
-        Packet-level knobs; ``engine`` selects the event engine.
+    seed, control_interval, jitter_fraction:
+        Packet-level knobs.
     """
     from .core.solver import FokkerPlanckSolver
 
@@ -195,7 +194,7 @@ def cross_validate(
         jitter_fraction=jitter_fraction,
         seed=seed,
     )
-    des_result = Simulator(config, engine=engine).run(duration)
+    des_result = Simulator(config).run(duration)
     grid_params = GridParameters(
         q_max=q_max,
         nq=nq,

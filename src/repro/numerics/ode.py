@@ -521,7 +521,7 @@ def integrate_adaptive(rhs: RHS, initial_state: Sequence[float], t_end: float,
             dt *= 2.0
         else:
             dt *= min(2.0, max(0.2, 0.9 * error_ratio ** -0.2))
-    else:
+    if t < t_end:
         raise ConvergenceError("adaptive ODE integration exceeded max_steps",
                                iterations=max_steps)
 

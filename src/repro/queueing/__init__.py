@@ -18,7 +18,7 @@ The simulator validates the continuous models: the fairness, oscillation and
 delay-unfairness experiments all have a packet-level counterpart.
 """
 
-from .events import Event, EventQueue, PeriodicTimer, ReferenceEventQueue
+from .events import Event, EventQueue, PeriodicTimer
 from .packet import Packet
 from .random_streams import (
     BufferedJitter,
@@ -33,7 +33,7 @@ from .queue_node import BottleneckQueue
 from .feedback import FeedbackChannel
 from .source import RateSource, WindowSource
 from .network import NetworkConfig, SourceConfig
-from .simulator import EVENT_ENGINES, Simulator, SimulationResult
+from .simulator import Simulator, SimulationResult
 from .topology import MultiHopConfig, NodeConfig, Route
 from .multihop import MultiHopResult, MultiHopSimulator, parking_lot_scenario
 from .scenarios import (
@@ -57,8 +57,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "PeriodicTimer",
-    "ReferenceEventQueue",
-    "EVENT_ENGINES",
     "Packet",
     "BufferedJitter",
     "RandomStreams",

@@ -1,4 +1,4 @@
-"""Event primitives and event engines for the discrete-event simulator.
+"""Event primitives and the event engine of the discrete-event simulator.
 
 The simulator is a classic event-driven loop: every future action (a packet
 arriving at the bottleneck, a service completion, an acknowledgement
@@ -7,25 +7,16 @@ time, and the engine executes pending actions in ``(time, sequence)`` order.
 Ties are broken by insertion order so the simulation is fully deterministic
 for a given random seed.
 
-Two engines share that contract:
-
-* :class:`EventQueue` -- the production engine.  The heap holds bare
-  ``(time, sequence, payload)`` tuples so heap comparisons run at C speed
-  (the seed compared dataclass instances through a generated ``__lt__``),
-  and the payload is either a cancellable :class:`Event` handle or, on the
-  :meth:`EventQueue.schedule_call` hot path, the raw callback itself --
-  scheduling a fire-and-forget action allocates nothing but the tuple.
-  Recurring actions (source control loops) use :class:`PeriodicTimer`,
-  a preallocated repeating event that re-arms itself instead of building a
-  fresh event object and label per tick.  Cancellation is lazy: cancelled
-  events stay in the heap and are skipped when popped.
-
-* :class:`ReferenceEventQueue` -- the seed engine (commit ``c0f79ee``)
-  preserved verbatim: one :class:`Event` dataclass-style object per
-  scheduled action, heap-ordered by the events themselves.  It exists so
-  determinism can be tested differentially (identical seeds must produce
-  bit-identical traces on either engine) and so the scaling benchmark can
-  measure the production engine against the seed event loop.
+The engine is :class:`EventQueue`.  Its heap holds bare
+``(time, sequence, payload)`` tuples so heap comparisons run at C speed
+(the seed compared dataclass instances through a generated ``__lt__``),
+and the payload is either a cancellable :class:`Event` handle or, on the
+:meth:`EventQueue.schedule_call` hot path, the raw callback itself --
+scheduling a fire-and-forget action allocates nothing but the tuple.
+Recurring actions (source control loops) use :class:`PeriodicTimer`, a
+preallocated repeating event that re-arms itself instead of building a
+fresh event object and label per tick.  Cancellation is lazy: cancelled
+events stay in the heap and are skipped when popped.
 
 Cancellable handles returned by :meth:`EventQueue.schedule` are not pooled:
 a free-list of handles would let a stale reference held after firing cancel
@@ -40,8 +31,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from ..exceptions import ConfigurationError, SimulationError
 
-__all__ = ["EVENT_ENGINES", "Event", "EventQueue", "PeriodicTimer",
-           "ReferenceEventQueue", "resolve_engine"]
+__all__ = ["Event", "EventQueue", "PeriodicTimer"]
 
 
 class Event:
@@ -79,18 +69,6 @@ class Event:
         """Mark the event so it will be skipped when its time comes."""
         self.cancelled = True
 
-    # Ordering replicates the seed ``@dataclass(order=True)`` behaviour,
-    # which compared on the ``(time, sequence)`` field pair; the reference
-    # engine heaps Event objects directly and relies on it.
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.sequence) == (other.time, other.sequence)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return (f"Event(t={self.time:.6g}, seq={self.sequence}, "
@@ -108,9 +86,7 @@ class PeriodicTimer:
     action schedules receive earlier sequence numbers, keeping tie-breaking
     identical to the seed's reschedule-last pattern) and fires at
     ``previous_tick_time + interval`` computed with the same floating-point
-    expression the seed used.
-
-    Works against either engine: it only needs ``schedule_call``.
+    expression the seed used.  It only needs the queue's ``schedule_call``.
     """
 
     __slots__ = ("_queue", "interval", "action", "label", "next_time",
@@ -148,13 +124,13 @@ class PeriodicTimer:
         self._queue.schedule_call(next_time, self._fire_action)
 
 
-#: Heap entries of the production engine: the payload is an Event handle
+#: Heap entries of the engine: the payload is an Event handle
 #: (cancellable) or a bare zero-argument callable (fire-and-forget).
 _HeapEntry = Tuple[float, int, Union[Event, Callable[[], None]]]
 
 
 class EventQueue:
-    """The production time-ordered event engine (lazy-deletion tuple heap)."""
+    """The time-ordered event engine (lazy-deletion tuple heap)."""
 
     __slots__ = ("_heap", "_next_sequence", "current_time")
 
@@ -198,8 +174,8 @@ class EventQueue:
         """
         # float() keeps the clock double-precision whatever numeric type the
         # caller passes (a numpy float32 would otherwise contaminate
-        # current_time and break cross-engine bit-identity); on an existing
-        # float it returns the object unchanged.
+        # current_time and break bit-identity with the seed engine); on an
+        # existing float it returns the object unchanged.
         time = float(time)
         if time < self.current_time - 1e-12:
             raise SimulationError(
@@ -280,105 +256,3 @@ class EventQueue:
         if t_end > self.current_time:
             self.current_time = t_end
         return executed
-
-
-class ReferenceEventQueue:
-    """The seed event engine, preserved as the differential-testing baseline.
-
-    Identical in observable behaviour to :class:`EventQueue`: both assign
-    sequence numbers from one per-queue counter in scheduling order, so a
-    deterministic simulation produces bit-identical traces on either engine.
-    The implementation is the seed's: one heap of :class:`Event` objects
-    ordered through :meth:`Event.__lt__`, with a separate peek/pop pass per
-    executed event.  Benchmarks use it as the honest "seed event loop"
-    baseline; keep it slow-but-faithful rather than improving it.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._next_sequence = 0
-        #: Time of the most recently popped event (simulation clock).
-        self.current_time = 0.0
-
-    def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    def schedule(self, time: float, action: Callable[[], None],
-                 label: str = "") -> Event:
-        """Schedule *action* to run at simulated *time* and return the event."""
-        if time < self.current_time - 1e-12:
-            raise SimulationError(
-                f"cannot schedule event '{label}' at t={time:.6g} before the "
-                f"current time {self.current_time:.6g}")
-        sequence = self._next_sequence
-        self._next_sequence = sequence + 1
-        event = Event(float(time), sequence, action, label)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def schedule_call(self, time: float, action: Callable[[], None]) -> None:
-        """Hot-path compatibility shim: allocates a full event, as the seed did."""
-        self.schedule(time, action)
-
-    def schedule_periodic(self, start: float, interval: float,
-                          action: Callable[[], None],
-                          label: str = "") -> PeriodicTimer:
-        """Schedule *action* every *interval* starting at *start*.
-
-        Shares :class:`PeriodicTimer` with the production engine; each
-        re-arm lands here in :meth:`schedule_call` and pays the seed's
-        per-event allocation, matching the seed's reschedule-per-tick cost.
-        """
-        if start < self.current_time - 1e-12:
-            raise SimulationError(
-                f"cannot start timer '{label}' at t={start:.6g} before the "
-                f"current time {self.current_time:.6g}")
-        return PeriodicTimer(self, interval, action, label).start(start)
-
-    def pop_next(self) -> Optional[Event]:
-        """Pop and return the next non-cancelled event, advancing the clock."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.current_time = event.time
-            return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def run_until(self, t_end: float) -> int:
-        """Fire events in order until the clock passes *t_end*."""
-        executed = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > t_end:
-                break
-            event = self.pop_next()
-            if event is None:
-                break
-            event.action()
-            executed += 1
-        self.current_time = max(self.current_time, t_end)
-        return executed
-
-
-#: Selectable event engines: ``"fast"`` is the production tuple-heap
-#: engine, ``"reference"`` the seed implementation kept for differential
-#: testing and benchmarking.  Both produce bit-identical traces for a
-#: given configuration and seed.
-EVENT_ENGINES = {"fast": EventQueue, "reference": ReferenceEventQueue}
-
-
-def resolve_engine(engine: str):
-    """Return the engine class registered under *engine* (or raise)."""
-    try:
-        return EVENT_ENGINES[engine]
-    except KeyError:
-        known = ", ".join(sorted(EVENT_ENGINES))
-        raise ConfigurationError(
-            f"unknown event engine {engine!r} (available: {known})") from None

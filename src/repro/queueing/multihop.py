@@ -25,7 +25,7 @@ from ..exceptions import ConfigurationError
 from ..health import HealthMonitor, consume_numerical_fault
 from ..health.report import HealthLog
 from ..multisource.fairness import jain_fairness_index
-from .events import resolve_engine
+from .events import EventQueue
 from .packet import Packet
 from .queue_node import BottleneckQueue
 from .random_streams import RandomStreams
@@ -88,29 +88,25 @@ class MultiHopResult:
 class MultiHopSimulator:
     """Event-driven simulation of window-controlled connections over a topology.
 
-    Accepts the same ``engine`` selector as :class:`~repro.queueing.Simulator`
-    (``"fast"`` or ``"reference"``); both engines produce bit-identical
-    traces for a given configuration and seed.  The ``retention`` /
-    ``memmap_dir`` knobs match :class:`~repro.queueing.Simulator`: under
-    ``"moments"`` the per-node mean queues stay exact (streamed
-    time-weighted moments), under ``"none"`` they are reported as NaN.
+    The ``retention`` / ``memmap_dir`` knobs match
+    :class:`~repro.queueing.Simulator`: under ``"moments"`` the per-node
+    mean queues stay exact (streamed time-weighted moments), under
+    ``"none"`` they are reported as NaN.
     """
 
     #: Segment count for monitored runs; checks run at each boundary.
     HEALTH_SEGMENTS = 8
 
-    def __init__(self, config: MultiHopConfig, engine: str = "fast",
-                 retention: str = "full",
+    def __init__(self, config: MultiHopConfig, retention: str = "full",
                  memmap_dir: Optional[str] = None,
                  health: str = "",
                  max_events: Optional[int] = None):
         self.config = config
-        self.engine = engine
         self.retention = retention
         self.memmap_dir = memmap_dir
         self.health = health
         self.max_events = max_events
-        self.events = resolve_engine(engine)()
+        self.events = EventQueue()
         self.streams = RandomStreams(config.seed)
         # One trace per node for queue lengths; one global trace for
         # per-connection counters and window series.

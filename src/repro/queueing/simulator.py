@@ -9,7 +9,6 @@ delays, runs the event loop for the requested horizon and returns a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -21,7 +20,7 @@ from ..exceptions import ConfigurationError
 from ..health import HealthMonitor, consume_numerical_fault
 from ..health.report import HealthLog
 from ..multisource.fairness import jain_fairness_index
-from .events import EVENT_ENGINES, resolve_engine
+from .events import EventQueue
 from .feedback import FeedbackChannel
 from .network import NetworkConfig, SourceConfig
 from .packet import Packet
@@ -30,7 +29,7 @@ from .random_streams import RandomStreams
 from .source import RateSource, WindowSource
 from .trace import SimulationTrace
 
-__all__ = ["Simulator", "SimulationResult", "EVENT_ENGINES"]
+__all__ = ["Simulator", "SimulationResult"]
 
 
 @dataclass
@@ -67,14 +66,6 @@ class SimulationResult:
         return self.trace.queue_length.time_average(0.0, self.duration)
 
     @property
-    def mean_queue_length(self) -> float:
-        """Deprecated alias of :attr:`mean_queue`."""
-        warnings.warn(
-            "SimulationResult.mean_queue_length is deprecated; use "
-            "SimulationResult.mean_queue", DeprecationWarning, stacklevel=2)
-        return self.mean_queue
-
-    @property
     def total_losses(self) -> int:
         """Total packets dropped at the bottleneck."""
         return int(sum(self.trace.losses.values()))
@@ -105,11 +96,6 @@ class Simulator:
     ----------
     config:
         The declarative network description.
-    engine:
-        Event-engine selector (see :data:`EVENT_ENGINES`): ``"fast"``
-        (default) or ``"reference"``.  Both engines yield bit-identical
-        traces for the same config and seed; the reference engine exists
-        for differential tests and the scaling benchmark.
     retention:
         Trace retention policy: ``"full"`` keeps every recorded sample
         (bit-identical to the pre-dataplane behaviour), ``"moments"``
@@ -134,16 +120,14 @@ class Simulator:
     #: Segment count for monitored runs; checks run at each boundary.
     HEALTH_SEGMENTS = 8
 
-    def __init__(self, config: NetworkConfig, engine: str = "fast",
-                 retention: str = "full",
+    def __init__(self, config: NetworkConfig, retention: str = "full",
                  memmap_dir: Optional[str] = None,
                  health: str = "",
                  max_events: Optional[int] = None):
         self.config = config
-        self.engine = engine
         self.health = health
         self.max_events = max_events
-        self.events = resolve_engine(engine)()
+        self.events = EventQueue()
         self.trace = SimulationTrace(retention=retention,
                                      memmap_dir=memmap_dir)
         self.streams = RandomStreams(config.seed)
@@ -289,8 +273,8 @@ class Simulator:
                        monitor: HealthMonitor) -> int:
         """Drain the event loop in segments, checking invariants between.
 
-        Segmenting ``run_until`` is behaviour-identical to one call (both
-        engines execute every event with time <= t_end and then advance
+        Segmenting ``run_until`` is behaviour-identical to one call (the
+        engine executes every event with time <= t_end and then advances
         ``current_time`` to the boundary); the boundaries simply give the
         monitor deterministic points to look at queue state, the event
         budget and sim-time progress without touching the per-event path.

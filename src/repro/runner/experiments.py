@@ -258,8 +258,7 @@ def packet_point(seed: int = 0, n_sources: int = 2, duration: float = 200.0,
 
 
 def des_scenario_point(scenario: str, duration: float = 120.0,
-                       seed: Optional[int] = None, engine: str = "fast",
-                       retention: str = "full",
+                       seed: Optional[int] = None, retention: str = "full",
                        memmap_dir: Optional[str] = None,
                        health: str = "",
                        **scenario_kwargs) -> dict:
@@ -280,8 +279,7 @@ def des_scenario_point(scenario: str, duration: float = 120.0,
     config = spec.build(**scenario_kwargs)
 
     if spec.kind == "multihop":
-        result = MultiHopSimulator(config, engine=engine,
-                                   retention=retention,
+        result = MultiHopSimulator(config, retention=retention,
                                    memmap_dir=memmap_dir,
                                    health=health).run(duration)
         throughputs = list(result.throughputs.values())
@@ -296,7 +294,7 @@ def des_scenario_point(scenario: str, duration: float = 120.0,
             "events_executed": int(result.events_executed),
         }, result.health)
 
-    result = Simulator(config, engine=engine, retention=retention,
+    result = Simulator(config, retention=retention,
                        memmap_dir=memmap_dir, health=health).run(duration)
     mean_queue = (float("nan") if retention == "none"
                   else float(result.mean_queue))

@@ -23,7 +23,6 @@ the same sample paths as the full-mode run it summarises.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -219,32 +218,6 @@ class EnsembleResult:
     def mean_rate_series(self) -> np.ndarray:
         """Ensemble-mean arrival rate over time."""
         return self._moment_series(1, "mean")
-
-    # -- deprecated spellings ----------------------------------------------
-
-    @property
-    def mean_queue(self) -> np.ndarray:
-        """Deprecated alias of :attr:`mean_queue_series`."""
-        warnings.warn("EnsembleResult.mean_queue is deprecated; use "
-                      "EnsembleResult.mean_queue_series",
-                      DeprecationWarning, stacklevel=2)
-        return self.mean_queue_series
-
-    @property
-    def std_queue(self) -> np.ndarray:
-        """Deprecated alias of :attr:`std_queue_series`."""
-        warnings.warn("EnsembleResult.std_queue is deprecated; use "
-                      "EnsembleResult.std_queue_series",
-                      DeprecationWarning, stacklevel=2)
-        return self.std_queue_series
-
-    @property
-    def mean_rate(self) -> np.ndarray:
-        """Deprecated alias of :attr:`mean_rate_series`."""
-        warnings.warn("EnsembleResult.mean_rate is deprecated; use "
-                      "EnsembleResult.mean_rate_series",
-                      DeprecationWarning, stacklevel=2)
-        return self.mean_rate_series
 
     # -- final-time statistics ---------------------------------------------
 

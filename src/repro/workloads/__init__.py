@@ -2,7 +2,7 @@
 
 Every experiment in EXPERIMENTS.md starts from one of the scenario builders
 here so the parameters appearing in reports are defined in exactly one
-place.  The sweep runner evaluates a scenario-producing callable over a grid
+place.  The grid runner evaluates a scenario-producing callable over a grid
 of parameter values and collects the results.
 
 The registered network topologies of :mod:`repro.queueing.scenarios`
@@ -25,7 +25,7 @@ from .scenarios import (
     packet_level_jrj_scenario,
     packet_level_window_scenario,
 )
-from .sweep import GridSweep, ParameterSweep, run_grid, run_sweep
+from .sweep import GridSweep, run_grid
 from .traffic import (
     OnOffArrivals,
     PoissonArrivals,
@@ -49,8 +49,6 @@ __all__ = [
     "chain_scenario",
     "dumbbell_scenario",
     "random_mesh_scenario",
-    "ParameterSweep",
     "GridSweep",
-    "run_sweep",
     "run_grid",
 ]

@@ -1,53 +1,18 @@
-"""Generic parameter-sweep and parameter-grid runners.
+"""Generic parameter-grid runner.
 
-Historically this module offered :func:`run_sweep` over a single scalar
-parameter.  It now generalises to full cartesian matrices via
-:func:`run_grid` (with optional worker-process parallelism and result
-caching through :mod:`repro.runner`), while the original single-parameter
-form of :func:`run_sweep` keeps working as a thin legacy shim.
+:func:`run_grid` evaluates a callable over a full cartesian matrix of
+parameter values (a one-axis grid is a plain sweep), with optional
+worker-process parallelism and result caching through :mod:`repro.runner`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["ParameterSweep", "GridSweep", "run_sweep", "run_grid"]
-
-
-@dataclass
-class ParameterSweep:
-    """Results of sweeping one scalar parameter.
-
-    Attributes
-    ----------
-    parameter_name:
-        Name of the swept parameter (used in report headers).
-    values:
-        The parameter values, in the order they were run.
-    results:
-        One result object per value (whatever the evaluated callable
-        returned).
-    """
-
-    parameter_name: str
-    values: List[float] = field(default_factory=list)
-    results: List[object] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def rows(self, extractor: Callable[[object], dict]) -> List[dict]:
-        """Build table rows by applying *extractor* to each result."""
-        rows = []
-        for value, result in zip(self.values, self.results, strict=True):
-            row = {self.parameter_name: value}
-            row.update(extractor(result))
-            rows.append(row)
-        return rows
+__all__ = ["GridSweep", "run_grid"]
 
 
 @dataclass
@@ -110,6 +75,8 @@ def run_grid(axes: Mapping[str, Sequence[Any]],
     """
     from ..runner.grid import expand_grid  # local import: keep layering thin
 
+    if not callable(evaluate):
+        raise ConfigurationError("run_grid needs an evaluate callable")
     points = expand_grid(axes)
     sweep = GridSweep(axes={name: list(values) for name, values in axes.items()},
                       points=points)
@@ -126,42 +93,3 @@ def run_grid(axes: Mapping[str, Sequence[Any]],
     sweep.results = run_jobs(jobs, n_jobs=n_jobs, cache=cache).values
     return sweep
 
-
-def run_sweep(parameter_name: Union[str, Mapping[str, Sequence[Any]]],
-              values: Optional[Sequence[float]] = None,
-              evaluate: Optional[Callable[..., object]] = None,
-              n_jobs: int = 1) -> Union[ParameterSweep, GridSweep]:
-    """Evaluate a callable over a sweep and collect the results in order.
-
-    Two forms are accepted:
-
-    * ``run_sweep({"c0": [...], "delay": [...]}, evaluate=fn)`` -- the
-      general multi-parameter grid; ``fn`` receives keyword arguments and a
-      :class:`GridSweep` is returned.
-    * ``run_sweep("x", [1.0, 2.0], evaluate=fn)`` -- the legacy
-      single-parameter form; ``fn`` receives the bare value and a
-      :class:`ParameterSweep` is returned.  This shim stays for existing
-      call sites but new code should pass a grid (or use
-      :func:`run_grid` directly).
-    """
-    if evaluate is None:
-        raise ConfigurationError("run_sweep needs an evaluate callable")
-
-    if isinstance(parameter_name, Mapping):
-        if values is not None:
-            raise ConfigurationError(
-                "grid form takes axes and evaluate only (no separate values)")
-        return run_grid(parameter_name, evaluate, n_jobs=n_jobs)
-
-    warnings.warn(
-        "run_sweep(name, values, evaluate) is the legacy single-parameter "
-        "form; pass a grid mapping (or use run_grid) instead",
-        DeprecationWarning, stacklevel=2)
-    values = list(values) if values is not None else []
-    if not values:
-        raise ConfigurationError("sweep needs at least one value")
-    sweep = ParameterSweep(parameter_name=parameter_name)
-    for value in values:
-        sweep.values.append(float(value))
-        sweep.results.append(evaluate(float(value)))
-    return sweep

@@ -7,8 +7,6 @@ from repro.core.advection import (
     UpwindAdvection,
     cfl_time_step,
     cfl_time_step_from_speeds,
-    upwind_advect_q,
-    upwind_advect_v,
 )
 from repro.exceptions import StabilityError
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
@@ -19,8 +17,39 @@ def grid():
     return PhaseGrid2D(UniformGrid1D(0.0, 10.0, 50), UniformGrid1D(-1.0, 1.0, 20))
 
 
+@pytest.fixture
+def workspace(grid):
+    return UpwindAdvection(grid)
+
+
 def _blob(grid, q_center, v_center):
     return grid.gaussian_density(q_center, v_center, 0.8, 0.15)
+
+
+def _advect_v(workspace, density, drift, dt):
+    workspace.set_drift(drift)
+    return workspace.advect_v(density, dt)
+
+
+def _reference_advect_q(density, grid, dt):
+    """Per-call upwind step along q with a reflecting ``q = 0`` boundary."""
+    v = grid.v_centers
+    flux = np.zeros((density.shape[0] + 1, density.shape[1]))
+    flux[1:-1] = np.where(v > 0.0, v * density[:-1],
+                          np.where(v < 0.0, v * density[1:], 0.0))
+    flux[-1] = np.where(v > 0.0, v * density[-1], 0.0)
+    updated = density - (flux[1:] - flux[:-1]) * (dt / grid.dq)
+    return np.maximum(updated, 0.0)
+
+
+def _reference_advect_v(density, grid, drift, dt):
+    """Per-call conservative upwind step along ν between no-flux walls."""
+    interface = 0.5 * (drift[:, :-1] + drift[:, 1:])
+    flux = np.zeros((density.shape[0], density.shape[1] + 1))
+    flux[:, 1:-1] = np.where(interface > 0.0, interface * density[:, :-1],
+                             interface * density[:, 1:])
+    updated = density - (flux[:, 1:] - flux[:, :-1]) * (dt / grid.dv)
+    return np.maximum(updated, 0.0)
 
 
 class TestCFLTimeStep:
@@ -42,99 +71,100 @@ class TestCFLTimeStep:
 
 
 class TestUpwindAdvectQ:
-    def test_conserves_mass_with_reflecting_boundary(self, grid):
+    def test_conserves_mass_with_reflecting_boundary(self, grid, workspace):
         density = _blob(grid, 5.0, 0.0)
         mass_before = grid.total_mass(density)
         dt = cfl_time_step(grid, np.zeros(grid.shape), 0.9, 0.05)
-        updated = upwind_advect_q(density, grid, dt)
+        updated = workspace.advect_q(density, dt)
         # Mass only leaves through q = q_max; a centred blob loses only the
         # (negligible) Gaussian tail already sitting at that edge.
         assert grid.total_mass(updated) == pytest.approx(mass_before, rel=1e-9)
 
-    def test_positive_velocity_moves_mass_right(self, grid):
+    def test_positive_velocity_moves_mass_right(self, grid, workspace):
         density = _blob(grid, 3.0, 0.5)
         dt = 0.05
         updated = density.copy()
         for _ in range(40):
-            updated = upwind_advect_q(updated, grid, dt)
+            updated = workspace.advect_q(updated, dt)
         q_mesh, _ = grid.meshgrid()
         mean_before = np.sum(q_mesh * density) / np.sum(density)
         mean_after = np.sum(q_mesh * updated) / np.sum(updated)
         assert mean_after > mean_before + 0.3
 
-    def test_negative_velocity_moves_mass_left(self, grid):
+    def test_negative_velocity_moves_mass_left(self, grid, workspace):
         density = _blob(grid, 7.0, -0.5)
         updated = density.copy()
         for _ in range(40):
-            updated = upwind_advect_q(updated, grid, 0.05)
+            updated = workspace.advect_q(updated, 0.05)
         q_mesh, _ = grid.meshgrid()
         mean_before = np.sum(q_mesh * density) / np.sum(density)
         mean_after = np.sum(q_mesh * updated) / np.sum(updated)
         assert mean_after < mean_before - 0.3
 
-    def test_reflecting_boundary_keeps_mass_non_negative_queue(self, grid):
+    def test_reflecting_boundary_keeps_mass_non_negative_queue(self, grid,
+                                                               workspace):
         # Mass pushed against q = 0 must not leak out.
         density = _blob(grid, 0.5, -0.8)
         updated = density.copy()
         for _ in range(100):
-            updated = upwind_advect_q(updated, grid, 0.05)
+            updated = workspace.advect_q(updated, 0.05)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-10)
         assert np.all(updated >= 0.0)
 
-    def test_cfl_violation_raises(self, grid):
+    def test_cfl_violation_raises(self, grid, workspace):
         density = _blob(grid, 5.0, 0.0)
         with pytest.raises(StabilityError):
-            upwind_advect_q(density, grid, dt=10.0)
+            workspace.advect_q(density, dt=10.0)
 
-    def test_result_non_negative(self, grid):
+    def test_result_non_negative(self, grid, workspace):
         density = _blob(grid, 5.0, 0.3)
-        updated = upwind_advect_q(density, grid, 0.05)
+        updated = workspace.advect_q(density, 0.05)
         assert np.all(updated >= 0.0)
 
 
 class TestUpwindAdvectV:
-    def test_conserves_mass(self, grid):
+    def test_conserves_mass(self, grid, workspace):
         density = _blob(grid, 5.0, 0.0)
         drift = np.full(grid.shape, 0.3)
         dt = 0.05
-        updated = upwind_advect_v(density, grid, drift, dt)
+        updated = _advect_v(workspace, density, drift, dt)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-12)
 
-    def test_positive_drift_moves_mass_up(self, grid):
+    def test_positive_drift_moves_mass_up(self, grid, workspace):
         density = _blob(grid, 5.0, -0.3)
-        drift = np.full(grid.shape, 0.5)
+        workspace.set_drift(np.full(grid.shape, 0.5))
         updated = density.copy()
         for _ in range(30):
-            updated = upwind_advect_v(updated, grid, drift, 0.05)
+            updated = workspace.advect_v(updated, 0.05)
         _, v_mesh = grid.meshgrid()
         mean_before = np.sum(v_mesh * density) / np.sum(density)
         mean_after = np.sum(v_mesh * updated) / np.sum(updated)
         assert mean_after > mean_before + 0.2
 
-    def test_negative_drift_moves_mass_down(self, grid):
+    def test_negative_drift_moves_mass_down(self, grid, workspace):
         density = _blob(grid, 5.0, 0.3)
-        drift = np.full(grid.shape, -0.5)
+        workspace.set_drift(np.full(grid.shape, -0.5))
         updated = density.copy()
         for _ in range(30):
-            updated = upwind_advect_v(updated, grid, drift, 0.05)
+            updated = workspace.advect_v(updated, 0.05)
         _, v_mesh = grid.meshgrid()
         assert (np.sum(v_mesh * updated) / np.sum(updated)
                 < np.sum(v_mesh * density) / np.sum(density) - 0.2)
 
-    def test_shape_mismatch_raises(self, grid):
+    def test_shape_mismatch_raises(self, grid, workspace):
         density = _blob(grid, 5.0, 0.0)
         with pytest.raises(StabilityError):
-            upwind_advect_v(density, grid, np.zeros((3, 3)), 0.05)
+            _advect_v(workspace, density, np.zeros((3, 3)), 0.05)
 
-    def test_cfl_violation_raises(self, grid):
+    def test_cfl_violation_raises(self, grid, workspace):
         density = _blob(grid, 5.0, 0.0)
         drift = np.full(grid.shape, 100.0)
         with pytest.raises(StabilityError):
-            upwind_advect_v(density, grid, drift, 0.5)
+            _advect_v(workspace, density, drift, 0.5)
 
 
 class TestUpwindAdvectionWorkspace:
-    """The preallocated workspace must match the stateless kernels."""
+    """The preallocated workspace must match the per-call upwind scheme."""
 
     def _drift(self, grid):
         q_mesh, v_mesh = grid.meshgrid()
@@ -145,7 +175,7 @@ class TestUpwindAdvectionWorkspace:
         density = _blob(grid, 5.0, 0.2)
         out = np.empty_like(density)
         workspace.advect_q(density, 0.05, out=out)
-        assert np.array_equal(out, upwind_advect_q(density, grid, 0.05))
+        assert np.array_equal(out, _reference_advect_q(density, grid, 0.05))
 
     def test_advect_v_matches_function(self, grid):
         workspace = UpwindAdvection(grid)
@@ -154,7 +184,8 @@ class TestUpwindAdvectionWorkspace:
         workspace.set_drift(drift)
         out = np.empty_like(density)
         workspace.advect_v(density, 0.05, out=out)
-        assert np.array_equal(out, upwind_advect_v(density, grid, drift, 0.05))
+        assert np.array_equal(out,
+                              _reference_advect_v(density, grid, drift, 0.05))
 
     def test_scaled_fast_path_agrees_to_rounding(self, grid):
         workspace = UpwindAdvection(grid)

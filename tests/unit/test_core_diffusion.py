@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.diffusion import CrankNicolsonDiffusion, crank_nicolson_diffuse_q
+from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
 
 
@@ -12,17 +12,36 @@ def grid():
     return PhaseGrid2D(UniformGrid1D(0.0, 20.0, 100), UniformGrid1D(-1.0, 1.0, 4))
 
 
+def _diffuse(density, grid, sigma, dt):
+    return CrankNicolsonDiffusion(grid, sigma).step(density, dt)
+
+
+def _reference_diffuse(density, grid, sigma, dt):
+    """Per-call Crank-Nicolson step: dense solve of (I - rL) f = (I + rL) d."""
+    nq = grid.shape[0]
+    r = 0.5 * sigma * sigma * dt / (2.0 * grid.dq * grid.dq)
+    laplacian = (np.diag(np.full(nq - 1, 1.0), 1)
+                 + np.diag(np.full(nq - 1, 1.0), -1)
+                 - 2.0 * np.eye(nq))
+    laplacian[0, 0] = laplacian[-1, -1] = -1.0  # Neumann (no-flux) rows
+    identity = np.eye(nq)
+    updated = np.linalg.solve(identity - r * laplacian,
+                              (identity + r * laplacian) @ density)
+    return np.maximum(updated, 0.0)
+
+
 class TestCrankNicolsonDiffusion:
     def test_zero_sigma_is_identity(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        updated = crank_nicolson_diffuse_q(density, grid, sigma=0.0, dt=0.1)
+        updated = _diffuse(density, grid, sigma=0.0, dt=0.1)
         assert np.array_equal(updated, density)
 
     def test_conserves_mass(self, grid):
+        operator = CrankNicolsonDiffusion(grid, sigma=0.5)
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
         updated = density.copy()
         for _ in range(50):
-            updated = crank_nicolson_diffuse_q(updated, grid, sigma=0.5, dt=0.1)
+            updated = operator.step(updated, 0.1)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-10)
 
     def test_variance_grows_at_sigma_squared_rate(self, grid):
@@ -40,18 +59,20 @@ class TestCrankNicolsonDiffusion:
             return np.sum((q_mesh - mean) ** 2 * weight)
 
         initial_variance = variance(density)
+        operator = CrankNicolsonDiffusion(grid, sigma)
         updated = density.copy()
         for _ in range(n_steps):
-            updated = crank_nicolson_diffuse_q(updated, grid, sigma, dt)
+            updated = operator.step(updated, dt)
         expected = initial_variance + sigma ** 2 * n_steps * dt
         assert variance(updated) == pytest.approx(expected, rel=0.05)
 
     def test_mean_preserved_in_interior(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
         q_mesh, _ = grid.meshgrid()
+        operator = CrankNicolsonDiffusion(grid, 0.3)
         updated = density.copy()
         for _ in range(20):
-            updated = crank_nicolson_diffuse_q(updated, grid, 0.3, 0.1)
+            updated = operator.step(updated, 0.1)
         mean_before = np.sum(q_mesh * density) / np.sum(density)
         mean_after = np.sum(q_mesh * updated) / np.sum(updated)
         assert mean_after == pytest.approx(mean_before, abs=0.05)
@@ -60,14 +81,14 @@ class TestCrankNicolsonDiffusion:
         density = np.zeros(grid.shape)
         density[50, :] = 1.0
         density = grid.normalize(density)
-        updated = crank_nicolson_diffuse_q(density, grid, sigma=1.0, dt=0.5)
+        updated = _diffuse(density, grid, sigma=1.0, dt=0.5)
         assert np.max(updated) < np.max(density)
         assert np.all(updated >= 0.0)
 
     def test_large_dt_remains_stable(self, grid):
         # Crank-Nicolson is unconditionally stable; a huge step must not blow up.
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        updated = crank_nicolson_diffuse_q(density, grid, sigma=1.0, dt=50.0)
+        updated = _diffuse(density, grid, sigma=1.0, dt=50.0)
         assert np.all(np.isfinite(updated))
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-8)
 
@@ -84,11 +105,15 @@ class TestCrankNicolsonDiffusionOperator:
         assert len(operator._steps) == 1  # single cached diffusion number
 
     def test_operator_matches_stateless_function(self, grid):
+        # Both the first (factorized) and the repeated (dense combined
+        # operator) use of one diffusion number match the per-call solve.
         operator = CrankNicolsonDiffusion(grid, sigma=0.4)
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        via_operator = operator.step(density, 0.2)
-        via_function = crank_nicolson_diffuse_q(density, grid, 0.4, 0.2)
-        assert np.allclose(via_operator, via_function, rtol=0.0, atol=1e-13)
+        via_function = _reference_diffuse(density, grid, 0.4, 0.2)
+        for _ in range(2):
+            via_operator = operator.step(density, 0.2)
+            assert np.allclose(via_operator, via_function, rtol=0.0,
+                               atol=1e-13)
 
     def test_dense_and_factorized_paths_agree(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)

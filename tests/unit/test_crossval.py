@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from seed_engine import use_seed_engine
 
 from repro import SystemParameters, cross_validate
 from repro.crossval import matched_network_config
@@ -71,10 +72,11 @@ class TestCrossValidate:
         assert math.isfinite(report.mean_queue_rel_error)
         assert 0.4 < report.des_utilization <= 1.05
 
-    def test_engines_produce_identical_des_metrics(self, params):
+    def test_engines_produce_identical_des_metrics(self, params, monkeypatch):
         kwargs = dict(duration=400.0, t_end=30.0, nq=40, nv=30)
-        fast = cross_validate(params, engine="fast", **kwargs)
-        reference = cross_validate(params, engine="reference", **kwargs)
+        fast = cross_validate(params, **kwargs)
+        use_seed_engine(monkeypatch)
+        reference = cross_validate(params, **kwargs)
         assert fast.des_mean_queue == reference.des_mean_queue
         assert fast.des_std_queue == reference.des_std_queue
         assert fast.stationary_tv_distance == reference.stationary_tv_distance

@@ -2,9 +2,8 @@
 
 Covers the columnar store, the streaming accumulators, the retention
 policies threaded through the simulators / ensembles / design sweep, the
-sharded map-reduce aggregation of the runner, the golden bit-identity of
-``retention="full"`` against the frozen seed traces, and the deprecation
-shims of the unified results API.
+sharded map-reduce aggregation of the runner, and the golden bit-identity
+of ``retention="full"`` against the frozen seed traces.
 """
 
 import json
@@ -428,28 +427,6 @@ class TestEnsembleRetention:
                               streamed.mean_queue_series)
         assert np.array_equal(revived.final_queue_samples(),
                               streamed.final_queue_samples())
-
-
-class TestDeprecationShims:
-    def test_simulation_result_mean_queue_length(self):
-        config = packet_level_jrj_scenario(n_sources=1, service_rate=10.0,
-                                           seed=1)
-        result = Simulator(config).run(duration=10.0)
-        with pytest.warns(DeprecationWarning):
-            legacy = result.mean_queue_length
-        assert legacy == result.mean_queue
-
-    def test_ensemble_series_aliases(self):
-        params = SystemParameters(sigma=0.3)
-        ensemble = run_ensemble(jrj_from_parameters(params), params, q0=0.0,
-                                rate0=0.5, t_end=2.0, dt=0.02, n_paths=20,
-                                seed=8)
-        for legacy, current in (("mean_queue", "mean_queue_series"),
-                                ("std_queue", "std_queue_series"),
-                                ("mean_rate", "mean_rate_series")):
-            with pytest.warns(DeprecationWarning):
-                values = getattr(ensemble, legacy)
-            assert np.array_equal(values, getattr(ensemble, current))
 
 
 class TestMapReduce:

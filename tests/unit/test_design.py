@@ -19,8 +19,8 @@ from repro.config import GridParameters, SystemParameters
 from repro.control.jrj import JRJControl, jrj_from_parameters
 from repro.core.generator import assemble_generator
 from repro.core.initial import gaussian_initial_density
-from repro.core.advection import upwind_advect_q, upwind_advect_v
-from repro.core.diffusion import crank_nicolson_diffuse_q
+from repro.core.advection import UpwindAdvection
+from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.core.steady_state import SteadyStateEstimate
 from repro.design import (
     DelayShiftedControl,
@@ -66,10 +66,12 @@ class TestGeneratorKernelParity:
         self.density = gaussian_initial_density(
             self.grid, q0=PARAMS.q_target, v0=0.0, q_std=2.0, v_std=0.2)
         self.flat = self.density.ravel()
+        self.advection = UpwindAdvection(self.grid)
+        self.advection.set_drift(self.generator.drift)
 
     def test_q_advection_matches_kernel(self):
         dt = 0.05
-        stepped = upwind_advect_q(self.density, self.grid, dt)
+        stepped = self.advection.advect_q(self.density, dt)
         via_operator = self.flat + dt * self.generator.advection_q().matvec(
             self.flat)
         np.testing.assert_allclose(via_operator,
@@ -77,8 +79,7 @@ class TestGeneratorKernelParity:
 
     def test_v_advection_matches_kernel(self):
         dt = 0.05
-        stepped = upwind_advect_v(self.density, self.grid,
-                                  self.generator.drift, dt)
+        stepped = self.advection.advect_v(self.density, dt)
         via_operator = self.flat + dt * self.generator.advection_v().matvec(
             self.flat)
         np.testing.assert_allclose(via_operator,
@@ -90,11 +91,10 @@ class TestGeneratorKernelParity:
         # and more generally S p = (I - r Ltilde)(step(p) - p) up to
         # round-off.  Verify the latter identity on a generic density.
         dt = 0.05
-        advected = upwind_advect_v(
-            upwind_advect_q(self.density, self.grid, dt),
-            self.grid, self.generator.drift, dt)
-        stepped = crank_nicolson_diffuse_q(advected, self.grid,
-                                           PARAMS.sigma, dt)
+        advected = self.advection.advect_v(
+            self.advection.advect_q(self.density, dt), dt)
+        stepped = CrankNicolsonDiffusion(self.grid, PARAMS.sigma).step(
+            advected, dt)
         r_number = self.generator.diffusion_number(dt)
         # S p = (I + r Ltilde) A p - (I - r Ltilde) p, and the step is
         # stepped = (I - r Ltilde)^{-1} (I + r Ltilde) A p, so

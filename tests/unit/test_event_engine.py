@@ -1,21 +1,20 @@
-"""Determinism and semantics of the event engines.
+"""Determinism and semantics of the event engine.
 
-The production tuple-heap engine (``EventQueue``) and the preserved seed
-engine (``ReferenceEventQueue``) must be observationally identical: same
-firing order (including tie-breaking by insertion order across both
-scheduling paths), same clock behaviour, and bit-identical simulation
-traces for every configuration and seed.
+The production tuple-heap engine (``EventQueue``) and the seed engine kept
+as a test oracle (``seed_engine.SeedEventQueue``) must be observationally
+identical: same firing order (including tie-breaking by insertion order
+across both scheduling paths), same clock behaviour, and bit-identical
+simulation traces for every configuration and seed.
 """
 
 import numpy as np
 import pytest
+from seed_engine import SeedEventQueue, use_seed_engine
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.queueing import (
-    EVENT_ENGINES,
     EventQueue,
     MultiHopSimulator,
-    ReferenceEventQueue,
     Simulator,
     build_scenario,
 )
@@ -121,7 +120,7 @@ class TestEngineEquivalence:
 
     def test_randomized_firing_order_identical(self):
         runs = []
-        for engine_class in (EventQueue, ReferenceEventQueue):
+        for engine_class in (EventQueue, SeedEventQueue):
             queue = engine_class()
             rng = np.random.default_rng(123)
             fired = self._randomized_program(queue, rng)
@@ -150,37 +149,32 @@ class TestEngineEquivalence:
         ],
         ids=["jrj-1", "jrj-2", "jacobson", "decbit", "dumbbell-12"],
     )
-    def test_simulation_traces_bit_identical(self, config_builder):
-        fast = Simulator(config_builder(), engine="fast").run(60.0)
-        reference = Simulator(config_builder(), engine="reference").run(60.0)
+    def test_simulation_traces_bit_identical(self, config_builder,
+                                             monkeypatch):
+        fast = Simulator(config_builder()).run(60.0)
+        use_seed_engine(monkeypatch)
+        reference = Simulator(config_builder()).run(60.0)
         assert _trace_fingerprint(fast.trace) == _trace_fingerprint(
             reference.trace
         )
         assert fast.events_executed == reference.events_executed
 
     @pytest.mark.parametrize("scenario", ["parking-lot", "chain", "mesh"])
-    def test_multihop_traces_bit_identical(self, scenario):
-        results = {}
-        for engine in ("fast", "reference"):
-            config = build_scenario(scenario, seed=13)
-            simulator = MultiHopSimulator(config, engine=engine)
+    def test_multihop_traces_bit_identical(self, scenario, monkeypatch):
+        def run():
+            simulator = MultiHopSimulator(build_scenario(scenario, seed=13))
             result = simulator.run(80.0)
-            results[engine] = (
+            return (
                 result.throughputs,
                 result.losses,
                 result.node_mean_queue,
                 result.events_executed,
                 _trace_fingerprint(simulator.connection_trace),
             )
-        assert results["fast"] == results["reference"]
 
-    def test_engine_registry_and_rejection(self):
-        assert set(EVENT_ENGINES) == {"fast", "reference"}
-        config = packet_level_jrj_scenario(n_sources=1)
-        with pytest.raises(ConfigurationError):
-            Simulator(config, engine="warp-drive")
-        with pytest.raises(ConfigurationError):
-            MultiHopSimulator(build_scenario("chain"), engine="warp-drive")
+        fast = run()
+        use_seed_engine(monkeypatch)
+        assert run() == fast
 
 
 class TestBufferedJitterParity:

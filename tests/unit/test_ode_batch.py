@@ -172,6 +172,15 @@ class TestIntegrateAdaptiveBatch:
             assert np.array_equal(reference.times, member.times)
             assert np.array_equal(reference.states, member.states)
 
+        # Reaching t_end on exactly the max_steps-th step is a completed run.
+        boundary = dict(t_end=0.01, initial_dt=0.01, max_steps=1)
+        reference = integrate_adaptive(lambda t, s: -s, [1.0], **boundary)
+        member = integrate_adaptive_batch(lambda t, s, i: -s, [[1.0]],
+                                          **boundary).trajectory(0)
+        assert reference.times.size == 2
+        assert np.array_equal(reference.times, member.times)
+        assert np.array_equal(reference.states, member.states)
+
     def test_per_trajectory_time_grids(self):
         batch = integrate_adaptive_batch(batch_oscillator, INITIALS,
                                          t_end=5.0)

@@ -1,4 +1,6 @@
-"""Unit tests for the scenario builders and the sweep/grid runners."""
+"""Unit tests for the scenario builders and the grid runner."""
+
+from types import MappingProxyType
 
 import pytest
 
@@ -6,14 +8,12 @@ from repro import JRJControl, SystemParameters
 from repro.exceptions import ConfigurationError
 from repro.workloads import (
     GridSweep,
-    ParameterSweep,
     heterogeneous_delay_scenario,
     heterogeneous_parameters_scenario,
     homogeneous_sources_scenario,
     packet_level_jrj_scenario,
     packet_level_window_scenario,
     run_grid,
-    run_sweep,
     single_source_scenario,
 )
 
@@ -71,29 +71,28 @@ class TestScenarioBuilders:
 
 
 class TestSweepRunner:
+    """A one-parameter sweep is a one-axis grid."""
+
     def test_sweep_collects_results_in_order(self):
-        with pytest.deprecated_call():
-            sweep = run_sweep("x", [1.0, 2.0, 3.0], evaluate=lambda x: x ** 2)
-        assert isinstance(sweep, ParameterSweep)
-        assert sweep.values == [1.0, 2.0, 3.0]
+        sweep = run_grid({"x": [1.0, 2.0, 3.0]}, evaluate=lambda x: x ** 2)
+        assert sweep.points == [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
         assert sweep.results == [1.0, 4.0, 9.0]
         assert len(sweep) == 3
 
     def test_sweep_rows_extraction(self):
-        with pytest.deprecated_call():
-            sweep = run_sweep("delay", [0.0, 1.0],
-                              evaluate=lambda d: {"amp": 2 * d})
+        sweep = run_grid({"delay": [0.0, 1.0]},
+                         evaluate=lambda delay: {"amp": 2 * delay})
         rows = sweep.rows(lambda result: {"amplitude": result["amp"]})
         assert rows == [{"delay": 0.0, "amplitude": 0.0},
                         {"delay": 1.0, "amplitude": 2.0}]
 
     def test_empty_sweep_rejected(self):
-        with pytest.raises(ConfigurationError), pytest.deprecated_call():
-            run_sweep("x", [], evaluate=lambda x: x)
+        with pytest.raises(ConfigurationError):
+            run_grid({"x": []}, evaluate=lambda x: x)
 
     def test_missing_evaluate_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sweep("x", [1.0])
+            run_grid({"x": [1.0]}, None)
 
 
 class TestGridRunner:
@@ -114,14 +113,17 @@ class TestGridRunner:
         assert rows == [{"a": 1.0, "b": 2.0, "prod": 2.0},
                         {"a": 1.0, "b": 3.0, "prod": 3.0}]
 
-    def test_run_sweep_accepts_grid_mapping(self):
-        sweep = run_sweep({"a": [1.0, 2.0]}, evaluate=lambda a: 3 * a)
+    def test_run_grid_accepts_grid_mapping(self):
+        sweep = run_grid(MappingProxyType({"a": [1.0, 2.0]}),
+                         evaluate=lambda a: 3 * a)
         assert isinstance(sweep, GridSweep)
         assert sweep.results == [3.0, 6.0]
 
     def test_grid_form_rejects_separate_values(self):
+        # The legacy (name, values, evaluate) call shape puts the value
+        # list where the callable belongs.
         with pytest.raises(ConfigurationError):
-            run_sweep({"a": [1.0]}, [1.0], evaluate=lambda a: a)
+            run_grid({"a": [1.0]}, [1.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):

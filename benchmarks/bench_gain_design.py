@@ -45,23 +45,18 @@ PARITY_TOL = 1e-5
 SWEEP_POINTS = 256  # coarse-throughput probe: 4 x 4 x 4 x 4 axes
 
 
-def _configuration(smoke: bool, backend_name: str):
+def _configuration(smoke: bool):
     """Grid, march horizon and step for the benchmark arms.
 
-    The full stationary system is ``nq x nv`` unknowns; the dense numpy
-    null solve is cubic in that count, so the numpy arm gets a smaller
-    grid than the sparse scipy arm at the full setting.
+    Both backends' null solves scale with the grid's bandwidth rather than
+    cubically with its ``nq x nv`` unknowns, so both arms share one grid.
     """
     if smoke:
         grid = GridParameters(q_max=30.0, nq=48, v_min=-1.2, v_max=1.2,
                               nv=36)
         return grid, 200.0, 0.05
-    if backend_name == "scipy":
-        grid = GridParameters(q_max=30.0, nq=100, v_min=-1.2, v_max=1.2,
-                              nv=80)
-        return grid, 300.0, 0.025
-    grid = GridParameters(q_max=30.0, nq=64, v_min=-1.2, v_max=1.2, nv=48)
-    return grid, 300.0, 0.04
+    grid = GridParameters(q_max=30.0, nq=100, v_min=-1.2, v_max=1.2, nv=80)
+    return grid, 300.0, 0.025
 
 
 def _march(grid: GridParameters, t_end: float, dt: float):
@@ -97,7 +92,7 @@ def test_gain_design_speedup(smoke: Optional[bool] = None):
         smoke = "--smoke" in sys.argv
     rounds = 2 if smoke else 3
     backend_name = get_backend().name
-    grid, t_end, dt = _configuration(smoke, backend_name)
+    grid, t_end, dt = _configuration(smoke)
 
     # Warm both paths (operator caches, BLAS/splu initialisation), then
     # gate the parity once outside the timed rounds: the direct solve must

@@ -1,8 +1,9 @@
 """Oscillation metrics for arbitrary time series.
 
-A thin, substrate-independent wrapper over the peak/FFT utilities: given any
-``(times, values)`` series it reports whether a sustained oscillation is
-present and, if so, its amplitude and period.  The delayed-feedback and
+Substrate-independent metrics built on the tests of the peak/FFT utilities
+in :mod:`repro.numerics.spectral`: given any ``(times, values)`` series (or
+a block of them) it reports whether a sustained oscillation is present and,
+if so, its amplitude and period.  The delayed-feedback and
 algorithm-comparison experiments use it on the queue-length output of every
 substrate so the numbers are directly comparable.
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import AnalysisError
-from ..numerics.spectral import detect_peaks, dominant_period
 
 __all__ = ["OscillationMetrics", "OscillationMetricsBatch",
            "oscillation_metrics", "oscillation_metrics_batch"]
@@ -51,36 +51,16 @@ def oscillation_metrics(times: np.ndarray, values: np.ndarray,
     """Measure the steady-state oscillation of ``(times, values)``.
 
     The final *steady_fraction* of the series is used so start-up transients
-    do not inflate the amplitude.
+    do not inflate the amplitude.  A batch of one of
+    :func:`oscillation_metrics_batch`.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.size < 8:
         raise AnalysisError("need at least eight samples for oscillation metrics")
-    if not 0.0 < steady_fraction <= 1.0:
-        raise AnalysisError("steady_fraction must lie in (0, 1]")
-
-    start = int((1.0 - steady_fraction) * values.size)
-    window_times = times[start:]
-    window_values = values[start:]
-
-    amplitude = 0.5 * float(np.max(window_values) - np.min(window_values))
-    sustained = amplitude > amplitude_floor
-    peaks = detect_peaks(window_values)
-
-    period = float("nan")
-    if sustained and window_values.size >= 8:
-        dt = float(np.mean(np.diff(window_times)))
-        try:
-            period = dominant_period(window_values, dt)
-        except AnalysisError:
-            if len(peaks) >= 2:
-                period = float(np.mean(np.diff(window_times[peaks])))
-
-    return OscillationMetrics(amplitude=amplitude, period=period,
-                              sustained=sustained,
-                              mean_value=float(np.mean(window_values)),
-                              n_peaks=len(peaks))
+    return oscillation_metrics_batch(
+        times, values[:, None], steady_fraction=steady_fraction,
+        amplitude_floor=amplitude_floor).member(0)
 
 
 @dataclass(frozen=True)
@@ -115,11 +95,18 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
                               steady_fraction: float = 0.5,
                               amplitude_floor: float = 0.05
                               ) -> OscillationMetricsBatch:
-    """Column-wise :func:`oscillation_metrics` over a ``(n, batch)`` block.
+    """Column-wise oscillation metrics of a ``(n, batch)`` block.
 
-    Every column is analysed by the scalar routine, so each member of the
-    result is identical to the scalar call on that column -- the parity the
-    gain-design sweeps rely on when they spot-check batch scores.
+    The final *steady_fraction* of the samples is transposed once into
+    contiguous rows, and every field is a row-wise reduction: amplitude from
+    the row extremes, peaks from the local-maximum mask of
+    :func:`~repro.numerics.spectral.detect_peaks`, the mean, and the period
+    from one ``rfft`` over the sustained rows with the power test of
+    :func:`~repro.numerics.spectral.dominant_period`.  Reductions along a
+    contiguous row use the same pairwise summation as a 1-D call, so every
+    member is bit-identical to analysing its column alone.  A sustained
+    member whose spectrum shows no oscillation falls back, on its own, to
+    the mean spacing of its peaks.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -127,13 +114,41 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
         raise AnalysisError(
             "oscillation_metrics_batch needs times of shape (n,) and values "
             "of shape (n, batch)")
-    members = [oscillation_metrics(times, values[:, index],
-                                   steady_fraction=steady_fraction,
-                                   amplitude_floor=amplitude_floor)
-               for index in range(values.shape[1])]
-    return OscillationMetricsBatch(
-        amplitude=np.array([m.amplitude for m in members]),
-        period=np.array([m.period for m in members]),
-        sustained=np.array([m.sustained for m in members], dtype=bool),
-        mean_value=np.array([m.mean_value for m in members]),
-        n_peaks=np.array([m.n_peaks for m in members], dtype=int))
+    if times.size < 8:
+        raise AnalysisError("need at least eight samples for oscillation metrics")
+    if not 0.0 < steady_fraction <= 1.0:
+        raise AnalysisError("steady_fraction must lie in (0, 1]")
+
+    start = int((1.0 - steady_fraction) * times.size)
+    window_times = times[start:]
+    rows = np.ascontiguousarray(values[start:].T)
+    batch, width = rows.shape
+
+    amplitude = 0.5 * (rows.max(axis=1) - rows.min(axis=1))
+    sustained = amplitude > amplitude_floor
+    interior = rows[:, 1:-1]
+    peak_mask = (interior > rows[:, :-2]) & (interior >= rows[:, 2:])
+    mean_value = rows.mean(axis=1)
+
+    period = np.full(batch, np.nan)
+    oscillating = np.flatnonzero(sustained & (width >= 8))
+    if oscillating.size:
+        dt = float(np.mean(np.diff(window_times)))
+        spectrum = np.fft.rfft(rows[oscillating]
+                               - mean_value[oscillating, None], axis=1)
+        frequencies = np.fft.rfftfreq(width, d=dt)
+        power = (np.abs(spectrum) ** 2)[:, 1:]
+        total = power.sum(axis=1)
+        frequency = frequencies[1 + np.argmax(power, axis=1)]
+        found = ~((total <= 0.0)
+                  | (power.max(axis=1) < 1e-12 * np.maximum(total, 1.0))
+                  | (frequency <= 0.0))
+        period[oscillating[found]] = 1.0 / frequency[found]
+        for index in oscillating[~found]:
+            peaks = np.flatnonzero(peak_mask[index]) + 1
+            if peaks.size >= 2:
+                period[index] = np.mean(np.diff(window_times[peaks]))
+
+    return OscillationMetricsBatch(amplitude=amplitude, period=period,
+                                   sustained=sustained, mean_value=mean_value,
+                                   n_peaks=peak_mask.sum(axis=1))

@@ -362,15 +362,27 @@ def integrate_characteristic_batch(
                 f"{control.name} does not accept per-trajectory columns "
                 f"{names}") from None
 
+    # The integrator passes one ``indices`` array to all four RK stages and
+    # rebinds it only when it drops finished trajectories, so the per-member
+    # columns are gathered once per active set rather than once per stage.
+    active = None
+    active_mu = mu_scalar
+    active_gains = {}
+
     def rhs(_t: float, states: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        nonlocal active, active_mu, active_gains
+        if indices is not active:
+            active = indices
+            if heterogeneous_mu:
+                active_mu = mu[indices]
+            active_gains = {name: value[indices]
+                            for name, value in gain_columns.items()}
         q = states[:, 0]
         lam = states[:, 1]
-        dq = lam - (mu[indices] if heterogeneous_mu else mu_scalar)
+        dq = lam - active_mu
         dq = np.where((q <= 0.0) & (dq < 0.0), 0.0, dq)
         if gain_columns:
-            dlam = control.drift_batch(
-                q, lam, **{name: value[indices]
-                           for name, value in gain_columns.items()})
+            dlam = control.drift_batch(q, lam, **active_gains)
         else:
             dlam = np.asarray(control.drift(q, lam), dtype=float)
         derivative = np.empty_like(states)

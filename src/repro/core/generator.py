@@ -32,8 +32,8 @@ want the textbook operator.
 
 Everything here is plain numpy: the matrices are assembled in a tiny
 diagonal-storage format and exported as COO triplets, which the
-:mod:`repro.numerics.backend` registry consumes (dense for the numpy
-reference backend, ``scipy.sparse`` for the sparse one).
+:mod:`repro.numerics.backend` registry consumes (block-banded on the numpy
+backend, ``scipy.sparse`` on the scipy one).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Instead of time-marching Equation 14 to ``t_end`` and averaging the tail
 (:mod:`repro.core.steady_state`), the heavy-traffic questions of the paper
 can be answered directly: the stationary density is the null vector of the
 assembled discrete operator from :mod:`repro.core.generator`, solved through
-the :mod:`repro.numerics.backend` registry (dense row-replacement on the
-numpy reference backend, ``splu`` shifted inverse iteration on scipy).
+the :mod:`repro.numerics.backend` registry (block-banded shifted inverse
+iteration with a dense row-replacement fallback on numpy, ``splu``
+shifted inverse iteration on scipy).
 
 Two operator choices are exposed:
 
@@ -233,9 +234,11 @@ def solve_stationary(params: SystemParameters,
         ``"generator"`` (continuous-time operator), or ``"adi"`` (alias of
         ``"generator"``: the ADI stepper's fixed point carries no
         splitting error, so its marched tail is the generator null
-        vector).  At large grids (nq in the thousands) use the scipy
-        backend, whose sparse ``splu`` inverse iteration scales where the
-        numpy dense reference solve cannot.
+        vector).  The numpy backend's block-banded factorization costs
+        O(n·b²) for bandwidth ``b ≈ 2·nv``; when its blocks would not fit
+        in memory (``nv`` in the thousands) it raises
+        :class:`~repro.exceptions.ConfigurationError` up front, and the
+        scipy backend's sparse ``splu`` takes over.
     backend:
         Backend registry name; defaults to ``params.backend`` resolution.
     seed:

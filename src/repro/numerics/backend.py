@@ -21,11 +21,15 @@ kernel family used by the 2-D ADI stepper and the direct stationary solves:
   backend routes through ``scipy.sparse.linalg.splu`` (any sparsity
   pattern); the numpy backend stays self-contained with a pure-numpy banded
   path -- tridiagonal patterns run on the Thomas kernels (vectorized across
-  independent blocks when the caller supplies ``block_size``), and small
-  general patterns fall back to a dense solve.
+  independent blocks when the caller supplies ``block_size``), and every
+  other pattern on a block-tridiagonal LU whose block size is the
+  bandwidth.
 * :meth:`NumericsBackend.stationary_null_vector` solves ``M p = 0`` for the
-  mass-normalised stationary density (dense row replacement on numpy,
-  ``splu`` shifted inverse iteration on scipy).
+  mass-normalised stationary density.  Both backends run the same shifted
+  inverse iteration over their own factorization: block-banded shifted
+  inverse iteration with a dense row-replacement fallback on numpy,
+  ``splu`` shifted inverse iteration with a sparse row-replacement
+  fallback on scipy.
 
 Both backends must agree to tight tolerances; the parity is enforced by the
 unit tests.  Backend selection order:
@@ -80,6 +84,90 @@ def _coo_matvec(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                 n: int, vector: np.ndarray) -> np.ndarray:
     """``M @ vector`` for a COO matrix, without scipy."""
     return np.bincount(rows, weights=values * vector[cols], minlength=n)
+
+
+def _coo_scale(values: np.ndarray) -> float:
+    """``max|M|`` of a COO matrix (1 for an empty one)."""
+    return float(np.max(np.abs(values))) if values.size else 1.0
+
+
+def _relative_residual(rows: np.ndarray, cols: np.ndarray,
+                       values: np.ndarray, n: int, vector: np.ndarray
+                       ) -> float:
+    """``max|M v| / (max|M| · max|v|)``, the null solves' residual measure."""
+    residual = float(np.max(np.abs(_coo_matvec(rows, cols, values, n,
+                                               vector))))
+    return residual / (_coo_scale(values) * float(np.max(np.abs(vector))))
+
+
+def _null_inputs(rows, cols, values, n: int, weights):
+    """Coerce the COO triplets and default the mass weights to uniform."""
+    weights = (np.ones(n) if weights is None
+               else np.asarray(weights, dtype=float))
+    return (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
+            np.asarray(values, dtype=float), weights)
+
+
+def _pivot_row(guess: Optional[np.ndarray]) -> int:
+    """Row the row-replacement fallbacks overwrite: the seed's peak cell.
+
+    That cell lies well inside the support, so its balance equation is the
+    one the mass-normalisation row can best stand in for.
+    """
+    return 0 if guess is None else int(np.argmax(np.asarray(guess)))
+
+
+def _shifted_inverse_iteration(factorize: Callable[[float], object],
+                               rows: np.ndarray, cols: np.ndarray,
+                               values: np.ndarray, n: int,
+                               guess: Optional[np.ndarray], tol: float,
+                               max_iterations: int):
+    """Drive a seed vector into the null space of the COO matrix ``M``.
+
+    ``factorize(shift)`` returns a factorization of ``M − shift·I`` with a
+    ``solve`` method; the tiny shift keeps the LU of the numerically
+    singular operator well posed, and each solve multiplies the unwanted
+    spectral components by ``shift / |λ|``.  After the first iterate whose
+    :func:`_relative_residual` meets *tol*, one more solve runs and the
+    better of the two iterates is kept: the first one typically sits near
+    1e-11, which leaves the density's moments ~1e-9 off, and the extra
+    solve takes them to rounding level.
+
+    Returns ``(vector, residual, iterations)`` with *vector* scaled to
+    ``max|v| = 1``; *vector* is ``None`` when no iterate met *tol* (the
+    iteration stalled or the factorization failed), which the backends
+    answer with their row-replacement fallback.
+    """
+    if guess is None:
+        vector = np.ones(n)
+    else:
+        vector = np.asarray(guess, dtype=float).ravel().copy()
+        if float(np.max(np.abs(vector))) == 0.0:
+            vector = np.ones(n)
+    best = None
+    best_residual = np.inf
+    iterations = 0
+    converged = False
+    try:
+        solve = factorize(1e-12 * _coo_scale(values)).solve
+        for iterations in range(1, max_iterations + 1):
+            vector = solve(vector)
+            peak = float(np.max(np.abs(vector)))
+            if not np.isfinite(peak) or peak == 0.0:
+                break
+            vector /= peak
+            relative = _relative_residual(rows, cols, values, n, vector)
+            if relative < best_residual:
+                best = vector
+                best_residual = relative
+            if converged:
+                break
+            converged = relative <= tol
+    except ConvergenceError:
+        pass
+    if best_residual > tol:
+        best = None
+    return best, best_residual, iterations
 
 
 def _normalize_null_vector(vector: np.ndarray, weights: np.ndarray
@@ -174,8 +262,8 @@ class NumericsBackend:
             one-dimensional up to boundary outflow at rounding level.
         guess:
             Optional seed vector (a coarse steady-state estimate); used to
-            pick the pivot row of the dense reference solve and to start
-            the sparse inverse iteration.
+            start the inverse iteration and to pick the pivot row of the
+            row-replacement fallback.
         weights:
             Quadrature weights defining the mass normalisation
             ``weights · p = 1`` (defaults to uniform).
@@ -203,17 +291,11 @@ class NumericsBackend:
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-#: Largest dimension for which the numpy backend falls back to a dense
-#: factorization when a sparse pattern is not tridiagonal.  The dense
-#: fallback inverts the matrix once (O(n³)), so it is only meant for small
-#: operators; every pattern the ADI stepper produces is tridiagonal in its
-#: direction-contiguous ordering and never hits this path.
-DENSE_SPARSE_LIMIT = 2048
-
 #: Largest dimension for which the numpy backend runs its dense
-#: row-replacement stationary null solve (n² floats of memory, O(n³) work;
-#: 20000² doubles is ~3.2 GB).  Larger stationary problems need the scipy
-#: backend's sparse inverse iteration.
+#: row-replacement fallback of the stationary null solve (n² floats of
+#: memory, O(n³) work; 20000² doubles is ~3.2 GB).  The same 20000² doubles
+#: bound the block storage of its block-banded factorization.  Larger
+#: problems need the scipy backend's sparse factorization.
 DENSE_NULL_LIMIT = 20000
 
 
@@ -288,34 +370,136 @@ class _BlockTridiagonalFactorization:
         return out
 
 
-class _DenseFallbackFactorization:
-    """Dense inverse for small non-banded patterns (numpy fallback)."""
+def _block_layout(rows: np.ndarray, cols: np.ndarray, n: int):
+    """``(size, count)`` of the block-tridiagonal view of a banded matrix.
+
+    The block size is the bandwidth ``max|col − row|``.  The three block
+    bands take ``3·count·size²`` doubles; when that exceeds
+    ``DENSE_NULL_LIMIT²`` doubles (~3.2 GB, the most the dense fallback
+    may use) this raises :class:`ConfigurationError` before anything is
+    allocated.
+    """
+    bandwidth = int(np.max(np.abs(cols - rows))) if rows.size else 0
+    size = max(bandwidth, 1)
+    count = -(-n // size)
+    if 3 * count * size * size > DENSE_NULL_LIMIT ** 2:
+        raise ConfigurationError(
+            f"the numpy backend's block-banded factorization of this n={n} "
+            f"matrix with bandwidth {bandwidth} needs "
+            f"{3 * count * size * size * 8 / 2**30:.1f} GiB, more than the "
+            f"{DENSE_NULL_LIMIT}² doubles it may use; select the 'scipy' "
+            f"backend, whose sparse LU does not depend on the bandwidth")
+    return size, count
+
+
+class _BlockBandedFactorization:
+    """Block-tridiagonal LU of a banded COO matrix (numpy backend).
+
+    With the block size equal to the bandwidth every entry falls in a
+    diagonal block or one of its two neighbours, so the matrix -- its last
+    block padded with identity rows -- is block tridiagonal.  Block
+    elimination keeps, per block row, the inverse of the Schur complement
+    and that inverse times the upper block, and a solve is one forward and
+    one backward sweep of small matvecs: O(n·b²) work and O(n·b) memory for
+    bandwidth ``b``, where a dense LU costs O(n³) and O(n²).
+
+    Only the inversion of each block pivots; the blocks are eliminated in
+    order.  That is stable for the operators :mod:`repro.core.generator`
+    assembles: with a CFL-stable ``dt`` and ``r ≤ 1/2``, ``−S(dt)`` (and
+    ``−L``) is a column-diagonally-dominant Z-matrix, whose Schur
+    complements stay well conditioned.  *shift* is subtracted from the
+    diagonal, for the shifted inverse iteration of the null solve.
+    """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray, n: int):
-        dense = np.zeros((n, n))
-        np.add.at(dense, (rows, cols), values)
+                 values: np.ndarray, n: int, shift: float = 0.0):
+        size, count = _block_layout(rows, cols, n)
+        bands = np.zeros((3, count, size, size))
+        block_rows = rows // size
+        np.add.at(bands, (cols // size - block_rows + 1, block_rows,
+                          rows % size, cols % size), values)
+        lower, diagonal, upper = bands
+        local = np.arange(size)
+        diagonal[:, local, local] -= shift
+        padding = np.arange(n - (count - 1) * size, size)
+        diagonal[-1, padding, padding] = 1.0
         try:
-            self._inverse = np.linalg.inv(dense)
+            for k in range(count):
+                if k:
+                    diagonal[k] -= lower[k] @ upper[k - 1]
+                diagonal[k] = np.linalg.inv(diagonal[k])
+                if k + 1 < count:
+                    upper[k] = diagonal[k] @ upper[k]
         except np.linalg.LinAlgError as error:
             raise ConvergenceError(
-                f"dense sparse-fallback factorization failed: {error}"
-            ) from error
+                f"block-banded factorization failed: {error}") from error
         self.n = n
+        self._bands = bands
 
     def solve(self, rhs: np.ndarray, out: Optional[np.ndarray] = None
               ) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n,):
             raise ValueError(f"rhs must have shape ({self.n},), got {rhs.shape}")
+        lower, inverse, upper = self._bands
+        count, size = inverse.shape[:2]
+        work = np.zeros(count * size)
+        work[:self.n] = rhs
+        blocks = work.reshape(count, size)
+        for k in range(count):
+            if k:
+                blocks[k] -= lower[k] @ blocks[k - 1]
+            blocks[k] = inverse[k] @ blocks[k]
+        for k in range(count - 2, -1, -1):
+            blocks[k] -= upper[k] @ blocks[k + 1]
         if out is None:
-            return self._inverse @ rhs
-        np.matmul(self._inverse, rhs, out=out)
+            return work[:self.n]
+        np.copyto(out, work[:self.n])
         return out
 
 
+def _dense_row_replacement(rows: np.ndarray, cols: np.ndarray,
+                           values: np.ndarray, n: int,
+                           guess: Optional[np.ndarray], weights: np.ndarray,
+                           tol: float, iterations: int):
+    """Dense null solve by row replacement (numpy fallback).
+
+    The matrix rows are linearly dependent (mass conservation), so the
+    :func:`_pivot_row` is replaced by the mass-normalisation row and the
+    system solved directly, with one step of iterative refinement.
+    """
+    if n > DENSE_NULL_LIMIT:
+        raise ConfigurationError(
+            f"the numpy backend's dense row-replacement fallback needs an "
+            f"n x n matrix (n={n} exceeds the {DENSE_NULL_LIMIT} limit); "
+            f"select the 'scipy' backend, whose sparse fallback scales to "
+            f"large grids")
+    pivot = _pivot_row(guess)
+    replaced = np.zeros((n, n))
+    np.add.at(replaced, (rows, cols), values)
+    replaced[pivot, :] = weights
+    rhs = np.zeros(n)
+    rhs[pivot] = 1.0
+    try:
+        solution = np.linalg.solve(replaced, rhs)
+        # One iterative-refinement pass against the replaced system.
+        residual_vector = rhs - replaced @ solution
+        solution = solution + np.linalg.solve(replaced, residual_vector)
+    except np.linalg.LinAlgError as error:
+        raise ConvergenceError(
+            f"dense stationary solve failed: {error}") from error
+    solution = _normalize_null_vector(solution, weights)
+    relative = _relative_residual(rows, cols, values, n, solution)
+    if relative > tol:
+        raise ConvergenceError(
+            f"dense stationary solve residual {relative:.3e} exceeds "
+            f"tol {tol:.3e}", iterations=iterations, residual=relative)
+    return solution, {"residual": relative, "iterations": iterations,
+                      "method": "dense-row-replacement"}
+
+
 class NumpyBackend(NumericsBackend):
-    """Reference backend: pure-numpy Thomas algorithm and dense null solve."""
+    """Reference backend: pure-numpy Thomas and block-banded kernels."""
 
     name = "numpy"
 
@@ -323,84 +507,53 @@ class NumpyBackend(NumericsBackend):
         return TridiagonalFactorization(lower, diag, upper)
 
     def factorize_sparse(self, rows, cols, values, n, block_size=None):
-        """Pure-numpy banded fallback of the sparse kernel family.
+        """Pure-numpy banded path of the sparse kernel family.
 
         Tridiagonal patterns run on the Thomas kernels -- vectorized across
         independent blocks when *block_size* is given and the off-diagonals
         really do vanish at every block boundary (the structure of both ADI
-        half-step operators).  Small general patterns fall back to a dense
-        inverse; larger ones need the scipy backend.
+        half-step operators).  Every other pattern runs on the
+        block-tridiagonal LU whose block size is the bandwidth; a matrix
+        whose blocks would not fit the memory bound raises
+        :class:`ConfigurationError` before allocating them.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         values = np.asarray(values, dtype=float)
         bands = _coo_tridiagonal_bands(rows, cols, values, n)
-        if bands is not None:
-            lower, diag, upper = bands
-            if (block_size and n % block_size == 0 and n > block_size
-                    and not np.any(lower[block_size::block_size])
-                    and not np.any(upper[block_size - 1::block_size])):
-                return _BlockTridiagonalFactorization(lower, diag, upper,
-                                                      int(block_size))
-            return _FlatTridiagonalFactorization(lower, diag, upper)
-        if n <= DENSE_SPARSE_LIMIT:
-            return _DenseFallbackFactorization(rows, cols, values, n)
-        raise ConfigurationError(
-            f"the numpy backend only factorizes banded sparse operators "
-            f"above n={DENSE_SPARSE_LIMIT} (got a non-tridiagonal pattern "
-            f"with n={n}); select the 'scipy' backend for general sparse "
-            f"solves")
+        if bands is None:
+            return _BlockBandedFactorization(rows, cols, values, n)
+        lower, diag, upper = bands
+        if (block_size and n % block_size == 0 and n > block_size
+                and not np.any(lower[block_size::block_size])
+                and not np.any(upper[block_size - 1::block_size])):
+            return _BlockTridiagonalFactorization(lower, diag, upper,
+                                                  int(block_size))
+        return _FlatTridiagonalFactorization(lower, diag, upper)
 
     def stationary_null_vector(self, rows, cols, values, n,
                                guess=None, weights=None,
                                tol=1e-9, max_iterations=50):
-        """Dense reference null-space solve by row replacement.
+        """Block-banded shifted inverse iteration, dense row-replacement fallback.
 
-        The matrix rows are linearly dependent (mass conservation), so one
-        row -- the one where the seed density is largest, i.e. well inside
-        the support -- is replaced by the mass-normalisation row and the
-        system solved directly.  One step of iterative refinement sharpens
-        the result; intended for moderate grids (the dense LU is O(n³)).
+        The shifted operator is factorized once by
+        :class:`_BlockBandedFactorization` and the shared
+        :func:`_shifted_inverse_iteration` drives the seed into the null
+        space; only a stalled iteration falls back to the dense
+        row-replacement solve (``n ≤ DENSE_NULL_LIMIT``).
         """
-        if n > DENSE_NULL_LIMIT:
-            raise ConfigurationError(
-                f"the numpy backend's dense stationary solve needs an "
-                f"n x n matrix (n={n} exceeds the {DENSE_NULL_LIMIT} "
-                f"limit); select the 'scipy' backend, whose sparse "
-                f"inverse iteration scales to large grids")
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
-        weights = (np.ones(n) if weights is None
-                   else np.asarray(weights, dtype=float))
-        pivot = 0 if guess is None else int(np.argmax(np.asarray(guess)))
-
-        dense = np.zeros((n, n))
-        np.add.at(dense, (rows, cols), values)
-        scale = float(np.max(np.abs(values))) if values.size else 1.0
-        replaced = dense.copy()
-        replaced[pivot, :] = weights
-        rhs = np.zeros(n)
-        rhs[pivot] = 1.0
-        try:
-            solution = np.linalg.solve(replaced, rhs)
-            # One iterative-refinement pass against the replaced system.
-            residual_vector = rhs - replaced @ solution
-            solution = solution + np.linalg.solve(replaced, residual_vector)
-        except np.linalg.LinAlgError as error:
-            raise ConvergenceError(
-                f"dense stationary solve failed: {error}") from error
-
-        solution = _normalize_null_vector(solution, weights)
-        residual = float(np.max(np.abs(_coo_matvec(rows, cols, values, n,
-                                                   solution))))
-        relative = residual / (scale * float(np.max(np.abs(solution))))
-        if relative > tol:
-            raise ConvergenceError(
-                f"dense stationary solve residual {relative:.3e} exceeds "
-                f"tol {tol:.3e}", iterations=1, residual=relative)
-        return solution, {"residual": relative, "iterations": 1,
-                          "method": "dense-row-replacement"}
+        rows, cols, values, weights = _null_inputs(rows, cols, values, n,
+                                                   weights)
+        vector, residual, iterations = _shifted_inverse_iteration(
+            lambda shift: _BlockBandedFactorization(rows, cols, values, n,
+                                                    shift),
+            rows, cols, values, n, guess, tol, max_iterations)
+        if vector is None:
+            return _dense_row_replacement(rows, cols, values, n, guess,
+                                          weights, tol, iterations)
+        return _normalize_null_vector(vector, weights), {
+            "residual": residual, "iterations": iterations,
+            "method": "block-banded-inverse-iteration"}
 
 
 class _ScipyGttrfFactorization:
@@ -488,11 +641,15 @@ class _ScipyBandedFactorization:
 
 
 class _SpluSparseFactorization:
-    """SuperLU factorization of a general COO matrix (scipy backend)."""
+    """SuperLU factorization of a general COO matrix (scipy backend).
+
+    *shift* is subtracted from the diagonal, for the shifted inverse
+    iteration of the null solve.
+    """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray, n: int):
-        from scipy.sparse import csc_matrix
+                 values: np.ndarray, n: int, shift: float = 0.0):
+        from scipy.sparse import csc_matrix, identity
         from scipy.sparse.linalg import splu
 
         matrix = csc_matrix(
@@ -500,6 +657,8 @@ class _SpluSparseFactorization:
              (np.asarray(rows, dtype=np.intp),
               np.asarray(cols, dtype=np.intp))),
             shape=(n, n))
+        if shift:
+            matrix = matrix - shift * identity(n, format="csc")
         try:
             self._factor = splu(matrix.tocsc())
         except RuntimeError as error:
@@ -533,74 +692,38 @@ class ScipyBackend(NumericsBackend):
     def stationary_null_vector(self, rows, cols, values, n,
                                guess=None, weights=None,
                                tol=1e-9, max_iterations=50):
-        """Sparse shifted-inverse-iteration null solve via ``splu``.
+        """``splu`` shifted inverse iteration, sparse row-replacement fallback.
 
-        The matrix is factorized once with a tiny diagonal shift (so the LU
-        of the numerically singular operator stays well-posed) and the seed
-        vector is driven into the null space by repeated solves; each
-        iteration multiplies the unwanted spectral components by
-        ``shift / |λ|``, so convergence is typically 2-3 iterations.  Falls
-        back to a row-replacement ``spsolve`` when the iteration stalls.
+        The shifted operator is factorized once by ``splu`` and the shared
+        :func:`_shifted_inverse_iteration` drives the seed into the null
+        space; only a stalled iteration falls back to a row-replacement
+        ``spsolve``.
         """
         if not self.is_available():  # pragma: no cover - env dependent
             raise ConfigurationError(
                 "the 'scipy' backend was requested but scipy is not installed")
-        from scipy.sparse import csc_matrix, identity
-        from scipy.sparse.linalg import splu, spsolve
+        rows, cols, values, weights = _null_inputs(rows, cols, values, n,
+                                                   weights)
+        vector, residual, iterations = _shifted_inverse_iteration(
+            lambda shift: _SpluSparseFactorization(rows, cols, values, n,
+                                                   shift),
+            rows, cols, values, n, guess, tol, max_iterations)
+        if vector is not None:
+            return _normalize_null_vector(vector, weights), {
+                "residual": residual, "iterations": iterations,
+                "method": "sparse-inverse-iteration"}
 
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
-        weights = (np.ones(n) if weights is None
-                   else np.asarray(weights, dtype=float))
-        matrix = csc_matrix((values, (rows, cols)), shape=(n, n))
-        scale = float(np.max(np.abs(values))) if values.size else 1.0
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import spsolve
 
-        if guess is None:
-            vector = np.ones(n)
-        else:
-            vector = np.asarray(guess, dtype=float).ravel().copy()
-            if float(np.max(np.abs(vector))) == 0.0:
-                vector = np.ones(n)
-
-        shift = 1e-12 * scale
-        iterations = 0
-        best = None
-        best_residual = np.inf
-        try:
-            factor = splu(matrix - shift * identity(n, format="csc"))
-            for iterations in range(1, max_iterations + 1):
-                vector = factor.solve(vector)
-                peak = float(np.max(np.abs(vector)))
-                if not np.isfinite(peak) or peak == 0.0:
-                    break
-                vector /= peak
-                relative = float(np.max(np.abs(matrix @ vector))) / scale
-                if relative < best_residual:
-                    best_residual = relative
-                    best = vector.copy()
-                if relative <= tol:
-                    break
-        except RuntimeError:
-            # Exactly singular factorization: fall through to row replacement.
-            best = None
-
-        if best is not None and best_residual <= tol:
-            solution = _normalize_null_vector(best, weights)
-            return solution, {"residual": best_residual,
-                              "iterations": iterations,
-                              "method": "sparse-inverse-iteration"}
-
-        # Fallback: replace the pivot row by the mass row and solve directly.
-        pivot = 0 if guess is None else int(np.argmax(np.asarray(guess)))
-        lil = matrix.tolil()
+        pivot = _pivot_row(guess)
+        lil = csc_matrix((values, (rows, cols)), shape=(n, n)).tolil()
         lil[pivot, :] = weights
         rhs = np.zeros(n)
         rhs[pivot] = 1.0
         solution = spsolve(lil.tocsc(), rhs)
         solution = _normalize_null_vector(np.asarray(solution), weights)
-        relative = (float(np.max(np.abs(matrix @ solution)))
-                    / (scale * float(np.max(np.abs(solution)))))
+        relative = _relative_residual(rows, cols, values, n, solution)
         if relative > tol:
             raise ConvergenceError(
                 f"sparse stationary solve residual {relative:.3e} exceeds "

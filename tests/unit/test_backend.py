@@ -5,11 +5,12 @@ import pytest
 
 from repro import FokkerPlanckSolver, GridParameters, JRJControl, SystemParameters, TimeParameters
 from repro.core.diffusion import CrankNicolsonDiffusion
+from repro.core.generator import assemble_generator
+from repro.design import solve_stationary
 from repro.exceptions import ConfigurationError
 from repro.numerics.backend import (
     BACKEND_ENV_VAR,
     DENSE_NULL_LIMIT,
-    DENSE_SPARSE_LIMIT,
     NumpyBackend,
     available_backends,
     get_backend,
@@ -20,6 +21,10 @@ from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
 
 needs_scipy = pytest.mark.skipif(not scipy_available(),
                                  reason="scipy not installed")
+
+#: The golden stationary configuration of ``test_stationary_golden.py``.
+STATIONARY_PARAMS = SystemParameters(mu=1.0, q_target=8.0, c0=0.1, c1=0.4,
+                                     sigma=0.5)
 
 
 def _cn_bands(n, r):
@@ -203,8 +208,8 @@ class TestFactorizeSparse:
         assert np.allclose(dense @ fact.solve(rhs), rhs, atol=1e-11)
 
     def test_non_tridiagonal_dense_fallback(self, rng):
-        # A pentadiagonal matrix has no banded fast path on numpy; small
-        # systems fall back to a dense inverse.
+        # A pentadiagonal matrix has no Thomas fast path on numpy; it runs
+        # on the block-banded factorization instead.
         n = 40
         idx = np.arange(n)
         rows = np.concatenate([idx, idx[2:], idx[:-2]])
@@ -216,22 +221,50 @@ class TestFactorizeSparse:
         rhs = rng.uniform(0.0, 1.0, n)
         assert np.allclose(dense @ fact.solve(rhs), rhs, atol=1e-11)
 
-    def test_non_tridiagonal_too_large_raises(self):
-        n = DENSE_SPARSE_LIMIT + 2
+    def test_large_non_tridiagonal_factorizes(self, rng):
+        # Size is no limit for a banded pattern: this n = 2050 system with
+        # offsets 0 and -2 factorizes in blocks of two rows.
+        n = 2050
         idx = np.arange(n)
         rows = np.concatenate([idx, idx[2:]])
         cols = np.concatenate([idx, idx[2:] - 2])
         values = np.concatenate([np.full(n, 3.0), np.full(n - 2, -1.0)])
-        with pytest.raises(ConfigurationError):
-            get_backend("numpy").factorize_sparse(rows, cols, values, n)
+        fact = get_backend("numpy").factorize_sparse(rows, cols, values, n)
+        rhs = rng.uniform(0.0, 1.0, n)
+        solution = fact.solve(rhs)
+        residual = 3.0 * solution
+        residual[2:] -= solution[:-2]
+        assert np.allclose(residual, rhs, rtol=0.0, atol=1e-12)
 
     def test_null_vector_guards_dense_blowup(self):
+        # Two entries, but a bandwidth of n - 1: two blocks of (n - 1)²
+        # per band, ~6·n² doubles, so both refuse before allocating them.
         n = DENSE_NULL_LIMIT + 1
-        idx = np.arange(n)
-        with pytest.raises(ConfigurationError) as err:
-            get_backend("numpy").stationary_null_vector(
-                idx, idx, np.ones(n), n)
-        assert "scipy" in str(err.value)
+        rows = np.array([0, n - 1])
+        cols = np.array([n - 1, 0])
+        for call in (get_backend("numpy").stationary_null_vector,
+                     get_backend("numpy").factorize_sparse):
+            with pytest.raises(ConfigurationError) as err:
+                call(rows, cols, np.ones(2), n)
+            assert "scipy" in str(err.value)
+
+    @needs_scipy
+    def test_null_vector_beyond_dense_limit_matches_scipy(self):
+        # 250 x 81 = 20250 unknowns, more than the dense fallback takes.
+        grid = GridParameters(q_max=30.0, nq=250, v_min=-1.2, v_max=1.2,
+                              nv=81)
+        assert grid.nq * grid.nv > DENSE_NULL_LIMIT
+        results = {name: solve_stationary(STATIONARY_PARAMS, grid_params=grid,
+                                          backend=name)
+                   for name in ("numpy", "scipy")}
+        numpy_result, scipy_result = results["numpy"], results["scipy"]
+        assert numpy_result.estimate.backend == "block-banded-inverse-iteration"
+        np.testing.assert_allclose(numpy_result.density, scipy_result.density,
+                                   rtol=0.0, atol=1e-12)
+        for name in ("mean_queue", "std_queue", "mean_growth_rate",
+                     "std_growth_rate"):
+            assert getattr(numpy_result.estimate, name) == pytest.approx(
+                getattr(scipy_result.estimate, name), rel=1e-12, abs=1e-15)
 
     @needs_scipy
     def test_scipy_parity(self, rng):
@@ -252,8 +285,8 @@ class TestFactorizeSparse:
     @needs_scipy
     def test_scipy_handles_general_sparsity(self, rng):
         # splu does not care about bandedness; a large pentadiagonal system
-        # that the numpy path rejects must factorize fine on scipy.
-        n = DENSE_SPARSE_LIMIT + 2
+        # must factorize fine on scipy too.
+        n = 2050
         idx = np.arange(n)
         rows = np.concatenate([idx, idx[2:], idx[:-2]])
         cols = np.concatenate([idx, idx[2:] - 2, idx[:-2] + 2])
@@ -266,6 +299,67 @@ class TestFactorizeSparse:
         residual[2:] -= solution[:-2]
         residual[:-2] -= solution[2:]
         assert np.allclose(residual, rhs, atol=1e-11)
+
+
+def _shifted(operator, shift):
+    """COO triplets of ``operator − shift·I``."""
+    idx = np.arange(operator.n)
+    return (np.concatenate([operator.rows, idx]),
+            np.concatenate([operator.cols, idx]),
+            np.concatenate([operator.values, np.full(operator.n, -shift)]))
+
+
+class TestBlockBandedFactorization:
+    """The numpy block-banded LU against a dense solve of the same matrix.
+
+    The generator operators are singular, so both are shifted to a
+    well-conditioned ``M − 0.01·max|M|·I``.  On none of the grids is ``n``
+    a multiple of the splitting matrix's block size (its bandwidth
+    ``2·nv + 1``), so its padded last block is exercised every time; ``L``
+    has bandwidth ``nv`` and needs no padding.
+    """
+
+    @pytest.mark.parametrize("nq,nv", [(48, 36), (31, 17), (5, 4)])
+    @pytest.mark.parametrize("method", ["splitting", "generator"])
+    def test_solve_matches_dense(self, nq, nv, method, rng):
+        grid = GridParameters(q_max=30.0, nq=nq, v_min=-1.2, v_max=1.2,
+                              nv=nv)
+        generator = assemble_generator(STATIONARY_PARAMS, grid_params=grid)
+        operator = (generator.splitting_matrix(
+                        min(0.05, generator.max_stable_dt()))
+                    if method == "splitting" else generator.generator())
+        bandwidth = int(np.max(np.abs(operator.cols - operator.rows)))
+        assert bandwidth == (2 * nv + 1 if method == "splitting" else nv)
+        assert (operator.n % bandwidth > 0) == (method == "splitting")
+        rows, cols, values = _shifted(
+            operator, 0.01 * np.max(np.abs(operator.values)))
+        fact = get_backend("numpy").factorize_sparse(rows, cols, values,
+                                                     operator.n)
+        rhs = rng.uniform(-1.0, 1.0, operator.n)
+        expected = np.linalg.solve(
+            _dense_from_coo(rows, cols, values, operator.n), rhs)
+        np.testing.assert_allclose(fact.solve(rhs), expected, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
+
+class TestNullVectorFallback:
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_row_replacement_matches_iteration(self, backend_name):
+        grid = GridParameters(q_max=30.0, nq=48, v_min=-1.2, v_max=1.2,
+                              nv=36)
+        generator = assemble_generator(STATIONARY_PARAMS, grid_params=grid)
+        operator = generator.splitting_matrix(0.05)
+        backend = get_backend(backend_name)
+        iterated, info = backend.stationary_null_vector(
+            operator.rows, operator.cols, operator.values, operator.n,
+            weights=generator.mass_weights)
+        replaced, fallback = backend.stationary_null_vector(
+            operator.rows, operator.cols, operator.values, operator.n,
+            weights=generator.mass_weights, max_iterations=0)
+        assert info["method"].endswith("inverse-iteration")
+        assert info["iterations"] == 2
+        assert fallback["method"].endswith("row-replacement")
+        np.testing.assert_allclose(replaced, iterated, rtol=0.0, atol=1e-12)
 
 
 class TestBackendObjects:

@@ -35,10 +35,11 @@ from repro.design import (
     score_operating_point,
     solve_stationary,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AnalysisError, ConfigurationError
 from repro.multisource.fairness import (jain_fairness_index,
                                         predicted_equilibrium_shares)
 from repro.numerics import available_backends
+from repro.numerics.spectral import detect_peaks, dominant_period
 from repro.runner.cache import ResultCache
 from repro.runner.experiments import design_chunk_point, get_matrix
 
@@ -129,14 +130,16 @@ class TestStationaryBackends:
         backends = available_backends()
         if "scipy" not in backends:
             pytest.skip("scipy backend unavailable")
-        dense = solve_stationary(PARAMS, grid_params=GRID, dt=0.05,
-                                 backend="numpy")
+        banded = solve_stationary(PARAMS, grid_params=GRID, dt=0.05,
+                                  backend="numpy")
         sparse = solve_stationary(PARAMS, grid_params=GRID, dt=0.05,
                                   backend="scipy")
-        np.testing.assert_allclose(sparse.density, dense.density,
-                                   rtol=0, atol=1e-8)
-        assert sparse.estimate.mean_queue == pytest.approx(
-            dense.estimate.mean_queue, rel=1e-9)
+        np.testing.assert_allclose(sparse.density, banded.density,
+                                   rtol=0, atol=1e-12)
+        for name in ("mean_queue", "std_queue", "mean_growth_rate",
+                     "std_growth_rate"):
+            assert getattr(sparse.estimate, name) == pytest.approx(
+                getattr(banded.estimate, name), rel=1e-12), name
 
     def test_generator_method_is_order_dt_from_splitting(self):
         split = solve_stationary(PARAMS, grid_params=GRID, dt=0.05)
@@ -259,16 +262,84 @@ class TestSettlingTimes:
         assert 0.0 <= settle <= 80.0
 
     def test_oscillation_batch_matches_scalar(self):
+        # A chunk of the design sweep's own trajectories (gain grid of
+        # `repro design sweep`, t_end 150, dt 0.1).
+        axes = default_axes(PARAMS, n_c0=8, n_c1=8, n_q_target=2, n_mu=2)
+        grids = np.meshgrid(*axes.values(), indexing="ij")
+        c0, c1, q_target, mu = (grid.ravel() for grid in grids)
+        batch = integrate_characteristic_batch(
+            jrj_from_parameters(PARAMS), PARAMS, 0.0, 0.0, t_end=150.0,
+            dt=0.1, columns={"c0": c0, "c1": c1, "q_target": q_target,
+                             "mu": mu})
+        _assert_oscillation_oracle(batch.times, batch.queue)
+
+    @pytest.mark.parametrize("amplitude_floor", [0.05, 0.0])
+    def test_oscillation_batch_matches_scalar_on_edge_columns(
+            self, amplitude_floor):
         times = np.linspace(0.0, 60.0, 601)
-        values = np.stack([8.0 + np.sin(times),
-                           4.0 + 0.01 * np.cos(2 * times)], axis=1)
-        batch = oscillation_metrics_batch(times, values)
-        for index in range(2):
-            scalar = oscillation_metrics(times, values[:, index])
-            member = batch.member(index)
-            assert member.amplitude == scalar.amplitude
-            assert member.mean_value == scalar.mean_value
-            assert member.sustained == scalar.sustained
+        window = times >= 30.0
+        step = np.where(times >= 45.0, 6.0, 5.0)
+        spike = np.zeros_like(times)
+        spike[500] = 1.0
+        columns = {
+            "constant": np.full_like(times, 5.0),
+            "below floor": 4.0 + 0.01 * np.cos(2.0 * times),
+            "decaying": 8.0 + 4.0 * np.exp(-times / 8.0) * np.sin(times),
+            "white noise": np.random.default_rng(7).normal(size=times.size),
+            "step": step,
+            "single spike": spike,
+            # Sustained above a zero floor but with ~1e-14 of spectral
+            # power: the FFT test finds nothing and peak spacing decides.
+            "faint": 3.0 + 1e-9 * np.sin(times),
+            "sine": 8.0 + np.sin(times),
+        }
+        values = np.column_stack(list(columns.values()))
+        _assert_oscillation_oracle(times, values,
+                                   amplitude_floor=amplitude_floor)
+        faint = values[window, list(columns).index("faint")]
+        with pytest.raises(AnalysisError):
+            dominant_period(faint, 0.1)
+        if amplitude_floor == 0.0:
+            metrics = oscillation_metrics(times, columns["faint"],
+                                          amplitude_floor=0.0)
+            assert metrics.sustained and metrics.n_peaks >= 2
+            assert metrics.period == pytest.approx(2.0 * np.pi, rel=0.05)
+
+
+def _oscillation_metrics_oracle(times, values, steady_fraction=0.5,
+                                amplitude_floor=0.05):
+    """One column analysed on its own: the former scalar routine."""
+    start = int((1.0 - steady_fraction) * values.size)
+    window_times = times[start:]
+    window_values = values[start:]
+    amplitude = 0.5 * float(np.max(window_values) - np.min(window_values))
+    sustained = amplitude > amplitude_floor
+    peaks = detect_peaks(window_values)
+    period = float("nan")
+    if sustained and window_values.size >= 8:
+        dt = float(np.mean(np.diff(window_times)))
+        try:
+            period = dominant_period(window_values, dt)
+        except AnalysisError:
+            if len(peaks) >= 2:
+                period = float(np.mean(np.diff(window_times[peaks])))
+    return (np.float64(amplitude), np.float64(period), np.bool_(sustained),
+            np.float64(np.mean(window_values)), np.int64(len(peaks)))
+
+
+def _assert_oscillation_oracle(times, values, **options):
+    """Batch and scalar metrics equal the oracle's, bit for bit."""
+    batch = oscillation_metrics_batch(times, values, **options)
+    fields = ("amplitude", "period", "sustained", "mean_value", "n_peaks")
+    for index in range(values.shape[1]):
+        want = _oscillation_metrics_oracle(times, values[:, index], **options)
+        scalar = oscillation_metrics(times, np.ascontiguousarray(
+            values[:, index]), **options)
+        for name, expected in zip(fields, want):
+            got_batch = getattr(batch, name)[index]
+            got_scalar = type(expected)(getattr(scalar, name))
+            assert got_batch.tobytes() == expected.tobytes(), (index, name)
+            assert got_scalar.tobytes() == expected.tobytes(), (index, name)
 
 
 class TestTuner:

@@ -6,7 +6,8 @@ density's limit exactly.  These tests pin that claim on three golden
 configurations -- plain diffusion, delayed feedback through the
 shifted-drift closure, and a two-source aggregate -- at 1e-6 relative
 against long marches, plus the absolute moment values so that silent
-numerical drift in either path is caught.  A property test checks the
+numerical drift in either path is caught.  The pinned moments are also
+checked, without the marches, on every backend.  A property test checks the
 null-space solve is invariant to the COO triplet ordering on every
 backend.
 """
@@ -115,6 +116,27 @@ class TestGoldenStationary:
             result.shares * (PARAMS.mu
                              + result.stationary.moments.mean_v),
             rtol=1e-12)
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+class TestGoldenStationaryEveryBackend:
+    """The pinned moments hold on every backend, not only the default."""
+
+    def test_plain(self, backend_name):
+        density = solve_stationary(PARAMS, grid_params=GRID, dt=DT,
+                                   backend=backend_name)
+        _assert_estimate(density.estimate, GOLDEN["plain"])
+
+    def test_delayed(self, backend_name):
+        density = solve_stationary(PARAMS, grid_params=GRID, dt=DT,
+                                   delay=DELAY, backend=backend_name)
+        _assert_estimate(density.estimate, GOLDEN["delayed"])
+
+    def test_multisource(self, backend_name):
+        result = solve_stationary_multisource(SOURCES, PARAMS,
+                                              grid_params=GRID, dt=DT,
+                                              backend=backend_name)
+        _assert_estimate(result.stationary.estimate, GOLDEN["multisource"])
 
 
 class TestTripletPermutationInvariance:

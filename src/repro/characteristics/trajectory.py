@@ -379,15 +379,15 @@ def integrate_characteristic_batch(
                             for name, value in gain_columns.items()}
         q = states[:, 0]
         lam = states[:, 1]
-        dq = lam - active_mu
-        dq = np.where((q <= 0.0) & (dq < 0.0), 0.0, dq)
-        if gain_columns:
-            dlam = control.drift_batch(q, lam, **active_gains)
-        else:
-            dlam = np.asarray(control.drift(q, lam), dtype=float)
+        # ``empty_like`` keeps the engine's component-major layout, so the
+        # queue drift is computed in place in a contiguous column.
         derivative = np.empty_like(states)
-        derivative[:, 0] = dq
-        derivative[:, 1] = dlam
+        dq = np.subtract(lam, active_mu, out=derivative[:, 0])
+        dq[(q <= 0.0) & (dq < 0.0)] = 0.0
+        if gain_columns:
+            derivative[:, 1] = control.drift_batch(q, lam, **active_gains)
+        else:
+            derivative[:, 1] = control.drift(q, lam)
         return derivative
 
     def project(states: np.ndarray) -> np.ndarray:

@@ -12,11 +12,15 @@ state can terminate integration when it changes sign, used for example to
 detect crossings of the ``q = q̂`` switching line.
 
 Batched variants integrate a whole *family* of trajectories as one
-``(batch, dim)`` state block: :func:`integrate_fixed_batch` steps every
-trajectory of the block through the identical RK4 update (so a batch of one
-is bit-identical to :func:`integrate_fixed`), records into preallocated
-strided storage, and handles per-trajectory terminal events through an
-active mask that compacts the working block as trajectories finish.
+state block: :func:`integrate_fixed_batch` steps every trajectory of the
+block through the identical RK4 update (so a batch of one is bit-identical
+to :func:`integrate_fixed`), records into preallocated storage, and handles
+per-trajectory terminal events through an active mask that compacts the
+working block as trajectories finish.  Its block is component-major -- a
+C-contiguous ``(dim, n_active)`` array, one contiguous row per state
+component -- and its callbacks receive the ``.T`` view of it: the
+``(n_active, dim)`` shape of :data:`BatchRHS`, but not C-contiguous.
+Callbacks must not mutate or keep that view, and must return a fresh array.
 :func:`integrate_adaptive_batch` is the embedded 4(5) analogue with a
 per-trajectory time, step size and accept/reject mask.  Both return a
 :class:`BatchODEResult`.
@@ -45,8 +49,13 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 #: the block of currently-active states, shape ``(n_active, dim)``, plus the
 #: integer array of *original* trajectory indices those rows correspond to
 #: (so per-trajectory parameter columns can be gathered after the engine has
-#: compacted finished trajectories away).  ``t`` is a scalar for the fixed-
-#: step engine and an ``(n_active,)`` array for the adaptive engine.
+#: compacted finished trajectories away), and returns the ``(n_active, dim)``
+#: derivative.  ``t`` is a scalar for the fixed-step engine and an
+#: ``(n_active,)`` array for the adaptive engine.  The fixed-step engine
+#: hands over a non-C-contiguous view of its component-major block (so
+#: ``states[:, 0]`` is contiguous); the block is the engine's own: a callback
+#: must not mutate it or keep a reference to it, and must return a fresh
+#: array.
 BatchRHS = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -254,7 +263,11 @@ class BatchODEResult:
         return self.times[rows, np.arange(self.batch_size)]
 
     def component(self, index: int) -> np.ndarray:
-        """All trajectories of one state component, shape ``(n, batch)``."""
+        """All trajectories of one state component, shape ``(n, batch)``.
+
+        Its rows are contiguous for :func:`integrate_fixed_batch`, whose
+        ``states`` is a view of ``(n, dim, batch)`` storage.
+        """
         return self.states[:, :, index]
 
     def event_time(self, trajectory: int) -> Optional[float]:
@@ -290,6 +303,12 @@ def _as_state_block(initial_states: Sequence[Sequence[float]]) -> np.ndarray:
     return block
 
 
+def _component_major(block) -> np.ndarray:
+    """Read an ``(n_active, dim)`` callback result as a C-contiguous
+    ``(dim, n_active)`` block (no copy when it is the ``.T`` of one)."""
+    return np.ascontiguousarray(np.asarray(block, dtype=float).T)
+
+
 def _freeze_tails(storage: np.ndarray, n_samples: np.ndarray,
                   n_rows: int) -> None:
     """Repeat each trajectory's last valid row through the remaining rows."""
@@ -313,6 +332,14 @@ def integrate_fixed_batch(rhs: BatchRHS,
     batch of one reproduces the scalar integrator bit for bit as long as
     *rhs* and *projection* are element-wise equivalents of their scalar
     counterparts.
+
+    The live block is component-major: a C-contiguous ``(dim, n_active)``
+    array, so each state component is one contiguous row.  *rhs*, *event*
+    and *projection* receive its ``.T`` view -- the ``(n_active, dim)``
+    block of :data:`BatchRHS`, but not C-contiguous.  They must not mutate
+    or keep it, and must return a fresh array.  A result laid out as the
+    ``.T`` of a C-contiguous array (``np.empty_like(states)`` or any
+    element-wise expression of *states*) is read back without a copy.
 
     Parameters
     ----------
@@ -357,46 +384,47 @@ def integrate_fixed_batch(rhs: BatchRHS,
         health.check_step_size(dt, t_end - t_start,
                                label="batched fixed-step ODE")
 
-    states = _as_state_block(initial_states)
-    batch, dim = states.shape
+    # Component-major (dim, n_active) block; callbacks see its ``.T`` view.
+    states = np.ascontiguousarray(_as_state_block(initial_states).T)
+    dim, batch = states.shape
     n_steps = int(np.ceil((t_end - t_start) / dt))
 
     times = np.empty(n_steps + 1)
-    storage = np.empty((n_steps + 1, batch, dim))
+    storage = np.empty((n_steps + 1, dim, batch))
     times[0] = t_start
     storage[0] = states
-    n_samples = np.ones(batch, dtype=np.intp)
+    n_samples = np.empty(batch, dtype=np.intp)
     event_times = np.full(batch, np.nan)
     failed = np.zeros(batch, dtype=bool)
 
     active = np.arange(batch)
     previous_event = None
     if event is not None:
-        previous_event = np.asarray(event(t_start, states, active),
+        previous_event = np.asarray(event(t_start, states.T, active),
                                     dtype=float)
 
     n_rows = n_steps + 1
     t = t_start
     for step_index in range(1, n_steps + 1):
         step = min(dt, t_end - t)
-        k1 = np.asarray(rhs(t, states, active), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * step, states + 0.5 * step * k1, active),
-                        dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * step, states + 0.5 * step * k2, active),
-                        dtype=float)
-        k4 = np.asarray(rhs(t + step, states + step * k3, active), dtype=float)
+        k1 = _component_major(rhs(t, states.T, active))
+        k2 = _component_major(rhs(t + 0.5 * step,
+                                  (states + 0.5 * step * k1).T, active))
+        k3 = _component_major(rhs(t + 0.5 * step,
+                                  (states + 0.5 * step * k2).T, active))
+        k4 = _component_major(rhs(t + step, (states + step * k3).T, active))
         states = states + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if projection is not None:
-            states = projection(states)
+            states = _component_major(projection(states.T))
         t += step
         times[step_index] = t
 
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(states).all():
+            finite = np.isfinite(states).all(axis=0)
             mask_out = on_nonfinite == "mask"
             if health is not None:
                 repaired = health.check_finite_block(
-                    states, t, label="batched fixed-step ODE",
+                    states.T, t, label="batched fixed-step ODE",
                     repair=lambda: None, fatal=not mask_out)
                 # strict (and observe under "raise") aborted inside the
                 # check; a repair means "degrade to masking".
@@ -404,35 +432,46 @@ def integrate_fixed_batch(rhs: BatchRHS,
             if not mask_out:
                 raise StabilityError(
                     f"ODE state became non-finite at t={t:.6g}")
-            failed[active[~finite]] = True
+            leaving = active[~finite]
+            failed[leaving] = True
+            n_samples[leaving] = step_index
             active = active[finite]
-            states = states[finite]
+            states = states[:, finite]
             if previous_event is not None:
                 previous_event = previous_event[finite]
             if active.size == 0:
                 n_rows = step_index
                 break
 
-        storage[step_index, active] = states
-        n_samples[active] = step_index + 1
+        # The fancy-index scatter is only needed once a member has left.
+        if active.size == batch:
+            storage[step_index] = states
+        else:
+            storage[step_index][:, active] = states
 
         if event is not None:
-            current_event = np.asarray(event(t, states, active), dtype=float)
+            current_event = np.asarray(event(t, states.T, active),
+                                       dtype=float)
             fired = previous_event * current_event < 0.0
             if fired.any():
-                event_times[active[fired]] = t
+                leaving = active[fired]
+                event_times[leaving] = t
+                n_samples[leaving] = step_index + 1
                 keep = ~fired
                 active = active[keep]
-                states = states[keep]
+                states = states[:, keep]
                 previous_event = current_event[keep]
                 if active.size == 0:
                     n_rows = step_index + 1
                     break
             else:
                 previous_event = current_event
+    n_samples[active] = n_rows
 
-    _freeze_tails(storage, n_samples, n_rows)
-    return BatchODEResult(times=times[:n_rows], states=storage[:n_rows],
+    # (n, dim, batch) storage seen as the (n, batch, dim) result block.
+    states_view = storage[:n_rows].transpose(0, 2, 1)
+    _freeze_tails(states_view, n_samples, n_rows)
+    return BatchODEResult(times=times[:n_rows], states=states_view,
                           n_samples=n_samples, event_times=event_times,
                           failed=failed)
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConvergenceError, StabilityError
+from repro.exceptions import (
+    ConvergenceError,
+    NonFiniteStateError,
+    StabilityError,
+)
+from repro.health import HealthMonitor
 from repro.numerics.interpolate import interp_columns
 from repro.numerics.ode import (
     BatchODEResult,
@@ -135,6 +140,56 @@ class TestIntegrateFixedBatch:
         assert batch.n_samples[1] == batch.times.size
         assert np.isfinite(batch.trajectory(0).states).all()
 
+    def test_three_exits_in_one_run(self):
+        """One family where a member goes non-finite (masked), one stops on
+        its event and one reaches ``t_end``."""
+        initials = [[5.0, -3.0], [0.5, 0.0], [0.5, 2.0]]
+
+        def scalar_rhs(t, state):
+            return np.array([state[0] ** 3 - state[0], np.cos(state[1])])
+
+        def batch_rhs(t, states, indices):
+            return np.column_stack([states[:, 0] ** 3 - states[:, 0],
+                                    np.cos(states[:, 1])])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = integrate_fixed_batch(
+                batch_rhs, initials, t_end=5.0, dt=0.25,
+                event=lambda t, states, indices: states[:, 1] - 1.0,
+                on_nonfinite="mask")
+
+        assert batch.times.size == 21
+        assert batch.n_samples.tolist() == [2, 6, 21]
+        assert batch.failed.tolist() == [True, False, False]
+        assert np.isnan(batch.event_times[[0, 2]]).all()
+        assert batch.event_times[1] == 1.25
+        # Frozen tails repeat each stopped member's last valid sample.
+        for index in (0, 1):
+            last = int(batch.n_samples[index]) - 1
+            tail = batch.states[last:, index]
+            assert np.isfinite(tail).all()
+            assert np.all(tail == tail[0])
+
+        for index in (1, 2):
+            reference = integrate_fixed(
+                scalar_rhs, initials[index], t_end=5.0, dt=0.25,
+                event=lambda t, state: state[1] - 1.0)
+            member = batch.trajectory(index)
+            assert np.array_equal(reference.times, member.times)
+            assert np.array_equal(reference.states, member.states)
+            assert reference.event_time == member.event_time
+        with pytest.raises(StabilityError), \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate_fixed(scalar_rhs, initials[0], t_end=5.0, dt=0.25)
+
+    def test_component_rows_are_contiguous(self):
+        batch = integrate_fixed_batch(batch_oscillator, INITIALS,
+                                      t_end=2.0, dt=0.1)
+        assert batch.states.shape == (21, len(INITIALS), 2)
+        for index in range(batch.dim):
+            component = batch.component(index)
+            assert component.strides[1] == component.itemsize
+
     def test_validates_inputs(self):
         with pytest.raises(ConvergenceError):
             integrate_fixed_batch(batch_oscillator, INITIALS, t_end=1.0,
@@ -159,6 +214,53 @@ class TestIntegrateFixedBatch:
         members = batch.trajectories()
         assert len(members) == len(INITIALS)
         assert all(isinstance(member, ODEResult) for member in members)
+
+
+class TestIntegrateFixedBatchHealth:
+    """The ``health=`` paths: member 1 of ``[[0.0], [5.0]]`` under
+    ``dx/dt = x**3`` goes non-finite at t=1."""
+
+    #: Action each (mode, on_nonfinite) pair takes on the blow-up.
+    ACTIONS = {
+        ("strict", "raise"): "abort", ("strict", "mask"): "abort",
+        ("repair", "raise"): "repair", ("repair", "mask"): "repair",
+        ("observe", "raise"): "abort", ("observe", "mask"): "observe",
+    }
+
+    @pytest.mark.parametrize("on_nonfinite", ["raise", "mask"])
+    @pytest.mark.parametrize("mode", ["strict", "repair", "observe"])
+    def test_nonfinite_member(self, mode, on_nonfinite):
+        def rhs(t, states, indices):
+            return states ** 3
+
+        action = self.ACTIONS[mode, on_nonfinite]
+        monitor = HealthMonitor(mode)
+
+        def run():
+            with np.errstate(over="ignore", invalid="ignore"):
+                return integrate_fixed_batch(rhs, [[0.0], [5.0]], t_end=10.0,
+                                             dt=0.5, on_nonfinite=on_nonfinite,
+                                             health=monitor)
+
+        if action == "abort":
+            with pytest.raises(NonFiniteStateError,
+                               match=r"at t=1, first at index \(1, 0\)"):
+                run()
+        else:
+            batch = run()
+            assert batch.failed.tolist() == [False, True]
+            assert batch.n_samples.tolist() == [21, 2]
+            assert np.all(batch.states[:, 0] == 0.0)
+            assert np.isfinite(batch.states[:, 1]).all()
+            assert np.all(batch.states[1:, 1] == batch.states[1, 1])
+        log = monitor.log
+        assert log.n_reports == 1
+        report = log.reports[0]
+        assert (report.invariant, report.action) == ("finiteness", action)
+        assert report.cell == (1, 0)
+        assert report.time == 1.0
+        assert log.repairs == ({"finiteness": 1} if action == "repair"
+                               else {})
 
 
 class TestIntegrateAdaptiveBatch:

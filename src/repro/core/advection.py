@@ -16,21 +16,26 @@ would be advected below zero is reflected back into the first cell,
 implementing the paper's convention ``ν = 0`` when ``Q = 0`` and ``λ < μ``).
 
 Performance.  :class:`UpwindAdvection` binds the scheme to one grid and
-preallocates every scratch array (interface fluxes, flux differences,
-upwind products) plus the grid-dependent invariants (the contiguous
-``ν < 0`` / ``ν > 0`` column ranges, and -- via
-:meth:`UpwindAdvection.set_drift` -- the interface drift, its upwind mask
-and ``max |g|``).  Repeated steps therefore run allocation-free; this is
-what the Fokker-Planck solver's hot loop uses.
+preallocates every flux and scratch array, so repeated steps run
+allocation-free; this is what the Fokker-Planck solver's hot loop uses.
+Every pass over the grid is a contiguous whole-array pass:
 
-The floating-point arithmetic is ordered exactly as in the original
-per-call implementation, so the optimized kernels are bit-compatible with
-it.
+* the q-fluxes go into one ``(nq + 1, nv)`` array whose first row is the
+  ``q = 0`` boundary flux and whose last row is the top outflow, computed
+  from full-width sign-split velocity fields;
+* the ν-fluxes run on the flattened density.  The split interface drifts
+  are ``(nq, nv)`` arrays whose last column is a permanently zero no-flux
+  wall, so the flat products also zero the interfaces where one grid row
+  wraps into the next, and the flux array of length ``nq·nv + 1`` keeps
+  its two end entries as the zero walls.
+
+Both kernels keep the reference arithmetic: unscaled flux, difference,
+``× dt/dq`` or ``× dt/dν``, subtract, then clamp or flush.  The result is
+bit-identical to the per-call scheme.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
@@ -79,89 +84,50 @@ def cfl_time_step_from_speeds(grid: PhaseGrid2D, max_v_speed: float,
     return dt
 
 
-def shared_scratch_size(grid: PhaseGrid2D) -> int:
-    """Float count of the scratch arena shared by the per-grid kernels.
-
-    :class:`UpwindAdvection` and
-    :class:`repro.core.diffusion.CrankNicolsonDiffusion` each need two
-    grid-sized scratch blocks, but never at the same time within a substep,
-    so the solver allocates one ``2·nq·nv`` arena and hands it to both.
-    """
-    nq, nv = grid.shape
-    return 2 * nq * nv
-
-
 class UpwindAdvection:
     """Allocation-free upwind advection kernels bound to one grid.
 
     Parameters
     ----------
     grid:
-        The phase grid the kernels operate on.  All scratch arrays are
-        preallocated for its shape; the ``ν``-column sign split is
-        precomputed (cell centres are sorted, so the ``ν < 0`` and ``ν > 0``
-        columns form contiguous ranges addressable by slices instead of
-        boolean masks).
+        The phase grid the kernels operate on.  All flux and scratch arrays
+        are preallocated for its shape, and the velocity field ``ν`` is
+        split by sign once.
     """
 
-    def __init__(self, grid: PhaseGrid2D,
-                 scratch: Optional[np.ndarray] = None):
+    def __init__(self, grid: PhaseGrid2D):
         self.grid = grid
         nq, nv = grid.shape
-        v = grid.v_centers
+        v_mesh = grid.meshgrid()[1]
         self._dq = grid.dq
         self._dv = grid.dv
         self._max_abs_v = grid.max_abs_v
-        # Contiguous column ranges by sign of ν (centres are ascending).
-        neg = slice(0, int(np.searchsorted(v, 0.0, side="left")))
-        pos = slice(int(np.searchsorted(v, 0.0, side="right")), nv)
-        self._neg = neg
-        self._pos = pos
-        self._v_neg = v[neg]
-        # Full-width velocity rows split by sign: the interior flux is then
-        # two contiguous multiplies and an add over all columns instead of
-        # three strided writes into column sub-ranges.
-        self._v_pos_full = np.where(v > 0.0, v, 0.0)
-        self._v_neg_full = np.where(v < 0.0, v, 0.0)
-        # All large scratch lives in a flat arena of 2·nq·nv floats that the
-        # solver shares with the diffusion operator: the kernels of one
-        # substep use their scratch at disjoint times, and overlaying them
-        # keeps the per-substep working set inside L2 (see
-        # :func:`shared_scratch_size`).
-        if scratch is None:
-            scratch = np.empty(shared_scratch_size(grid))
-        region_a = scratch[:nq * nv]
-        region_b = scratch[nq * nv:2 * nq * nv]
-        self._diff = region_a.reshape(nq, nv)
-        # Interface fluxes along q, split into the interior block (region B)
-        # and two small owned boundary rows.  The q = 0 row is persistent:
-        # cells never written while reflecting stay zero, exactly as the
-        # per-call implementation re-zeroed them each step.
-        self._flux_q_interior = region_b[:(nq - 1) * nv].reshape(nq - 1, nv)
-        self._flux_q_top = np.empty(nv)
-        self._flux_q_row0 = np.zeros(nv)
+        # Full-width sign-split velocity fields: the q-flux products are
+        # same-shape contiguous multiplies instead of row broadcasts.
+        self._v_pos = np.where(v_mesh > 0.0, v_mesh, 0.0)
+        self._v_neg = np.where(v_mesh < 0.0, v_mesh, 0.0)
+        # Flux products and flux differences share one scratch block: each
+        # product is consumed before the difference overwrites it.
+        self._scratch = np.empty((nq, nv))
+        self._scratch_flat = self._scratch.reshape(-1)
+        self._product_v = self._scratch_flat[:-1]
+        # q-interface fluxes.  Row 0 is the q = 0 boundary: it stays zero
+        # while reflecting and is re-zeroed after a non-reflecting step.
+        self._flux_q = np.zeros((nq + 1, nv))
         self._flux_q0_dirty = False
-        # Per-dt cache of (dt/dq)-prescaled velocity rows for the `scaled`
-        # fast path (1-D arrays, so the cache is essentially free).
-        self._scaled_v: OrderedDict = OrderedDict()
-        # Inner ν-interface fluxes (interfaces 1..nv-1; the walls at 0 and
-        # nv are identically zero and folded into the difference stencil).
-        self._inner_v = region_b[:nq * (nv - 1)].reshape(nq, nv - 1)
-        # The multiply scratch views alias the flux-difference buffer: both
-        # are fully consumed before the difference is written.
-        self._tmp_q = self._diff[:nq - 1, :]
-        self._tmp = self._diff[:, :nv - 1]
-        # Drift-dependent state (set_drift).
+        # Flat ν-interface fluxes; entries 0 and nq·nv are the no-flux walls
+        # and are never written.
+        self._flux_v = np.zeros(nq * nv + 1)
+        self._flux_v_inner = self._flux_v[1:-1]
+        # Drift-dependent state (set_drift).  Column nv - 1 of both split
+        # drifts is the ν = v_max wall and stays zero.
         self._drift: Optional[np.ndarray] = None
-        self._drift_from_left = np.empty((nq, nv - 1))
-        self._drift_from_right = np.empty((nq, nv - 1))
+        self._drift_from_left = np.zeros((nq, nv))
+        self._drift_from_right = np.zeros((nq, nv))
+        self._from_left_flat = self._drift_from_left.reshape(-1)[:-1]
+        self._from_right_flat = self._drift_from_right.reshape(-1)[:-1]
         self._max_abs_drift = 0.0
         self._flush_mask = np.empty((nq, nv), dtype=bool)
-        # Per-dt cache of (dt/dv)-prescaled split drifts for the `scaled`
-        # fast path.  Two entries cover the CFL schedule (the free-running
-        # substep and the truncated interval-final substep) while keeping
-        # the extra cache footprint bounded.
-        self._scaled_drift: OrderedDict = OrderedDict()
 
     @property
     def max_abs_drift(self) -> float:
@@ -173,29 +139,26 @@ class UpwindAdvection:
 
         With a static drift this runs once per solve; with delayed feedback
         the solver calls it whenever the effective drift changes.  The
-        interface drift between adjacent ν-columns, the upwind-direction
-        mask and ``max |g|`` are all cached until the next call.
+        interface drift between adjacent ν-columns, split by upwind
+        direction, and ``max |g|`` are cached until the next call.
         """
         drift = np.asarray(drift, dtype=float)
         if drift.shape != self.grid.shape:
             raise StabilityError("drift array shape does not match density shape")
         self._drift = drift
-        # Interface drift between column j-1 and j (mean of the neighbours),
+        # Interface drift between column j and j+1 (mean of the neighbours),
         # split by upwind direction: the interface flux is then two dense
         # multiply-adds instead of a masked select per step.
         interface = 0.5 * (drift[:, :-1] + drift[:, 1:])
-        upwind_from_left = interface > 0.0
-        np.multiply(interface, upwind_from_left, out=self._drift_from_left)
-        np.subtract(interface, self._drift_from_left,
-                    out=self._drift_from_right)
+        from_left = self._drift_from_left[:, :-1]
+        np.multiply(interface, interface > 0.0, out=from_left)
+        np.subtract(interface, from_left, out=self._drift_from_right[:, :-1])
         self._max_abs_drift = (float(np.max(np.abs(drift)))
                                if drift.size else 0.0)
-        self._scaled_drift.clear()
 
     def advect_q(self, density: np.ndarray, dt: float,
                  reflect_at_zero: bool = True,
                  out: Optional[np.ndarray] = None,
-                 scaled: bool = False,
                  clamp: bool = True) -> np.ndarray:
         """Advect along the queue axis with per-column velocity ``ν``.
 
@@ -205,11 +168,6 @@ class UpwindAdvection:
         instead of leaving the domain: a queue cannot become negative.
         Writes into *out* when given (must not alias *density*); otherwise
         returns a new array.
-
-        With ``scaled=True`` the Courant factor ``dt/dq`` is folded into the
-        (1-D, per-dt cached) velocity rows, which removes one full-array
-        pass; the result agrees with the reference ordering to one ulp per
-        step.  The default keeps the reference arithmetic bit-for-bit.
 
         ``clamp=False`` skips the final ``max(·, 0)``: CFL-respecting upwind
         transport is positivity-preserving in exact arithmetic, so the clamp
@@ -224,62 +182,31 @@ class UpwindAdvection:
         if out is None:
             out = np.empty_like(density)
 
-        neg = self._neg
-        if scaled:
-            scaled_rows = self._scaled_v.get(dt)
-            if scaled_rows is None:
-                courant_factor = dt / self._dq
-                scaled_rows = (self._v_pos_full * courant_factor,
-                               self._v_neg_full * courant_factor,
-                               self._v_neg * courant_factor)
-                self._scaled_v[dt] = scaled_rows
-                if len(self._scaled_v) > 8:
-                    self._scaled_v.popitem(last=False)
-            else:
-                self._scaled_v.move_to_end(dt)
-            v_pos_full, v_neg_full, v_neg = scaled_rows
-        else:
-            v_pos_full, v_neg_full, v_neg = (self._v_pos_full,
-                                             self._v_neg_full, self._v_neg)
-
-        # For v > 0 mass moves toward larger q: upwind value is the left
-        # cell; for v < 0 it is the right cell.  The sign-split velocity
-        # rows zero out the opposite-direction contribution, so both donor
-        # choices combine into one dense expression; the last row is the
-        # outflow through the top boundary (v > 0 columns only).
-        interior = self._flux_q_interior
-        np.multiply(v_pos_full, density[:-1, :], out=interior)
-        np.multiply(v_neg_full, density[1:, :], out=self._tmp_q)
-        np.add(interior, self._tmp_q, out=interior)
-        np.multiply(v_pos_full, density[-1, :], out=self._flux_q_top)
-
-        # Flux difference with the boundary rows folded in (the interior
-        # block holds interfaces 1..nq-1; rows 0 and nq live in the small
-        # owned boundary arrays).
-        diff = self._diff
-        if reflect_at_zero:
-            # Mass trying to leave through q = 0 stays: zero boundary flux.
-            if self._flux_q0_dirty:
-                self._flux_q_row0[:] = 0.0
-                self._flux_q0_dirty = False
-            np.copyto(diff[0], interior[0])
-        else:
-            np.multiply(v_neg, density[0, neg], out=self._flux_q_row0[neg])
+        # Interface i (between cells i-1 and i) carries v⁺·f[i-1] + v⁻·f[i]:
+        # for v > 0 the donor is the cell below, for v < 0 the cell above,
+        # and the sign split zeroes the other term.  Row nq is the v > 0
+        # outflow through the top; row 0 is v⁻·f[0] unless reflecting.
+        flux = self._flux_q
+        scratch = self._scratch
+        np.multiply(self._v_pos, density, out=flux[1:])
+        np.multiply(self._v_neg, density, out=scratch)
+        np.add(flux[1:-1], scratch[1:], out=flux[1:-1])
+        if not reflect_at_zero:
+            np.copyto(flux[0], scratch[0])
             self._flux_q0_dirty = True
-            np.subtract(interior[0], self._flux_q_row0, out=diff[0])
-        np.subtract(interior[1:], interior[:-1], out=diff[1:-1])
-        np.subtract(self._flux_q_top, interior[-1], out=diff[-1])
-        if not scaled:
-            np.multiply(diff, dt / self._dq, out=diff)
-        np.subtract(density, diff, out=out)
+        elif self._flux_q0_dirty:
+            flux[0] = 0.0
+            self._flux_q0_dirty = False
+        np.subtract(flux[1:], flux[:-1], out=scratch)
+        np.multiply(scratch, dt / self._dq, out=scratch)
+        np.subtract(density, scratch, out=out)
         if clamp:
             np.maximum(out, 0.0, out=out)
         return out
 
     def advect_v(self, density: np.ndarray, dt: float,
                  out: Optional[np.ndarray] = None,
-                 flush: bool = False,
-                 scaled: bool = False) -> np.ndarray:
+                 flush: bool = False) -> np.ndarray:
         """Advect along the growth-rate axis with the installed drift.
 
         The term is conservative, ``(g f)_ν``, so the interface flux uses
@@ -308,43 +235,21 @@ class UpwindAdvection:
         if out is None:
             out = np.empty_like(density)
 
-        # Upwind interface flux: drift times the donor-cell value.  The
-        # direction select is folded into the pre-split interface drifts, so
-        # the step is two dense multiplies and an add.  With ``scaled=True``
-        # (solver static-drift path) the Courant factor dt/dν is folded into
-        # per-dt cached copies of the split drifts, saving the full-array
-        # scaling pass; callers whose drift changes every step should leave
-        # it off, since each set_drift invalidates the cache.
-        if scaled:
-            drift_pair = self._scaled_drift.get(dt)
-            if drift_pair is None:
-                factor = dt / self._dv
-                drift_pair = (self._drift_from_left * factor,
-                              self._drift_from_right * factor)
-                self._scaled_drift[dt] = drift_pair
-                if len(self._scaled_drift) > 2:
-                    self._scaled_drift.popitem(last=False)
-            else:
-                self._scaled_drift.move_to_end(dt)
-            drift_from_left, drift_from_right = drift_pair
-        else:
-            drift_from_left = self._drift_from_left
-            drift_from_right = self._drift_from_right
-        inner = self._inner_v
-        np.multiply(drift_from_left, density[:, :-1], out=inner)
-        np.multiply(drift_from_right, density[:, 1:], out=self._tmp)
-        np.add(inner, self._tmp, out=inner)
-
-        # Flux difference with the no-flux walls folded in: the wall fluxes
-        # at interfaces 0 and nv are identically zero, so the first and last
-        # columns reduce to ±the adjacent inner flux.
-        diff = self._diff
-        np.copyto(diff[:, 0], inner[:, 0])
-        np.subtract(inner[:, 1:], inner[:, :-1], out=diff[:, 1:-1])
-        np.subtract(0.0, inner[:, -1], out=diff[:, -1])
-        if not scaled:
-            np.multiply(diff, dt / self._dv, out=diff)
-        np.subtract(density, diff, out=out)
+        # Upwind interface flux on the flattened grid: drift times the donor
+        # cell value, with the direction select folded into the pre-split
+        # interface drifts.  Their zero wall column also zeroes the flux
+        # across each row wrap.
+        flat = density.reshape(-1)
+        flux = self._flux_v
+        inner = self._flux_v_inner
+        product = self._product_v
+        np.multiply(self._from_left_flat, flat[:-1], out=inner)
+        np.multiply(self._from_right_flat, flat[1:], out=product)
+        np.add(inner, product, out=inner)
+        scratch = self._scratch
+        np.subtract(flux[1:], flux[:-1], out=self._scratch_flat)
+        np.multiply(scratch, dt / self._dv, out=scratch)
+        np.subtract(density, scratch, out=out)
         if flush:
             np.greater_equal(out, FLUSH_THRESHOLD, out=self._flush_mask)
             np.multiply(out, self._flush_mask, out=out)

@@ -12,22 +12,24 @@ both ends of the queue axis so the diffusion conserves probability mass
 exactly; the physical outflow at ``q = q_max`` is negligible provided the
 grid extends well past the operating region, which the tests verify.
 
-Performance.  One Crank-Nicolson substep always applies the same pair of
-operators ``(I - r L)^{-1} (I + r L)`` for a fixed diffusion number
-``r = (σ²/2) dt / (2 dq²)``; the Fokker-Planck solver calls it with the
-same ``dt`` on every substep of an output interval.  :class:`
-CrankNicolsonDiffusion` therefore caches, keyed by ``r``:
+Performance.  One Crank-Nicolson substep applies ``(I - r L)^{-1} (I + r L)``
+for the diffusion number ``r = (σ²/2) dt / (2 dq²)``.
+:class:`CrankNicolsonDiffusion` caches one step per ``r``, least recently
+used first out, at most :data:`_MAX_CACHED_OPERATORS` of them:
 
-* for moderate grids, the *combined* dense operator
-  ``M = (I - r L)^{-1} (I + r L)`` -- one BLAS matrix-matrix product per
-  substep, no python-level row loop at all;
-* for large grids (``nq > dense_limit``), a reusable tridiagonal
-  factorization from the active :mod:`repro.numerics.backend` plus a
-  preallocated right-hand-side scratch buffer.
+* for ``nq ≤ DENSE_NQ_LIMIT``, the combined dense operator
+  ``M = (I - r L)^{-1} (I + r L)``, built on the first request of ``r`` and
+  applied as one BLAS matrix product plus the non-negativity clamp;
+* for larger grids, a reusable tridiagonal factorization from the active
+  :mod:`repro.numerics.backend`.
+
+The solver's CFL schedule requests about eleven distinct ``r`` per solve:
+the free-running substep plus the truncated interval-final substeps, whose
+sizes differ in the last bits of the accumulated time.  Sixteen entries
+hold them all; at ``nq = 512`` they take at most 32 MB.
 
 Sub-cycling for very large diffusion numbers (``r > 2``) is an iterative
-loop over the cached sub-operator rather than the recursive call of the
-original implementation; the arithmetic is unchanged.
+loop over the cached sub-operator.
 """
 
 from __future__ import annotations
@@ -48,14 +50,7 @@ __all__ = ["CrankNicolsonDiffusion"]
 DENSE_NQ_LIMIT = 512
 
 #: Retain at most this many per-``r`` operator cache entries per instance.
-_MAX_CACHED_OPERATORS = 32
-
-#: Build the dense combined operator only once a diffusion number has been
-#: requested this many times.  Building it costs an O(nq³) solve, which only
-#: pays off for the repeated substeps of the CFL schedule; one-off diffusion
-#: numbers (e.g. the truncated final substep of each output interval) stay
-#: on the O(nq) factorized path.
-_DENSE_UPGRADE_HITS = 2
+_MAX_CACHED_OPERATORS = 16
 
 
 def _neumann_second_difference(nq: int) -> np.ndarray:
@@ -84,63 +79,26 @@ _FLUSH_THRESHOLD = FLUSH_THRESHOLD
 
 
 class _DenseStep:
-    """Combined CN substep ``density -> max(M @ density, 0)`` for one ``r``.
+    """Combined CN substep ``density -> max(M @ density, 0)`` for one ``r``."""
 
-    The Neumann Laplacian commutes with the index reflection ``J``
-    (``i -> nq-1-i``), so the combined operator ``M`` is centrosymmetric:
-    ``J M J = M``.  For even ``nq`` the product ``M @ density`` therefore
-    splits into two half-size products on the symmetric and antisymmetric
-    parts of the density -- half the BLAS flops, and the two half-operators
-    together use half the cache footprint of ``M``.
-    """
-
-    def __init__(self, nq: int, r: float, workspace: "CrankNicolsonDiffusion"):
+    def __init__(self, nq: int, r: float):
         laplacian = _neumann_second_difference(nq)
         implicit = np.eye(nq) - r * laplacian
         explicit = np.eye(nq) + r * laplacian
         combined = np.linalg.solve(implicit, explicit)
         combined[np.abs(combined) < _FLUSH_THRESHOLD] = 0.0
-        self._half = nq // 2 if nq % 2 == 0 else 0
-        if self._half:
-            h = self._half
-            upper_left = combined[:h, :h]
-            upper_right_flipped = combined[:h, h:][:, ::-1]
-            # M @ d = [P s + Q a ; J (P s - Q a)] with s/a the (anti)symmetric
-            # halves of d; the 1/2 of the half decomposition is folded in.
-            # P and Q are stacked so one batched matmul covers both halves.
-            self._ops = np.stack([0.5 * (upper_left + upper_right_flipped),
-                                  0.5 * (upper_left - upper_right_flipped)])
-            self._combined = None
-        else:
-            self._combined = combined
-        self._workspace = workspace
+        self._combined = combined
 
     def apply(self, density: np.ndarray, out: np.ndarray) -> None:
-        h = self._half
-        if not h:
-            np.matmul(self._combined, density, out=out)
-        else:
-            halves, products = self._workspace._half_buffers(h)
-            top = density[:h]
-            bottom_flipped = density[h:][::-1]
-            np.add(top, bottom_flipped, out=halves[0])
-            np.subtract(top, bottom_flipped, out=halves[1])
-            np.matmul(self._ops, halves, out=products)
-            # Recombine the halves with the non-negativity clamp folded into
-            # the same passes (elementwise max commutes with the flip).
-            np.add(products[0], products[1], out=halves[0])
-            np.maximum(halves[0], 0.0, out=out[:h])
-            np.subtract(products[0], products[1], out=halves[1])
-            np.maximum(halves[1][::-1], 0.0, out=out[h:])
-            return
+        np.matmul(self._combined, density, out=out)
         np.maximum(out, 0.0, out=out)
 
 
 class _FactorizedStep:
     """CN substep via explicit half step plus a cached tridiagonal solve."""
 
-    def __init__(self, nq: int, nv: int, r: float, backend: NumericsBackend,
-                 workspace: "CrankNicolsonDiffusion"):
+    def __init__(self, nq: int, r: float, backend: NumericsBackend,
+                 rhs: np.ndarray):
         lower = np.full(nq, -r)
         upper = np.full(nq, -r)
         diag = np.full(nq, 1.0 + 2.0 * r)
@@ -150,11 +108,11 @@ class _FactorizedStep:
         diag[-1] = 1.0 + r
         self._r = r
         self._solver = backend.factorize_tridiagonal(lower, diag, upper)
-        self._workspace = workspace
+        self._rhs = rhs
 
     def apply(self, density: np.ndarray, out: np.ndarray) -> None:
         r = self._r
-        rhs = self._workspace._rhs_buffer(density.shape)
+        rhs = self._rhs
         # Explicit half step (I + r L) applied column-wise, vectorised over ν.
         rhs[1:-1, :] = (density[1:-1, :]
                         + r * (density[2:, :] - 2.0 * density[1:-1, :]
@@ -182,17 +140,11 @@ class CrankNicolsonDiffusion:
         Largest ``nq`` for which the dense combined operator is used
         (defaults to :data:`DENSE_NQ_LIMIT`; pass 0 to force the factorized
         path, e.g. in backend-parity tests).
-    scratch:
-        Optional flat float scratch arena of at least ``2·nq·nv`` entries
-        (see :func:`repro.core.advection.shared_scratch_size`); the solver
-        shares one arena between this operator and the advection kernels so
-        the hot loop's working set stays cache-resident.
     """
 
     def __init__(self, grid: PhaseGrid2D, sigma: float,
                  backend: Optional[NumericsBackend] = None,
-                 dense_limit: Optional[int] = None,
-                 scratch: Optional[np.ndarray] = None):
+                 dense_limit: Optional[int] = None):
         self.grid = grid
         self.sigma = float(sigma)
         self.backend = backend if backend is not None else get_backend()
@@ -202,57 +154,27 @@ class CrankNicolsonDiffusion:
         # r rounds exactly as in the original per-call implementation.
         self._two_dq2 = 2.0 * grid.dq * grid.dq
         self._steps: OrderedDict = OrderedDict()
-        nq, nv = grid.shape
-        if scratch is None:
-            scratch = np.empty(2 * nq * nv)
-        self._arena = scratch
+        # Right-hand side shared by every factorized step, allocated with
+        # the first of them.
+        self._rhs: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
-        self._half_views = None
-        self._last_r: Optional[float] = None
-        self._last_step = None
-
-    def _half_buffers(self, h: int):
-        """(halves, products) views over the shared arena for the dense step."""
-        if self._half_views is None or self._half_views[0].shape[1] != h:
-            nv = self.grid.shape[1]
-            count = 2 * h * nv
-            self._half_views = (self._arena[:count].reshape(2, h, nv),
-                                self._arena[count:2 * count].reshape(2, h, nv))
-        return self._half_views
-
-    def _rhs_buffer(self, shape) -> np.ndarray:
-        """Grid-shaped right-hand-side view for the factorized step."""
-        count = int(np.prod(shape))
-        return self._arena[:count].reshape(shape)
 
     def _step_for(self, r: float):
-        # Fast path: the CFL schedule requests the same diffusion number for
-        # long runs of consecutive substeps.  Only steps that can no longer
-        # be upgraded are cached here, so the hit counting of the slow path
-        # (which drives the dense-operator upgrade) stays accurate.
-        if r == self._last_r:
-            return self._last_step
-        step = self._step_for_slow(r)
-        if not isinstance(step, _FactorizedStep):
-            self._last_r = r
-            self._last_step = step
+        step = self._steps.get(r)
+        if step is not None:
+            self._steps.move_to_end(r)
+            return step
+        nq = self.grid.shape[0]
+        if nq <= self.dense_limit:
+            step = _DenseStep(nq, r)
+        else:
+            if self._rhs is None:
+                self._rhs = np.empty(self.grid.shape)
+            step = _FactorizedStep(nq, r, self.backend, self._rhs)
+        self._steps[r] = step
+        if len(self._steps) > _MAX_CACHED_OPERATORS:
+            self._steps.popitem(last=False)
         return step
-
-    def _step_for_slow(self, r: float):
-        nq, nv = self.grid.shape
-        entry = self._steps.get(r)
-        if entry is None:
-            entry = [_FactorizedStep(nq, nv, r, self.backend, self), 1]
-            self._steps[r] = entry
-            if len(self._steps) > _MAX_CACHED_OPERATORS:
-                self._steps.popitem(last=False)
-            return entry[0]
-        self._steps.move_to_end(r)
-        entry[1] += 1
-        if (entry[1] >= _DENSE_UPGRADE_HITS and nq <= self.dense_limit
-                and isinstance(entry[0], _FactorizedStep)):
-            entry[0] = _DenseStep(nq, r, self)
-        return entry[0]
 
     def step(self, density: np.ndarray, dt: float,
              out: Optional[np.ndarray] = None) -> np.ndarray:

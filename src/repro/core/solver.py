@@ -163,7 +163,7 @@ class FokkerPlanckSolver:
             control.drift_in_growth_coordinates(q_mesh, v_mesh, params.mu),
             dtype=float)
         # Kernel backend plus the marching stepper, which owns all reusable
-        # hot-loop machinery (scratch arenas, preallocated kernel
+        # hot-loop machinery (scratch buffers, preallocated kernel
         # workspaces, cached implicit operators); the solver keeps only the
         # ping-pong work buffer shared by every solve() on this instance.
         self.backend = get_backend(params.backend or None)
@@ -238,7 +238,7 @@ class FokkerPlanckSolver:
         absorbing = boundary.absorb_q_max
         cfl = time_params.cfl
         static_drift = self.delayed_queue_provider is None
-        stepper.begin(static_drift, monitor is not None)
+        stepper.begin(monitor is not None)
         if static_drift:
             stepper.set_drift(self._static_drift)
             free_dt = stepper.free_running_dt(cfl)

@@ -5,12 +5,13 @@ Historically the marching scheme lived inline in
 sweeps glued to a Crank-Nicolson diffusion step.  This module extracts that
 substep into an :class:`FPStepper` seam with two implementations:
 
-* :class:`AxisSplitStepper` (``"axis"``, the default) reproduces the
-  historical per-axis splitting *bit for bit* — it owns the same
+* :class:`AxisSplitStepper` (``"axis"``, the default) is the historical
+  per-axis splitting — it owns the
   :class:`~repro.core.advection.UpwindAdvection` /
-  :class:`~repro.core.diffusion.CrankNicolsonDiffusion` kernels, shares the
-  same scratch arena and issues the same kernel calls in the same order, so
-  the golden pins of ``tests/unit/test_fp_golden.py`` hold unchanged.
+  :class:`~repro.core.diffusion.CrankNicolsonDiffusion` kernels and issues
+  their calls in the seed's order, so the golden pins of
+  ``tests/unit/test_fp_golden.py`` hold: bit for bit at σ = 0, to rounding
+  at σ > 0.
 * :class:`ADIStepper` (``"adi"``) is a Peaceman-Rachford 2-D operator-split
   scheme that treats q- and ν-direction transport implicitly in alternating
   half-steps:
@@ -59,8 +60,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, StabilityError
 from ..numerics.backend import NumericsBackend
 from ..numerics.grids import PhaseGrid2D
-from .advection import (UpwindAdvection, cfl_time_step_from_speeds,
-                        shared_scratch_size)
+from .advection import UpwindAdvection, cfl_time_step_from_speeds
 from .boundary import BoundaryConditions
 from .diffusion import CrankNicolsonDiffusion
 
@@ -83,11 +83,11 @@ class FPStepper:
        drift, per substep under delayed feedback);
     2. :meth:`free_running_dt` / :meth:`bounded_dt` report the largest
        stable substep for the installed drift;
-    3. :meth:`begin` announces per-solve flags (static drift, monitoring);
+    3. :meth:`begin` announces whether the solve is health-monitored;
     4. :meth:`advance` marches ``density`` by ``dt`` using ``work`` as the
        ping-pong buffer and returns the (possibly swapped) pair.
 
-    Implementations own all kernel state (scratch arenas, operator caches)
+    Implementations own all kernel state (scratch buffers, operator caches)
     so a solver holds exactly one stepper for its lifetime.
     """
 
@@ -110,9 +110,8 @@ class FPStepper:
         """Install the ν-drift field ``g`` and refresh drift-derived state."""
         raise NotImplementedError
 
-    def begin(self, static_drift: bool, monitored: bool) -> None:
-        """Announce per-solve flags before the marching loop starts."""
-        self._static_drift = static_drift
+    def begin(self, monitored: bool) -> None:
+        """Announce the per-solve monitoring flag before the marching loop."""
         self._monitored = monitored
 
     def free_running_dt(self, cfl: float) -> float:
@@ -141,13 +140,13 @@ class FPStepper:
 
 
 class AxisSplitStepper(FPStepper):
-    """The historical per-axis splitting, extracted verbatim.
+    """The historical per-axis splitting.
 
     One substep is ``CN(dt) · A_ν(dt) · A_q(dt)``: explicit upwind advection
     along q, explicit upwind advection along ν, Crank-Nicolson diffusion
-    along q (sub-cycled when the diffusion number exceeds 2).  Kernel calls,
-    argument flags and buffer hand-offs are exactly those of the pre-seam
-    solver hot loop, so this stepper is bit-identical to it.
+    along q (sub-cycled when the diffusion number exceeds 2).  At σ = 0 the
+    substep is bit-identical to the seed's per-call kernels; at σ > 0 the
+    dense combined diffusion operator changes results only by rounding.
     """
 
     name = "axis"
@@ -155,16 +154,10 @@ class AxisSplitStepper(FPStepper):
     def __init__(self, grid: PhaseGrid2D, sigma: float,
                  backend: NumericsBackend, boundary: BoundaryConditions):
         super().__init__(grid, sigma, backend, boundary)
-        # One shared scratch arena: the advection and diffusion kernels use
-        # their scratch at disjoint times within a substep, so overlaying
-        # them keeps the working set cache-resident.
-        arena = np.empty(shared_scratch_size(grid))
-        self.advection = UpwindAdvection(grid, scratch=arena)
-        self.diffusion = CrankNicolsonDiffusion(grid, sigma, backend=backend,
-                                                scratch=arena)
+        self.advection = UpwindAdvection(grid)
+        self.diffusion = CrankNicolsonDiffusion(grid, sigma, backend=backend)
         self._sigma_zero = self.sigma == 0.0
         self._reflect_q_zero = boundary.reflect_q_zero
-        self._static_drift = True
         self._monitored = False
 
     @property
@@ -187,13 +180,14 @@ class AxisSplitStepper(FPStepper):
     def advance(self, density: np.ndarray, dt: float, work: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
         # Two buffers suffice: each kernel's input is dead once it has run,
-        # so its buffer becomes the next kernel's output.  The σ > 0 path
-        # uses the fast kernel variants (prescaled velocities, no
-        # intermediate clamp, flush-clamped output); the σ = 0 path keeps
-        # the bit-exact reference arithmetic.
+        # so its buffer becomes the next kernel's output.  Every kernel
+        # keeps the reference arithmetic; the σ > 0 path only skips the
+        # q-advection clamp (the flush-clamp of the ν-advection output
+        # removes the same rounding negatives) and runs the diffusion as
+        # one matrix product.
         sigma_zero = self._sigma_zero
         self.advection.advect_q(density, dt, self._reflect_q_zero, work,
-                                not sigma_zero, sigma_zero)
+                                sigma_zero)
         if sigma_zero:
             # The diffusion step is a no-op: the ν-advection output (written
             # over the dead pre-step density) is the state.
@@ -203,8 +197,7 @@ class AxisSplitStepper(FPStepper):
             # below the diffusion flush threshold: products of two
             # sub-threshold magnitudes inside the Crank-Nicolson matmul land
             # in the (microcode-slow) IEEE subnormal range.
-            self.advection.advect_v(work, dt, density, True,
-                                    self._static_drift)
+            self.advection.advect_v(work, dt, density, True)
             self.diffusion.step(density, dt, work)
             density, work = work, density
         return density, work
@@ -237,7 +230,6 @@ class ADIStepper(FPStepper):
         self._nv = nv
         self.n = nq * nv
         self._max_abs_drift = 0.0
-        self._static_drift = True
         self._monitored = False
         self._generator = None
         # Static q-direction bands (ν-major ordering) built on first use.

@@ -70,11 +70,15 @@ def jain_fairness_index(throughputs: Sequence[float]) -> float:
         raise AnalysisError("need at least one throughput value")
     if np.any(values < 0.0):
         raise AnalysisError("throughputs must be non-negative")
-    total = float(np.sum(values))
-    sum_of_squares = float(np.sum(values ** 2))
-    if sum_of_squares == 0.0:
+    peak = float(np.max(values))
+    if peak == 0.0:
         return 1.0
-    return total * total / (values.size * sum_of_squares)
+    # The index is scale-invariant.  Dividing by the largest value first
+    # keeps (Σ x)² and Σ x² inside the normal floating-point range, where
+    # tiny throughputs would otherwise underflow and huge ones overflow.
+    scaled = values / peak
+    total = float(np.sum(scaled))
+    return total * total / (values.size * float(np.sum(scaled * scaled)))
 
 
 @dataclass

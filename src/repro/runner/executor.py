@@ -365,26 +365,37 @@ def _run_supervised(supervisor: _Supervisor, pending: Sequence[int],
     Jobs are submitted through a sliding window of at most *workers*
     in-flight futures, so every submitted job starts (approximately)
     immediately and the per-job ``timeout`` can be measured from
-    submission.  A timed-out or broken pool is killed and respawned; the
-    surviving pending jobs are resubmitted.  All scheduling here affects
-    only *when* a job runs, never *what* it computes, so results remain
-    bit-identical to the serial path.
+    submission.  Finished executions are settled -- cache put and journal
+    append, both fsync'd -- only after the window has been refilled, so no
+    worker idles through the durable writes.  A job already charged for a
+    pool break is dispatched only into an empty window and runs alone,
+    which makes a repeat break attributable to it.  A timed-out or broken
+    pool is killed and respawned; the surviving pending jobs are
+    resubmitted.  All scheduling here affects only *when* a job runs, never
+    *what* it computes, so results remain bit-identical to the serial path.
     """
     queue = deque(pending)                 # indices ready to dispatch
     delayed: List[Tuple[float, int]] = []  # (eligible_at, index) retry heap
     inflight: Dict[Any, Tuple[int, float]] = {}  # future -> (index, start)
+    harvested: List[tuple] = []  # settle() arguments awaiting their writes
     barren_respawns = 0  # consecutive respawns that dispatched nothing
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        while queue or delayed or inflight:
+        while queue or delayed or inflight or harvested:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
                 queue.append(heapq.heappop(delayed)[1])
 
-            # Top up the in-flight window.
+            # Top up the in-flight window.  A job charged for a pool break
+            # runs alone, so a repeat break is attributable to it.
             respawn = False
+            isolating = any(supervisor.crashes.get(index, 0)
+                            for index, _ in inflight.values())
             while queue and len(inflight) < workers:
                 index = queue[0]
+                charged = supervisor.crashes.get(index, 0) > 0
+                if inflight and (charged or isolating):
+                    break
                 attempt = supervisor.dispatches.get(index, 0)
                 try:
                     future = pool.submit(_execute_job, supervisor.jobs[index],
@@ -395,6 +406,16 @@ def _run_supervised(supervisor: _Supervisor, pending: Sequence[int],
                 queue.popleft()
                 supervisor.dispatches[index] = attempt + 1
                 inflight[future] = (index, time.monotonic())
+                isolating = charged
+
+            # The durable writes of the last harvest run only now, while
+            # the refilled window computes.
+            for index, *outcome in harvested:
+                delay = supervisor.settle(index, *outcome)
+                if delay is not None:
+                    heapq.heappush(delayed, (time.monotonic() + delay, index))
+            harvested.clear()
+
             if respawn:
                 # The pool broke between harvests (worker died while idle
                 # or while accepting work); nothing in flight is
@@ -422,7 +443,7 @@ def _run_supervised(supervisor: _Supervisor, pending: Sequence[int],
             for future in done:
                 index, started = inflight.pop(future)
                 try:
-                    value, error, transient, seconds = future.result()
+                    harvested.append((index, *future.result()))
                 except BrokenProcessPool:
                     broke = True
                     delay = supervisor.crash(index, _crash_message(
@@ -437,16 +458,7 @@ def _run_supervised(supervisor: _Supervisor, pending: Sequence[int],
                     message = ("transient result-transport failure "
                                "(ResultTransportError):\n"
                                + traceback.format_exc())
-                    delay = supervisor.settle(index, None, message, True, 0.0)
-                    if delay is not None:
-                        heapq.heappush(delayed,
-                                       (time.monotonic() + delay, index))
-                else:
-                    delay = supervisor.settle(index, value, error, transient,
-                                              seconds)
-                    if delay is not None:
-                        heapq.heappush(delayed,
-                                       (time.monotonic() + delay, index))
+                    harvested.append((index, None, message, True, 0.0))
             if broke:
                 _reclaim_broken(supervisor, inflight, delayed, queue)
                 _terminate_pool(pool)

@@ -1,7 +1,7 @@
 """Property-based tests of the control-law invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import DECbitWindow, JacobsonWindow, JRJControl
@@ -90,6 +90,9 @@ class TestShareFormulaInvariants:
     @given(throughputs=st.lists(st.floats(min_value=0.0, max_value=1e3),
                                 min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
+    @example(throughputs=[2.450144079483796e-162] * 2)  # (Σx)² underflows
+    @example(throughputs=[1e-170, 3e-170])              # both sums underflow
+    @example(throughputs=[1e200, 1e200])                # both sums overflow
     def test_jain_index_bounds(self, throughputs):
         index = jain_fairness_index(throughputs)
         assert 1.0 / len(throughputs) - 1e-9 <= index <= 1.0 + 1e-9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.advection import (
+    FLUSH_THRESHOLD,
     UpwindAdvection,
     cfl_time_step,
     cfl_time_step_from_speeds,
@@ -22,6 +23,11 @@ def workspace(grid):
     return UpwindAdvection(grid)
 
 
+def _grid(nq, nv):
+    return PhaseGrid2D(UniformGrid1D(0.0, 10.0, nq),
+                       UniformGrid1D(-1.0, 1.0, nv))
+
+
 def _blob(grid, q_center, v_center):
     return grid.gaussian_density(q_center, v_center, 0.8, 0.15)
 
@@ -31,24 +37,29 @@ def _advect_v(workspace, density, drift, dt):
     return workspace.advect_v(density, dt)
 
 
-def _reference_advect_q(density, grid, dt):
-    """Per-call upwind step along q with a reflecting ``q = 0`` boundary."""
+def _reference_advect_q(density, grid, dt, reflect_at_zero=True,
+                        clamp=True):
+    """Per-call upwind step along q (``q = 0`` outflow unless reflecting)."""
     v = grid.v_centers
     flux = np.zeros((density.shape[0] + 1, density.shape[1]))
+    if not reflect_at_zero:
+        flux[0] = np.where(v < 0.0, v * density[0], 0.0)
     flux[1:-1] = np.where(v > 0.0, v * density[:-1],
                           np.where(v < 0.0, v * density[1:], 0.0))
     flux[-1] = np.where(v > 0.0, v * density[-1], 0.0)
     updated = density - (flux[1:] - flux[:-1]) * (dt / grid.dq)
-    return np.maximum(updated, 0.0)
+    return np.maximum(updated, 0.0) if clamp else updated
 
 
-def _reference_advect_v(density, grid, drift, dt):
+def _reference_advect_v(density, grid, drift, dt, flush=False):
     """Per-call conservative upwind step along ν between no-flux walls."""
     interface = 0.5 * (drift[:, :-1] + drift[:, 1:])
     flux = np.zeros((density.shape[0], density.shape[1] + 1))
     flux[:, 1:-1] = np.where(interface > 0.0, interface * density[:, :-1],
                              interface * density[:, 1:])
     updated = density - (flux[:, 1:] - flux[:, :-1]) * (dt / grid.dv)
+    if flush:
+        return np.where(updated >= FLUSH_THRESHOLD, updated, 0.0)
     return np.maximum(updated, 0.0)
 
 
@@ -187,20 +198,42 @@ class TestUpwindAdvectionWorkspace:
         assert np.array_equal(out,
                               _reference_advect_v(density, grid, drift, 0.05))
 
-    def test_scaled_fast_path_agrees_to_rounding(self, grid):
+    @pytest.mark.parametrize("reflect_at_zero", [True, False])
+    @pytest.mark.parametrize("shape", [(7, 5), (50, 40), (60, 48)])
+    def test_unclamped_advect_q_is_bitwise_reference(self, shape,
+                                                     reflect_at_zero):
+        grid = _grid(*shape)
         workspace = UpwindAdvection(grid)
-        density = _blob(grid, 5.0, 0.2)
-        exact = workspace.advect_q(density, 0.05)
-        fast = workspace.advect_q(density, 0.05, scaled=True, clamp=False)
-        assert np.allclose(fast, exact, rtol=0.0, atol=1e-15)
+        dt = cfl_time_step(grid, np.zeros(grid.shape), 0.9, 1.0)
+        rng = np.random.default_rng(shape[0])
+        # Alternate the boundary so a non-reflecting step's q = 0 flux
+        # must not leak into the next reflecting one.
+        for flip in (False, True, False):
+            reflect = reflect_at_zero != flip
+            density = rng.random(grid.shape)
+            got = workspace.advect_q(density, dt, reflect, clamp=False)
+            want = _reference_advect_q(density, grid, dt, reflect,
+                                       clamp=False)
+            assert np.array_equal(got, want)
 
-    def test_flush_and_scaled_advect_v_agree_to_rounding(self, grid):
+    @pytest.mark.parametrize("shape", [(7, 5), (50, 40), (60, 48)])
+    def test_flushed_advect_v_is_bitwise_reference(self, shape):
+        grid = _grid(*shape)
         workspace = UpwindAdvection(grid)
-        workspace.set_drift(self._drift(grid))
-        density = _blob(grid, 5.0, 0.0)
-        exact = workspace.advect_v(density, 0.05)
-        fast = workspace.advect_v(density, 0.05, flush=True, scaled=True)
-        assert np.allclose(fast, exact, rtol=0.0, atol=1e-15)
+        q_mesh, v_mesh = grid.meshgrid()
+        rng = np.random.default_rng(shape[1])
+        # A drift that changes between calls, as under delayed feedback,
+        # with both upwind directions inside each field.
+        for switch_q in (2.0, 8.0, 5.0):
+            drift = np.where(q_mesh <= switch_q, 0.05,
+                             -0.2 * (v_mesh + 0.5))
+            workspace.set_drift(drift)
+            dt = cfl_time_step(grid, drift, 0.9, 1.0)
+            density = rng.random(grid.shape)
+            density[:, 0] = 1e-160  # far-tail values below the threshold
+            got = workspace.advect_v(density, dt, flush=True)
+            want = _reference_advect_v(density, grid, drift, dt, flush=True)
+            assert np.array_equal(got, want)
 
     def test_repeated_calls_do_not_leak_state(self, grid):
         workspace = UpwindAdvection(grid)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.diffusion import CrankNicolsonDiffusion
+from repro.numerics.backend import NumpyBackend
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
 
 
@@ -105,8 +106,8 @@ class TestCrankNicolsonDiffusionOperator:
         assert len(operator._steps) == 1  # single cached diffusion number
 
     def test_operator_matches_stateless_function(self, grid):
-        # Both the first (factorized) and the repeated (dense combined
-        # operator) use of one diffusion number match the per-call solve.
+        # Both the first and the repeated use of one diffusion number match
+        # the per-call solve.
         operator = CrankNicolsonDiffusion(grid, sigma=0.4)
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
         via_function = _reference_diffuse(density, grid, 0.4, 0.2)
@@ -114,6 +115,40 @@ class TestCrankNicolsonDiffusionOperator:
             via_operator = operator.step(density, 0.2)
             assert np.allclose(via_operator, via_function, rtol=0.0,
                                atol=1e-13)
+
+    def test_first_step_of_new_r_is_dense_without_factorization(self, grid):
+        factorizations = []
+
+        class CountingBackend(NumpyBackend):
+            def factorize_tridiagonal(self, *bands):
+                factorizations.append(bands)
+                return super().factorize_tridiagonal(*bands)
+
+        operator = CrankNicolsonDiffusion(grid, sigma=0.4,
+                                          backend=CountingBackend())
+        density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
+        for dt in (0.2, 0.13):
+            assert np.allclose(operator.step(density, dt),
+                               _reference_diffuse(density, grid, 0.4, dt),
+                               rtol=0.0, atol=1e-13)
+        assert factorizations == []
+
+    def test_repeated_r_reuses_its_entry(self, grid):
+        operator = CrankNicolsonDiffusion(grid, sigma=0.5)
+        density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
+        operator.step(density, 0.1)
+        (entry,) = operator._steps.values()
+        operator.step(density, 0.2)
+        operator.step(density, 0.1)
+        assert len(operator._steps) == 2
+        assert next(reversed(operator._steps.values())) is entry
+
+    def test_operator_cache_is_bounded(self, grid):
+        operator = CrankNicolsonDiffusion(grid, sigma=0.5)
+        density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
+        for dt in np.linspace(0.01, 0.2, 20):
+            operator.step(density, dt)
+        assert len(operator._steps) == 16
 
     def test_dense_and_factorized_paths_agree(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
@@ -129,8 +164,7 @@ class TestCrankNicolsonDiffusionOperator:
     def test_preallocated_out(self, grid):
         operator = CrankNicolsonDiffusion(grid, sigma=0.5)
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        operator.step(density, 0.1)
-        operator.step(density, 0.1)  # warm the cache past the dense upgrade
+        operator.step(density, 0.1)  # warm the operator cache
         out = np.empty_like(density)
         returned = operator.step(density, 0.1, out=out)
         assert returned is out

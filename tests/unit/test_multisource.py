@@ -62,6 +62,14 @@ class TestJainFairnessIndex:
     def test_all_zero_is_fair(self):
         assert jain_fairness_index([0.0, 0.0]) == 1.0
 
+    def test_scale_invariant_outside_normal_range(self):
+        # (Σx)² and Σx² under- or overflow here; the index must not.
+        assert jain_fairness_index([2.450144079483796e-162] * 2) == 1.0
+        assert jain_fairness_index([1e200, 1e200]) == 1.0
+        # The doubles nearest 1e-170 and 3e-170 are 1:3 to one ulp.
+        assert jain_fairness_index([1e-170, 3e-170]) == pytest.approx(
+            0.8, rel=1e-15)
+
     def test_negative_rejected(self):
         with pytest.raises(AnalysisError):
             jain_fairness_index([1.0, -1.0])

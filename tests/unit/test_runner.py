@@ -286,6 +286,29 @@ class TestRunJobs:
         with pytest.raises(ConfigurationError):
             run_jobs(self._jobs([1.0]), n_jobs=0)
 
+    def test_window_refilled_before_durable_writes(self, tmp_path,
+                                                   monkeypatch):
+        from repro.runner import executor
+
+        events = []
+
+        class LoggingPool(executor.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                events.append("submit")
+                return super().submit(*args, **kwargs)
+
+        class LoggingCache(ResultCache):
+            def put(self, key, value, meta=None):
+                events.append("put")
+                super().put(key, value, meta)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", LoggingPool)
+        result = run_jobs(self._jobs([1.0, 2.0, 3.0]), n_jobs=2,
+                          cache=LoggingCache(tmp_path))
+        assert result.values == [1.0, 4.0, 9.0]
+        third_submit = [i for i, e in enumerate(events) if e == "submit"][2]
+        assert third_submit < events.index("put")
+
     def test_array_results_cache_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = [JobSpec(array_result, overrides={"n": 5})]

@@ -133,7 +133,7 @@ class TestADIStepper:
         adi = ADIStepper(solver.grid, params.sigma, backend, solver.boundary)
         drift = solver._static_drift
         for stepper in (axis, adi):
-            stepper.begin(True, False)
+            stepper.begin(False)
             stepper.set_drift(drift)
         assert adi.free_running_dt(0.8) == pytest.approx(
             2.0 * axis.free_running_dt(0.8))

@@ -5,7 +5,8 @@ two things: it *times* the underlying computation with pytest-benchmark and
 it *prints* the rows/series of the corresponding paper figure or claim (run
 with ``pytest benchmarks/ --benchmark-only -s`` to see them).  Qualitative
 assertions guard the shape of each result so a regression in the physics is
-caught even when only the benchmarks are run.
+caught; ``pytest benchmarks/ --benchmark-disable -q`` runs those assertions
+once each with timing off, as CI does.
 """
 
 from __future__ import annotations

@@ -173,10 +173,3 @@ def is_convergent_spiral(trajectory: CharacteristicTrajectory,
     except AnalysisError:
         return True
     return analysis.converges
-
-
-def oscillation_period_from_peaks(analysis: SpiralAnalysis) -> float:
-    """Mean time between successive peaks (NaN with fewer than two peaks)."""
-    if analysis.peak_times.size < 2:
-        return float("nan")
-    return float(np.mean(np.diff(analysis.peak_times)))

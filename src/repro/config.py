@@ -20,7 +20,7 @@ errors surface where the mistake was made rather than deep inside a solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Type
 
 from .exceptions import ConfigurationError
@@ -296,11 +296,3 @@ class DelayParameters(ParameterDictMixin):
     def __post_init__(self) -> None:
         _require(self.delay >= 0.0, "delay must be non-negative")
         _require(self.history_dt > 0.0, "history_dt must be positive")
-
-
-@dataclass
-class SweepResult:
-    """Container pairing a swept parameter value with an arbitrary result."""
-
-    parameter: float
-    result: object = field(default=None)

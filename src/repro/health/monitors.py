@@ -254,7 +254,11 @@ class HealthMonitor:
     def check_min_step(self, dt: float, min_dt: float, t: float, *,
                        label: str = "adaptive integrator") -> bool:
         """Step-size collapse in an adaptive integrator (strict aborts;
-        otherwise the caller's original error still follows)."""
+        otherwise the caller's original error still follows).
+
+        No integrator in ``src/`` calls it, but ``perfbench/tracer.py``
+        wraps it by name, so removing it breaks every traced benchmark run.
+        """
         if dt >= min_dt:
             return False
         return self._fire(

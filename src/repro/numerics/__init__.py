@@ -27,9 +27,7 @@ from .ode import (
     euler_step,
     rk4_step,
     integrate_fixed,
-    integrate_adaptive,
     integrate_fixed_batch,
-    integrate_adaptive_batch,
     ODEResult,
     BatchODEResult,
 )
@@ -60,9 +58,7 @@ __all__ = [
     "euler_step",
     "rk4_step",
     "integrate_fixed",
-    "integrate_adaptive",
     "integrate_fixed_batch",
-    "integrate_adaptive_batch",
     "ODEResult",
     "BatchODEResult",
     "DelayBuffer",

@@ -2,16 +2,15 @@
 
 The characteristic system of Section 5 (``dq/dt = λ − μ``, ``dλ/dt = g``) is
 integrated with the classical fourth-order Runge-Kutta method on a fixed
-step, or with an embedded Runge-Kutta-Fehlberg 4(5) adaptive step for the
-longer fairness runs.  Both return an :class:`ODEResult` that stores the full
-time series so downstream analyses (oscillation detection, convergence
+step.  :func:`integrate_fixed` returns an :class:`ODEResult` that stores the
+full time series so downstream analyses (oscillation detection, convergence
 detection, Poincaré sections) can operate on the trajectory directly.
 
 A small event facility is provided: an ``event`` callable evaluated on the
 state can terminate integration when it changes sign, used for example to
 detect crossings of the ``q = q̂`` switching line.
 
-Batched variants integrate a whole *family* of trajectories as one
+The batched variant integrates a whole *family* of trajectories as one
 state block: :func:`integrate_fixed_batch` steps every trajectory of the
 block through the identical RK4 update (so a batch of one is bit-identical
 to :func:`integrate_fixed`), records into preallocated storage, and handles
@@ -21,9 +20,7 @@ C-contiguous ``(dim, n_active)`` array, one contiguous row per state
 component -- and its callbacks receive the ``.T`` view of it: the
 ``(n_active, dim)`` shape of :data:`BatchRHS`, but not C-contiguous.
 Callbacks must not mutate or keep that view, and must return a fresh array.
-:func:`integrate_adaptive_batch` is the embedded 4(5) analogue with a
-per-trajectory time, step size and accept/reject mask.  Both return a
-:class:`BatchODEResult`.
+The engine returns a :class:`BatchODEResult`.
 """
 
 from __future__ import annotations
@@ -39,9 +36,8 @@ from .interpolate import interp_columns
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..health import HealthMonitor
 
-__all__ = ["euler_step", "rk4_step", "integrate_fixed", "integrate_adaptive",
-           "integrate_fixed_batch", "integrate_adaptive_batch",
-           "ODEResult", "BatchODEResult"]
+__all__ = ["euler_step", "rk4_step", "integrate_fixed",
+           "integrate_fixed_batch", "ODEResult", "BatchODEResult"]
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
@@ -50,13 +46,12 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 #: integer array of *original* trajectory indices those rows correspond to
 #: (so per-trajectory parameter columns can be gathered after the engine has
 #: compacted finished trajectories away), and returns the ``(n_active, dim)``
-#: derivative.  ``t`` is a scalar for the fixed-step engine and an
-#: ``(n_active,)`` array for the adaptive engine.  The fixed-step engine
+#: derivative.  ``t`` is the scalar time shared by the batch.  The engine
 #: hands over a non-C-contiguous view of its component-major block (so
 #: ``states[:, 0]`` is contiguous); the block is the engine's own: a callback
 #: must not mutate it or keep a reference to it, and must return a fresh
 #: array.
-BatchRHS = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
+BatchRHS = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -211,9 +206,7 @@ class BatchODEResult:
     Attributes
     ----------
     times:
-        Sample times.  Shape ``(n,)`` when all trajectories share the fixed
-        step grid, or ``(n, batch)`` when each trajectory owns its grid
-        (the adaptive engine).
+        Sample times shared by every trajectory, shape ``(n,)``.
     states:
         State block, shape ``(n, batch, dim)``.  Rows past a trajectory's
         ``n_samples`` are frozen copies of its last valid sample, so
@@ -244,11 +237,6 @@ class BatchODEResult:
         return self.states.shape[2]
 
     @property
-    def shared_grid(self) -> bool:
-        """Whether all trajectories share one time grid."""
-        return self.times.ndim == 1
-
-    @property
     def final_states(self) -> np.ndarray:
         """Last valid state of every trajectory, shape ``(batch, dim)``."""
         rows = self.n_samples - 1
@@ -257,10 +245,7 @@ class BatchODEResult:
     @property
     def final_times(self) -> np.ndarray:
         """Last valid sample time of every trajectory, shape ``(batch,)``."""
-        rows = self.n_samples - 1
-        if self.shared_grid:
-            return self.times[rows]
-        return self.times[rows, np.arange(self.batch_size)]
+        return self.times[self.n_samples - 1]
 
     def component(self, index: int) -> np.ndarray:
         """All trajectories of one state component, shape ``(n, batch)``.
@@ -283,8 +268,7 @@ class BatchODEResult:
         they are bit-identical to the output of :func:`integrate_fixed`.
         """
         n = int(self.n_samples[index])
-        times = self.times[:n] if self.shared_grid else self.times[:n, index]
-        return ODEResult(times, self.states[:n, index],
+        return ODEResult(self.times[:n], self.states[:n, index],
                          self.event_time(index))
 
     def trajectories(self) -> List[ODEResult]:
@@ -474,229 +458,3 @@ def integrate_fixed_batch(rhs: BatchRHS,
     return BatchODEResult(times=times[:n_rows], states=states_view,
                           n_samples=n_samples, event_times=event_times,
                           failed=failed)
-
-
-# Coefficients of the Runge-Kutta-Fehlberg 4(5) embedded pair.
-_RKF_A = [
-    [],
-    [1.0 / 4.0],
-    [3.0 / 32.0, 9.0 / 32.0],
-    [1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0],
-    [439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0],
-    [-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0],
-]
-_RKF_C = [0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0]
-_RKF_B4 = [25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0]
-_RKF_B5 = [16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
-           -9.0 / 50.0, 2.0 / 55.0]
-
-
-def integrate_adaptive(rhs: RHS, initial_state: Sequence[float], t_end: float,
-                       t_start: float = 0.0, rtol: float = 1e-6,
-                       atol: float = 1e-9, initial_dt: float = 1e-2,
-                       max_dt: float = 1.0, min_dt: float = 1e-10,
-                       projection: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                       max_steps: int = 2_000_000,
-                       health: Optional["HealthMonitor"] = None) -> ODEResult:
-    """Integrate with the adaptive Runge-Kutta-Fehlberg 4(5) method.
-
-    The step size is controlled so the estimated local error stays below
-    ``atol + rtol * |state|`` component-wise.  An optional *health* monitor
-    reports step-size collapse and non-finite states (typed abort under
-    ``strict``; record-only otherwise — the adaptive controller already
-    owns the step size, so there is no separate repair).
-    """
-    state = np.asarray(initial_state, dtype=float).copy()
-    t = t_start
-    dt = initial_dt
-    times: List[float] = [t]
-    states: List[np.ndarray] = [state.copy()]
-
-    for _ in range(max_steps):
-        if t >= t_end:
-            break
-        dt = min(dt, t_end - t, max_dt)
-        if dt < min_dt:
-            if health is not None:
-                health.check_min_step(dt, min_dt, t,
-                                      label="adaptive ODE")
-            raise ConvergenceError(
-                "adaptive ODE step shrank below the minimum allowed",
-                residual=dt)
-
-        ks = []
-        for stage in range(6):
-            increment = np.zeros_like(state)
-            for j, a in enumerate(_RKF_A[stage]):
-                increment = increment + a * ks[j]
-            ks.append(np.asarray(
-                rhs(t + _RKF_C[stage] * dt, state + dt * increment), dtype=float))
-
-        order4 = state + dt * sum(
-            b * k for b, k in zip(_RKF_B4, ks, strict=True))
-        order5 = state + dt * sum(
-            b * k for b, k in zip(_RKF_B5, ks, strict=True))
-        error = np.abs(order5 - order4)
-        scale = atol + rtol * np.maximum(np.abs(state), np.abs(order5))
-        error_ratio = float(np.max(error / scale))
-
-        if error_ratio <= 1.0 or dt <= min_dt * 2.0:
-            state = order5
-            if projection is not None:
-                state = projection(state)
-            t += dt
-            if not np.all(np.isfinite(state)):
-                if health is not None:
-                    health.check_finite_block(state[None, :], t,
-                                              label="adaptive ODE",
-                                              fatal=True)
-                raise StabilityError(
-                    f"adaptive ODE state became non-finite at t={t:.6g}")
-            times.append(t)
-            states.append(state.copy())
-
-        # Standard safety-factor step-size update.
-        if error_ratio == 0.0:
-            dt *= 2.0
-        else:
-            dt *= min(2.0, max(0.2, 0.9 * error_ratio ** -0.2))
-    if t < t_end:
-        raise ConvergenceError("adaptive ODE integration exceeded max_steps",
-                               iterations=max_steps)
-
-    return ODEResult(np.asarray(times), np.asarray(states))
-
-
-def integrate_adaptive_batch(rhs: BatchRHS,
-                             initial_states: Sequence[Sequence[float]],
-                             t_end: float, t_start: float = 0.0,
-                             rtol: float = 1e-6, atol: float = 1e-9,
-                             initial_dt: float = 1e-2, max_dt: float = 1.0,
-                             min_dt: float = 1e-10,
-                             projection: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                             max_steps: int = 2_000_000,
-                             health: Optional["HealthMonitor"] = None
-                             ) -> BatchODEResult:
-    """Adaptive Runge-Kutta-Fehlberg 4(5) over a ``(batch, dim)`` family.
-
-    Each trajectory carries its own clock and step size; one loop iteration
-    attempts a step for every live trajectory simultaneously and accepts or
-    rejects per trajectory through a step mask.  Error control, the step-size
-    update and the stage arithmetic are the element-wise images of
-    :func:`integrate_adaptive`, so a batch of one reproduces the scalar
-    adaptive integrator bit for bit.  Because accepted times differ across
-    the batch, the result carries a per-trajectory time grid
-    (``times`` of shape ``(n, batch)``).
-
-    *rhs* receives the per-trajectory stage times as an ``(n_active,)``
-    array (see :data:`BatchRHS`); an autonomous right-hand side can simply
-    ignore them.
-    """
-    states = _as_state_block(initial_states)
-    batch, dim = states.shape
-
-    t = np.full(batch, float(t_start))
-    dt = np.full(batch, float(initial_dt))
-    attempts = np.zeros(batch, dtype=np.int64)
-
-    capacity = 256
-    times = np.empty((capacity, batch))
-    storage = np.empty((capacity, batch, dim))
-    times[0] = t_start
-    storage[0] = states
-    n_samples = np.ones(batch, dtype=np.intp)
-
-    active = np.arange(batch)
-    while active.size:
-        done = t[active] >= t_end
-        if done.any():
-            keep = ~done
-            active = active[keep]
-            states = states[keep]
-            if active.size == 0:
-                break
-        t_act = t[active]
-        dt_act = np.minimum(np.minimum(dt[active], t_end - t_act), max_dt)
-        if (dt_act < min_dt).any():
-            if health is not None:
-                worst = int(np.argmin(dt_act))
-                health.check_min_step(float(dt_act.min()), min_dt,
-                                      float(t_act[worst]),
-                                      label="batched adaptive ODE")
-            raise ConvergenceError(
-                "adaptive ODE step shrank below the minimum allowed",
-                residual=float(dt_act.min()))
-
-        dt_col = dt_act[:, None]
-        ks: List[np.ndarray] = []
-        for stage in range(6):
-            increment = np.zeros_like(states)
-            for j, a in enumerate(_RKF_A[stage]):
-                increment = increment + a * ks[j]
-            ks.append(np.asarray(
-                rhs(t_act + _RKF_C[stage] * dt_act,
-                    states + dt_col * increment, active), dtype=float))
-
-        order4 = states + dt_col * sum(
-            b * k for b, k in zip(_RKF_B4, ks, strict=True))
-        order5 = states + dt_col * sum(
-            b * k for b, k in zip(_RKF_B5, ks, strict=True))
-        error = np.abs(order5 - order4)
-        scale = atol + rtol * np.maximum(np.abs(states), np.abs(order5))
-        error_ratio = np.max(error / scale, axis=1)
-
-        accepted = (error_ratio <= 1.0) | (dt_act <= min_dt * 2.0)
-        if accepted.any():
-            rows = active[accepted]
-            updated = order5[accepted]
-            if projection is not None:
-                updated = projection(updated)
-            t_new = t_act[accepted] + dt_act[accepted]
-            if not np.isfinite(updated).all():
-                bad = t_new[~np.isfinite(updated).all(axis=1)]
-                if health is not None:
-                    health.check_finite_block(updated, float(bad[0]),
-                                              label="batched adaptive ODE",
-                                              fatal=True)
-                raise StabilityError(
-                    f"adaptive ODE state became non-finite at "
-                    f"t={float(bad[0]):.6g}")
-            states[accepted] = updated
-            t[rows] = t_new
-            slots = n_samples[rows]
-            if int(slots.max()) >= capacity:
-                capacity *= 2
-                times = np.concatenate(
-                    [times, np.empty_like(times)], axis=0)
-                storage = np.concatenate(
-                    [storage, np.empty_like(storage)], axis=0)
-            times[slots, rows] = t_new
-            storage[slots, rows] = updated
-            n_samples[rows] = slots + 1
-
-        # Standard safety-factor step-size update, element-wise.  The power
-        # is evaluated per element with scalar pow: numpy's vectorized pow
-        # kernel can differ from libm by one ulp, which would break the
-        # bit-identity of the step schedule with the scalar integrator.
-        nonzero = error_ratio != 0.0
-        factor = np.ones_like(error_ratio)
-        factor[nonzero] = [0.9 * float(ratio) ** -0.2
-                           for ratio in error_ratio[nonzero]]
-        shrunk = dt_act * np.minimum(2.0, np.maximum(0.2, factor))
-        dt[active] = np.where(nonzero, shrunk, 2.0 * dt_act)
-
-        attempts[active] += 1
-        exhausted = (attempts[active] >= max_steps) & (t[active] < t_end)
-        if exhausted.any():
-            raise ConvergenceError(
-                "adaptive ODE integration exceeded max_steps",
-                iterations=max_steps)
-
-    n_rows = int(n_samples.max())
-    times = times[:n_rows]
-    storage = storage[:n_rows]
-    _freeze_tails(times[:, :, None], n_samples, n_rows)
-    _freeze_tails(storage, n_samples, n_rows)
-    return BatchODEResult(times=times, states=storage, n_samples=n_samples,
-                          event_times=np.full(batch, np.nan),
-                          failed=np.zeros(batch, dtype=bool))

@@ -8,6 +8,7 @@ of ``retention="full"`` against the frozen seed traces.
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -389,6 +390,21 @@ class TestEnsembleRetention:
         threshold = 2.0 * params.q_target
         assert streamed.overflow_probability(threshold) == \
             full.overflow_probability(threshold)
+
+    def test_moments_peak_memory_below_full_path_array(self):
+        # Each shard is folded and dropped, so the streamed working set is
+        # one shard's path block plus the accumulators: it must stay below
+        # the full history that retention="full" returns.
+        params, control, common = self._ensembles(t_end=10.0, dt=0.05,
+                                                  n_paths=8000, n_shards=32)
+        tracemalloc.start()
+        try:
+            run_ensemble(control, params, retention="moments", **common)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = run_ensemble(control, params, **common)
+        assert peak < full.paths.paths.nbytes
 
     def test_full_memmap_bit_identical(self, tmp_path):
         params, control, common = self._ensembles()

@@ -37,10 +37,16 @@ SEED_GOLDEN = {
     "highsigma": (0.9999999999998861, 4.796532807903856, 12.58468646800706,
                   0.041429428582635715, 0.048955174714521286,
                   -0.2733250825247134),
+    # The E4 density-evolution scale: E4_GRID, E4_TIME, σ = 0.5, start at
+    # (0, 0.5).
+    "e4": (1.000000000000064, 6.974821743261868, 9.551925516828446,
+           0.11082912972718366, 0.12315971829619338, -0.08615347860750913),
 }
 
 GRID = GridParameters(q_max=30.0, nq=60, v_min=-1.2, v_max=1.2, nv=48)
 TIME = TimeParameters(t_end=20.0, dt=0.5, snapshot_every=4)
+E4_GRID = GridParameters(q_max=40.0, nq=200, v_min=-1.5, v_max=1.5, nv=101)
+E4_TIME = TimeParameters(t_end=60.0, dt=0.5, snapshot_every=10)
 CONTROL_KW = dict(c0=0.05, c1=0.2, q_target=10.0)
 
 
@@ -94,6 +100,15 @@ class TestSeedGoldenValues:
             2.0, 0.6, TimeParameters(t_end=10.0, dt=0.5, snapshot_every=4))
         _assert_close(_moment_tuple(result.final_moments),
                       SEED_GOLDEN["highsigma"], tol=1e-12)
+
+    def test_e4_scale_canonical(self, jrj_control, backend_name):
+        params = SystemParameters(mu=1.0, sigma=0.5, backend=backend_name,
+                                  **CONTROL_KW)
+        result = FokkerPlanckSolver(params, jrj_control, grid_params=E4_GRID
+                                    ).solve_from_point(0.0, 0.5, E4_TIME)
+        assert len(result.snapshots) == 13
+        _assert_close(_moment_tuple(result.final_moments),
+                      SEED_GOLDEN["e4"], tol=1e-12)
 
     def test_repeated_solves_are_deterministic(self, jrj_control,
                                                backend_name):

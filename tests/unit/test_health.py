@@ -53,6 +53,7 @@ from repro.health.report import MAX_STORED_REPORTS, TREND_WINDOW
 from repro.core import compute_moments
 from repro.numerics.grids import PhaseGrid2D
 from repro.numerics.sde import euler_maruyama
+from repro.queueing.scenarios import dumbbell_scenario
 from repro.runner.faults import FaultPlan
 from repro.runner.journal import RunJournal
 from repro.runner.spec import JobSpec
@@ -485,18 +486,20 @@ class TestDesIntegration:
                                          seed=11)
 
     def test_off_and_observe_bitwise_identical(self):
-        off = Simulator(self._config(), health="off").run(self.DURATION)
-        observed = Simulator(self._config(),
-                             health="observe").run(self.DURATION)
-        assert off.health is None
-        assert observed.health is not None
-        assert observed.health.n_reports == 0
-        assert off.throughputs == observed.throughputs
-        assert off.events_executed == observed.events_executed
-        assert np.array_equal(off.trace.queue_length.times,
-                              observed.trace.queue_length.times)
-        assert np.array_equal(off.trace.queue_length.values,
-                              observed.trace.queue_length.values)
+        runs = [(self._config(), self.DURATION),
+                (dumbbell_scenario(n_sources=64, seed=11), 40.0)]
+        for config, duration in runs:
+            off = Simulator(config, health="off").run(duration)
+            observed = Simulator(config, health="observe").run(duration)
+            assert off.health is None
+            assert observed.health is not None
+            assert observed.health.n_reports == 0
+            assert off.throughputs == observed.throughputs
+            assert off.events_executed == observed.events_executed
+            assert np.array_equal(off.trace.queue_length.times,
+                                  observed.trace.queue_length.times)
+            assert np.array_equal(off.trace.queue_length.values,
+                                  observed.trace.queue_length.values)
 
     def test_strict_negative_queue_fault_aborts_typed(self):
         arm_numerical_fault("negative-queue")

@@ -7,7 +7,6 @@ from repro.exceptions import ConvergenceError, StabilityError
 from repro.numerics.ode import (
     ODEResult,
     euler_step,
-    integrate_adaptive,
     integrate_fixed,
     rk4_step,
 )
@@ -79,20 +78,3 @@ class TestIntegrateFixed:
     def test_nonfinite_state_detected(self):
         with pytest.raises(StabilityError):
             integrate_fixed(lambda t, s: s ** 3, [5.0], t_end=10.0, dt=0.5)
-
-
-class TestIntegrateAdaptive:
-    def test_exponential_decay_accuracy(self):
-        result = integrate_adaptive(exponential_decay, [1.0], t_end=3.0,
-                                    rtol=1e-8, atol=1e-10)
-        assert result.final_state[0] == pytest.approx(np.exp(-3.0), rel=1e-6)
-
-    def test_reaches_end_time(self):
-        result = integrate_adaptive(harmonic_oscillator, [0.0, 1.0], t_end=5.0)
-        assert result.final_time == pytest.approx(5.0, abs=1e-9)
-
-    def test_step_count_smaller_for_smooth_problem(self):
-        result = integrate_adaptive(exponential_decay, [1.0], t_end=1.0,
-                                    rtol=1e-4, atol=1e-6)
-        fixed = integrate_fixed(exponential_decay, [1.0], t_end=1.0, dt=1e-3)
-        assert result.times.size < fixed.times.size

@@ -1,4 +1,4 @@
-"""Unit tests of the batched ODE engine (fixed and adaptive RK4)."""
+"""Unit tests of the batched fixed-step RK4 engine."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from repro.numerics.interpolate import interp_columns
 from repro.numerics.ode import (
     BatchODEResult,
     ODEResult,
-    integrate_adaptive,
-    integrate_adaptive_batch,
     integrate_fixed,
     integrate_fixed_batch,
 )
@@ -205,7 +203,6 @@ class TestIntegrateFixedBatch:
         batch = integrate_fixed_batch(batch_oscillator, INITIALS,
                                       t_end=2.0, dt=0.1)
         assert isinstance(batch, BatchODEResult)
-        assert batch.shared_grid
         assert batch.batch_size == len(INITIALS)
         assert batch.final_states.shape == (len(INITIALS), 2)
         assert batch.component(0).shape == (batch.times.size, len(INITIALS))
@@ -261,48 +258,6 @@ class TestIntegrateFixedBatchHealth:
         assert report.time == 1.0
         assert log.repairs == ({"finiteness": 1} if action == "repair"
                                else {})
-
-
-class TestIntegrateAdaptiveBatch:
-    def test_bitwise_identical_to_scalar(self):
-        batch = integrate_adaptive_batch(batch_oscillator, INITIALS,
-                                         t_end=20.0)
-        for index, initial in enumerate(INITIALS):
-            reference = integrate_adaptive(scalar_oscillator, initial,
-                                           t_end=20.0)
-            member = batch.trajectory(index)
-            assert np.array_equal(reference.times, member.times)
-            assert np.array_equal(reference.states, member.states)
-
-        # Reaching t_end on exactly the max_steps-th step is a completed run.
-        boundary = dict(t_end=0.01, initial_dt=0.01, max_steps=1)
-        reference = integrate_adaptive(lambda t, s: -s, [1.0], **boundary)
-        member = integrate_adaptive_batch(lambda t, s, i: -s, [[1.0]],
-                                          **boundary).trajectory(0)
-        assert reference.times.size == 2
-        assert np.array_equal(reference.times, member.times)
-        assert np.array_equal(reference.states, member.states)
-
-    def test_per_trajectory_time_grids(self):
-        batch = integrate_adaptive_batch(batch_oscillator, INITIALS,
-                                         t_end=5.0)
-        assert not batch.shared_grid
-        assert batch.times.shape == (batch.states.shape[0], len(INITIALS))
-        # Every trajectory reaches the horizon on its own grid.
-        assert np.allclose(batch.final_times, 5.0)
-
-    def test_projection_forwarded(self):
-        def rhs(t, states, indices):
-            return np.full_like(states, -1.0)
-
-        batch = integrate_adaptive_batch(rhs, [[0.2, 0.4]], t_end=2.0,
-                                         projection=lambda s: np.maximum(s, 0.0))
-        assert np.all(batch.states >= 0.0)
-
-    def test_max_steps_enforced(self):
-        with pytest.raises(ConvergenceError):
-            integrate_adaptive_batch(batch_oscillator, INITIALS, t_end=20.0,
-                                     max_steps=3)
 
 
 class TestResampleVectorized:

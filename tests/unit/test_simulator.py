@@ -1,10 +1,13 @@
 """Unit tests for sources, network configuration and the full simulator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import NetworkConfig, SimulationResult, Simulator, SourceConfig
 from repro.exceptions import ConfigurationError
+from repro.queueing.scenarios import dumbbell_scenario
 from repro.workloads import (
     packet_level_jrj_scenario,
     packet_level_window_scenario,
@@ -143,3 +146,61 @@ class TestWindowBasedSimulation:
                                               round_trip_delays=[0.5, 0.5])
         result = Simulator(config).run(duration=300.0)
         assert result.fairness_index() > 0.95
+
+
+def _trace_digest(trace):
+    """SHA-256 over the raw bytes of every series and counter of a trace."""
+    digest = hashlib.sha256()
+    digest.update(trace.queue_length.times.tobytes())
+    digest.update(trace.queue_length.values.tobytes())
+    for key in sorted(trace.source_rates):
+        digest.update(trace.source_rates[key].times.tobytes())
+        digest.update(trace.source_rates[key].values.tobytes())
+    for counts in (trace.deliveries, trace.losses):
+        digest.update(np.array(sorted(counts.items()), dtype=np.int64)
+                      .tobytes())
+    return digest.hexdigest()
+
+
+class TestSeedStackTracePins:
+    """Event counts and trace digests of the seed simulator stack.
+
+    Recorded from an inline copy of the seed DES stack (commit ``c0f79ee``:
+    event queue, rate and window sources, bottleneck queue, feedback
+    channels), which matched the production simulator bit for bit on each
+    configuration.  The production simulator must keep reproducing them.
+    """
+
+    @pytest.mark.parametrize("config, duration, events, digest", [
+        pytest.param(
+            packet_level_jrj_scenario(n_sources=1, service_rate=10.0, seed=3),
+            60.0, 1601,
+            "2c9885513d68920a95e23bcdcc0532923cb9b8aa30338cc5ff041160bd52e000",
+            id="jrj-1"),
+        pytest.param(
+            packet_level_jrj_scenario(n_sources=2, service_rate=10.0, seed=7),
+            60.0, 2121,
+            "fa904a0785da70b6e3a85c8e7c88a4cca74c89c25451aa8efaa02c3c72215c07",
+            id="jrj-2"),
+        pytest.param(
+            packet_level_window_scenario(n_sources=2, service_rate=10.0,
+                                         buffer_size=20, scheme="jacobson"),
+            60.0, 1276,
+            "7b5f9ee3b29c55ffbb9d0fa019f8ea79ffc6c2bd7164eb7b5e2c36d118a76f14",
+            id="jacobson-2"),
+        pytest.param(
+            packet_level_window_scenario(n_sources=2, service_rate=10.0,
+                                         buffer_size=40, scheme="decbit"),
+            60.0, 1486,
+            "371d70d12b7c71fb7d771168969702db7f2e0eef3fe2cc2d1d58d7b5f6b823fe",
+            id="decbit-2"),
+        pytest.param(
+            dumbbell_scenario(n_sources=64, seed=11),
+            40.0, 42706,
+            "1220e4467074fa0a679e5495a72c12c2eb3ef9c564fc5d352f599b1fe8927cd4",
+            id="dumbbell-64"),
+    ])
+    def test_trace_matches_seed_stack(self, config, duration, events, digest):
+        result = Simulator(config).run(duration)
+        assert result.events_executed == events
+        assert _trace_digest(result.trace) == digest

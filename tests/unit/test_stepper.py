@@ -11,6 +11,7 @@ from repro import (
     TimeParameters,
 )
 from repro.core.boundary import BoundaryConditions
+from repro.core.diffusion import DENSE_NQ_LIMIT
 from repro.core.stepper import (
     ADIStepper,
     AxisSplitStepper,
@@ -105,6 +106,8 @@ class TestADIStepper:
             reference.estimate.mean_growth_rate, abs=1e-6)
         assert np.sqrt(moments.var_q) == pytest.approx(
             reference.estimate.std_queue, abs=1e-6)
+        assert np.sqrt(moments.var_v) == pytest.approx(
+            reference.estimate.std_growth_rate, abs=1e-6)
 
     def test_mass_conserved_and_nonnegative(self, jrj_control):
         params = SystemParameters(mu=1.0, sigma=0.4, stepper="adi",
@@ -123,6 +126,39 @@ class TestADIStepper:
                        jrj_control)
         assert np.allclose(other.final_density, reference.final_density,
                            rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_transient_tracks_axis(self, jrj_control, sigma):
+        # Both steppers discretize the same PDE, so their mean queues must
+        # track each other over a short transient.
+        grid = GridParameters(q_max=40.0, nq=120, v_min=-1.5, v_max=1.5,
+                              nv=61)
+        time = TimeParameters(t_end=3.0, dt=0.75, snapshot_every=4)
+
+        def final_moments(stepper):
+            params = SystemParameters(mu=1.0, sigma=sigma, stepper=stepper,
+                                      **CONTROL_KW)
+            return _march(params, jrj_control, time=time,
+                          grid=grid).final_moments
+
+        axis, adi = final_moments("axis"), final_moments("adi")
+        assert abs(adi.mean_q - axis.mean_q) <= 0.1 * abs(axis.mean_q)
+        for moments in (axis, adi):
+            assert moments.mass == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_above_dense_operator_limit(self, jrj_control, stepper):
+        # Past DENSE_NQ_LIMIT the axis stepper's Crank-Nicolson step falls
+        # back to subcycled tridiagonal solves.
+        grid = GridParameters(q_max=40.0, nq=DENSE_NQ_LIMIT + 8, v_min=-1.5,
+                              v_max=1.5, nv=8)
+        params = SystemParameters(mu=1.0, sigma=2.0, stepper=stepper,
+                                  **CONTROL_KW)
+        moments = _march(params, jrj_control, grid=grid,
+                         time=TimeParameters(t_end=1.0, dt=0.25,
+                                             snapshot_every=4)).final_moments
+        assert np.isfinite(moments.mean_q)
+        assert moments.mass == pytest.approx(1.0, abs=1e-8)
 
     def test_free_running_step_doubles_axis_cfl(self, jrj_control):
         params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)

@@ -179,20 +179,31 @@ class TestBatchedCharacteristics:
 
 class TestVerifyTheorem1Batch:
     def test_verdicts_bitwise_equal_scalar(self, canonical_params):
-        c0_values = [0.025, 0.05, 0.1, 0.2]
-        batch = verify_theorem1_batch(canonical_params, t_end=400.0,
-                                      columns={"c0": c0_values})
-        for c0, batched in zip(c0_values, batch, strict=True):
-            scalar = verify_theorem1(replace(canonical_params, c0=c0),
-                                     t_end=400.0)
-            assert scalar.converges == batched.converges
-            assert scalar.final_queue_error == batched.final_queue_error
-            assert scalar.final_rate_error == batched.final_rate_error
-            assert scalar.mean_contraction_ratio == \
-                batched.mean_contraction_ratio
-            assert scalar.n_oscillations == batched.n_oscillations
-            assert np.array_equal(scalar.trajectory.queue,
-                                  batched.trajectory.queue)
+        families = [
+            ({"c0": [0.025, 0.05, 0.1, 0.2]}, 400.0, 0.02),
+            # A 4 x 4 (c0, c1) gain grid: both columns vary per member.
+            ({"c0": np.repeat(np.linspace(0.02, 0.2, 4), 4),
+              "c1": np.tile(np.linspace(0.1, 0.6, 4), 4)}, 40.0, 0.05),
+        ]
+        for columns, t_end, dt in families:
+            batch = verify_theorem1_batch(canonical_params, t_end=t_end,
+                                          dt=dt, columns=columns)
+            assert len(batch) == len(columns["c0"])
+            for index, batched in enumerate(batch):
+                point = {name: float(values[index])
+                         for name, values in columns.items()}
+                scalar = verify_theorem1(replace(canonical_params, **point),
+                                         t_end=t_end, dt=dt)
+                assert scalar.converges == batched.converges, point
+                assert scalar.final_queue_error == batched.final_queue_error
+                assert scalar.final_rate_error == batched.final_rate_error
+                assert scalar.mean_contraction_ratio == \
+                    batched.mean_contraction_ratio
+                assert scalar.n_oscillations == batched.n_oscillations
+                assert np.array_equal(scalar.trajectory.queue,
+                                      batched.trajectory.queue)
+                assert np.array_equal(scalar.trajectory.rate,
+                                      batched.trajectory.rate)
 
     def test_default_horizon_covers_every_member(self, canonical_params):
         batch = verify_theorem1_batch(canonical_params,

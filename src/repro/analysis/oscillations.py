@@ -19,6 +19,11 @@ from ..exceptions import AnalysisError
 __all__ = ["OscillationMetrics", "OscillationMetricsBatch",
            "oscillation_metrics", "oscillation_metrics_batch"]
 
+#: Elements per column block of :func:`oscillation_metrics_batch` (512 KiB
+#: of float64 window rows): its temporaries stay a few times this size
+#: whatever the batch.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class OscillationMetrics:
@@ -97,9 +102,11 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
                               ) -> OscillationMetricsBatch:
     """Column-wise oscillation metrics of a ``(n, batch)`` block.
 
-    The final *steady_fraction* of the samples is transposed once into
-    contiguous rows, and every field is a row-wise reduction: amplitude from
-    the row extremes, peaks from the local-maximum mask of
+    The final *steady_fraction* of the samples is analysed in blocks of
+    columns, each transposed once into contiguous rows of at most
+    ``_BLOCK_ELEMENTS`` elements, so no temporary grows with the batch.
+    Every field is a row-wise reduction: amplitude from the row extremes,
+    peaks from the local-maximum mask of
     :func:`~repro.numerics.spectral.detect_peaks`, the mean, and the period
     from one ``rfft`` over the sustained rows with the power test of
     :func:`~repro.numerics.spectral.dominant_period`.  Reductions along a
@@ -121,34 +128,46 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
 
     start = int((1.0 - steady_fraction) * times.size)
     window_times = times[start:]
-    rows = np.ascontiguousarray(values[start:].T)
-    batch, width = rows.shape
-
-    amplitude = 0.5 * (rows.max(axis=1) - rows.min(axis=1))
-    sustained = amplitude > amplitude_floor
-    interior = rows[:, 1:-1]
-    peak_mask = (interior > rows[:, :-2]) & (interior >= rows[:, 2:])
-    mean_value = rows.mean(axis=1)
-
-    period = np.full(batch, np.nan)
-    oscillating = np.flatnonzero(sustained & (width >= 8))
-    if oscillating.size:
+    window = values[start:]
+    width, batch = window.shape
+    if width >= 8:
         dt = float(np.mean(np.diff(window_times)))
-        spectrum = np.fft.rfft(rows[oscillating]
-                               - mean_value[oscillating, None], axis=1)
         frequencies = np.fft.rfftfreq(width, d=dt)
-        power = (np.abs(spectrum) ** 2)[:, 1:]
-        total = power.sum(axis=1)
-        frequency = frequencies[1 + np.argmax(power, axis=1)]
-        found = ~((total <= 0.0)
-                  | (power.max(axis=1) < 1e-12 * np.maximum(total, 1.0))
-                  | (frequency <= 0.0))
-        period[oscillating[found]] = 1.0 / frequency[found]
-        for index in oscillating[~found]:
-            peaks = np.flatnonzero(peak_mask[index]) + 1
-            if peaks.size >= 2:
-                period[index] = np.mean(np.diff(window_times[peaks]))
+
+    amplitude = np.empty(batch)
+    sustained = np.empty(batch, dtype=bool)
+    mean_value = np.empty(batch)
+    n_peaks = np.empty(batch, dtype=np.int_)
+    period = np.full(batch, np.nan)
+    block = max(_BLOCK_ELEMENTS // width, 1)
+    for first in range(0, batch, block):
+        columns = slice(first, min(first + block, batch))
+        rows = np.ascontiguousarray(window[:, columns].T)
+        amplitude[columns] = 0.5 * (rows.max(axis=1) - rows.min(axis=1))
+        sustained[columns] = amplitude[columns] > amplitude_floor
+        interior = rows[:, 1:-1]
+        peak_mask = (interior > rows[:, :-2]) & (interior >= rows[:, 2:])
+        n_peaks[columns] = peak_mask.sum(axis=1)
+        mean_value[columns] = rows.mean(axis=1)
+
+        oscillating = np.flatnonzero(sustained[columns] & (width >= 8))
+        if oscillating.size:
+            spectrum = np.fft.rfft(rows[oscillating]
+                                   - mean_value[first + oscillating, None],
+                                   axis=1)
+            power = (np.abs(spectrum) ** 2)[:, 1:]
+            total = power.sum(axis=1)
+            frequency = frequencies[1 + np.argmax(power, axis=1)]
+            found = ~((total <= 0.0)
+                      | (power.max(axis=1) < 1e-12 * np.maximum(total, 1.0))
+                      | (frequency <= 0.0))
+            period[first + oscillating[found]] = 1.0 / frequency[found]
+            for index in oscillating[~found]:
+                peaks = np.flatnonzero(peak_mask[index]) + 1
+                if peaks.size >= 2:
+                    period[first + index] = np.mean(
+                        np.diff(window_times[peaks]))
 
     return OscillationMetricsBatch(amplitude=amplitude, period=period,
                                    sustained=sustained, mean_value=mean_value,
-                                   n_peaks=peak_mask.sum(axis=1))
+                                   n_peaks=n_peaks)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..config import SystemParameters
 from ..control.base import RateControl
-from ..exceptions import ConfigurationError
+from ..exceptions import AnalysisError, ConfigurationError
 from ..numerics.ode import BatchODEResult, integrate_fixed, integrate_fixed_batch
 
 __all__ = [
@@ -43,6 +43,10 @@ __all__ = [
 #: Parameter columns understood by :func:`integrate_characteristic_batch`
 #: that are consumed by the queue dynamics rather than the control law.
 _DYNAMICS_COLUMNS = ("mu",)
+
+#: Elements per row block of :meth:`CharacteristicBatch.settling_times`
+#: (512 KiB of float64): its temporaries stay this size whatever the batch.
+_SCAN_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -183,6 +187,9 @@ class CharacteristicBatch:
         Queue lengths and arrival rates along every path, shape
         ``(n, batch)``.  Rows past a trajectory's ``n_samples`` (possible
         only under event termination) are frozen copies of its last state.
+        ``rate`` is ``None`` when the family was integrated with
+        ``record_rate=False``; the members derived from it then raise
+        :class:`~repro.exceptions.AnalysisError`.
     mu, q_target:
         Per-trajectory service rate and control target, shape ``(batch,)``.
     n_samples:
@@ -193,7 +200,7 @@ class CharacteristicBatch:
 
     times: np.ndarray
     queue: np.ndarray
-    rate: np.ndarray
+    rate: Optional[np.ndarray]
     mu: np.ndarray
     q_target: np.ndarray
     n_samples: np.ndarray
@@ -204,10 +211,17 @@ class CharacteristicBatch:
         """Number of characteristics in the family."""
         return self.queue.shape[1]
 
+    def _recorded_rate(self) -> np.ndarray:
+        if self.rate is None:
+            raise AnalysisError(
+                "this characteristic family recorded the queue only "
+                "(record_rate=False); its rate series is not available")
+        return self.rate
+
     @property
     def growth_rate(self) -> np.ndarray:
         """Queue growth rates ``ν(t) = λ(t) − μ``, shape ``(n, batch)``."""
-        return self.rate - self.mu[None, :]
+        return self._recorded_rate() - self.mu[None, :]
 
     @property
     def final_queues(self) -> np.ndarray:
@@ -217,7 +231,8 @@ class CharacteristicBatch:
     @property
     def final_rates(self) -> np.ndarray:
         """Arrival rate of every path at its last valid sample."""
-        return self.rate[self.n_samples - 1, np.arange(self.batch_size)]
+        return self._recorded_rate()[self.n_samples - 1,
+                                     np.arange(self.batch_size)]
 
     def distance_to_limit_point(self) -> np.ndarray:
         """Normalised distances to each path's limit point, shape ``(n, batch)``.
@@ -226,10 +241,11 @@ class CharacteristicBatch:
         :meth:`CharacteristicTrajectory.distance_to_limit_point` evaluated on
         each extracted trajectory.
         """
+        rate = self._recorded_rate()
         q_scale = np.maximum(self.q_target, 1.0)[None, :]
         r_scale = np.maximum(self.mu, 1e-12)[None, :]
         return np.sqrt(((self.queue - self.q_target[None, :]) / q_scale) ** 2
-                       + ((self.rate - self.mu[None, :]) / r_scale) ** 2)
+                       + ((rate - self.mu[None, :]) / r_scale) ** 2)
 
     def target_crossing_counts(self) -> np.ndarray:
         """Number of ``q = q̂`` crossings per trajectory, shape ``(batch,)``.
@@ -247,16 +263,36 @@ class CharacteristicBatch:
     def settling_times(self, tolerance: float = 0.1) -> np.ndarray:
         """Per-trajectory settling times, shape ``(batch,)``.
 
-        Vectorized over the family; agrees with
-        :meth:`CharacteristicTrajectory.settling_time` for every member
-        (frozen tail rows repeat the final state, so they are always inside
-        the band and cannot shift the earliest settled index).
+        Agrees with :meth:`CharacteristicTrajectory.settling_time` for every
+        member: a path settles one sample after its last sample outside the
+        band, and a path outside its band at the horizon (a non-finite
+        final queue) reports index 0, as that method's all-false settled
+        mask does.  Frozen tail rows repeat the final state, so they are
+        inside the band and cannot move the result.
+
+        The scan walks row blocks of at most ``_SCAN_ELEMENTS`` elements
+        backwards from the horizon and drops each member as soon as its
+        last outside sample is found, so no ``(n, batch)`` temporary is
+        built and the rows before a member's settling time are never read.
         """
         final = self.final_queues
         band = np.maximum(tolerance * np.abs(final), tolerance)
-        inside = np.abs(self.queue - final[None, :]) <= band[None, :]
-        settled = np.logical_and.accumulate(inside[::-1], axis=0)[::-1]
-        return self.times[np.argmax(settled, axis=0)]
+        n_rows = self.times.size
+        settled = np.zeros(self.batch_size, dtype=np.intp)
+        pending = np.arange(self.batch_size)
+        stop = n_rows
+        while pending.size and stop > 0:
+            start = max(stop - max(_SCAN_ELEMENTS // pending.size, 1), 0)
+            outside = ~(np.abs(self.queue[start:stop, pending] - final[pending])
+                        <= band[pending])
+            found = outside.any(axis=0)
+            if found.any():
+                last = stop - 1 - np.argmax(outside[::-1, found], axis=0)
+                settled[pending[found]] = last + 1
+                pending = pending[~found]
+            stop = start
+        settled[settled == n_rows] = 0
+        return self.times[settled]
 
     def time_average_rates(self, skip_fraction: float = 0.2) -> np.ndarray:
         """Per-trajectory tail-averaged throughput, shape ``(batch,)``."""
@@ -277,7 +313,7 @@ class CharacteristicBatch:
         n = int(self.n_samples[index])
         return CharacteristicTrajectory(times=self.times[:n],
                                         queue=self.queue[:n, index],
-                                        rate=self.rate[:n, index],
+                                        rate=self._recorded_rate()[:n, index],
                                         mu=float(self.mu[index]),
                                         q_target=float(self.q_target[index]))
 
@@ -303,6 +339,7 @@ def integrate_characteristic_batch(
         q0, rate0, t_end: float, dt: float = 0.02,
         columns: Optional[Mapping[str, object]] = None,
         event: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None,
+        record_rate: bool = True,
         ) -> CharacteristicBatch:
     """Integrate a family of characteristics as one batched RK4 run.
 
@@ -325,6 +362,10 @@ def integrate_characteristic_batch(
         Optional batched terminal event ``event(t, states, indices)`` (see
         :data:`repro.numerics.ode.BatchRHS`); trajectories stop individually
         at their first sign change.
+    record_rate:
+        Record the arrival-rate series (default).  ``False`` records the
+        queue alone, half the stored block, for callers that read nothing
+        else; the returned family then has ``rate=None``.
 
     Every member of the returned family is bit-identical to
     :func:`integrate_characteristic` run scalar with the same point values.
@@ -395,7 +436,8 @@ def integrate_characteristic_batch(
 
     result: BatchODEResult = integrate_fixed_batch(
         rhs, np.column_stack([q0, rate0]), t_end=t_end, dt=dt,
-        projection=project, event=event)
+        projection=project, event=event,
+        record=None if record_rate else (0,))
 
     if "q_target" in gain_columns:
         q_target = gain_columns["q_target"]
@@ -404,7 +446,8 @@ def integrate_characteristic_batch(
                                                 params.q_target)))
     return CharacteristicBatch(times=result.times,
                                queue=result.states[:, :, 0],
-                               rate=result.states[:, :, 1],
+                               rate=result.states[:, :, 1] if record_rate
+                               else None,
                                mu=mu, q_target=q_target,
                                n_samples=result.n_samples,
                                event_times=result.event_times)

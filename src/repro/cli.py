@@ -35,6 +35,8 @@ top of those, the :mod:`repro.runner` orchestration layer adds:
 * ``--jobs N``, ``--no-cache`` and ``--cache-dir PATH`` on the experiment
   sub-commands above, which route their evaluations through the same
   runner (``delay-sweep --jobs 4`` runs one worker process per delay);
+  ``design sweep`` scores its grid in process and rejects them, pointing
+  at ``repro run design-gain-grid --jobs N``;
 * ``repro ensemble`` -- Langevin ensemble of the stochastic model with
   final-time queue statistics; together with ``repro run`` and
   ``repro design sweep`` it accepts ``--retention {full,moments,none}``
@@ -376,9 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--top-k", type=int, default=16,
                         help="sweep: points carried into the stationary "
                              "refinement stage (default 16)")
-    design.add_argument("--chunk-size", type=int, default=1024,
-                        help="sweep: gain points per batched-trajectory "
-                             "chunk (default 1024)")
+    design.add_argument("--chunk-size", type=int, default=None,
+                        help="sweep: most gain points per batched-trajectory "
+                             "chunk (default: automatic, the fewest equal "
+                             "chunks whose queue series fit a fixed memory "
+                             "budget)")
 
     health = subparsers.add_parser(
         "health", help="summarise the numerical-health reports recorded in "
@@ -693,6 +697,14 @@ def _run_design_sweep(args: argparse.Namespace,
     return 0
 
 
+#: ``design`` options that ``design sweep`` cannot honour: the runner flags
+#: (the sweep scores its grid in this process) and the stationary-solve
+#: flags.
+_SWEEP_UNUSED = ("jobs", "no_cache", "cache_dir", "progress", "retries",
+                 "timeout", "delay", "method", "nq", "nv", "q_max", "v_span",
+                 "check_marching")
+
+
 def _run_design(args: argparse.Namespace) -> int:
     params = _system_parameters(args)
     if args.action == "stationary":
@@ -701,6 +713,16 @@ def _run_design(args: argparse.Namespace) -> int:
                 "--retention/--memmap-dir apply to 'design sweep' only "
                 "(the stationary solve keeps no trajectory history)")
         return _run_design_stationary(args, params)
+    defaults = build_parser().parse_args(["design", "sweep"])
+    unused = [f"--{name.replace('_', '-')}" for name in _SWEEP_UNUSED
+              if getattr(args, name) != getattr(defaults, name)]
+    if unused:
+        raise ConfigurationError(
+            f"'design sweep' does not use {', '.join(unused)}: it runs "
+            f"in this process, without the runner, and the grid and "
+            f"delay options apply to 'design stationary' only; for a "
+            f"parallel, cached sweep use 'repro run design-gain-grid "
+            f"--jobs N'")
     return _run_design_sweep(args, params)
 
 

@@ -149,6 +149,23 @@ def deployment_unfairness(c0, c1, reference_c0: float, reference_c1: float):
     return 1.0 - jain
 
 
+def _validate_gain_axes(c0, c1, q_target, mu) -> None:
+    """Reject a non-finite or out-of-range gain coordinate before any
+    trajectory runs: ``c0``, ``c1`` and ``mu`` must be finite and positive,
+    ``q_target`` finite and non-negative."""
+    for name, values, positive in (("c0", c0, True), ("c1", c1, True),
+                                   ("q_target", q_target, False),
+                                   ("mu", mu, True)):
+        values = np.asarray(values, dtype=float).reshape(-1)
+        bad = ~np.isfinite(values) | ((values <= 0.0) if positive
+                                      else (values < 0.0))
+        if bad.any():
+            raise ConfigurationError(
+                f"axis {name} must be finite and "
+                f"{'> 0' if positive else '>= 0'}; got "
+                f"{float(values[np.argmax(bad)])!r}")
+
+
 def combine_score(weights: ObjectiveWeights, amplitude, relaxation,
                   queue_error, unfairness, q_scale, t_end: float):
     """Weighted sum of the normalised axes (lower is better)."""
@@ -189,7 +206,18 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
     steady_fraction, tolerance:
         Analysis-window fraction for the oscillation metrics and the band
         tolerance for the settling times.
+
+    Every axis reads the queue series alone, so the trajectories record no
+    arrival rate: a point's working set is its queue series plus the fixed
+    blocks of the analyses.
+
+    Raises
+    ------
+    ConfigurationError
+        When a ``c0``, ``c1`` or ``mu`` entry is not finite and positive, or
+        a ``q_target`` entry not finite and non-negative.
     """
+    _validate_gain_axes(c0, c1, q_target, mu)
     weights = weights if weights is not None else ObjectiveWeights()
     reference_c0, reference_c1 = (reference if reference is not None
                                   else (params.c0, params.c1))
@@ -197,7 +225,8 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
                          q_target=params.q_target)
     batch = integrate_characteristic_batch(
         control, params, q0, rate0, t_end=t_end, dt=dt,
-        columns={"c0": c0, "c1": c1, "q_target": q_target, "mu": mu})
+        columns={"c0": c0, "c1": c1, "q_target": q_target, "mu": mu},
+        record_rate=False)
     oscillation = oscillation_metrics_batch(batch.times, batch.queue,
                                             steady_fraction=steady_fraction)
     relaxation = batch.settling_times(tolerance)

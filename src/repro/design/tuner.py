@@ -5,8 +5,9 @@ stages:
 
 1. **Coarse** — every point is scored from a batched characteristic
    trajectory (:func:`repro.design.objectives.score_gain_grid`), processed
-   in chunks so a ≥10⁴-point grid streams through the 2-state RK4 engine
-   without large resident blocks.
+   in the fewest equal chunks whose recorded queue series fit
+   :data:`CHUNK_QUEUE_BYTES`, so a ≥10⁴-point grid streams through the
+   2-state RK4 engine in a bounded working set.
 2. **Refine** — the best ``top_k`` points are re-examined with direct
    stationary Fokker-Planck solves (:func:`repro.design.stationary
    .solve_stationary`) when ``σ > 0``: the stationary mean queue replaces
@@ -34,7 +35,7 @@ from ..exceptions import ConfigurationError, ConvergenceError
 from ..health import HealthMonitor
 from ..health.report import HealthLog
 from .objectives import (GainGridScores, ObjectiveWeights, OperatingPointScore,
-                         score_gain_grid, combine_score)
+                         _validate_gain_axes, score_gain_grid, combine_score)
 from .stationary import solve_stationary
 
 __all__ = [
@@ -44,6 +45,14 @@ __all__ = [
     "design_gains",
     "pareto_front_indices",
 ]
+
+#: Byte budget of one coarse chunk's recorded queue series (float64, one
+#: sample per step per point).  A scoring call peaks at its queue block
+#: plus ~2.5 MiB of fixed analysis blocks (``tracemalloc``), so a chunk at
+#: this budget peaks at ~42.5 MiB: below the 47.0 MiB that a 1,024-point
+#: chunk peaked at when the rate series was recorded too and the analyses
+#: built full ``(n, batch)`` temporaries.
+CHUNK_QUEUE_BYTES = 40 << 20
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,9 @@ class GainSweepResult:
 
     ``score_stats`` summarises the finite combined scores of the whole
     grid (count/mean/std/min/max from a streaming fold -- identical under
-    every retention policy); ``retention`` records the policy the sweep
+    every retention policy; the mean and std are folded chunk by chunk, so
+    they can change in their last bits when the chunking changes, while
+    count, min and max cannot); ``retention`` records the policy the sweep
     ran under (``"moments"``/``"none"`` never materialise the full score
     columns, so their working set is O(top_k + front) instead of
     O(n_points)).
@@ -142,6 +153,24 @@ def pareto_front_indices(amplitude: np.ndarray, relaxation: np.ndarray
             front.append(index)
             best_relaxation = relaxation[index]
     return np.asarray(front, dtype=int)
+
+
+def _chunk_bounds(n_points: int, n_rows: int,
+                  chunk_size: Optional[int]) -> List[int]:
+    """Boundaries of the fewest equal chunks (sizes differ by at most one)
+    whose queue series fit :data:`CHUNK_QUEUE_BYTES`, or of at most
+    *chunk_size* points each when that is given.
+
+    Equal chunks matter beyond the count: a large chunk followed by a small
+    tail raised the sweep's peak RSS through allocator placement, with no
+    gain in speed.
+    """
+    if chunk_size is None:
+        n_chunks = -(-n_points * n_rows * 8 // CHUNK_QUEUE_BYTES)
+    else:
+        n_chunks = -(-n_points // chunk_size)
+    n_chunks = min(max(n_chunks, 1), n_points)
+    return [index * n_points // n_chunks for index in range(n_chunks + 1)]
 
 
 def _ranked_from_point(point: OperatingPointScore, rank: int) -> RankedGain:
@@ -222,7 +251,7 @@ def design_gains(params: SystemParameters,
                  *,
                  weights: Optional[ObjectiveWeights] = None,
                  top_k: int = 16,
-                 chunk_size: int = 1024,
+                 chunk_size: Optional[int] = None,
                  t_end: float = 150.0,
                  dt: float = 0.1,
                  refine: Optional[bool] = None,
@@ -247,7 +276,13 @@ def design_gains(params: SystemParameters,
     top_k:
         Number of leading points carried into the refinement stage.
     chunk_size:
-        Points per batched-trajectory call of the coarse stage.
+        Most points per batched-trajectory call of the coarse stage.  The
+        default, ``None``, splits the grid into the fewest equal chunks
+        whose recorded queue series (8 bytes per point and step) fit
+        :data:`CHUNK_QUEUE_BYTES`; an explicit value caps the chunk size
+        instead, and those chunks are split evenly too.  Every score is
+        the same under any chunking; only the ``score_stats`` mean and
+        std, folded chunk by chunk, can change in their last bits.
     t_end, dt:
         Coarse-stage trajectory horizon and step.
     refine:
@@ -281,13 +316,18 @@ def design_gains(params: SystemParameters,
     Raises
     ------
     ConfigurationError
-        On empty axes or non-positive sizes.
+        On empty axes, non-positive sizes, a non-positive horizon or step,
+        or an axis value out of range (``c0``, ``c1`` and ``mu`` must be
+        finite and positive, ``q_target`` finite and non-negative) -- all
+        before the first trajectory runs.
     """
     validate_retention(retention)
     if top_k < 1:
         raise ConfigurationError("top_k must be at least 1")
-    if chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError("chunk_size must be at least 1")
+    if not (t_end > 0.0 and dt > 0.0):
+        raise ConfigurationError("t_end and dt must be positive")
     defaults = default_axes(params)
     axes = {
         "c0": np.asarray(c0_values if c0_values is not None
@@ -303,6 +343,7 @@ def design_gains(params: SystemParameters,
         if values.ndim != 1 or values.size == 0:
             raise ConfigurationError(
                 f"axis {name} must be a non-empty 1-D array")
+    _validate_gain_axes(**axes)
 
     mesh = np.meshgrid(axes["c0"], axes["c1"], axes["q_target"], axes["mu"],
                        indexing="ij")
@@ -316,14 +357,12 @@ def design_gains(params: SystemParameters,
     chunk_scores: List[GainGridScores] = []
     top_candidates: List[Tuple[int, OperatingPointScore]] = []
     pareto_candidates: List[Tuple[int, OperatingPointScore]] = []
-    n_chunks = 0
-    for start in range(0, n_points, chunk_size):
-        stop = min(start + chunk_size, n_points)
+    bounds = _chunk_bounds(n_points, math.ceil(t_end / dt) + 1, chunk_size)
+    for start, stop in zip(bounds[:-1], bounds[1:], strict=True):
         chunk = score_gain_grid(
             params, c0_flat[start:stop], c1_flat[start:stop],
             q_target_flat[start:stop], mu_flat[start:stop],
             weights=weights, t_end=t_end, dt=dt)
-        n_chunks += 1
         chunk.fold_score_moments(score_moments)
         if keep_columns:
             chunk_scores.append(chunk)
@@ -448,6 +487,6 @@ def design_gains(params: SystemParameters,
     }
     return GainSweepResult(ranked=ranked, pareto=front, n_points=n_points,
                            n_refined=n_refined, t_end=t_end, dt=dt,
-                           weights=weights, chunks=n_chunks,
+                           weights=weights, chunks=len(bounds) - 1,
                            retention=retention, score_stats=score_stats,
                            health=monitor.log if monitor else None)

@@ -13,13 +13,14 @@ detect crossings of the ``q = q̂`` switching line.
 The batched variant integrates a whole *family* of trajectories as one
 state block: :func:`integrate_fixed_batch` steps every trajectory of the
 block through the identical RK4 update (so a batch of one is bit-identical
-to :func:`integrate_fixed`), records into preallocated storage, and handles
-per-trajectory terminal events through an active mask that compacts the
-working block as trajectories finish.  Its block is component-major -- a
-C-contiguous ``(dim, n_active)`` array, one contiguous row per state
-component -- and its callbacks receive the ``.T`` view of it: the
-``(n_active, dim)`` shape of :data:`BatchRHS`, but not C-contiguous.
-Callbacks must not mutate or keep that view, and must return a fresh array.
+to :func:`integrate_fixed`), records the selected state components into
+preallocated storage, and handles per-trajectory terminal events through an
+active mask that compacts the working block as trajectories finish.  Its
+block is component-major -- a C-contiguous ``(dim, n_active)`` array, one
+contiguous row per state component -- and its callbacks receive the ``.T``
+view of it: the ``(n_active, dim)`` shape of :data:`BatchRHS`, but not
+C-contiguous.  Callbacks must not mutate or keep that view, and must return
+a fresh array.
 The engine returns a :class:`BatchODEResult`.
 """
 
@@ -208,9 +209,11 @@ class BatchODEResult:
     times:
         Sample times shared by every trajectory, shape ``(n,)``.
     states:
-        State block, shape ``(n, batch, dim)``.  Rows past a trajectory's
-        ``n_samples`` are frozen copies of its last valid sample, so
-        whole-block reductions stay meaningful after early termination.
+        Recorded state block, shape ``(n, batch, dim)``, holding the
+        components selected by ``integrate_fixed_batch(record=...)`` (all of
+        them by default).  Rows past a trajectory's ``n_samples`` are frozen
+        copies of its last valid sample, so whole-block reductions stay
+        meaningful after early termination.
     n_samples:
         Number of valid samples per trajectory, shape ``(batch,)``.
     event_times:
@@ -233,7 +236,7 @@ class BatchODEResult:
 
     @property
     def dim(self) -> int:
-        """State dimension."""
+        """Number of recorded state components."""
         return self.states.shape[2]
 
     @property
@@ -248,10 +251,11 @@ class BatchODEResult:
         return self.times[self.n_samples - 1]
 
     def component(self, index: int) -> np.ndarray:
-        """All trajectories of one state component, shape ``(n, batch)``.
+        """All trajectories of one recorded component, shape ``(n, batch)``.
 
-        Its rows are contiguous for :func:`integrate_fixed_batch`, whose
-        ``states`` is a view of ``(n, dim, batch)`` storage.
+        *index* counts the recorded components.  Its rows are contiguous
+        for :func:`integrate_fixed_batch`, whose ``states`` is a view of
+        ``(n, dim, batch)`` storage.
         """
         return self.states[:, :, index]
 
@@ -307,7 +311,8 @@ def integrate_fixed_batch(rhs: BatchRHS,
                           projection: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                           event: Optional[BatchRHS] = None,
                           on_nonfinite: str = "raise",
-                          health: Optional["HealthMonitor"] = None
+                          health: Optional["HealthMonitor"] = None,
+                          record: Optional[Sequence[int]] = None
                           ) -> BatchODEResult:
     """Integrate a ``(batch, dim)`` family with fixed-step RK4.
 
@@ -357,6 +362,12 @@ def integrate_fixed_batch(rhs: BatchRHS,
         *on_nonfinite* (each degradation counted), ``observe`` records and
         then honours *on_nonfinite* unchanged.  ``None`` keeps the
         original unmonitored behaviour exactly.
+    record:
+        Indices of the state components kept in ``BatchODEResult.states``,
+        in that order (default: all).  The whole state is integrated either
+        way; a caller that reads only some components keeps the stored
+        block, the one allocation that grows with the horizon, that much
+        smaller.
     """
     if dt <= 0.0:
         raise ConvergenceError("dt must be positive")
@@ -371,12 +382,21 @@ def integrate_fixed_batch(rhs: BatchRHS,
     # Component-major (dim, n_active) block; callbacks see its ``.T`` view.
     states = np.ascontiguousarray(_as_state_block(initial_states).T)
     dim, batch = states.shape
+    # Rows of the live block that are stored: a slice keeps the default
+    # full recording a plain copy per step.
+    kept = slice(None)
+    if record is not None:
+        kept = np.asarray(record, dtype=np.intp).reshape(-1)
+        if kept.size == 0 or kept.min() < 0 or kept.max() >= dim:
+            raise ConvergenceError(
+                f"record must list state components in [0, {dim}), "
+                f"got {record!r}")
     n_steps = int(np.ceil((t_end - t_start) / dt))
 
     times = np.empty(n_steps + 1)
-    storage = np.empty((n_steps + 1, dim, batch))
+    storage = np.empty((n_steps + 1, states[kept].shape[0], batch))
     times[0] = t_start
-    storage[0] = states
+    storage[0] = states[kept]
     n_samples = np.empty(batch, dtype=np.intp)
     event_times = np.full(batch, np.nan)
     failed = np.zeros(batch, dtype=bool)
@@ -429,9 +449,9 @@ def integrate_fixed_batch(rhs: BatchRHS,
 
         # The fancy-index scatter is only needed once a member has left.
         if active.size == batch:
-            storage[step_index] = states
+            storage[step_index] = states[kept]
         else:
-            storage[step_index][:, active] = states
+            storage[step_index][:, active] = states[kept]
 
         if event is not None:
             current_event = np.asarray(event(t, states.T, active),
@@ -452,7 +472,7 @@ def integrate_fixed_batch(rhs: BatchRHS,
                 previous_event = current_event
     n_samples[active] = n_rows
 
-    # (n, dim, batch) storage seen as the (n, batch, dim) result block.
+    # (n, recorded, batch) storage seen as the (n, batch, recorded) block.
     states_view = storage[:n_rows].transpose(0, 2, 1)
     _freeze_tails(states_view, n_samples, n_rows)
     return BatchODEResult(times=times[:n_rows], states=states_view,

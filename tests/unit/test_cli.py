@@ -103,6 +103,38 @@ class TestCommands:
         assert "entries" in info
 
 
+class TestDesignSweepOptions:
+    SWEEP = ["design", "sweep", "--n-c0", "2", "--n-c1", "2",
+             "--n-q-target", "1", "--n-mu", "1", "--top-k", "2",
+             "--t-end", "60"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "4"], ["--no-cache"], ["--cache-dir", "elsewhere"],
+        ["--progress"], ["--retries", "3"], ["--timeout", "0.001"],
+        ["--delay", "5"], ["--method", "adi"], ["--nq", "200"],
+        ["--nv", "20"], ["--q-max", "50"], ["--v-span", "2"],
+        ["--check-marching"],
+    ])
+    def test_unused_option_rejected(self, flags, capsys, monkeypatch):
+        import repro.design
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(repro.design, "design_gains", no_sweep)
+        assert main(self.SWEEP + flags) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert flags[0] in error
+        assert "repro run design-gain-grid --jobs N" in error
+
+    def test_every_unused_option_named(self, capsys):
+        assert main(self.SWEEP + ["--jobs", "2", "--nq", "200",
+                                  "--method", "adi"]) == 2
+        error = capsys.readouterr().err
+        assert "--jobs, --method, --nq:" in error
+
+
 class TestRunCommand:
     def test_list_matrices(self, capsys):
         exit_code = main(["run", "--list"])

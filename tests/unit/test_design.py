@@ -7,14 +7,20 @@ matrix, cache pruning and the CLI surface.
 """
 
 import math
+import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.analysis import oscillations
 from repro.analysis.oscillations import (oscillation_metrics,
                                          oscillation_metrics_batch)
-from repro.characteristics import (integrate_characteristic,
+from repro.characteristics import (CharacteristicBatch,
+                                   integrate_characteristic,
                                    integrate_characteristic_batch)
+from repro.characteristics import trajectory as trajectory_module
 from repro.config import GridParameters, SystemParameters
 from repro.control.jrj import JRJControl, jrj_from_parameters
 from repro.core.generator import assemble_generator
@@ -22,6 +28,7 @@ from repro.core.initial import gaussian_initial_density
 from repro.core.advection import UpwindAdvection
 from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.core.steady_state import SteadyStateEstimate
+from repro.design import objectives, tuner
 from repro.design import (
     DelayShiftedControl,
     ObjectiveWeights,
@@ -47,11 +54,15 @@ GRID = GridParameters(q_max=30.0, nq=48, v_min=-1.2, v_max=1.2, nv=36)
 PARAMS = SystemParameters(mu=1.0, q_target=8.0, c0=0.1, c1=0.4, sigma=0.5)
 
 
+#: The per-point columns of :class:`~repro.design.GainGridScores`.
+SCORE_COLUMNS = ("c0", "c1", "q_target", "mu", "oscillation_amplitude",
+                 "oscillation_period", "relaxation_time", "queue_error",
+                 "unfairness", "score")
+
+
 def _approx_equal_scores(scalar, batch_point) -> None:
     """Field-wise equality that treats NaN == NaN (oscillation period)."""
-    for name in ("c0", "c1", "q_target", "mu", "oscillation_amplitude",
-                 "oscillation_period", "relaxation_time", "queue_error",
-                 "unfairness", "score"):
+    for name in SCORE_COLUMNS:
         a, b = getattr(scalar, name), getattr(batch_point, name)
         if math.isnan(a) and math.isnan(b):
             continue
@@ -231,6 +242,36 @@ class TestObjectives:
         weights = ObjectiveWeights(oscillation=2.0, queue_error=0.5)
         assert ObjectiveWeights.from_dict(weights.to_dict()) == weights
 
+    def test_split_batch_scores_like_the_whole(self):
+        axes = default_axes(PARAMS, n_c0=3, n_c1=3, n_q_target=2, n_mu=2)
+        grids = np.meshgrid(*axes.values(), indexing="ij")
+        c0, c1, q_target, mu = (grid.ravel() for grid in grids)
+        whole = score_gain_grid(PARAMS, c0, c1, q_target, mu, t_end=60.0)
+        parts = [score_gain_grid(PARAMS, c0[part], c1[part],
+                                 q_target[part], mu[part], t_end=60.0)
+                 for part in (slice(0, 13), slice(13, 14), slice(14, None))]
+        for name in SCORE_COLUMNS:
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+    def test_peak_memory_stays_near_the_queue_block(self):
+        # The sweep's horizon and step: each point records 1,501 queue
+        # samples and no rate, and the analyses work in fixed-size blocks,
+        # so the call's peak is its queue block plus a constant.
+        axes = default_axes(PARAMS, n_c0=16, n_c1=16, n_q_target=2, n_mu=1)
+        grids = np.meshgrid(*axes.values(), indexing="ij")
+        c0, c1, q_target, mu = (grid.ravel() for grid in grids)
+        assert c0.size == 512
+        tracemalloc.start()
+        try:
+            score_gain_grid(PARAMS, c0, c1, q_target, mu, t_end=150.0,
+                            dt=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        queue_block = c0.size * 1501 * 8
+        assert peak <= 1.5 * queue_block + 2 * 2 ** 20
+
     def test_ranking_orders_by_score(self):
         scores = score_gain_grid(PARAMS, np.array([0.05, 0.4, 0.1]),
                                  np.array([0.2, 1.6, 0.4]),
@@ -253,6 +294,67 @@ class TestSettlingTimes:
                 JRJControl(c0=PARAMS.c0, c1=c1, q_target=PARAMS.q_target),
                 PARAMS, 0.0, 0.0, t_end=80.0, dt=0.1)
             assert member.settling_time(0.1) == batch_times[index]
+
+    def test_scan_matches_accumulate_oracle(self):
+        times = np.linspace(0.0, 150.0, 1501)
+        n_rows = times.size
+        edges = np.empty((n_rows, 8))
+        edges[:, 0] = 8.0 + 2.0 * np.sin(times)          # never settles
+        edges[:, 1] = 5.0                                # flat from t=0
+        edges[:, 2] = np.linspace(0.0, 9.0, n_rows)      # NaN final sample
+        edges[-1, 2] = np.nan
+        edges[:, 3] = 4.0                                # infinite final
+        edges[-1, 3] = np.inf
+        edges[:, 4] = 10.0 + 10.0 * np.exp(-times / 10.0)  # settles midway
+        edges[:, 5] = 6.0                                # outside at t=0 only
+        edges[0, 5] = 0.0
+        edges[:, 6] = 6.0                                # outside just before
+        edges[-2, 6] = 0.0                               # the horizon
+        edges[:, 7] = 0.0                                # jumps at the horizon
+        edges[-1, 7] = 9.0
+        # Wide enough that the scan walks several row blocks, with last
+        # outside samples spread over the whole horizon.
+        rng = np.random.default_rng(11)
+        settle = rng.integers(0, n_rows, 400)
+        noise = 8.0 + rng.uniform(1.0, 3.0, (n_rows, 400))
+        noise[np.arange(n_rows)[:, None] >= settle[None, :]] = 8.0
+        queue = np.ascontiguousarray(np.hstack([edges, noise]))
+        batch_size = queue.shape[1]
+        assert n_rows > 3 * (trajectory_module._SCAN_ELEMENTS // batch_size)
+        batch = CharacteristicBatch(
+            times=times, queue=queue, rate=None, mu=np.ones(batch_size),
+            q_target=np.full(batch_size, 8.0),
+            n_samples=np.full(batch_size, n_rows),
+            event_times=np.full(batch_size, np.nan))
+        with np.errstate(invalid="ignore"):
+            got = batch.settling_times(0.1)
+            want = _settling_times_oracle(batch, 0.1)
+        assert got.tobytes() == want.tobytes()
+        assert got[1] == got[2] == got[3] == 0.0
+        assert got[5] == times[1] and got[6] == got[7] == times[-1]
+
+    @pytest.mark.parametrize("record_rate", [True, False])
+    def test_scan_matches_oracle_on_event_stopped_family(self, record_rate):
+        c1 = np.array([0.05, 0.1, 0.2, 0.4, 0.8, 1.6])
+        thresholds = np.array([12.0, 9.0, 1e9, 10.5, 1e9, 8.5])
+        batch = integrate_characteristic_batch(
+            jrj_from_parameters(PARAMS), PARAMS, 0.0, 0.0, t_end=120.0,
+            dt=0.1, columns={"c1": c1},
+            event=lambda t, states, indices: (states[:, 0]
+                                              - thresholds[indices]),
+            record_rate=record_rate)
+        stopped = batch.n_samples < batch.times.size
+        assert stopped.any() and not stopped.all()
+        got = batch.settling_times(0.1)
+        assert got.tobytes() == _settling_times_oracle(batch, 0.1).tobytes()
+        for index in range(c1.size):
+            n = int(batch.n_samples[index])
+            member = CharacteristicBatch(
+                times=batch.times[:n], queue=batch.queue[:n, [index]],
+                rate=None, mu=batch.mu[[index]],
+                q_target=batch.q_target[[index]], n_samples=np.array([n]),
+                event_times=batch.event_times[[index]])
+            assert member.settling_times(0.1)[0] == got[index]
 
     def test_settling_time_is_finite_and_bounded(self):
         control = jrj_from_parameters(PARAMS)
@@ -306,6 +408,16 @@ class TestSettlingTimes:
             assert metrics.period == pytest.approx(2.0 * np.pi, rel=0.05)
 
 
+def _settling_times_oracle(batch, tolerance):
+    """The whole-block form of ``CharacteristicBatch.settling_times``: a
+    reverse cumulative AND over the ``(n, batch)`` in-band mask."""
+    final = batch.final_queues
+    band = np.maximum(tolerance * np.abs(final), tolerance)
+    inside = np.abs(batch.queue - final[None, :]) <= band[None, :]
+    settled = np.logical_and.accumulate(inside[::-1], axis=0)[::-1]
+    return batch.times[np.argmax(settled, axis=0)]
+
+
 def _oscillation_metrics_oracle(times, values, steady_fraction=0.5,
                                 amplitude_floor=0.05):
     """One column analysed on its own: the former scalar routine."""
@@ -328,7 +440,8 @@ def _oscillation_metrics_oracle(times, values, steady_fraction=0.5,
 
 
 def _assert_oscillation_oracle(times, values, **options):
-    """Batch and scalar metrics equal the oracle's, bit for bit."""
+    """Batch and scalar metrics equal the oracle's, bit for bit, and so
+    does a batch of tiled copies wider than one column block."""
     batch = oscillation_metrics_batch(times, values, **options)
     fields = ("amplitude", "period", "sustained", "mean_value", "n_peaks")
     for index in range(values.shape[1]):
@@ -340,6 +453,17 @@ def _assert_oscillation_oracle(times, values, **options):
             got_scalar = type(expected)(getattr(scalar, name))
             assert got_batch.tobytes() == expected.tobytes(), (index, name)
             assert got_scalar.tobytes() == expected.tobytes(), (index, name)
+
+    steady_fraction = options.get("steady_fraction", 0.5)
+    width = times.size - int((1.0 - steady_fraction) * times.size)
+    block_columns = oscillations._BLOCK_ELEMENTS // width
+    copies = block_columns // values.shape[1] + 2
+    wide = oscillation_metrics_batch(times, np.tile(values, (1, copies)),
+                                     **options)
+    assert wide.batch_size > block_columns
+    for name in fields:
+        assert (getattr(wide, name).tobytes()
+                == np.tile(getattr(batch, name), copies).tobytes()), name
 
 
 class TestTuner:
@@ -410,6 +534,76 @@ class TestTuner:
             design_gains(PARAMS, top_k=0)
         with pytest.raises(ConfigurationError):
             design_gains(PARAMS, c0_values=[])
+        with pytest.raises(ConfigurationError):
+            design_gains(PARAMS, chunk_size=0)
+        with pytest.raises(ConfigurationError):
+            design_gains(PARAMS, dt=0.0)
+
+    def test_chunking_leaves_results_unchanged(self, monkeypatch):
+        axes = default_axes(PARAMS, n_c0=3, n_c1=3, n_q_target=2, n_mu=2)
+
+        def sweep(chunk_size):
+            return design_gains(PARAMS, **axes, top_k=4, t_end=60.0,
+                                refine=False, chunk_size=chunk_size)
+
+        sizes = []
+        original = objectives.score_gain_grid
+
+        def counted(params, c0, *args, **kwargs):
+            sizes.append(c0.size)
+            return original(params, c0, *args, **kwargs)
+
+        monkeypatch.setattr(tuner, "score_gain_grid", counted)
+        whole = sweep(None)
+        assert (whole.chunks, sizes) == (1, [36])
+
+        def assert_same(chunk_size, chunk_sizes):
+            sizes.clear()
+            result = sweep(chunk_size)
+            assert (result.chunks, sizes) == (len(chunk_sizes), chunk_sizes)
+            # repr() compares floats bit for bit and NaN equal to NaN.
+            assert repr(result.ranked) == repr(whole.ranked)
+            assert repr(result.pareto) == repr(whole.pareto)
+
+        assert_same(7, [6] * 6)
+        assert_same(36, [36])
+        # The automatic rule: the fewest equal chunks whose 601-sample
+        # queue series fit the byte budget.
+        monkeypatch.setattr(tuner, "CHUNK_QUEUE_BYTES", 10 * 601 * 8)
+        assert_same(None, [9] * 4)
+
+
+class TestGainAxisValidation:
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    @pytest.mark.parametrize("axis, values, first_bad", [
+        ("c0", [0.1, float("nan")], float("nan")),
+        ("c1", [0.0, 0.4], 0.0),
+        ("q_target", [8.0, -1.0], -1.0),
+        ("mu", [-1.0], -1.0),
+        ("mu", [1.0, float("inf")], float("inf")),
+    ])
+    def test_bad_axis_rejected_before_any_trajectory(
+            self, monkeypatch, sigma, axis, values, first_bad):
+        integrated = []
+
+        def no_trajectory(*args, **kwargs):
+            integrated.append(args)
+            raise AssertionError("a trajectory was integrated")
+
+        monkeypatch.setattr(objectives, "integrate_characteristic_batch",
+                            no_trajectory)
+        params = replace(PARAMS, sigma=sigma)
+        axes = {"c0": [0.1], "c1": [0.4], "q_target": [8.0], "mu": [1.0],
+                axis: values}
+        message = rf"axis {axis} .*got {re.escape(repr(first_bad))}"
+        with pytest.raises(ConfigurationError, match=message):
+            design_gains(params, axes["c0"], axes["c1"], axes["q_target"],
+                         axes["mu"], top_k=1, t_end=60.0)
+        with pytest.raises(ConfigurationError, match=message):
+            score_gain_grid(params, *(np.repeat(axes[name], 2) for name in
+                                      ("c0", "c1", "q_target", "mu")),
+                            t_end=60.0)
+        assert integrated == []
 
 
 class TestRunnerIntegration:
@@ -478,8 +672,7 @@ class TestDesignCli:
         code = main(["design", "sweep", "--sigma", "0.5",
                      "--c0", "0.1", "--c1", "0.4", "--q-target", "8",
                      "--n-c0", "2", "--n-c1", "2", "--n-q-target", "1",
-                     "--n-mu", "1", "--top-k", "2", "--t-end", "60",
-                     "--no-cache"])
+                     "--n-mu", "1", "--top-k", "2", "--t-end", "60"])
         assert code == 0
         out = capsys.readouterr().out
         assert "ranked gains" in out

@@ -180,6 +180,34 @@ class TestIntegrateFixedBatch:
                 np.errstate(over="ignore", invalid="ignore"):
             integrate_fixed(scalar_rhs, initials[0], t_end=5.0, dt=0.25)
 
+    @pytest.mark.parametrize("record", [(0,), (1,), (1, 0)])
+    def test_recorded_components_equal_full_recording(self, record):
+        """``record=`` keeps exactly the selected columns of the full
+        recording, through a masked blow-up and an event stop."""
+        initials = [[5.0, -3.0], [0.5, 0.0], [0.5, 2.0]]
+
+        def batch_rhs(t, states, indices):
+            return np.column_stack([states[:, 0] ** 3 - states[:, 0],
+                                    np.cos(states[:, 1])])
+
+        def run(**options):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return integrate_fixed_batch(
+                    batch_rhs, initials, t_end=5.0, dt=0.25,
+                    event=lambda t, states, indices: states[:, 1] - 1.0,
+                    on_nonfinite="mask", **options)
+
+        full = run()
+        kept = run(record=record)
+        assert kept.dim == len(record)
+        assert kept.n_samples.tolist() == full.n_samples.tolist() == [2, 6, 21]
+        assert kept.failed.tolist() == full.failed.tolist()
+        assert kept.times.tobytes() == full.times.tobytes()
+        assert kept.event_times.tobytes() == full.event_times.tobytes()
+        for position, component in enumerate(record):
+            assert (kept.component(position).tobytes()
+                    == full.component(component).tobytes())
+
     def test_component_rows_are_contiguous(self):
         batch = integrate_fixed_batch(batch_oscillator, INITIALS,
                                       t_end=2.0, dt=0.1)
@@ -198,6 +226,10 @@ class TestIntegrateFixedBatch:
         with pytest.raises(ConvergenceError):
             integrate_fixed_batch(batch_oscillator, INITIALS, t_end=1.0,
                                   dt=0.1, on_nonfinite="explode")
+        for record in ((), (2,), (-1,)):
+            with pytest.raises(ConvergenceError, match="record"):
+                integrate_fixed_batch(batch_oscillator, INITIALS, t_end=1.0,
+                                      dt=0.1, record=record)
 
     def test_result_helpers(self):
         batch = integrate_fixed_batch(batch_oscillator, INITIALS,

@@ -90,6 +90,34 @@ class TestBatchedCharacteristics:
             assert member.mu == point.mu
             assert member.q_target == point.q_target
 
+    def test_queue_only_family(self, jrj_control, canonical_params):
+        columns = {"c1": np.array([0.1, 0.2, 0.4])}
+        full = integrate_characteristic_batch(
+            jrj_control, canonical_params, 0.0, 0.5, t_end=60.0, dt=0.1,
+            columns=columns)
+        queue_only = integrate_characteristic_batch(
+            jrj_control, canonical_params, 0.0, 0.5, t_end=60.0, dt=0.1,
+            columns=columns, record_rate=False)
+        assert queue_only.rate is None
+        assert queue_only.batch_size == 3
+        assert queue_only.queue.tobytes() == full.queue.tobytes()
+        assert (queue_only.settling_times().tobytes()
+                == full.settling_times().tobytes())
+        assert np.array_equal(queue_only.target_crossing_counts(),
+                              full.target_crossing_counts())
+        rate_readers = (
+            lambda batch: batch.growth_rate,
+            lambda batch: batch.final_rates,
+            lambda batch: batch.distance_to_limit_point(),
+            lambda batch: batch.time_average_rates(),
+            lambda batch: batch.trajectory(0),
+            lambda batch: batch.trajectories(),
+        )
+        for read in rate_readers:
+            read(full)
+            with pytest.raises(AnalysisError, match="record_rate=False"):
+                read(queue_only)
+
     def test_scalar_column_broadcasts(self, jrj_control, canonical_params):
         batch = integrate_characteristic_batch(
             jrj_control, canonical_params, Q0S, RATE0S, t_end=50.0,

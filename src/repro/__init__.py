@@ -37,7 +37,6 @@ Quick start::
 """
 
 from .config import (
-    DelayParameters,
     GridParameters,
     SourceParameters,
     SystemParameters,
@@ -96,7 +95,6 @@ from .characteristics import (
     CharacteristicBatch,
     CharacteristicTrajectory,
     analyze_spiral,
-    analyze_spiral_batch,
     classify_equilibrium,
     find_equilibrium,
     integrate_characteristic,
@@ -152,7 +150,6 @@ from .design import (
 from .stochastic import LangevinModel, compare_with_density, run_ensemble
 from .numerics import available_backends, get_backend
 from .runner import (
-    ExperimentSpec,
     JobSpec,
     MatrixResult,
     ResultCache,
@@ -170,7 +167,6 @@ __all__ = [
     "GridParameters",
     "TimeParameters",
     "SourceParameters",
-    "DelayParameters",
     # exceptions
     "ReproError",
     "ConfigurationError",
@@ -230,7 +226,6 @@ __all__ = [
     "find_equilibrium",
     "classify_equilibrium",
     "analyze_spiral",
-    "analyze_spiral_batch",
     "is_convergent_spiral",
     "verify_theorem1",
     "verify_theorem1_batch",
@@ -286,7 +281,6 @@ __all__ = [
     "available_backends",
     # experiment orchestration
     "JobSpec",
-    "ExperimentSpec",
     "MatrixResult",
     "ResultCache",
     "expand_grid",

@@ -21,13 +21,11 @@ from .report import format_table, format_series, format_key_values
 from .phase_portrait import (
     render_phase_portrait,
     render_trajectory_portrait,
-    render_batch_portrait,
 )
 
 __all__ = [
     "render_phase_portrait",
     "render_trajectory_portrait",
-    "render_batch_portrait",
     "ConvergenceReport",
     "assess_convergence",
     "settling_time",

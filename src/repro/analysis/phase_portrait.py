@@ -17,8 +17,7 @@ import numpy as np
 
 from ..exceptions import AnalysisError
 
-__all__ = ["render_phase_portrait", "render_trajectory_portrait",
-           "render_batch_portrait"]
+__all__ = ["render_phase_portrait", "render_trajectory_portrait"]
 
 _TRAJECTORY_MARKS = "abcdefghij"
 
@@ -125,25 +124,3 @@ def render_trajectory_portrait(trajectory, width: int = 72,
                                  q_target=trajectory.q_target,
                                  width=width, height=height)
 
-
-def render_batch_portrait(batch, width: int = 72, height: int = 24,
-                          q_range: Optional[Tuple[float, float]] = None,
-                          v_range: Optional[Tuple[float, float]] = None) -> str:
-    """Render a batched characteristic family in one portrait.
-
-    *batch* is a :class:`~repro.characteristics.trajectory.CharacteristicBatch`
-    (or anything exposing ``trajectory(i)``, ``batch_size`` and ``q_target``);
-    every member is drawn with its own letter, cycling through the marks.
-    The switching line is meaningful only for a family sharing one target, so
-    heterogeneous ``q_target`` columns are rejected.
-    """
-    q_targets = np.unique(np.asarray(batch.q_target, dtype=float))
-    if q_targets.size != 1:
-        raise AnalysisError(
-            "cannot draw one switching line for a family with heterogeneous "
-            "q_target values; render sub-families instead")
-    members = [batch.trajectory(index) for index in range(batch.batch_size)]
-    pairs = [(member.queue, member.rate - member.mu) for member in members]
-    return render_phase_portrait(pairs, q_target=float(q_targets[0]),
-                                 width=width, height=height,
-                                 q_range=q_range, v_range=v_range)

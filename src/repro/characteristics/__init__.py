@@ -20,7 +20,6 @@ from .equilibrium import Equilibrium, find_equilibrium, classify_equilibrium
 from .limit_cycle import (
     SpiralAnalysis,
     analyze_spiral,
-    analyze_spiral_batch,
     peak_contraction_ratios,
     is_convergent_spiral,
 )
@@ -32,13 +31,11 @@ from .theorem1 import (
 from .poincare import (
     PoincareSection,
     compute_poincare_section,
-    compute_poincare_sections,
 )
 
 __all__ = [
     "PoincareSection",
     "compute_poincare_section",
-    "compute_poincare_sections",
     "CharacteristicBatch",
     "CharacteristicTrajectory",
     "integrate_characteristic",
@@ -51,7 +48,6 @@ __all__ = [
     "classify_equilibrium",
     "SpiralAnalysis",
     "analyze_spiral",
-    "analyze_spiral_batch",
     "peak_contraction_ratios",
     "is_convergent_spiral",
     "Theorem1Verification",

@@ -16,18 +16,17 @@ a positive constant (ratio → 1 with non-vanishing amplitude).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import AnalysisError
 from ..numerics.spectral import detect_peaks
-from .trajectory import CharacteristicBatch, CharacteristicTrajectory
+from .trajectory import CharacteristicTrajectory
 
 __all__ = [
     "SpiralAnalysis",
     "analyze_spiral",
-    "analyze_spiral_batch",
     "peak_contraction_ratios",
     "is_convergent_spiral",
 ]
@@ -135,30 +134,6 @@ def analyze_spiral(trajectory: CharacteristicTrajectory,
                           contraction_ratios=ratios,
                           converges=converges,
                           limit_cycle_amplitude=tail_amplitude)
-
-
-def analyze_spiral_batch(batch: CharacteristicBatch,
-                         settle_fraction: float = 0.3,
-                         amplitude_floor: float = 1e-3
-                         ) -> List[Optional[SpiralAnalysis]]:
-    """Peak/contraction extraction for every member of a characteristic batch.
-
-    Each member goes through exactly :func:`analyze_spiral` (the extraction
-    is shared, so batched sweeps report the same peaks, contraction ratios
-    and verdicts as their scalar counterparts).  Members without any queue
-    peak -- the monotone-settling case that makes the scalar function raise
-    -- are reported as ``None`` so one featureless trajectory cannot abort
-    a whole sweep.
-    """
-    analyses: List[Optional[SpiralAnalysis]] = []
-    for index in range(batch.batch_size):
-        try:
-            analyses.append(analyze_spiral(batch.trajectory(index),
-                                           settle_fraction=settle_fraction,
-                                           amplitude_floor=amplitude_floor))
-        except AnalysisError:
-            analyses.append(None)
-    return analyses
 
 
 def is_convergent_spiral(trajectory: CharacteristicTrajectory,

@@ -18,15 +18,13 @@ amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
 from ..exceptions import AnalysisError
-from .trajectory import CharacteristicBatch, CharacteristicTrajectory
+from .trajectory import CharacteristicTrajectory
 
-__all__ = ["PoincareSection", "compute_poincare_section",
-           "compute_poincare_sections"]
+__all__ = ["PoincareSection", "compute_poincare_section"]
 
 
 @dataclass
@@ -159,31 +157,3 @@ def compute_poincare_section(trajectory: CharacteristicTrajectory,
                            crossing_rates=crossing_rates,
                            mu=trajectory.mu)
 
-
-def compute_poincare_sections(batch: CharacteristicBatch,
-                              direction: str = "down",
-                              skip_fraction: float = 0.0,
-                              missing: str = "raise"
-                              ) -> List[Optional[PoincareSection]]:
-    """Section every member of a batched characteristic family.
-
-    Each member is sampled with :func:`compute_poincare_section`, so the
-    recorded crossings match the scalar path exactly.  A family produced by
-    one vectorized integration typically contains members that never reach
-    the section (e.g. monotone settlers in a gain sweep); ``missing``
-    decides whether those abort the sweep (``"raise"``, the scalar
-    behaviour) or appear as ``None`` entries (``"none"``).
-    """
-    if missing not in ("raise", "none"):
-        raise AnalysisError("missing must be 'raise' or 'none'")
-    sections: List[Optional[PoincareSection]] = []
-    for index in range(batch.batch_size):
-        try:
-            sections.append(compute_poincare_section(
-                batch.trajectory(index), direction=direction,
-                skip_fraction=skip_fraction))
-        except AnalysisError:
-            if missing == "raise":
-                raise
-            sections.append(None)
-    return sections

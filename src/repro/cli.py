@@ -28,15 +28,18 @@ top of those, the :mod:`repro.runner` orchestration layer adds:
   with ``--check-marching`` cross-checking against the time-marched tail)
   and coarse-to-fine gain sweeps over ``(c0, c1, q_target, mu)`` grids
   (``repro design sweep``), printing ranked gains and the
-  oscillation-versus-relaxation Pareto front (see ``docs/design.md``);
+  oscillation-versus-relaxation Pareto front (see ``docs/design.md``).
+  Each action has its own option set and rejects the other's options;
+  ``--stepper`` and ``--t-end`` of ``design stationary`` need
+  ``--check-marching``;
 * ``repro cache {info,list,clear,prune}`` -- inspect, empty or age out
   that cache (``prune --older-than DAYS`` deletes stale entries; ``info``
   also reports quarantined corrupt entries);
 * ``--jobs N``, ``--no-cache`` and ``--cache-dir PATH`` on the experiment
   sub-commands above, which route their evaluations through the same
   runner (``delay-sweep --jobs 4`` runs one worker process per delay);
-  ``design sweep`` scores its grid in process and rejects them, pointing
-  at ``repro run design-gain-grid --jobs N``;
+  ``design sweep`` scores its grid in process and has none of them: its
+  parallel, cached form is ``repro run design-gain-grid --jobs N``;
 * ``repro ensemble`` -- Langevin ensemble of the stochastic model with
   final-time queue statistics; together with ``repro run`` and
   ``repro design sweep`` it accepts ``--retention {full,moments,none}``
@@ -157,6 +160,17 @@ def _add_stepper_option(parser: argparse.ArgumentParser) -> None:
                              "diffusion), 'adi' the 2-D Peaceman-Rachford "
                              "operator split on the sparse backend path "
                              "(default axis; see docs/performance.md)")
+
+
+def _add_design_options(parser: argparse.ArgumentParser) -> None:
+    """The options both ``design`` actions read."""
+    _add_common_parameters(parser)
+    _add_health_option(parser)
+    parser.add_argument("--sigma", type=float, default=0.4,
+                        help="diffusion coefficient (default 0.4)")
+    parser.add_argument("--backend", default=None,
+                        help="numerics backend for the null-space solve "
+                             "(default: the configured backend)")
 
 
 def _add_health_option(parser: argparse.ArgumentParser) -> None:
@@ -326,63 +340,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     design = subparsers.add_parser(
         "design", help="gain design: stationary solves and objective sweeps")
-    _add_common_parameters(design)
-    _add_runner_options(design)
-    _add_dataplane_options(design)
-    _add_health_option(design)
-    design.add_argument("action", choices=["stationary", "sweep"],
-                        help="stationary: solve L p = 0 directly; "
-                             "sweep: rank a (c0, c1, q_target, mu) grid")
-    design.add_argument("--sigma", type=float, default=0.4,
-                        help="diffusion coefficient (default 0.4)")
-    design.add_argument("--dt", type=float, default=None,
-                        help="splitting step for the stationary solve / "
-                             "trajectory step for the sweep (default: "
-                             "auto / 0.1)")
-    design.add_argument("--method", choices=["splitting", "generator", "adi"],
-                        default="splitting",
-                        help="stationary operator: the one-step splitting "
-                             "fixed point (matches marching), the "
-                             "continuous generator, or 'adi' (alias of "
-                             "'generator': the ADI fixed point is the "
-                             "generator null vector)")
-    _add_stepper_option(design)
-    design.add_argument("--backend", default=None,
-                        help="numerics backend for the null-space solve "
-                             "(default: the configured backend)")
-    design.add_argument("--delay", type=float, default=0.0,
-                        help="feedback delay for the shifted-drift closure "
-                             "(default 0 = undelayed)")
-    design.add_argument("--nq", type=int, default=48,
-                        help="queue grid points (default 48)")
-    design.add_argument("--nv", type=int, default=36,
-                        help="growth-rate grid points (default 36)")
-    design.add_argument("--q-max", type=float, default=30.0,
-                        help="queue grid extent (default 30)")
-    design.add_argument("--v-span", type=float, default=1.2,
-                        help="growth-rate grid half-extent (default 1.2)")
-    design.add_argument("--check-marching", action="store_true",
-                        help="stationary: also time-march to --t-end and "
-                             "report the relative moment differences")
-    design.add_argument("--t-end", type=float, default=None,
-                        help="sweep trajectory horizon (default 150) / "
-                             "marching-check horizon (default 400)")
-    design.add_argument("--n-c0", type=int, default=10,
-                        help="sweep: c0 axis size (default 10)")
-    design.add_argument("--n-c1", type=int, default=10,
-                        help="sweep: c1 axis size (default 10)")
-    design.add_argument("--n-q-target", type=int, default=10,
-                        help="sweep: q_target axis size (default 10)")
-    design.add_argument("--n-mu", type=int, default=10,
-                        help="sweep: mu axis size (default 10)")
-    design.add_argument("--top-k", type=int, default=16,
-                        help="sweep: points carried into the stationary "
-                             "refinement stage (default 16)")
-    design.add_argument("--chunk-size", type=int, default=None,
-                        help="sweep: most gain points per batched-trajectory "
-                             "chunk (default: automatic, the fewest equal "
-                             "chunks whose queue series fit a fixed memory "
-                             "budget)")
+    actions = design.add_subparsers(dest="action", required=True)
+    stationary = actions.add_parser(
+        "stationary", help="solve L p = 0 directly",
+        description="Solve the stationary Fokker-Planck equation L p = 0 "
+                    "directly through the runner; --check-marching also "
+                    "time-marches the same configuration and reports the "
+                    "relative moment differences.")
+    _add_design_options(stationary)
+    _add_runner_options(stationary)
+    stationary.add_argument("--dt", type=float, default=None,
+                            help="splitting step (default: auto)")
+    stationary.add_argument("--method",
+                            choices=["splitting", "generator", "adi"],
+                            default="splitting",
+                            help="stationary operator: the one-step "
+                                 "splitting fixed point (matches marching), "
+                                 "the continuous generator, or 'adi' (alias "
+                                 "of 'generator': the ADI fixed point is the "
+                                 "generator null vector)")
+    _add_stepper_option(stationary)
+    stationary.add_argument("--delay", type=float, default=0.0,
+                            help="feedback delay for the shifted-drift "
+                                 "closure (default 0 = undelayed)")
+    stationary.add_argument("--nq", type=int, default=48,
+                            help="queue grid points (default 48)")
+    stationary.add_argument("--nv", type=int, default=36,
+                            help="growth-rate grid points (default 36)")
+    stationary.add_argument("--q-max", type=float, default=30.0,
+                            help="queue grid extent (default 30)")
+    stationary.add_argument("--v-span", type=float, default=1.2,
+                            help="growth-rate grid half-extent (default 1.2)")
+    stationary.add_argument("--check-marching", action="store_true",
+                            help="also time-march to --t-end with --stepper "
+                                 "and report the relative moment differences")
+    stationary.add_argument("--t-end", type=float, default=None,
+                            help="marching-check horizon (default 400; needs "
+                                 "--check-marching)")
+
+    sweep = actions.add_parser(
+        "sweep", help="rank a (c0, c1, q_target, mu) grid",
+        description="Score a (c0, c1, q_target, mu) gain grid from batched "
+                    "characteristics in this process, refine the best points "
+                    "with stationary solves, and print the ranked gains and "
+                    "the Pareto front.  For a parallel, cached sweep use "
+                    "'repro run design-gain-grid --jobs N'.")
+    _add_design_options(sweep)
+    _add_dataplane_options(sweep)
+    sweep.add_argument("--dt", type=float, default=0.1,
+                       help="trajectory step (default 0.1)")
+    sweep.add_argument("--t-end", type=float, default=150.0,
+                       help="trajectory horizon (default 150)")
+    sweep.add_argument("--n-c0", type=int, default=10,
+                       help="c0 axis size (default 10)")
+    sweep.add_argument("--n-c1", type=int, default=10,
+                       help="c1 axis size (default 10)")
+    sweep.add_argument("--n-q-target", type=int, default=10,
+                       help="q_target axis size (default 10)")
+    sweep.add_argument("--n-mu", type=int, default=10,
+                       help="mu axis size (default 10)")
+    sweep.add_argument("--top-k", type=int, default=16,
+                       help="points carried into the stationary refinement "
+                            "stage (default 16)")
+    sweep.add_argument("--chunk-size", type=int, default=None,
+                       help="most gain points per batched-trajectory chunk "
+                            "(default: automatic, the fewest equal chunks "
+                            "whose queue series fit a fixed memory budget)")
 
     health = subparsers.add_parser(
         "health", help="summarise the numerical-health reports recorded in "
@@ -606,6 +629,13 @@ def _design_grid(args: argparse.Namespace) -> GridParameters:
 
 def _run_design_stationary(args: argparse.Namespace,
                            params: SystemParameters) -> int:
+    marching_only = [flag for flag, value in (("--stepper", args.stepper),
+                                              ("--t-end", args.t_end))
+                     if value is not None]
+    if marching_only and not args.check_marching:
+        raise ConfigurationError(
+            f"'design stationary' reads {' and '.join(marching_only)} only "
+            f"with --check-marching: the direct solve does not march")
     if args.check_marching:
         # The marching cross-check needs the full density, which the
         # compact runner result intentionally omits; compute directly.
@@ -665,10 +695,8 @@ def _run_design_sweep(args: argparse.Namespace,
         params, axes["c0_values"], axes["c1_values"],
         axes["q_target_values"], axes["mu_values"],
         top_k=args.top_k, chunk_size=args.chunk_size,
-        t_end=args.t_end if args.t_end is not None else 150.0,
-        dt=args.dt if args.dt is not None else 0.1,
-        backend=args.backend, retention=args.retention,
-        memmap_dir=args.memmap_dir)
+        t_end=args.t_end, dt=args.dt, backend=args.backend,
+        retention=args.retention, memmap_dir=args.memmap_dir)
     elapsed = time.perf_counter() - started
 
     def _row(gain) -> dict:
@@ -697,32 +725,10 @@ def _run_design_sweep(args: argparse.Namespace,
     return 0
 
 
-#: ``design`` options that ``design sweep`` cannot honour: the runner flags
-#: (the sweep scores its grid in this process) and the stationary-solve
-#: flags.
-_SWEEP_UNUSED = ("jobs", "no_cache", "cache_dir", "progress", "retries",
-                 "timeout", "delay", "method", "nq", "nv", "q_max", "v_span",
-                 "check_marching")
-
-
 def _run_design(args: argparse.Namespace) -> int:
     params = _system_parameters(args)
     if args.action == "stationary":
-        if args.retention != "full" or args.memmap_dir is not None:
-            raise ConfigurationError(
-                "--retention/--memmap-dir apply to 'design sweep' only "
-                "(the stationary solve keeps no trajectory history)")
         return _run_design_stationary(args, params)
-    defaults = build_parser().parse_args(["design", "sweep"])
-    unused = [f"--{name.replace('_', '-')}" for name in _SWEEP_UNUSED
-              if getattr(args, name) != getattr(defaults, name)]
-    if unused:
-        raise ConfigurationError(
-            f"'design sweep' does not use {', '.join(unused)}: it runs "
-            f"in this process, without the runner, and the grid and "
-            f"delay options apply to 'design stationary' only; for a "
-            f"parallel, cached sweep use 'repro run design-gain-grid "
-            f"--jobs N'")
     return _run_design_sweep(args, params)
 
 

@@ -21,7 +21,7 @@ errors surface where the mistake was made rather than deep inside a solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Type
+from typing import Optional
 
 from .exceptions import ConfigurationError
 
@@ -30,9 +30,7 @@ __all__ = [
     "GridParameters",
     "TimeParameters",
     "SourceParameters",
-    "DelayParameters",
     "ParameterDictMixin",
-    "parameters_from_dict",
 ]
 
 
@@ -41,11 +39,6 @@ def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigurationError(message)
 
-
-#: Registry mapping the ``__parameters__`` type tag written by
-#: :meth:`ParameterDictMixin.to_dict` back to the dataclass, so a dictionary
-#: can be revived without knowing its concrete type in advance.
-_PARAMETER_REGISTRY: Dict[str, Type["ParameterDictMixin"]] = {}
 
 #: Key under which the concrete type name is stored in serialised form.
 _TYPE_TAG = "__parameters__"
@@ -60,10 +53,6 @@ class ParameterDictMixin:
     content-addressed job hashes used by :mod:`repro.runner` and is also
     convenient for logging and result metadata.
     """
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        _PARAMETER_REGISTRY[cls.__name__] = cls
 
     def to_dict(self) -> dict:
         """Return a plain dictionary with a ``__parameters__`` type tag."""
@@ -89,21 +78,6 @@ class ParameterDictMixin:
         _require(not unknown,
                  f"unknown {cls.__name__} fields in dictionary: {unknown}")
         return cls(**payload)
-
-
-def parameters_from_dict(data: dict) -> ParameterDictMixin:
-    """Revive any parameter dataclass from its :meth:`to_dict` form.
-
-    Dispatches on the ``__parameters__`` tag, so callers need not know which
-    concrete parameter class a stored dictionary describes.
-    """
-    _require(isinstance(data, dict) and _TYPE_TAG in data,
-             "parameters_from_dict needs a dictionary with a "
-             f"{_TYPE_TAG!r} type tag")
-    tag = data[_TYPE_TAG]
-    _require(tag in _PARAMETER_REGISTRY,
-             f"unknown parameter type tag {tag!r}")
-    return _PARAMETER_REGISTRY[tag].from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -284,15 +258,3 @@ class SourceParameters(ParameterDictMixin):
         _require(self.c1 > 0.0, "c1 must be positive")
         _require(self.delay >= 0.0, "delay must be non-negative")
         _require(self.initial_rate >= 0.0, "initial_rate must be non-negative")
-
-
-@dataclass(frozen=True)
-class DelayParameters(ParameterDictMixin):
-    """Feedback-delay configuration for Section 7 experiments."""
-
-    delay: float = 2.0
-    history_dt: float = 0.01
-
-    def __post_init__(self) -> None:
-        _require(self.delay >= 0.0, "delay must be non-negative")
-        _require(self.history_dt > 0.0, "history_dt must be positive")

@@ -25,7 +25,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..exceptions import AnalysisError, ConfigurationError
-from ..numerics.stats import WeightedStatistics
 
 __all__ = [
     "StreamingMoments",
@@ -46,8 +45,7 @@ class StreamingMoments:
     block of particles into the running per-time statistics.
 
     ``variance`` is the population variance (``ddof=0``, matching
-    :func:`numpy.var`); ``sample_variance`` applies Bessel's correction
-    (matching :class:`~repro.numerics.stats.RunningStatistics`).
+    :func:`numpy.var`); ``sample_variance`` applies Bessel's correction.
     """
 
     __slots__ = ("count", "mean", "m2", "minimum", "maximum")
@@ -234,8 +232,7 @@ class StreamingHistogram:
     def density(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(centers, density)`` normalised over the binned range.
 
-        Matches :func:`repro.numerics.stats.empirical_density` semantics:
-        samples outside the edges are excluded from the normalisation.
+        Samples outside the edges are excluded from the normalisation.
         """
         total = float(self.counts.sum())
         if total == 0.0:
@@ -286,15 +283,59 @@ class StreamingHistogram:
                 f"total={self.total})")
 
 
-class TimeWeightedMoments(WeightedStatistics):
-    """:class:`~repro.numerics.stats.WeightedStatistics` plus merge/serde.
+class TimeWeightedMoments:
+    """Weighted mean/variance accumulator for time-averaged metrics.
 
-    The update arithmetic is inherited unchanged, so a streamed
-    time-average folds the exact float sequence the full-history
-    ``TimeSeriesTrace.time_average`` would -- bit-identical results when
-    the same ``(value, duration)`` pairs arrive in the same order.  The
-    merge is the weighted Chan combination.
+    Each sample carries a non-negative weight; for a piecewise-constant
+    signal the natural weight is the duration for which the value held,
+    yielding the time-average and time-variance of the signal.  The
+    full-history ``TimeSeriesTrace.time_average`` folds its intervals
+    through this same ``update``, so a streamed time-average is
+    bit-identical to it when the same ``(value, duration)`` pairs arrive in
+    the same order.  The merge is the weighted Chan combination.
     """
+
+    def __init__(self) -> None:
+        self._weight_sum = 0.0
+        self._mean = 0.0
+        self._m2 = 0.0
+
+    def update(self, value: float, weight: float) -> None:
+        """Add a sample *value* with the given non-negative *weight*."""
+        weight = float(weight)
+        if weight < 0.0:
+            raise AnalysisError("weights must be non-negative")
+        if weight == 0.0:
+            return
+        value = float(value)
+        new_weight_sum = self._weight_sum + weight
+        delta = value - self._mean
+        ratio = weight / new_weight_sum
+        self._mean += delta * ratio
+        self._m2 += weight * delta * (value - self._mean)
+        self._weight_sum = new_weight_sum
+
+    @property
+    def total_weight(self) -> float:
+        """Sum of the weights seen so far."""
+        return self._weight_sum
+
+    @property
+    def mean(self) -> float:
+        """Weighted mean (0.0 when no weight has been accumulated)."""
+        return self._mean if self._weight_sum > 0.0 else 0.0
+
+    @property
+    def variance(self) -> float:
+        """Weighted (population) variance."""
+        if self._weight_sum <= 0.0:
+            return 0.0
+        return self._m2 / self._weight_sum
+
+    @property
+    def std(self) -> float:
+        """Weighted standard deviation."""
+        return float(np.sqrt(self.variance))
 
     def merge(self, other: "TimeWeightedMoments") -> "TimeWeightedMoments":
         """Fold *other*'s state into this one (weighted Chan merge)."""

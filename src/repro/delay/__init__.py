@@ -22,17 +22,15 @@ from .oscillation import OscillationSummary, measure_oscillation, delay_sweep
 from .heterogeneous import (
     HeterogeneousDelayResult,
     heterogeneous_delay_experiment,
-    delay_ratio_sweep,
 )
 from .fokker_planck_delay import DelayedFokkerPlanckSolver
 from .round_trip import RoundTripUpdateModel, predicted_round_trip_shares
-from .stability import critical_delay, delay_margin_table
+from .stability import critical_delay
 
 __all__ = [
     "RoundTripUpdateModel",
     "predicted_round_trip_shares",
     "critical_delay",
-    "delay_margin_table",
     "DelayedSystem",
     "DelayedTrajectory",
     "OscillationSummary",
@@ -40,6 +38,5 @@ __all__ = [
     "delay_sweep",
     "HeterogeneousDelayResult",
     "heterogeneous_delay_experiment",
-    "delay_ratio_sweep",
     "DelayedFokkerPlanckSolver",
 ]

@@ -10,15 +10,13 @@ the paper identifies.
 
 :func:`heterogeneous_delay_experiment` runs the coupled multi-source DDE for
 a given vector of delays and reports per-source throughput, shares and the
-Jain index; :func:`delay_ratio_sweep` sweeps the delay of the "long" source
-while holding the "short" one fixed, producing the throughput-ratio series
-for experiment E7.
+Jain index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from ..multisource.model import MultiSourceModel, MultiSourceTrajectory
 __all__ = [
     "HeterogeneousDelayResult",
     "heterogeneous_delay_experiment",
-    "delay_ratio_sweep",
 ]
 
 
@@ -107,19 +104,3 @@ def heterogeneous_delay_experiment(params: SystemParameters,
         jain_index=jain_fairness_index(throughputs),
         trajectory=trajectory)
 
-
-def delay_ratio_sweep(params: SystemParameters, short_delay: float,
-                      long_delays: Sequence[float], t_end: float = 800.0,
-                      dt: float = 0.02) -> List[HeterogeneousDelayResult]:
-    """Sweep the long source's delay against a fixed short-delay competitor.
-
-    Returns one :class:`HeterogeneousDelayResult` per entry of
-    *long_delays*; the benchmark prints the throughput ratio and Jain index
-    as a function of the delay ratio.
-    """
-    results: List[HeterogeneousDelayResult] = []
-    for long_delay in long_delays:
-        results.append(heterogeneous_delay_experiment(
-            params, delays=[short_delay, float(long_delay)],
-            t_end=t_end, dt=dt))
-    return results

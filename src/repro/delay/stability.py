@@ -5,16 +5,12 @@ delays oscillate.  A natural engineering question the model can answer is
 *where the boundary lies*: the critical feedback delay below which the
 closed loop still settles (within a tolerance) and above which it sustains a
 limit cycle.  :func:`critical_delay` locates it by bisection on the measured
-steady-state oscillation amplitude of the delayed characteristic system, and
-:func:`delay_margin_table` sweeps the control gains to show how the margin
-shrinks as the controller is made more aggressive -- the quantitative
-guidance for choosing ``C0`` and ``C1`` that the paper's analysis enables.
+steady-state oscillation amplitude of the delayed characteristic system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..config import SystemParameters
 from ..control.jrj import JRJControl
@@ -22,7 +18,7 @@ from ..exceptions import ConfigurationError
 from .delayed_model import DelayedSystem
 from .oscillation import measure_oscillation
 
-__all__ = ["critical_delay", "DelayMarginEntry", "delay_margin_table"]
+__all__ = ["critical_delay"]
 
 
 def _steady_amplitude(params: SystemParameters, control: JRJControl,
@@ -91,39 +87,3 @@ def critical_delay(params: SystemParameters,
             low = middle
     return 0.5 * (low + high)
 
-
-@dataclass(frozen=True)
-class DelayMarginEntry:
-    """Delay margin for one (C0, C1) gain pair."""
-
-    c0: float
-    c1: float
-    critical_delay: float
-
-
-def delay_margin_table(params: SystemParameters,
-                       c0_values: Sequence[float],
-                       c1_values: Sequence[float],
-                       amplitude_threshold: float = 0.5,
-                       delay_upper_bound: float = 30.0,
-                       t_end: float = 400.0, dt: float = 0.05
-                       ) -> List[DelayMarginEntry]:
-    """Critical delay for every combination of the supplied gains.
-
-    The returned table is the design chart an operator would use: for each
-    increase/decrease setting it reports how much feedback latency the
-    control loop tolerates before its queue oscillation exceeds the chosen
-    amplitude threshold.
-    """
-    entries: List[DelayMarginEntry] = []
-    for c0 in c0_values:
-        for c1 in c1_values:
-            gain_params = params.with_rates(c0=c0, c1=c1)
-            control = JRJControl(c0=c0, c1=c1, q_target=params.q_target)
-            margin = critical_delay(gain_params, control,
-                                    amplitude_threshold=amplitude_threshold,
-                                    delay_upper_bound=delay_upper_bound,
-                                    t_end=t_end, dt=dt)
-            entries.append(DelayMarginEntry(c0=c0, c1=c1,
-                                            critical_delay=margin))
-    return entries

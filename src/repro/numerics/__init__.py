@@ -2,9 +2,9 @@
 
 The subpackage is deliberately self-contained: every routine needed by the
 higher layers (grids, tridiagonal solves, quadrature, interpolation, ODE /
-DDE / SDE integration, spectral period estimation, streaming statistics and
-root finding) lives here, so the physics and control layers above never have
-to reach for ad-hoc numerical code.
+DDE / SDE integration and spectral period estimation) lives here, so the
+physics and control layers above never have to reach for ad-hoc numerical
+code.  Streaming statistics live in :mod:`repro.dataplane`.
 """
 
 from .grids import UniformGrid1D, PhaseGrid2D
@@ -14,17 +14,10 @@ from .backend import (
     NumericsBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
-from .integrate import trapezoid, simpson, cumulative_trapezoid, normalize_density
-from .interpolate import (
-    linear_interpolate,
-    bilinear_interpolate,
-    interp_columns,
-    Interpolant1D,
-)
+from .integrate import trapezoid
+from .interpolate import linear_interpolate, interp_columns
 from .ode import (
-    euler_step,
     rk4_step,
     integrate_fixed,
     integrate_fixed_batch,
@@ -32,10 +25,8 @@ from .ode import (
     BatchODEResult,
 )
 from .dde import DelayBuffer, integrate_dde, DDEResult
-from .sde import euler_maruyama, milstein, SDEPaths
+from .sde import euler_maruyama, SDEPaths
 from .spectral import dominant_period, power_spectrum, detect_peaks
-from .stats import RunningStatistics, WeightedStatistics, empirical_density
-from .rootfind import bisect, newton
 
 __all__ = [
     "UniformGrid1D",
@@ -46,16 +37,9 @@ __all__ = [
     "NumericsBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "trapezoid",
-    "simpson",
-    "cumulative_trapezoid",
-    "normalize_density",
     "linear_interpolate",
-    "bilinear_interpolate",
     "interp_columns",
-    "Interpolant1D",
-    "euler_step",
     "rk4_step",
     "integrate_fixed",
     "integrate_fixed_batch",
@@ -65,14 +49,8 @@ __all__ = [
     "integrate_dde",
     "DDEResult",
     "euler_maruyama",
-    "milstein",
     "SDEPaths",
     "dominant_period",
     "power_spectrum",
     "detect_peaks",
-    "RunningStatistics",
-    "WeightedStatistics",
-    "empirical_density",
-    "bisect",
-    "newton",
 ]

@@ -2,8 +2,8 @@
 
 The Fokker-Planck solver spends nearly all of its time in a small set of
 kernels (tridiagonal solves for the Crank-Nicolson diffusion step above
-all).  This module provides a tiny registry so those kernels can be swapped
-without touching the physics code:
+all).  This module provides two interchangeable implementations of those
+kernels, selected by name without touching the physics code:
 
 * the ``"numpy"`` backend is the pure-numpy reference implementation
   (:class:`repro.numerics.tridiag.TridiagonalFactorization`) and is always
@@ -63,7 +63,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "is_known_backend",
-    "register_backend",
     "scipy_available",
 ]
 
@@ -765,19 +764,11 @@ class ScipyBackend(NumericsBackend):
         return _ScipyBandedFactorization(lower, diag, upper)  # pragma: no cover
 
 
-_REGISTRY: Dict[str, Callable[[], NumericsBackend]] = {}
+_REGISTRY: Dict[str, Callable[[], NumericsBackend]] = {
+    NumpyBackend.name: NumpyBackend,
+    ScipyBackend.name: ScipyBackend,
+}
 _INSTANCES: Dict[str, NumericsBackend] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[[], NumericsBackend]) -> None:
-    """Register a backend *factory* under *name* (overwrites silently)."""
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-register_backend(NumpyBackend.name, NumpyBackend)
-register_backend(ScipyBackend.name, ScipyBackend)
 
 
 def available_backends() -> list:

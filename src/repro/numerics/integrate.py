@@ -1,4 +1,4 @@
-"""Quadrature helpers for densities defined on uniform grids."""
+"""Quadrature for densities defined on uniform grids."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import numpy as np
 
 from ..exceptions import GridError
 
-__all__ = [
-    "trapezoid",
-    "simpson",
-    "cumulative_trapezoid",
-    "normalize_density",
-]
+__all__ = ["trapezoid"]
 
 
 def trapezoid(values: np.ndarray, dx: float) -> float:
@@ -20,40 +15,3 @@ def trapezoid(values: np.ndarray, dx: float) -> float:
     if values.size < 2:
         raise GridError("trapezoid needs at least two samples")
     return float(np.trapezoid(values, dx=dx))
-
-
-def simpson(values: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule (falls back to trapezoid on the last interval
-    when the number of samples is even)."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 3:
-        return trapezoid(values, dx)
-    if n % 2 == 1:
-        weights = np.ones(n)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        return float(np.sum(weights * values) * dx / 3.0)
-    # Even number of samples: Simpson on the first n-1, trapezoid on the tail.
-    head = simpson(values[:-1], dx)
-    tail = 0.5 * dx * (values[-2] + values[-1])
-    return head + tail
-
-
-def cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoidal integral, same length as *values* (starts at 0)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return np.zeros(0)
-    partial = np.concatenate(
-        ([0.0], np.cumsum(0.5 * dx * (values[1:] + values[:-1]))))
-    return partial
-
-
-def normalize_density(values: np.ndarray, dx: float) -> np.ndarray:
-    """Rescale a non-negative sampled density to integrate to one."""
-    values = np.asarray(values, dtype=float)
-    mass = float(np.sum(values) * dx)
-    if mass <= 0.0:
-        raise GridError("cannot normalise a density with non-positive mass")
-    return values / mass

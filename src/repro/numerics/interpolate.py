@@ -1,19 +1,16 @@
 """Light-weight interpolation routines.
 
-The delay-differential solver needs fast linear interpolation into a history
-buffer, and the Fokker-Planck post-processing needs bilinear interpolation of
-the joint density.  Both are small enough to implement here without reaching
-for :mod:`scipy.interpolate`, keeping the hot paths allocation-free.
+The delayed Fokker-Planck solver needs fast linear interpolation into a
+history buffer, and batched ODE results interpolate every trajectory column
+at once.  Both are small enough to implement here without reaching for
+:mod:`scipy.interpolate`, keeping the hot paths allocation-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["linear_interpolate", "bilinear_interpolate", "interp_columns",
-           "Interpolant1D"]
+__all__ = ["linear_interpolate", "interp_columns"]
 
 
 def interp_columns(x: np.ndarray, xp: np.ndarray,
@@ -97,64 +94,3 @@ def linear_interpolate(x: float, xs: np.ndarray, ys: np.ndarray) -> float:
         return float(y0)
     weight = (x - x0) / (x1 - x0)
     return float(y0 + weight * (y1 - y0))
-
-
-def bilinear_interpolate(q: float, v: float, q_centers: np.ndarray,
-                         v_centers: np.ndarray, values: np.ndarray) -> float:
-    """Bilinear interpolation of a 2-D field sampled at cell centres.
-
-    *values* must have shape ``(len(q_centers), len(v_centers))``.  Points
-    outside the sampled rectangle are clamped to the nearest edge.
-    """
-    q_centers = np.asarray(q_centers, dtype=float)
-    v_centers = np.asarray(v_centers, dtype=float)
-    values = np.asarray(values, dtype=float)
-
-    def _bracket(x: float, centers: np.ndarray) -> tuple[int, int, float]:
-        if x <= centers[0]:
-            return 0, 0, 0.0
-        if x >= centers[-1]:
-            last = centers.size - 1
-            return last, last, 0.0
-        hi = int(np.searchsorted(centers, x))
-        lo = hi - 1
-        span = centers[hi] - centers[lo]
-        weight = 0.0 if span == 0 else (x - centers[lo]) / span
-        return lo, hi, weight
-
-    qi_lo, qi_hi, wq = _bracket(q, q_centers)
-    vi_lo, vi_hi, wv = _bracket(v, v_centers)
-
-    f00 = values[qi_lo, vi_lo]
-    f01 = values[qi_lo, vi_hi]
-    f10 = values[qi_hi, vi_lo]
-    f11 = values[qi_hi, vi_hi]
-    return float((1 - wq) * ((1 - wv) * f00 + wv * f01)
-                 + wq * ((1 - wv) * f10 + wv * f11))
-
-
-@dataclass
-class Interpolant1D:
-    """A reusable piecewise-linear interpolant over fixed samples."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.ys = np.asarray(self.ys, dtype=float)
-        if self.xs.shape != self.ys.shape:
-            raise ValueError("xs and ys must have the same shape")
-        if self.xs.size < 1:
-            raise ValueError("need at least one sample")
-        if np.any(np.diff(self.xs) < 0):
-            raise ValueError("xs must be non-decreasing")
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the interpolant at *x* (clamped outside the range)."""
-        return linear_interpolate(x, self.xs, self.ys)
-
-    def vectorized(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at many points (clamped), returning an array."""
-        return np.interp(np.asarray(xs, dtype=float), self.xs, self.ys,
-                         left=self.ys[0], right=self.ys[-1])

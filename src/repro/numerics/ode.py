@@ -37,8 +37,8 @@ from .interpolate import interp_columns
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..health import HealthMonitor
 
-__all__ = ["euler_step", "rk4_step", "integrate_fixed",
-           "integrate_fixed_batch", "ODEResult", "BatchODEResult"]
+__all__ = ["rk4_step", "integrate_fixed", "integrate_fixed_batch",
+           "ODEResult", "BatchODEResult"]
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
@@ -95,11 +95,6 @@ class ODEResult:
         """
         times = np.asarray(times, dtype=float)
         return interp_columns(times, self.times, self.states)
-
-
-def euler_step(rhs: RHS, t: float, state: np.ndarray, dt: float) -> np.ndarray:
-    """A single forward-Euler step (used mostly in tests as a reference)."""
-    return state + dt * np.asarray(rhs(t, state), dtype=float)
 
 
 def rk4_step(rhs: RHS, t: float, state: np.ndarray, dt: float) -> np.ndarray:

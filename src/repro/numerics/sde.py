@@ -1,4 +1,4 @@
-"""Stochastic differential equation integrators.
+"""Stochastic differential equation integrator.
 
 The Langevin analogue of the Fokker-Planck equation (Equation 14) is
 
@@ -9,11 +9,9 @@ the deterministic control law along each random sample path.  The ensemble
 of such particles has exactly the density governed by the FP equation, which
 gives an independent Monte-Carlo check of the PDE solver.
 
-Two schemes are provided: Euler-Maruyama (strong order 0.5, sufficient for
-additive noise) and Milstein, which for state-dependent diffusion adds the
-derivative correction term.  For the additive-noise case used by the paper
-the two coincide; Milstein is included for the general interface and tested
-against known moments of geometric Brownian motion.
+The scheme is Euler-Maruyama: strong order 0.5, and for the additive noise
+of the paper's model it coincides with the Milstein scheme, whose derivative
+correction vanishes when the diffusion does not depend on the state.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from ..exceptions import ConvergenceError
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..health import HealthMonitor
 
-__all__ = ["euler_maruyama", "milstein", "SDEPaths"]
+__all__ = ["euler_maruyama", "SDEPaths"]
 
 Drift = Callable[[float, np.ndarray], np.ndarray]
 Diffusion = Callable[[float, np.ndarray], np.ndarray]
@@ -72,79 +70,6 @@ class SDEPaths:
         return np.var(self.paths[:, :, index], axis=1)
 
 
-def _simulate(drift: Drift, diffusion: Diffusion, initial: np.ndarray,
-              t_end: float, dt: float, n_paths: int, rng: np.random.Generator,
-              projection: Optional[Callable[[np.ndarray], np.ndarray]],
-              record_every: int, milstein_correction: bool,
-              health: Optional["HealthMonitor"] = None) -> SDEPaths:
-    if dt <= 0.0:
-        raise ConvergenceError("dt must be positive")
-    if n_paths < 1:
-        raise ConvergenceError("n_paths must be at least 1")
-    if health is not None:
-        health.check_step_size(dt, t_end, label="SDE integrator")
-
-    initial = np.asarray(initial, dtype=float)
-    dim = initial.shape[-1] if initial.ndim > 0 else 1
-    states = np.broadcast_to(initial, (n_paths, dim)).astype(float).copy()
-
-    n_steps = int(np.ceil(t_end / dt))
-
-    # Preallocate the snapshot storage: the recording schedule is known up
-    # front, so the per-record ``states.copy()`` appends become writes into
-    # one contiguous array (same layout the delayed Langevin loop uses).
-    n_records = n_steps // record_every
-    if n_steps % record_every:
-        n_records += 1
-    times = np.empty(n_records + 1)
-    snapshots = np.empty((n_records + 1, n_paths, dim))
-    times[0] = 0.0
-    snapshots[0] = states
-    record_index = 1
-
-    sqrt_dt = np.sqrt(dt)
-    bump = 1e-7
-
-    t = 0.0
-    for step_index in range(1, n_steps + 1):
-        noise = rng.standard_normal(states.shape) * sqrt_dt
-        drift_term = drift(t, states)
-        diffusion_term = diffusion(t, states)
-        increment = drift_term * dt + diffusion_term * noise
-        if milstein_correction:
-            # Finite-difference estimate of d(diffusion)/dx for the Milstein
-            # term 0.5 * b * b' * (dW^2 - dt), applied component-wise.
-            bumped = diffusion(t, states + bump)
-            derivative = (bumped - diffusion_term) / bump
-            increment = increment + 0.5 * diffusion_term * derivative * (
-                noise ** 2 - dt)
-        states = states + increment
-        if projection is not None:
-            states = projection(states)
-        t += dt
-        if step_index % record_every == 0 or step_index == n_steps:
-            if health is not None:
-                bad = ~np.isfinite(states)
-                if bad.any():
-
-                    def _hold_last(states=states, bad=bad,
-                                   previous=snapshots[record_index - 1]):
-                        # Replace non-finite entries with the path's last
-                        # recorded value (held constant); the path is
-                        # flagged by the report rather than poisoning the
-                        # whole ensemble's moments.
-                        np.copyto(states, previous, where=bad)
-
-                    health.check_finite_block(states, t,
-                                              label="SDE path block",
-                                              repair=_hold_last)
-            times[record_index] = t
-            snapshots[record_index] = states
-            record_index += 1
-
-    return SDEPaths(times[:record_index], snapshots[:record_index])
-
-
 def euler_maruyama(drift: Drift, diffusion: Diffusion, initial: np.ndarray,
                    t_end: float, dt: float, n_paths: int,
                    rng: Optional[np.random.Generator] = None,
@@ -178,19 +103,62 @@ def euler_maruyama(drift: Drift, diffusion: Diffusion, initial: np.ndarray,
         keeps the original unmonitored behaviour exactly.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    return _simulate(drift, diffusion, np.asarray(initial, dtype=float), t_end,
-                     dt, n_paths, rng, projection, record_every,
-                     milstein_correction=False, health=health)
+    if dt <= 0.0:
+        raise ConvergenceError("dt must be positive")
+    if n_paths < 1:
+        raise ConvergenceError("n_paths must be at least 1")
+    if health is not None:
+        health.check_step_size(dt, t_end, label="SDE integrator")
 
+    initial = np.asarray(initial, dtype=float)
+    dim = initial.shape[-1] if initial.ndim > 0 else 1
+    states = np.broadcast_to(initial, (n_paths, dim)).astype(float).copy()
 
-def milstein(drift: Drift, diffusion: Diffusion, initial: np.ndarray,
-             t_end: float, dt: float, n_paths: int,
-             rng: Optional[np.random.Generator] = None,
-             projection: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-             record_every: int = 1,
-             health: Optional["HealthMonitor"] = None) -> SDEPaths:
-    """Simulate sample paths with the Milstein scheme (adds the ``b b'`` term)."""
-    rng = rng if rng is not None else np.random.default_rng()
-    return _simulate(drift, diffusion, np.asarray(initial, dtype=float), t_end,
-                     dt, n_paths, rng, projection, record_every,
-                     milstein_correction=True, health=health)
+    n_steps = int(np.ceil(t_end / dt))
+
+    # Preallocate the snapshot storage: the recording schedule is known up
+    # front, so the per-record ``states.copy()`` appends become writes into
+    # one contiguous array (same layout the delayed Langevin loop uses).
+    n_records = n_steps // record_every
+    if n_steps % record_every:
+        n_records += 1
+    times = np.empty(n_records + 1)
+    snapshots = np.empty((n_records + 1, n_paths, dim))
+    times[0] = 0.0
+    snapshots[0] = states
+    record_index = 1
+
+    sqrt_dt = np.sqrt(dt)
+
+    t = 0.0
+    for step_index in range(1, n_steps + 1):
+        noise = rng.standard_normal(states.shape) * sqrt_dt
+        drift_term = drift(t, states)
+        diffusion_term = diffusion(t, states)
+        increment = drift_term * dt + diffusion_term * noise
+        states = states + increment
+        if projection is not None:
+            states = projection(states)
+        t += dt
+        if step_index % record_every == 0 or step_index == n_steps:
+            if health is not None:
+                bad = ~np.isfinite(states)
+                if bad.any():
+
+                    def _hold_last(states=states, bad=bad,
+                                   previous=snapshots[record_index - 1]):
+                        # Replace non-finite entries with the path's last
+                        # recorded value (held constant); the path is
+                        # flagged by the report rather than poisoning the
+                        # whole ensemble's moments.
+                        np.copyto(states, previous, where=bad)
+
+                    health.check_finite_block(states, t,
+                                              label="SDE path block",
+                                              repair=_hold_last)
+            times[record_index] = t
+            snapshots[record_index] = states
+            record_index += 1
+
+    return SDEPaths(times[:record_index], snapshots[:record_index])
+

@@ -26,10 +26,10 @@ from ..dataplane import (
     ColumnarTrace,
     MomentsTraceSink,
     NullTraceSink,
+    TimeWeightedMoments,
     validate_retention,
 )
 from ..exceptions import AnalysisError, ConfigurationError
-from ..numerics.stats import WeightedStatistics
 
 __all__ = ["TimeSeriesTrace", "SimulationTrace"]
 
@@ -99,7 +99,7 @@ class TimeSeriesTrace:
         t_end = t_end if t_end is not None else float(times[-1])
         if t_end <= t_start:
             raise AnalysisError("t_end must exceed t_start for a time average")
-        stats = WeightedStatistics()
+        stats = TimeWeightedMoments()
         for i in range(n):
             interval_start = max(times[i], t_start)
             interval_end = t_end if i == n - 1 else min(times[i + 1], t_end)
@@ -179,7 +179,6 @@ def _sink_from_dict(data: dict) -> TraceSinkImpl:
             sink._first_time = float(data["t_start"])
             sink._last_time = float(data["t_end"])
             sink._last_value = float(data["last_value"])
-            from ..dataplane import TimeWeightedMoments
             sink._moments = TimeWeightedMoments.from_dict(data["moments"])
         return sink
     if tag == "NullTraceSink":

@@ -4,9 +4,9 @@ This subsystem turns any experiment of the reproduction into a declarative,
 picklable job and executes whole matrices of them with worker-process
 parallelism, deterministic seeding and on-disk result reuse:
 
-* :mod:`repro.runner.spec` -- :class:`JobSpec` / :class:`ExperimentSpec`,
-  the *(callable, parameters, overrides, seed)* description of one
-  evaluation, with a stable SHA-256 content hash;
+* :mod:`repro.runner.spec` -- :class:`JobSpec`, the *(callable,
+  parameters, overrides, seed)* description of one evaluation, with a
+  stable SHA-256 content hash;
 * :mod:`repro.runner.grid` -- :func:`expand_grid` / :func:`build_matrix`,
   cartesian sweep construction with spawn-key-derived per-job seeds;
 * :mod:`repro.runner.executor` -- :func:`run_jobs`, the supervised
@@ -58,11 +58,10 @@ from .faults import FaultPlan, InjectedTransientError, corrupt_cache_entry, \
 from .grid import build_matrix, expand_grid
 from .hashing import canonical_json, content_hash
 from .journal import JournalRecord, RunJournal
-from .spec import ExperimentSpec, JobSpec, function_reference
+from .spec import JobSpec, function_reference
 
 __all__ = [
     "JobSpec",
-    "ExperimentSpec",
     "function_reference",
     "canonical_json",
     "content_hash",

@@ -26,10 +26,7 @@ from ..multisource import MultiSourceModel, fairness_report
 from ..queueing import MultiHopSimulator, Simulator
 from ..queueing.multihop import parking_lot_scenario
 from ..queueing.scenarios import get_scenario
-from ..workloads.scenarios import (
-    homogeneous_sources_scenario,
-    packet_level_jrj_scenario,
-)
+from ..workloads.scenarios import homogeneous_sources_scenario
 from .grid import build_matrix
 from .spec import JobSpec
 
@@ -41,7 +38,6 @@ __all__ = [
     "ensemble_point",
     "fairness_point",
     "multihop_point",
-    "packet_point",
     "des_scenario_point",
     "crossval_point",
     "stationary_point",
@@ -242,19 +238,6 @@ def multihop_point(extra_hops: int = 2, duration: float = 300.0,
             for hops, name, tp in result.throughput_by_hop_count()
         ],
     }, result.health)
-
-
-def packet_point(seed: int = 0, n_sources: int = 2, duration: float = 200.0,
-                 service_rate: float = 10.0) -> dict:
-    """Packet-level DES run with JRJ rate sources; per-source throughput."""
-    config = packet_level_jrj_scenario(n_sources=n_sources,
-                                       service_rate=service_rate,
-                                       seed=int(seed))
-    result = Simulator(config).run(duration=duration)
-    return {
-        "throughputs": [float(tp) for tp in result.throughput_list()],
-        "mean_queue": float(result.mean_queue),
-    }
 
 
 def des_scenario_point(scenario: str, duration: float = 120.0,

@@ -1,8 +1,7 @@
 """Multi-dimensional parameter-grid construction.
 
-A mapping of named axes expands into the cartesian list of grid points
-(the points :func:`repro.workloads.run_grid` evaluates), and
-:func:`build_matrix` turns those points into
+A mapping of named axes expands into the cartesian list of grid points,
+and :func:`build_matrix` turns those points into
 :class:`~repro.runner.JobSpec` objects.  Axis values whose names match
 fields of the base parameter object are folded into the parameter
 dataclass (via :func:`dataclasses.replace`); the remaining names become

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..config import ParameterDictMixin
 from ..exceptions import ConfigurationError
 from .hashing import canonical_json, content_hash
 
-__all__ = ["JobSpec", "ExperimentSpec", "function_reference",
-           "function_accepts_seed"]
+__all__ = ["JobSpec", "function_reference", "function_accepts_seed"]
 
 
 def function_accepts_seed(function: Callable) -> bool:
@@ -157,40 +156,3 @@ class JobSpec:
         if self.params is None:
             return self.function(**kwargs)
         return self.function(self.params, **kwargs)
-
-
-def _spec_with(function: Callable, params: Optional[ParameterDictMixin],
-               overrides: Optional[Mapping[str, Any]], seed: Optional[int],
-               version: int, label: str) -> JobSpec:
-    return JobSpec(function=function, params=params,
-                   overrides=tuple(sorted((overrides or {}).items())),
-                   seed=seed, version=version, label=label)
-
-
-class ExperimentSpec:
-    """A reusable experiment template: callable + base parameters + version.
-
-    Binding concrete overrides and a seed produces a :class:`JobSpec`; the
-    grid builder (:func:`repro.runner.build_matrix`) does this in bulk for a
-    whole cartesian matrix.
-    """
-
-    def __init__(self, function: Callable,
-                 params: Optional[ParameterDictMixin] = None,
-                 version: int = 1):
-        self.function_ref = function_reference(function)
-        self.function = function
-        self.params = params
-        self.version = int(version)
-
-    def job(self, overrides: Optional[Mapping[str, Any]] = None,
-            seed: Optional[int] = None,
-            params: Optional[ParameterDictMixin] = None,
-            label: str = "") -> JobSpec:
-        """Bind overrides/seed (and optionally new params) into a JobSpec."""
-        return _spec_with(self.function,
-                          params if params is not None else self.params,
-                          overrides, seed, self.version, label)
-
-    def __repr__(self) -> str:
-        return f"ExperimentSpec({self.function_ref}, version={self.version})"

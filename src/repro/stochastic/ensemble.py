@@ -39,7 +39,6 @@ from ..exceptions import AnalysisError, ConfigurationError
 from ..health import HealthMonitor, resolve_health
 from ..health.report import HealthLog
 from ..numerics.sde import SDEPaths
-from ..numerics.stats import empirical_density
 from ..queueing.random_streams import child_seed_sequences
 from .langevin import LangevinModel
 
@@ -246,7 +245,9 @@ class EnsembleResult:
             raise AnalysisError(
                 "empirical density under retention='none' needs "
                 "histogram_edges matching the requested bins")
-        return empirical_density(self.final_queue_samples(), edges)
+        histogram = StreamingHistogram(edges)
+        histogram.update(self.final_queue_samples())
+        return histogram.density()
 
     def overflow_probability(self, threshold: float) -> float:
         """Fraction of particles whose final queue exceeds *threshold*."""

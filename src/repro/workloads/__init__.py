@@ -2,8 +2,8 @@
 
 Every experiment in EXPERIMENTS.md starts from one of the scenario builders
 here so the parameters appearing in reports are defined in exactly one
-place.  The grid runner evaluates a scenario-producing callable over a grid
-of parameter values and collects the results.
+place.  Parameter grids over them run through
+:func:`repro.runner.build_matrix` and :func:`repro.runner.run_jobs`.
 
 The registered network topologies of :mod:`repro.queueing.scenarios`
 (dumbbell, parking-lot, chain, mesh) are re-exported here so workloads can
@@ -25,7 +25,6 @@ from .scenarios import (
     packet_level_jrj_scenario,
     packet_level_window_scenario,
 )
-from .sweep import GridSweep, run_grid
 from .traffic import (
     OnOffArrivals,
     PoissonArrivals,
@@ -49,6 +48,4 @@ __all__ = [
     "chain_scenario",
     "dumbbell_scenario",
     "random_mesh_scenario",
-    "GridSweep",
-    "run_grid",
 ]

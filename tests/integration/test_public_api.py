@@ -1,5 +1,8 @@
 """Smoke tests of the public API surface documented in the README."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,15 @@ class TestPublicAPI:
         assert repro.__version__ == "1.2.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"missing export {name}"
+        # The package and every module under it: a name left in some
+        # __all__ after its definition was deleted fails here.
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), \
+                    f"{module.__name__} is missing export {name}"
 
     def test_readme_quickstart_snippet(self):
         params = SystemParameters(mu=1.0, q_target=10.0, c0=0.05, c1=0.2,

@@ -13,13 +13,14 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.dataplane import (
     StreamingHistogram,
     StreamingMoments,
     TimeWeightedMoments,
 )
-from repro.numerics.stats import WeightedStatistics
+from seed_stats import WeightedStatistics
 
 sample_blocks = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -55,6 +56,16 @@ class TestMomentsMergeProperties:
             1e-9 * scale * scale
         assert float(merged.minimum) == float(np.min(data))
         assert float(merged.maximum) == float(np.max(data))
+
+    @given(samples=sample_blocks.filter(lambda block: len(block) >= 2))
+    @settings(max_examples=100, deadline=None)
+    def test_per_sample_updates_match_numpy(self, samples):
+        moments = StreamingMoments()
+        for sample in samples:
+            moments.update(sample)
+        assert np.isclose(float(moments.mean), np.mean(samples), atol=1e-6)
+        assert np.isclose(float(moments.sample_variance),
+                          np.var(samples, ddof=1), atol=1e-4, rtol=1e-4)
 
     @given(samples=sample_blocks, seed=st.integers(0, 2 ** 31 - 1),
            n_shards=st.integers(min_value=1, max_value=6))
@@ -107,6 +118,19 @@ class TestHistogramMergeProperties:
 
 
 class TestTimeWeightedProperties:
+    @given(values=arrays(np.float64, st.integers(min_value=1, max_value=100),
+                         elements=st.floats(min_value=-1e3, max_value=1e3,
+                                            allow_nan=False,
+                                            allow_infinity=False)),
+           weight=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
+                            allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_weights_reduce_to_plain_mean(self, values, weight):
+        stats = TimeWeightedMoments()
+        for value in values:
+            stats.update(float(value), weight)
+        assert np.isclose(stats.mean, np.mean(values), atol=1e-6)
+
     @given(values=sample_blocks, seed=st.integers(0, 2 ** 31 - 1),
            cut=st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=100, deadline=None)

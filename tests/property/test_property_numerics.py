@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.numerics.grids import UniformGrid1D
-from repro.numerics.integrate import cumulative_trapezoid, normalize_density
+from repro.numerics.integrate import trapezoid
 from repro.numerics.interpolate import linear_interpolate
-from repro.numerics.stats import RunningStatistics, WeightedStatistics
 from repro.numerics.tridiag import solve_tridiagonal
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -65,21 +64,14 @@ class TestGridProperties:
 
 class TestQuadratureProperties:
     @given(values=arrays(np.float64, st.integers(min_value=2, max_value=200),
-                         elements=st.floats(min_value=1e-6, max_value=1e3)),
+                         elements=st.floats(min_value=0.0, max_value=1e3)),
            dx=positive_floats)
     @settings(max_examples=100, deadline=None)
-    def test_normalized_density_integrates_to_one(self, values, dx):
-        normalized = normalize_density(values, dx)
-        assert np.isclose(np.sum(normalized) * dx, 1.0)
-
-    @given(values=arrays(np.float64, st.integers(min_value=2, max_value=100),
-                         elements=st.floats(min_value=0.0, max_value=100.0)),
-           dx=positive_floats)
-    @settings(max_examples=100, deadline=None)
-    def test_cumulative_integral_is_monotone_for_non_negative_integrand(
-            self, values, dx):
-        cumulative = cumulative_trapezoid(values, dx)
-        assert np.all(np.diff(cumulative) >= -1e-12)
+    def test_non_negative_integrand_bounded_by_its_range(self, values, dx):
+        span = dx * (values.size - 1)
+        integral = trapezoid(values, dx)
+        assert np.min(values) * span * (1 - 1e-12) <= integral
+        assert integral <= np.max(values) * span * (1 + 1e-12)
 
 
 class TestInterpolationProperties:
@@ -92,25 +84,3 @@ class TestInterpolationProperties:
         ys = rng.uniform(-50.0, 50.0, n)
         value = linear_interpolate(float(x), xs, ys)
         assert np.min(ys) - 1e-9 <= value <= np.max(ys) + 1e-9
-
-
-class TestStatisticsProperties:
-    @given(samples=arrays(np.float64, st.integers(min_value=2, max_value=300),
-                          elements=finite_floats))
-    @settings(max_examples=100, deadline=None)
-    def test_running_statistics_match_numpy(self, samples):
-        stats = RunningStatistics()
-        stats.update_many(samples)
-        assert np.isclose(stats.mean, np.mean(samples), atol=1e-6)
-        assert np.isclose(stats.variance, np.var(samples, ddof=1), atol=1e-4,
-                          rtol=1e-4)
-
-    @given(values=arrays(np.float64, st.integers(min_value=1, max_value=100),
-                         elements=finite_floats),
-           weight=positive_floats)
-    @settings(max_examples=100, deadline=None)
-    def test_uniform_weights_reduce_to_plain_mean(self, values, weight):
-        stats = WeightedStatistics()
-        for value in values:
-            stats.update(float(value), weight)
-        assert np.isclose(stats.mean, np.mean(values), atol=1e-6)

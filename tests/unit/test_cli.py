@@ -103,36 +103,73 @@ class TestCommands:
         assert "entries" in info
 
 
-class TestDesignSweepOptions:
+class TestDesignActionOptions:
+    """Each ``repro design`` action parses only the options it reads."""
+
     SWEEP = ["design", "sweep", "--n-c0", "2", "--n-c1", "2",
              "--n-q-target", "1", "--n-mu", "1", "--top-k", "2",
              "--t-end", "60"]
+    STATIONARY = ["design", "stationary", "--nq", "30", "--nv", "24"]
+
+    @staticmethod
+    def _forbid_solves(monkeypatch):
+        import repro.cli
+        import repro.design
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a design solve ran")
+
+        monkeypatch.setattr(repro.design, "design_gains", no_solve)
+        monkeypatch.setattr(repro.design, "solve_stationary", no_solve)
+        monkeypatch.setattr(repro.cli, "run_jobs", no_solve)
 
     @pytest.mark.parametrize("flags", [
         ["--jobs", "4"], ["--no-cache"], ["--cache-dir", "elsewhere"],
         ["--progress"], ["--retries", "3"], ["--timeout", "0.001"],
         ["--delay", "5"], ["--method", "adi"], ["--nq", "200"],
         ["--nv", "20"], ["--q-max", "50"], ["--v-span", "2"],
-        ["--check-marching"],
+        ["--check-marching"], ["--stepper", "adi"],
     ])
-    def test_unused_option_rejected(self, flags, capsys, monkeypatch):
-        import repro.design
+    def test_sweep_rejects_option(self, flags, capsys, monkeypatch):
+        self._forbid_solves(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.SWEEP + flags)
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran")
+    @pytest.mark.parametrize("flags", [
+        ["--n-c0", "3"], ["--n-c1", "3"], ["--n-q-target", "2"],
+        ["--n-mu", "2"], ["--top-k", "3"], ["--chunk-size", "7"],
+        ["--retention", "moments"], ["--memmap-dir", "elsewhere"],
+    ])
+    def test_stationary_rejects_option(self, flags, capsys, monkeypatch):
+        self._forbid_solves(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.STATIONARY + flags)
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
-        monkeypatch.setattr(repro.design, "design_gains", no_sweep)
-        assert main(self.SWEEP + flags) == 2
+    @pytest.mark.parametrize("flags", [["--stepper", "adi"],
+                                       ["--t-end", "50"]])
+    def test_stationary_marching_option_needs_check_marching(
+            self, flags, capsys, monkeypatch):
+        self._forbid_solves(monkeypatch)
+        assert main(self.STATIONARY + flags) == 2
         error = capsys.readouterr().err
         assert error.startswith("error: ")
-        assert flags[0] in error
-        assert "repro run design-gain-grid --jobs N" in error
+        assert flags[0] in error and "--check-marching" in error
 
-    def test_every_unused_option_named(self, capsys):
-        assert main(self.SWEEP + ["--jobs", "2", "--nq", "200",
-                                  "--method", "adi"]) == 2
-        error = capsys.readouterr().err
-        assert "--jobs, --method, --nq:" in error
+    def test_stationary_marching_options_with_check_marching(self, capsys):
+        assert main(self.STATIONARY + ["--check-marching", "--stepper",
+                                       "adi", "--t-end", "20"]) == 0
+        assert "versus marching to t=20" in capsys.readouterr().out
+
+    def test_sweep_help_points_at_parallel_matrix(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["design", "sweep", "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "repro run design-gain-grid --jobs N" in help_text
 
 
 class TestRunCommand:

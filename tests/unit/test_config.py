@@ -7,13 +7,11 @@ import pytest
 
 from repro import (
     ConfigurationError,
-    DelayParameters,
     GridParameters,
     SourceParameters,
     SystemParameters,
     TimeParameters,
 )
-from repro.config import parameters_from_dict
 
 
 class TestSystemParameters:
@@ -137,19 +135,6 @@ class TestSourceParameters:
             SourceParameters(c1=0.0)
 
 
-class TestDelayParameters:
-    def test_defaults_valid(self):
-        assert DelayParameters().delay >= 0.0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DelayParameters(delay=-0.5)
-
-    def test_non_positive_history_dt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DelayParameters(history_dt=0.0)
-
-
 class TestDictRoundTrip:
     EXAMPLES = [
         SystemParameters(mu=2.0, q_target=5.0, c0=0.1, c1=0.3, sigma=0.4),
@@ -157,7 +142,6 @@ class TestDictRoundTrip:
         TimeParameters(t_end=50.0, dt=0.1, cfl=0.5, snapshot_every=5),
         SourceParameters(c0=0.02, c1=0.4, delay=1.5, initial_rate=0.2,
                          name="src-a"),
-        DelayParameters(delay=3.0, history_dt=0.02),
     ]
 
     @pytest.mark.parametrize("params", EXAMPLES,
@@ -173,12 +157,6 @@ class TestDictRoundTrip:
         assert data["__parameters__"] == type(params).__name__
         assert json.loads(json.dumps(data)) == data
 
-    def test_parameters_from_dict_dispatches_on_tag(self):
-        params = SystemParameters(sigma=0.7)
-        revived = parameters_from_dict(params.to_dict())
-        assert isinstance(revived, SystemParameters)
-        assert revived == params
-
     def test_from_dict_without_tag_accepted(self):
         revived = SystemParameters.from_dict({"mu": 2.0, "q_target": 4.0})
         assert revived.mu == 2.0 and revived.q_target == 4.0
@@ -188,15 +166,15 @@ class TestDictRoundTrip:
         with pytest.raises(ConfigurationError):
             GridParameters.from_dict(data)
 
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SystemParameters.from_dict({"__parameters__": "NoSuchParameters"})
+
     def test_unknown_field_rejected(self):
         data = SystemParameters().to_dict()
         data["bogus"] = 1.0
         with pytest.raises(ConfigurationError):
             SystemParameters.from_dict(data)
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parameters_from_dict({"__parameters__": "NoSuchParameters"})
 
     def test_round_trip_still_validates(self):
         data = SystemParameters().to_dict()

@@ -30,10 +30,14 @@ from repro.dataplane import (
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.queueing import MultiHopSimulator, Simulator
 from repro.queueing.multihop import parking_lot_scenario
+from repro.queueing.scenarios import dumbbell_scenario
 from repro.queueing.trace import SimulationTrace, TimeSeriesTrace
 from repro.runner import JobSpec, MapReduceSpec, RunJournal, run_jobs
 from repro.stochastic.ensemble import EnsembleResult, run_ensemble
 from repro.workloads.scenarios import packet_level_jrj_scenario
+from seed_stats import WeightedStatistics
+from seed_stats import empirical_density as seed_empirical_density
+from seed_stats import time_average as seed_time_average
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / \
     "golden_des_trace.npz"
@@ -139,6 +143,30 @@ class TestStreamingMoments:
         assert float(moments.minimum) == float(np.min(samples))
         assert float(moments.maximum) == float(np.max(samples))
 
+    def test_sample_variance_and_std_match_numpy(self, rng):
+        samples = rng.normal(3.0, 2.0, 500)
+        moments = StreamingMoments()
+        for sample in samples:
+            moments.update(float(sample))
+        assert float(moments.sample_variance) == pytest.approx(
+            np.var(samples, ddof=1))
+        assert float(moments.std) == pytest.approx(np.std(samples))
+
+    def test_empty_accumulator(self):
+        moments = StreamingMoments()
+        assert moments.count == 0
+        assert float(moments.mean) == 0.0
+        assert float(moments.variance) == 0.0
+        assert float(moments.sample_variance) == 0.0
+
+    def test_single_sample(self):
+        moments = StreamingMoments()
+        moments.update(7.0)
+        assert float(moments.mean) == 7.0
+        assert float(moments.variance) == 0.0
+        assert float(moments.sample_variance) == 0.0
+        assert float(moments.minimum) == float(moments.maximum) == 7.0
+
     def test_merge_equals_pooled(self):
         rng = np.random.default_rng(11)
         a, b = rng.standard_normal(300), rng.standard_normal(170) + 2.0
@@ -209,10 +237,40 @@ class TestStreamingHistogram:
         with pytest.raises(AnalysisError):
             histogram.tail_fraction(0.7)
 
+    @staticmethod
+    def _density(samples, edges):
+        histogram = StreamingHistogram(edges)
+        histogram.update(samples)
+        return histogram.density()
+
+    def test_density_integrates_to_one(self, rng):
+        samples = rng.normal(5.0, 1.0, 10000)
+        edges = np.linspace(0.0, 10.0, 51)
+        centers, density = self._density(samples, edges)
+        assert centers.size == 50
+        widths = np.diff(edges)
+        assert np.sum(density * widths) == pytest.approx(1.0, rel=1e-6)
+
+    def test_density_matches_gaussian_shape(self, rng):
+        samples = rng.normal(0.0, 1.0, 50000)
+        edges = np.linspace(-4.0, 4.0, 81)
+        centers, density = self._density(samples, edges)
+        expected = np.exp(-0.5 * centers ** 2) / np.sqrt(2.0 * np.pi)
+        assert np.max(np.abs(density - expected)) < 0.03
+
+    def test_density_without_samples_in_range_raises(self):
+        with pytest.raises(AnalysisError):
+            self._density(np.array([100.0]), np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("edges", [[0.0, 5.0, 2.0, 10.0], [0.0]],
+                             ids=["non-increasing", "too-few"])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ConfigurationError):
+            StreamingHistogram(np.array(edges))
+
 
 class TestTimeWeightedMoments:
     def test_matches_weighted_statistics_bitwise(self):
-        from repro.numerics.stats import WeightedStatistics
         rng = np.random.default_rng(9)
         pairs = [(float(v), float(w)) for v, w in
                  zip(rng.standard_normal(100), rng.random(100) + 0.01,
@@ -241,6 +299,81 @@ class TestTimeWeightedMoments:
                             rel_tol=1e-12)
         assert math.isclose(float(left.variance),
                             float(sequential.variance), rel_tol=1e-12)
+
+    def test_uniform_weights_match_plain_mean(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        stats = TimeWeightedMoments()
+        for value in values:
+            stats.update(value, 1.0)
+        assert stats.mean == pytest.approx(np.mean(values))
+        assert stats.variance == pytest.approx(np.var(values))
+
+    def test_time_average_semantics(self):
+        # Value 0 for 9 time units, value 10 for 1 time unit -> average 1.
+        stats = TimeWeightedMoments()
+        stats.update(0.0, 9.0)
+        stats.update(10.0, 1.0)
+        assert stats.total_weight == 10.0
+        assert stats.mean == pytest.approx(1.0)
+
+    def test_zero_weight_ignored(self):
+        stats = TimeWeightedMoments()
+        stats.update(100.0, 0.0)
+        assert stats.mean == 0.0
+        assert stats.total_weight == 0.0
+
+    def test_negative_weight_rejected(self):
+        stats = TimeWeightedMoments()
+        with pytest.raises(AnalysisError):
+            stats.update(1.0, -1.0)
+
+    def test_zero_weights_skipped_like_the_seed_fold(self):
+        rng = np.random.default_rng(17)
+        weights = rng.random(60)
+        weights[::3] = 0.0
+        reference = WeightedStatistics()
+        streamed = TimeWeightedMoments()
+        for value, weight in zip(rng.standard_normal(60), weights,
+                                 strict=True):
+            reference.update(float(value), float(weight))
+            streamed.update(float(value), float(weight))
+        assert streamed.total_weight == sum(weights.tolist())
+        assert streamed.mean == reference.mean
+        assert streamed.std == float(np.sqrt(reference.variance))
+
+    def test_serde_round_trip_exact(self):
+        stats = TimeWeightedMoments()
+        for value, weight in [(1.5, 0.25), (-2.0, 3.0), (7.0, 0.5)]:
+            stats.update(value, weight)
+        revived = TimeWeightedMoments.from_dict(
+            json.loads(json.dumps(stats.to_dict())))
+        assert revived.total_weight == stats.total_weight
+        assert revived.mean == stats.mean
+        assert revived.variance == stats.variance
+
+    def test_wrong_tag_rejected(self):
+        with pytest.raises(ConfigurationError):
+            TimeWeightedMoments.from_dict(StreamingMoments().to_dict())
+
+    def test_copy_is_independent(self):
+        stats = TimeWeightedMoments()
+        stats.update(2.0, 1.0)
+        snapshot = stats.copy()
+        stats.update(10.0, 3.0)
+        assert snapshot.total_weight == 1.0
+        assert snapshot.mean == 2.0
+        assert stats.mean == pytest.approx(8.0)
+
+    def test_merge_with_empty_side(self):
+        stats = TimeWeightedMoments()
+        stats.update(4.0, 2.0)
+        stats.update(1.0, 1.0)
+        adopted = TimeWeightedMoments().merge(stats)
+        assert (adopted.total_weight, adopted.mean, adopted.variance) == \
+            (stats.total_weight, stats.mean, stats.variance)
+        before = (stats.total_weight, stats.mean, stats.variance)
+        stats.merge(TimeWeightedMoments())
+        assert (stats.total_weight, stats.mean, stats.variance) == before
 
 
 class TestTraceSinks:
@@ -293,10 +426,16 @@ class TestTraceSinks:
 
 
 class TestSimulationTraceRetention:
-    def _run(self, retention):
-        config = packet_level_jrj_scenario(n_sources=2, service_rate=10.0,
-                                           seed=3)
-        return Simulator(config, retention=retention).run(duration=30.0)
+    SCENARIOS = {
+        "jrj-2": (lambda: packet_level_jrj_scenario(
+            n_sources=2, service_rate=10.0, seed=3), 30.0),
+        "dumbbell-64": (lambda: dumbbell_scenario(n_sources=64, seed=11),
+                        40.0),
+    }
+
+    def _run(self, retention, scenario="jrj-2"):
+        build, duration = self.SCENARIOS[scenario]
+        return Simulator(build(), retention=retention).run(duration=duration)
 
     def test_counters_identical_across_policies(self):
         full = self._run("full")
@@ -306,8 +445,33 @@ class TestSimulationTraceRetention:
             assert other.trace.losses == full.trace.losses
             assert other.throughputs == full.throughputs
 
-    def test_moments_mean_queue_bit_identical(self):
-        assert self._run("moments").mean_queue == self._run("full").mean_queue
+    @pytest.mark.parametrize("scenario", ["jrj-2", "dumbbell-64"])
+    def test_moments_mean_queue_bit_identical(self, scenario):
+        full = self._run("full", scenario)
+        queue = full.trace.queue_length
+        # full.mean_queue is the full-history time_average(0, duration).
+        assert full.mean_queue == seed_time_average(
+            queue.times, queue.values, 0.0, full.duration)
+        assert self._run("moments", scenario).mean_queue == full.mean_queue
+
+    @pytest.mark.parametrize("window", [(0.0, None), (5.0, 17.3),
+                                        (12.5, 45.0)],
+                             ids=["to-last-sample", "interior",
+                                  "past-the-end"])
+    def test_windowed_time_average_matches_seed_fold(self, window):
+        queue = self._run("full").trace.queue_length
+        t_start, t_end = window
+        fold_end = float(queue.times[-1]) if t_end is None else t_end
+        assert queue.time_average(t_start, t_end) == seed_time_average(
+            queue.times, queue.values, t_start, fold_end)
+
+    def test_window_inside_one_interval_is_its_value(self):
+        queue = self._run("full").trace.queue_length
+        gaps = np.diff(queue.times)
+        index = int(np.argmax(gaps))
+        start = float(queue.times[index]) + 0.25 * float(gaps[index])
+        end = float(queue.times[index]) + 0.75 * float(gaps[index])
+        assert queue.time_average(start, end) == float(queue.values[index])
 
     def test_none_raises_on_history(self):
         result = self._run("none")
@@ -423,6 +587,26 @@ class TestEnsembleRetention:
             full.overflow_probability(threshold)
         with pytest.raises(AnalysisError):
             none.final_queue_samples()
+
+    @pytest.mark.parametrize("retention", ["full", "moments"])
+    def test_final_queue_density_matches_seed_histogram(self, retention):
+        params, control, common = self._ensembles()
+        result = run_ensemble(control, params, retention=retention, **common)
+        edges = np.linspace(0.0, 2.0 * params.q_target, 21)
+        centers, density = result.final_queue_density(edges)
+        expected_centers, expected_density = seed_empirical_density(
+            result.final_queue_samples(), edges)
+        assert np.array_equal(centers, expected_centers)
+        assert np.array_equal(density, expected_density)
+
+    @pytest.mark.parametrize("edges", [[0.0, 5.0, 2.0, 10.0], [0.0]],
+                             ids=["non-increasing", "too-few"])
+    @pytest.mark.parametrize("retention", ["full", "moments"])
+    def test_final_queue_density_rejects_bad_edges(self, retention, edges):
+        params, control, common = self._ensembles()
+        result = run_ensemble(control, params, retention=retention, **common)
+        with pytest.raises(ConfigurationError):
+            result.final_queue_density(np.array(edges))
 
     def test_streamed_retention_requires_seed(self):
         params = SystemParameters(sigma=0.4)
@@ -563,12 +747,16 @@ class TestCLIDataplaneFlags:
         from repro.cli import build_parser
         parser = build_parser()
         helps = {}
-        for name in ("ensemble", "run", "design"):
-            subparser = parser._subparsers._group_actions[0].choices[name]
+        for path in (["ensemble"], ["run"], ["design", "sweep"]):
+            subparser = parser
+            for name in path:
+                subparser = subparser._subparsers._group_actions[0] \
+                    .choices[name]
             actions = {action.dest: action.help
                        for action in subparser._actions}
             assert "retention" in actions and "memmap_dir" in actions
-            helps[name] = (actions["retention"], actions["memmap_dir"])
+            helps[" ".join(path)] = (actions["retention"],
+                                     actions["memmap_dir"])
         assert len(set(helps.values())) == 1
 
     def test_unsupported_matrix_rejects_retention(self, capsys):

@@ -1,15 +1,10 @@
-"""Unit tests for the quadrature helpers."""
+"""Unit tests for the trapezoid quadrature."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import GridError
-from repro.numerics.integrate import (
-    cumulative_trapezoid,
-    normalize_density,
-    simpson,
-    trapezoid,
-)
+from repro.numerics.integrate import trapezoid
 
 
 class TestTrapezoid:
@@ -22,47 +17,22 @@ class TestTrapezoid:
         with pytest.raises(GridError):
             trapezoid(np.array([1.0]), 0.1)
 
+    def test_two_samples_average_the_endpoints(self):
+        assert trapezoid(np.array([0.0, 1.0]), 1.0) == pytest.approx(0.5)
+        assert trapezoid(np.array([2.0, 4.0]), 0.5) == pytest.approx(1.5)
 
-class TestSimpson:
-    def test_quadratic_exact_with_odd_samples(self):
+    def test_quadratic_error_matches_the_error_term(self):
+        # The composite rule overestimates x**2 on [0, 2] by exactly
+        # (b - a) * dx**2 * f'' / 12 = dx**2 / 3.
         xs = np.linspace(0.0, 2.0, 21)
-        values = xs ** 2
-        assert simpson(values, xs[1] - xs[0]) == pytest.approx(8.0 / 3.0, rel=1e-10)
+        dx = xs[1] - xs[0]
+        error = trapezoid(xs ** 2, dx) - 8.0 / 3.0
+        assert error == pytest.approx(dx ** 2 / 3.0, rel=1e-9)
 
-    def test_even_number_of_samples_falls_back_gracefully(self):
-        xs = np.linspace(0.0, 2.0, 20)
-        values = xs ** 2
-        assert simpson(values, xs[1] - xs[0]) == pytest.approx(8.0 / 3.0, rel=1e-2)
-
-    def test_two_samples_reduces_to_trapezoid(self):
-        values = np.array([0.0, 1.0])
-        assert simpson(values, 1.0) == pytest.approx(trapezoid(values, 1.0))
-
-
-class TestCumulativeTrapezoid:
-    def test_starts_at_zero_and_matches_total(self):
-        xs = np.linspace(0.0, 3.0, 31)
-        values = np.sin(xs)
-        cumulative = cumulative_trapezoid(values, xs[1] - xs[0])
-        assert cumulative[0] == 0.0
-        assert cumulative[-1] == pytest.approx(trapezoid(values, xs[1] - xs[0]))
-
-    def test_empty_input(self):
-        assert cumulative_trapezoid(np.array([]), 0.1).size == 0
-
-    def test_monotone_for_positive_integrand(self):
-        values = np.abs(np.random.default_rng(1).uniform(0.1, 1.0, 50))
-        cumulative = cumulative_trapezoid(values, 0.2)
-        assert np.all(np.diff(cumulative) > 0.0)
-
-
-class TestNormalizeDensity:
-    def test_result_integrates_to_one(self):
-        values = np.exp(-np.linspace(0.0, 5.0, 100))
-        dx = 5.0 / 99
-        normalized = normalize_density(values, dx)
-        assert np.sum(normalized) * dx == pytest.approx(1.0)
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(GridError):
-            normalize_density(np.zeros(10), 0.1)
+    def test_second_order_convergence(self):
+        errors = []
+        for n in (21, 41, 81):
+            xs = np.linspace(0.0, np.pi, n)
+            errors.append(abs(trapezoid(np.sin(xs), xs[1] - xs[0]) - 2.0))
+        for coarse, fine in zip(errors, errors[1:], strict=False):
+            assert coarse / fine == pytest.approx(4.0, rel=0.01)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.numerics.interpolate import (
-    Interpolant1D,
-    bilinear_interpolate,
-    linear_interpolate,
-)
+from repro.numerics.interpolate import interp_columns, linear_interpolate
 
 
 class TestLinearInterpolate:
@@ -36,36 +32,20 @@ class TestLinearInterpolate:
         with pytest.raises(ValueError):
             linear_interpolate(0.0, np.array([]), np.array([]))
 
+    def test_matches_np_interp_on_uneven_nodes(self, rng):
+        xs = np.sort(rng.uniform(0.0, 10.0, 12))
+        ys = rng.normal(size=12)
+        for x in rng.uniform(-1.0, 11.0, 50):
+            assert linear_interpolate(float(x), xs, ys) == pytest.approx(
+                np.interp(x, xs, ys), rel=1e-12, abs=1e-12)
 
-class TestBilinearInterpolate:
-    def test_recovers_bilinear_function(self):
-        q_centers = np.linspace(0.0, 4.0, 5)
-        v_centers = np.linspace(-1.0, 1.0, 5)
-        q, v = np.meshgrid(q_centers, v_centers, indexing="ij")
-        values = 2.0 * q + 3.0 * v + 1.0
-        assert bilinear_interpolate(2.3, 0.1, q_centers, v_centers, values) == \
-            pytest.approx(2.0 * 2.3 + 3.0 * 0.1 + 1.0)
-
-    def test_clamps_at_edges(self):
-        q_centers = np.array([0.0, 1.0])
-        v_centers = np.array([0.0, 1.0])
-        values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert bilinear_interpolate(-1.0, -1.0, q_centers, v_centers, values) == 1.0
-        assert bilinear_interpolate(9.0, 9.0, q_centers, v_centers, values) == 4.0
-
-
-class TestInterpolant1D:
-    def test_callable_and_vectorized_agree(self):
-        interp = Interpolant1D(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
-        points = np.array([0.25, 0.5, 1.75])
-        vector = interp.vectorized(points)
-        scalar = np.array([interp(float(p)) for p in points])
-        assert np.allclose(vector, scalar)
-
-    def test_rejects_decreasing_abscissae(self):
-        with pytest.raises(ValueError):
-            Interpolant1D(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Interpolant1D(np.array([0.0, 1.0]), np.array([0.0]))
+    def test_agrees_with_interp_columns(self, rng):
+        xs = np.array([0.0, 1.0, 2.0, 4.0])
+        columns = rng.normal(size=(4, 3))
+        points = np.array([-0.5, 0.25, 0.5, 1.75, 3.0, 4.5])
+        vector = interp_columns(points, xs, columns)
+        for column in range(columns.shape[1]):
+            scalar = [linear_interpolate(float(p), xs, columns[:, column])
+                      for p in points]
+            assert np.allclose(vector[:, column], scalar, rtol=1e-12,
+                               atol=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import ConvergenceError, StabilityError
 from repro.numerics.ode import (
     ODEResult,
-    euler_step,
     integrate_fixed,
     rk4_step,
 )
@@ -21,18 +20,10 @@ def harmonic_oscillator(_t, state):
 
 
 class TestSingleSteps:
-    def test_euler_step_linear(self):
-        state = np.array([1.0])
-        new = euler_step(lambda t, s: np.array([2.0]), 0.0, state, 0.5)
-        assert new[0] == pytest.approx(2.0)
-
-    def test_rk4_more_accurate_than_euler(self):
+    def test_rk4_step_accuracy(self):
         dt = 0.1
-        exact = np.exp(-dt)
-        euler = euler_step(exponential_decay, 0.0, np.array([1.0]), dt)[0]
         rk4 = rk4_step(exponential_decay, 0.0, np.array([1.0]), dt)[0]
-        assert abs(rk4 - exact) < abs(euler - exact)
-        assert rk4 == pytest.approx(exact, abs=1e-7)
+        assert rk4 == pytest.approx(np.exp(-dt), abs=1e-7)
 
 
 class TestIntegrateFixed:

@@ -1,14 +1,15 @@
 """Unit tests for the experiment-orchestration subsystem (repro.runner)."""
 
 import json
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from repro import SystemParameters
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.queueing.random_streams import derive_child_seed
 from repro.runner import (
-    ExperimentSpec,
     JobSpec,
     ResultCache,
     build_matrix,
@@ -39,6 +40,11 @@ def failing_job(x):
 
 def array_result(n):
     return {"values": np.arange(n, dtype=float), "n": n}
+
+
+def weighted_sum(**kwargs):
+    return sum(index * value
+               for index, value in enumerate(sorted(kwargs.values()), start=1))
 
 
 class TestCanonicalHashing:
@@ -97,13 +103,6 @@ class TestJobSpec:
         # square() takes no seed: the spec must not inject one.
         assert JobSpec(square, overrides={"x": 4.0}, seed=7).execute() == 16.0
 
-    def test_experiment_spec_binds_jobs(self):
-        template = ExperimentSpec(affine, params=SystemParameters(), version=3)
-        job = template.job({"x": 1.0}, seed=5)
-        assert job.version == 3
-        assert job.seed == 5
-        assert dict(job.overrides) == {"x": 1.0}
-
 
 class TestGrid:
     def test_expand_grid_row_major_order(self):
@@ -146,6 +145,73 @@ class TestGrid:
         jobs_c = build_matrix(seeded_draw, None, axes={"n": [1, 2, 3]},
                               master_seed=100)
         assert [job.seed for job in jobs_a] != [job.seed for job in jobs_c]
+
+    def test_expand_grid_accepts_read_only_mapping(self):
+        points = expand_grid(MappingProxyType({"a": [1.0, 2.0]}))
+        assert points == [{"a": 1.0}, {"a": 2.0}]
+
+    def test_build_matrix_rejects_empty_grid(self):
+        with pytest.raises(ConfigurationError):
+            build_matrix(square, None, axes={})
+        with pytest.raises(ConfigurationError):
+            build_matrix(square, None, axes={"x": []})
+
+    def test_build_matrix_records_version_seed_and_overrides(self):
+        (job,) = build_matrix(seeded_draw, None, axes={"n": [4]},
+                              master_seed=5, version=3)
+        assert job.version == 3
+        assert job.seed == derive_child_seed(5, (0,))
+        assert dict(job.overrides) == {"n": 4}
+
+    def test_axis_value_overrides_fixed_value(self):
+        (job,) = build_matrix(square, None, axes={"x": [3.0]},
+                              fixed={"x": 1.0})
+        assert dict(job.overrides) == {"x": 3.0}
+        assert job.execute() == 9.0
+
+    def test_labels_name_every_coordinate(self):
+        jobs = build_matrix(affine, SystemParameters(),
+                            axes={"mu": [1.0], "x": [2.0, 3.0]})
+        assert [job.label for job in jobs] == ["mu=1.0, x=2.0",
+                                               "mu=1.0, x=3.0"]
+
+    @pytest.mark.parametrize("function", [None, [1.0]],
+                             ids=["none", "value-list"])
+    def test_non_callable_job_rejected(self, function):
+        with pytest.raises(ConfigurationError):
+            JobSpec(function)
+
+
+class TestGridMatrixRuns:
+    """A grid is ``build_matrix`` over its axes, run by ``run_jobs``."""
+
+    AXES = {"a": [1.0, 2.0, 3.0], "b": [5.0, 7.0]}
+
+    def test_one_axis_results_in_point_order(self):
+        jobs = build_matrix(square, None, axes={"x": [1.0, 2.0, 3.0]})
+        assert [dict(job.overrides) for job in jobs] == \
+            [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
+        assert run_jobs(jobs).values == [1.0, 4.0, 9.0]
+
+    def test_two_axis_results_in_row_major_order(self):
+        result = run_jobs(build_matrix(weighted_sum, None, axes=self.AXES))
+        assert result.values == [weighted_sum(a=a, b=b)
+                                 for a in self.AXES["a"]
+                                 for b in self.AXES["b"]]
+
+    def test_parallel_matches_serial(self):
+        jobs = build_matrix(weighted_sum, None, axes=self.AXES)
+        assert run_jobs(jobs, n_jobs=2).values == run_jobs(jobs).values
+
+    def test_cache_reuses_results(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        jobs = build_matrix(weighted_sum, None,
+                            axes={"a": [1.0, 2.0], "b": [4.0]})
+        first = run_jobs(jobs, cache=cache)
+        second = run_jobs(jobs, cache=cache)
+        assert second.values == first.values
+        assert (second.cache_hits, second.computed) == (2, 0)
+        assert len(cache) == 2
 
 
 class TestResultCache:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConvergenceError
-from repro.numerics.sde import euler_maruyama, milstein
+from repro.numerics.sde import euler_maruyama
 
 
 def zero_drift(_t, states):
@@ -62,24 +62,21 @@ class TestEulerMaruyama:
             euler_maruyama(zero_drift, unit_diffusion, np.array([0.0]),
                            t_end=1.0, dt=0.1, n_paths=0, rng=rng)
 
-
-class TestMilstein:
     def test_geometric_brownian_motion_mean(self, rng):
         # dX = 0.05 X dt + 0.2 X dW has E[X(t)] = X0 exp(0.05 t).
         mu_gbm, sigma_gbm, t_end = 0.05, 0.2, 1.0
-        paths = milstein(lambda t, s: mu_gbm * s, lambda t, s: sigma_gbm * s,
-                         np.array([1.0]), t_end=t_end, dt=0.005, n_paths=4000,
-                         rng=rng)
-        expected_mean = np.exp(mu_gbm * t_end)
+        paths = euler_maruyama(lambda t, s: mu_gbm * s,
+                               lambda t, s: sigma_gbm * s, np.array([1.0]),
+                               t_end=t_end, dt=0.005, n_paths=4000, rng=rng)
         assert np.mean(paths.final_states[:, 0]) == pytest.approx(
-            expected_mean, rel=0.05)
+            np.exp(mu_gbm * t_end), rel=0.05)
 
-    def test_additive_noise_matches_euler_statistics(self, rng):
-        em = euler_maruyama(zero_drift, unit_diffusion, np.array([0.0]),
-                            t_end=1.0, dt=0.01, n_paths=2000,
-                            rng=np.random.default_rng(3))
-        mil = milstein(zero_drift, unit_diffusion, np.array([0.0]),
-                       t_end=1.0, dt=0.01, n_paths=2000,
-                       rng=np.random.default_rng(4))
-        assert np.var(mil.final_states) == pytest.approx(
-            np.var(em.final_states), rel=0.2)
+    def test_ornstein_uhlenbeck_stationary_variance(self, rng):
+        # dX = -theta X dt + s dW relaxes to variance s**2 / (2 theta).
+        theta, noise = 1.0, 0.5
+        paths = euler_maruyama(lambda t, s: -theta * s,
+                               lambda t, s: noise * np.ones_like(s),
+                               np.array([0.0]), t_end=5.0, dt=0.01,
+                               n_paths=4000, rng=rng)
+        assert np.var(paths.final_states[:, 0]) == pytest.approx(
+            noise ** 2 / (2.0 * theta), rel=0.1)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro import SystemParameters
-from repro.analysis import render_batch_portrait
+from repro.analysis import render_phase_portrait
 from repro.characteristics import (
     analyze_spiral,
-    analyze_spiral_batch,
     compute_poincare_section,
-    compute_poincare_sections,
     integrate_characteristic,
     integrate_characteristic_batch,
     verify_theorem1,
@@ -264,66 +262,80 @@ class TestVerifyTheorem1Batch:
             sum(point["converges"] for point in chunk["points"])
 
 
-class TestBatchedSectionsAndPortraits:
+class TestBatchMemberAnalysis:
+    """The scalar analyses read a batch member as a scalar trajectory."""
+
+    @staticmethod
+    def _members_and_references(control, params, t_end):
+        batch = integrate_characteristic_batch(control, params, Q0S, RATE0S,
+                                               t_end=t_end)
+        for index, (q0, rate0) in enumerate(zip(Q0S, RATE0S, strict=True)):
+            reference = integrate_characteristic(control, params, q0, rate0,
+                                                 t_end=t_end)
+            yield batch.trajectory(index), reference
+
     def test_poincare_sections_match_scalar(self, jrj_control,
                                             canonical_params):
-        batch = integrate_characteristic_batch(jrj_control, canonical_params,
-                                               Q0S, RATE0S, t_end=200.0)
-        sections = compute_poincare_sections(batch, direction="down",
-                                             missing="none")
-        for index, section in enumerate(sections):
+        compared = 0
+        for member, reference in self._members_and_references(
+                jrj_control, canonical_params, t_end=200.0):
             try:
-                reference = compute_poincare_section(batch.trajectory(index),
-                                                     direction="down")
+                expected = compute_poincare_section(reference,
+                                                    direction="down")
             except AnalysisError:
-                assert section is None
+                with pytest.raises(AnalysisError):
+                    compute_poincare_section(member, direction="down")
                 continue
-            assert np.array_equal(reference.crossing_times,
+            section = compute_poincare_section(member, direction="down")
+            assert np.array_equal(expected.crossing_times,
                                   section.crossing_times)
-            assert np.array_equal(reference.crossing_rates,
+            assert np.array_equal(expected.crossing_rates,
                                   section.crossing_rates)
+            compared += 1
+        assert compared > 0
 
-    def test_poincare_sections_missing_raise(self, jrj_control,
-                                             canonical_params):
+    def test_short_underloaded_member_has_no_section(self, jrj_control,
+                                                     canonical_params):
         # An underloaded starter never reaches the section on a short run.
         batch = integrate_characteristic_batch(jrj_control, canonical_params,
                                                [0.0], [0.5], t_end=5.0)
         with pytest.raises(AnalysisError):
-            compute_poincare_sections(batch, direction="down")
-        assert compute_poincare_sections(batch, direction="down",
-                                         missing="none") == [None]
+            compute_poincare_section(batch.trajectory(0), direction="down")
 
-    def test_spiral_batch_matches_scalar(self, jrj_control, canonical_params):
-        batch = integrate_characteristic_batch(jrj_control, canonical_params,
-                                               Q0S, RATE0S, t_end=400.0)
-        analyses = analyze_spiral_batch(batch)
-        for index, analysis in enumerate(analyses):
+    def test_spiral_analyses_match_scalar(self, jrj_control,
+                                          canonical_params):
+        compared = 0
+        for member, reference in self._members_and_references(
+                jrj_control, canonical_params, t_end=400.0):
             try:
-                reference = analyze_spiral(batch.trajectory(index))
+                expected = analyze_spiral(reference)
             except AnalysisError:
-                assert analysis is None
+                with pytest.raises(AnalysisError):
+                    analyze_spiral(member)
                 continue
-            assert reference.converges == analysis.converges
-            assert np.array_equal(reference.peak_amplitudes,
+            analysis = analyze_spiral(member)
+            assert analysis.converges == expected.converges
+            assert np.array_equal(expected.peak_amplitudes,
                                   analysis.peak_amplitudes)
-            assert np.array_equal(reference.contraction_ratios,
+            assert np.array_equal(expected.contraction_ratios,
                                   analysis.contraction_ratios)
+            compared += 1
+        assert compared > 0
 
-    def test_render_batch_portrait(self, jrj_control, canonical_params):
-        batch = integrate_characteristic_batch(jrj_control, canonical_params,
-                                               Q0S[:2], RATE0S[:2],
-                                               t_end=100.0)
-        text = render_batch_portrait(batch)
-        assert "a" in text and "b" in text
-        assert "q = q_target" in text
-
-    def test_render_batch_portrait_rejects_mixed_targets(self, jrj_control,
-                                                         canonical_params):
-        batch = integrate_characteristic_batch(
-            jrj_control, canonical_params, 0.0, 0.5, t_end=10.0,
-            columns={"q_target": [5.0, 10.0]})
-        with pytest.raises(AnalysisError):
-            render_batch_portrait(batch)
+    def test_member_portrait_matches_scalar(self, jrj_control,
+                                            canonical_params):
+        pairs = list(self._members_and_references(
+            jrj_control, canonical_params, t_end=100.0))
+        members = [(member.queue, member.rate - member.mu)
+                   for member, _ in pairs]
+        references = [(reference.queue, reference.rate - reference.mu)
+                      for _, reference in pairs]
+        text = render_phase_portrait(members,
+                                     q_target=canonical_params.q_target)
+        assert text == render_phase_portrait(
+            references, q_target=canonical_params.q_target)
+        # The last member is drawn on top, so its mark survives.
+        assert any("d" in row for row in text.splitlines()[1:-1])
 
 
 class TestFluidBatch:

@@ -74,7 +74,7 @@ from .analysis import (
 from .characteristics import verify_theorem1
 from .config import GridParameters, SystemParameters
 from .core.stepper import available_steppers
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, ReproError
 from .runner import (
     JobSpec,
     ResultCache,
@@ -184,6 +184,22 @@ def _add_health_option(parser: argparse.ArgumentParser) -> None:
                              "the unmonitored engines bit-identically "
                              "(default: $REPRO_HEALTH or observe; see "
                              "docs/robustness.md)")
+
+
+def _reject_ignored_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag that the rest of the command line would make a no-op.
+
+    Runs before any job, for every sub-command that has the flag.
+    """
+    if getattr(args, "timeout", None) is not None and args.jobs <= 1:
+        raise ConfigurationError(
+            "--timeout needs --jobs > 1: a serial run cannot preempt its "
+            "own jobs")
+    if getattr(args, "memmap_dir", None) is not None \
+            and args.retention != "full":
+        raise ConfigurationError(
+            f"--memmap-dir needs --retention full: --retention "
+            f"{args.retention} keeps no history to spill")
 
 
 def _cache_from(args: argparse.Namespace) -> Optional[ResultCache]:
@@ -856,14 +872,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A configuration error exits 2 and any other library error, such as a
+    failed job, exits 1; both print one ``error:`` line to stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
+        _reject_ignored_flags(args)
         return _COMMANDS[args.command](args)
-    except ConfigurationError as error:
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(error, ConfigurationError) else 1
 
 
 if __name__ == "__main__":

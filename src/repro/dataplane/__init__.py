@@ -1,13 +1,13 @@
 """Columnar trace storage and streaming statistics (the data plane).
 
-This package is the memory-bounded data plane under the simulators and
-campaign runner: columnar trace storage (:class:`ColumnarTrace`),
-streaming accumulators with exact parallel merges
+This package is the memory-bounded data plane under the simulators, the
+Langevin ensembles and the design sweep: columnar trace storage
+(:class:`ColumnarTrace`), constant-memory streaming accumulators
 (:class:`StreamingMoments`, :class:`StreamingHistogram`,
 :class:`TimeWeightedMoments`), the unified :class:`TraceSink` protocol
 with its streaming implementations, and the ``retention`` policy
 vocabulary threaded through ``repro run`` / ``repro ensemble`` /
-``repro design``.  See ``docs/dataplane.md``.
+``repro design sweep``.  See ``docs/dataplane.md``.
 """
 
 from .accumulators import (

@@ -1,26 +1,16 @@
-"""Streaming accumulators with exact parallel (Chan) merges.
+"""Streaming accumulators: constant-memory summaries of sample streams.
 
-These are the O(1)-memory backbone of the columnar data plane: ensembles,
-DES runs and map-reduce campaigns fold their samples into accumulator
-*states* instead of retaining full histories, and shards combine those
-states with the exact pairwise update formulas of Chan, Golub & LeVeque
-(1979).  Every accumulator therefore supports three operations with the
-same semantics:
-
-* ``update`` / ``update_batch`` -- fold samples in,
-* ``merge`` -- combine two accumulator states (associative, commutative up
-  to floating-point rounding; histograms and counters merge exactly),
-* ``to_dict`` / ``from_dict`` -- a JSON-friendly state round trip, so a
-  state can cross process boundaries, live in the result cache and be
-  replayed bit-identically from the campaign journal.
-
-Shard- and order-insensitivity of the merges is pinned by the Hypothesis
-property tests in ``tests/property/test_property_dataplane.py``.
+These are the O(1)-memory backbone of the columnar data plane: ensembles
+and DES runs fold their samples into accumulator *states* instead of
+retaining full histories, and read the states in the same process.
+``StreamingMoments.update_batch`` summarises a whole block with numpy and
+folds it in through :meth:`StreamingMoments.merge`, the exact pairwise
+update of Chan, Golub & LeVeque (1979).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -146,44 +136,16 @@ class StreamingMoments:
         """Population standard deviation."""
         return np.sqrt(self.variance)
 
-    def to_dict(self) -> dict:
-        """JSON-friendly state (arrays as nested lists)."""
-        return {
-            "__accumulator__": "StreamingMoments",
-            "shape": list(self.shape),
-            "count": int(self.count),
-            "mean": self.mean.tolist(),
-            "m2": self.m2.tolist(),
-            "minimum": self.minimum.tolist(),
-            "maximum": self.maximum.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamingMoments":
-        """Rebuild a state from :meth:`to_dict` output (exact round trip)."""
-        _check_tag(data, "StreamingMoments")
-        shape = tuple(data["shape"])
-        state = cls(shape)
-        state.count = int(data["count"])
-        state.mean = np.asarray(data["mean"], dtype=float).reshape(shape)
-        state.m2 = np.asarray(data["m2"], dtype=float).reshape(shape)
-        state.minimum = np.asarray(data["minimum"],
-                                   dtype=float).reshape(shape)
-        state.maximum = np.asarray(data["maximum"],
-                                   dtype=float).reshape(shape)
-        return state
-
     def __repr__(self) -> str:
         return (f"StreamingMoments(shape={self.shape}, count={self.count})")
 
 
 class StreamingHistogram:
-    """Fixed-bin streaming histogram with exact (integer-count) merges.
+    """Fixed-bin streaming histogram with integer counts.
 
     Bin edges are fixed at construction; samples outside the edges are
     tallied in ``underflow`` / ``overflow`` rather than silently dropped,
-    so merged shard histograms account for every sample.  Merging adds
-    counts and is therefore *exactly* order- and shard-insensitive.
+    so the histogram accounts for every sample.
     """
 
     __slots__ = ("edges", "counts", "underflow", "overflow")
@@ -218,17 +180,6 @@ class StreamingHistogram:
         # beyond it as overflow to match.
         self.overflow += int(np.count_nonzero(samples > self.edges[-1]))
 
-    def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """Add *other*'s counts into this histogram (edges must match)."""
-        if (other.edges.shape != self.edges.shape
-                or not np.array_equal(other.edges, self.edges)):
-            raise AnalysisError(
-                "cannot merge histograms with different bin edges")
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        return self
-
     def density(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(centers, density)`` normalised over the binned range.
 
@@ -258,26 +209,6 @@ class StreamingHistogram:
         above = int(self.counts[index:].sum()) + self.overflow
         return above / self.total
 
-    def to_dict(self) -> dict:
-        """JSON-friendly state (arrays as lists)."""
-        return {
-            "__accumulator__": "StreamingHistogram",
-            "edges": self.edges.tolist(),
-            "counts": self.counts.tolist(),
-            "underflow": int(self.underflow),
-            "overflow": int(self.overflow),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamingHistogram":
-        """Rebuild a state from :meth:`to_dict` output (exact round trip)."""
-        _check_tag(data, "StreamingHistogram")
-        state = cls(np.asarray(data["edges"], dtype=float))
-        state.counts = np.asarray(data["counts"], dtype=np.int64)
-        state.underflow = int(data["underflow"])
-        state.overflow = int(data["overflow"])
-        return state
-
     def __repr__(self) -> str:
         return (f"StreamingHistogram(bins={self.counts.size}, "
                 f"total={self.total})")
@@ -292,7 +223,7 @@ class TimeWeightedMoments:
     full-history ``TimeSeriesTrace.time_average`` folds its intervals
     through this same ``update``, so a streamed time-average is
     bit-identical to it when the same ``(value, duration)`` pairs arrive in
-    the same order.  The merge is the weighted Chan combination.
+    the same order.
     """
 
     def __init__(self) -> None:
@@ -337,54 +268,15 @@ class TimeWeightedMoments:
         """Weighted standard deviation."""
         return float(np.sqrt(self.variance))
 
-    def merge(self, other: "TimeWeightedMoments") -> "TimeWeightedMoments":
-        """Fold *other*'s state into this one (weighted Chan merge)."""
-        if other._weight_sum == 0.0:
-            return self
-        if self._weight_sum == 0.0:
-            self._weight_sum = other._weight_sum
-            self._mean = other._mean
-            self._m2 = other._m2
-            return self
-        total = self._weight_sum + other._weight_sum
-        delta = other._mean - self._mean
-        self._mean = self._mean + delta * (other._weight_sum / total)
-        self._m2 = (self._m2 + other._m2
-                    + delta * delta
-                    * (self._weight_sum * other._weight_sum / total))
-        self._weight_sum = total
-        return self
-
-    def to_dict(self) -> dict:
-        """JSON-friendly state."""
-        return {
-            "__accumulator__": "TimeWeightedMoments",
-            "weight_sum": float(self._weight_sum),
-            "mean": float(self._mean),
-            "m2": float(self._m2),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeWeightedMoments":
-        """Rebuild a state from :meth:`to_dict` output (exact round trip)."""
-        _check_tag(data, "TimeWeightedMoments")
-        state = cls()
-        state._weight_sum = float(data["weight_sum"])
-        state._mean = float(data["mean"])
-        state._m2 = float(data["m2"])
-        return state
-
     def copy(self) -> "TimeWeightedMoments":
         """Independent copy of the current state."""
-        return TimeWeightedMoments.from_dict(self.to_dict())
+        state = TimeWeightedMoments()
+        state._weight_sum = self._weight_sum
+        state._mean = self._mean
+        state._m2 = self._m2
+        return state
 
     def __repr__(self) -> str:
         return (f"TimeWeightedMoments(weight={self._weight_sum:g}, "
                 f"mean={self._mean:g})")
 
-
-def _check_tag(data: dict, expected: str) -> None:
-    tag = data.get("__accumulator__")
-    if tag != expected:
-        raise ConfigurationError(
-            f"cannot revive accumulator state tagged {tag!r} as {expected}")

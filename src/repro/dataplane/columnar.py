@@ -140,17 +140,6 @@ class ColumnarTrace:
         """``(times, values)`` view pair."""
         return self.times, self.values
 
-    def summary(self) -> dict:
-        """Cheap structural summary of the stored columns."""
-        summary = {
-            "n_samples": self._length,
-            "backing": "memmap" if self._memmap_dir is not None else "memory",
-        }
-        if self._length:
-            summary["t_start"] = float(self._times[0])
-            summary["t_end"] = float(self._times[self._length - 1])
-        return summary
-
     def __repr__(self) -> str:
         backing = "memmap" if self._memmap_dir is not None else "memory"
         return (f"ColumnarTrace(n_samples={self._length}, backing={backing})")

@@ -5,8 +5,8 @@ to a :class:`TraceSink`: the full-history
 :class:`~repro.queueing.trace.TimeSeriesTrace`, the raw columnar store
 :class:`~repro.dataplane.columnar.ColumnarTrace`, the O(1)-memory
 :class:`MomentsTraceSink` and the discarding :class:`NullTraceSink` all
-share the same ``record`` / ``append`` / ``times`` / ``values`` /
-``summary`` surface, so the retention policy picks the implementation
+share the same ``record`` / ``append`` / ``__len__`` / ``times`` /
+``values`` surface, so the retention policy picks the implementation
 without the simulator caring.
 """
 
@@ -30,7 +30,7 @@ class TraceSink(Protocol):
     path the event loop binds directly.  ``times`` / ``values`` return the
     retained history as arrays -- implementations that do not retain
     history raise :class:`~repro.exceptions.AnalysisError` with a message
-    pointing at ``retention="full"``.  ``summary`` is always cheap.
+    pointing at ``retention="full"``.
     """
 
     def record(self, time: float, value: float) -> None: ...
@@ -44,8 +44,6 @@ class TraceSink(Protocol):
 
     @property
     def values(self) -> np.ndarray: ...
-
-    def summary(self) -> dict: ...
 
 
 def _no_history(what: str):
@@ -108,10 +106,6 @@ class NullTraceSink:
 
     def resample(self, sample_times: np.ndarray) -> np.ndarray:
         _no_history(f"resampling of trace '{self.name}'")
-
-    def summary(self) -> dict:
-        """Sample count and retention mode."""
-        return {"n_samples": self._count, "retention": "none"}
 
 
 class MomentsTraceSink:
@@ -203,15 +197,6 @@ class MomentsTraceSink:
 
     def resample(self, sample_times: np.ndarray) -> np.ndarray:
         _no_history(f"resampling of trace '{self.name}'")
-
-    def summary(self) -> dict:
-        """Streamed-state summary: count, window, moments."""
-        summary = {"n_samples": self._count, "retention": "moments"}
-        if self._count:
-            summary["t_start"] = float(self._first_time)
-            summary["t_end"] = float(self._last_time)
-            summary["moments"] = self._moments.to_dict()
-        return summary
 
     def __repr__(self) -> str:
         return (f"MomentsTraceSink(name={self.name!r}, "

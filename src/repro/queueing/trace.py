@@ -29,7 +29,7 @@ from ..dataplane import (
     TimeWeightedMoments,
     validate_retention,
 )
-from ..exceptions import AnalysisError, ConfigurationError
+from ..exceptions import AnalysisError
 
 __all__ = ["TimeSeriesTrace", "SimulationTrace"]
 
@@ -118,74 +118,8 @@ class TimeSeriesTrace:
         indices = np.clip(indices, 0, len(values) - 1)
         return values[indices]
 
-    def summary(self) -> dict:
-        """Cheap structural summary (sample count, window, backing)."""
-        summary = self._store.summary()
-        summary["retention"] = "full"
-        return summary
-
-    def to_dict(self) -> dict:
-        """JSON-friendly full-history payload (floats round-trip exactly)."""
-        return {
-            "__trace__": "TimeSeriesTrace",
-            "name": self.name,
-            "times": self.times.tolist(),
-            "values": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeSeriesTrace":
-        """Rebuild a trace from :meth:`to_dict` output (exact round trip)."""
-        _check_trace_tag(data, "TimeSeriesTrace")
-        trace = cls(data.get("name", ""))
-        for time, value in zip(data["times"], data["values"], strict=True):
-            trace.append(float(time), float(value))
-        return trace
-
 
 TraceSinkImpl = Union[TimeSeriesTrace, MomentsTraceSink, NullTraceSink]
-
-_SINK_TAGS = {
-    "TimeSeriesTrace": TimeSeriesTrace,
-    "MomentsTraceSink": MomentsTraceSink,
-    "NullTraceSink": NullTraceSink,
-}
-
-
-def _check_trace_tag(data: dict, expected: str) -> None:
-    tag = data.get("__trace__")
-    if tag != expected:
-        raise ConfigurationError(
-            f"cannot revive trace payload tagged {tag!r} as {expected}")
-
-
-def _sink_to_dict(sink: TraceSinkImpl) -> dict:
-    if isinstance(sink, TimeSeriesTrace):
-        return sink.to_dict()
-    payload = sink.summary()
-    payload["__trace__"] = type(sink).__name__
-    payload["name"] = sink.name
-    return payload
-
-
-def _sink_from_dict(data: dict) -> TraceSinkImpl:
-    tag = data.get("__trace__")
-    if tag == "TimeSeriesTrace":
-        return TimeSeriesTrace.from_dict(data)
-    if tag == "MomentsTraceSink":
-        sink = MomentsTraceSink(data.get("name", ""))
-        sink._count = int(data["n_samples"])
-        if sink._count:
-            sink._first_time = float(data["t_start"])
-            sink._last_time = float(data["t_end"])
-            sink._last_value = float(data["last_value"])
-            sink._moments = TimeWeightedMoments.from_dict(data["moments"])
-        return sink
-    if tag == "NullTraceSink":
-        sink = NullTraceSink(data.get("name", ""))
-        sink._count = int(data["n_samples"])
-        return sink
-    raise ConfigurationError(f"unknown trace sink payload tag {tag!r}")
 
 
 class SimulationTrace:
@@ -252,49 +186,3 @@ class SimulationTrace:
         lost = self.losses.get(source_id, 0)
         total = delivered + lost
         return lost / total if total else 0.0
-
-    def summary(self) -> dict:
-        """Cheap whole-run summary: per-series summaries plus counters."""
-        return {
-            "retention": self.retention,
-            "queue_length": self.queue_length.summary(),
-            "source_rates": {source_id: sink.summary()
-                             for source_id, sink in self.source_rates.items()},
-            "deliveries": dict(self.deliveries),
-            "losses": dict(self.losses),
-        }
-
-    def to_dict(self) -> dict:
-        """JSON-friendly payload; exact round trip via :meth:`from_dict`."""
-        queue_payload = _sink_to_dict(self.queue_length)
-        if not isinstance(self.queue_length, TimeSeriesTrace):
-            queue_payload["last_value"] = self.queue_length.last_value()
-        rate_payloads = {}
-        for source_id, sink in self.source_rates.items():
-            payload = _sink_to_dict(sink)
-            if not isinstance(sink, TimeSeriesTrace):
-                payload["last_value"] = sink.last_value()
-            rate_payloads[str(source_id)] = payload
-        return {
-            "__trace__": "SimulationTrace",
-            "retention": self.retention,
-            "queue_length": queue_payload,
-            "source_rates": rate_payloads,
-            "deliveries": {str(k): v for k, v in self.deliveries.items()},
-            "losses": {str(k): v for k, v in self.losses.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationTrace":
-        """Rebuild a trace bundle from :meth:`to_dict` output."""
-        _check_trace_tag(data, "SimulationTrace")
-        trace = cls(retention=data.get("retention", "full"))
-        trace.queue_length = _sink_from_dict(data["queue_length"])
-        trace.source_rates = {
-            int(source_id): _sink_from_dict(payload)
-            for source_id, payload in data.get("source_rates", {}).items()}
-        trace.deliveries = {int(k): int(v)
-                            for k, v in data.get("deliveries", {}).items()}
-        trace.losses = {int(k): int(v)
-                        for k, v in data.get("losses", {}).items()}
-        return trace

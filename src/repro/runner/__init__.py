@@ -10,19 +10,15 @@ parallelism, deterministic seeding and on-disk result reuse:
 * :mod:`repro.runner.grid` -- :func:`expand_grid` / :func:`build_matrix`,
   cartesian sweep construction with spawn-key-derived per-job seeds;
 * :mod:`repro.runner.executor` -- :func:`run_jobs`, the supervised
-  serial/parallel executor with failure isolation, retries with
-  deterministic backoff (:class:`RetryPolicy`), per-job timeouts, pool
-  respawn on worker death, and progress reporting;
+  serial/parallel executor (the library's one process pool) with failure
+  isolation, retries with deterministic backoff (:class:`RetryPolicy`),
+  per-job timeouts, pool respawn on worker death, and progress reporting;
 * :mod:`repro.runner.cache` -- :class:`ResultCache`, the content-addressed
   JSON + npz (+ pickle fallback) store under ``~/.cache/repro`` with
   fsync'd atomic writes and a ``corrupt/`` quarantine;
 * :mod:`repro.runner.journal` -- :class:`RunJournal`, the crash-safe
   append-only outcome journal behind checkpoint/resume
   (``run_jobs(..., journal=...)`` / ``repro run --resume``);
-* :mod:`repro.runner.mapreduce` -- :class:`MapReduceSpec`, sharded
-  map-reduce aggregation (``run_jobs(..., reduce=...)``): successful job
-  values fold into one running state in submission order, so a campaign's
-  working set is the aggregate, not every payload;
 * :mod:`repro.runner.faults` -- :class:`FaultPlan`, deterministic fault
   injection (worker kills, transient raises, timeout sleeps) for testing
   every recovery path above;
@@ -52,7 +48,6 @@ from .executor import (
     print_progress,
     run_jobs,
 )
-from .mapreduce import MapReduceSpec
 from .faults import FaultPlan, InjectedTransientError, corrupt_cache_entry, \
     truncate_journal
 from .grid import build_matrix, expand_grid
@@ -70,7 +65,6 @@ __all__ = [
     "run_jobs",
     "JobOutcome",
     "MatrixResult",
-    "MapReduceSpec",
     "RetryPolicy",
     "print_progress",
     "ResultCache",

@@ -51,11 +51,10 @@ from ..exceptions import ConfigurationError, SimulationError, TransientJobError
 from .cache import ResultCache
 from .faults import FaultPlan
 from .journal import RunJournal
-from .mapreduce import MapReduceSpec, SubmissionOrderReducer, coerce_reduce_spec
 from .spec import JobSpec
 
-__all__ = ["JobOutcome", "MatrixResult", "MapReduceSpec", "RetryPolicy",
-           "run_jobs", "print_progress"]
+__all__ = ["JobOutcome", "MatrixResult", "RetryPolicy", "run_jobs",
+           "print_progress"]
 
 ProgressCallback = Callable[[int, int, "JobOutcome"], None]
 
@@ -129,15 +128,9 @@ class JobOutcome:
 
 @dataclass
 class MatrixResult:
-    """Outcome of a whole job matrix, in submission order.
-
-    When the matrix ran with ``reduce=``, :attr:`reduced` carries the
-    folded (and finalised) aggregate; unless the reduce spec kept values,
-    the per-outcome ``value`` fields were dropped after folding.
-    """
+    """Outcome of a whole job matrix, in submission order."""
 
     outcomes: List[JobOutcome] = field(default_factory=list)
-    reduced: Any = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -245,8 +238,7 @@ class _Supervisor:
                  Optional[JobOutcome]], done: int, total: int,
                  policy: RetryPolicy, cache: Optional[ResultCache],
                  journal: Optional[RunJournal],
-                 progress: Optional[ProgressCallback],
-                 reducer: Optional[SubmissionOrderReducer] = None):
+                 progress: Optional[ProgressCallback]):
         self.jobs = jobs
         self.outcomes = outcomes
         self.done = done
@@ -255,7 +247,6 @@ class _Supervisor:
         self.cache = cache
         self.journal = journal
         self.progress = progress
-        self.reducer = reducer
         self.dispatches: Dict[int, int] = {}  # index -> executions started
         self.failures: Dict[int, int] = {}    # index -> retryable failures
         self.crashes: Dict[int, int] = {}     # index -> pool-break charges
@@ -284,12 +275,6 @@ class _Supervisor:
             # Journal-replayed outcomes are already on disk; re-recording
             # them would only grow the journal on every resume.
             self.journal.record(outcome)
-        if self.reducer is not None:
-            # Fold after the durable sinks (cache, journal) have the value,
-            # so dropping it below loses nothing a resume cannot recover.
-            self.reducer.offer(index, outcome.value, outcome.ok)
-            if not self.reducer.spec.keep_values:
-                outcome.value = None
         if self.progress is not None:
             self.progress(self.done, self.total, outcome)
 
@@ -521,9 +506,7 @@ def run_jobs(jobs: Sequence[JobSpec], n_jobs: int = 1,
              retry_policy: Optional[RetryPolicy] = None,
              timeout: Optional[float] = None,
              journal: Union[RunJournal, str, None] = None,
-             faults=None,
-             reduce: Union[MapReduceSpec, Callable[[Any, Any], Any],
-                           None] = None) -> MatrixResult:
+             faults=None) -> MatrixResult:
     """Execute a job matrix, serially or across supervised worker processes.
 
     Parameters
@@ -564,14 +547,6 @@ def run_jobs(jobs: Sequence[JobSpec], n_jobs: int = 1,
         A :class:`~repro.runner.faults.FaultPlan` of deterministic
         injected faults (tests/chaos drills).  When ``None``, a plan armed
         via the ``REPRO_FAULTS`` environment variable applies.
-    reduce:
-        A :class:`~repro.runner.mapreduce.MapReduceSpec` (or bare
-        ``fold(state, value) -> state`` callable) folding successful job
-        values -- in submission order, regardless of completion order --
-        into ``MatrixResult.reduced``.  Journal-replayed successes fold
-        too, so resumed campaigns rebuild the same aggregate; unless the
-        spec sets ``keep_values=True``, per-job values are dropped right
-        after caching/journaling/folding to bound the working set.
     """
     jobs = list(jobs)
     if n_jobs < 1:
@@ -585,13 +560,10 @@ def run_jobs(jobs: Sequence[JobSpec], n_jobs: int = 1,
     if journal is not None and not isinstance(journal, RunJournal):
         journal = RunJournal(journal)
 
-    reducer = (SubmissionOrderReducer(coerce_reduce_spec(reduce))
-               if reduce is not None else None)
-
     total = len(jobs)
     outcomes: List[Optional[JobOutcome]] = [None] * total
     supervisor = _Supervisor(jobs, outcomes, 0, total, policy, cache,
-                             journal, progress, reducer)
+                             journal, progress)
 
     journaled = journal.successes() if journal is not None else {}
 
@@ -616,5 +588,4 @@ def run_jobs(jobs: Sequence[JobSpec], n_jobs: int = 1,
         workers = min(n_jobs, len(pending))
         _run_supervised(supervisor, pending, workers, timeout, faults)
 
-    reduced = reducer.result() if reducer is not None else None
-    return MatrixResult(outcomes=list(outcomes), reduced=reduced)
+    return MatrixResult(outcomes=list(outcomes))

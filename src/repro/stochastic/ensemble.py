@@ -4,27 +4,26 @@ Large ensembles can be *sharded*: passing ``seed=`` (instead of ``rng=``)
 to :func:`run_ensemble` splits the particle population into independently
 seeded shards whose seeds come from the spawn-key derivation in
 :mod:`repro.queueing.random_streams`.  Shard ``i`` depends only on
-``(seed, i, its particle count)``, so results are reproducible and
-bit-identical whether the shards run serially or across worker processes
-(``n_jobs > 1``).
+``(seed, i, its particle count)``, and the shards run in process in
+shard-index order, so a sharded result is reproducible for each
+``(seed, n_paths, n_shards)``.  The parallel form of an ensemble is a
+runner matrix whose jobs are whole ensembles
+(``repro run ensemble-grid --jobs N``).
 
-Since the columnar data-plane redesign, sharded ensembles also take a
-``retention`` policy.  Under ``retention="full"`` every sample path is
-kept (optionally spilled to a ``numpy.memmap`` via ``memmap_dir``) exactly
-as before.  Under ``"moments"`` each shard's paths are folded into
-streaming per-snapshot-time Welford moments (exact Chan parallel merge,
-shard-index fold order) plus the final particle states, and the shard's
-history is discarded -- the working set is one shard, not the ensemble.
-Under ``"none"`` even the final states are streamed into a fixed-bin
-histogram and overflow counters.  Because shard streams depend only on
-``(seed, shard index, shard size)``, a moments-mode run integrates exactly
-the same sample paths as the full-mode run it summarises.
+Sharded ensembles also take a ``retention`` policy.  Under
+``retention="full"`` every sample path is kept (optionally spilled to a
+``numpy.memmap`` via ``memmap_dir``).  Under ``"moments"`` each shard's
+paths are folded, in shard-index order, into streaming
+per-snapshot-time Welford moments plus the final particle states, and the
+shard's history is discarded -- the working set is one shard, not the
+ensemble.  Under ``"none"`` even the final states are streamed into a
+fixed-bin histogram and overflow counters.  Because shard streams depend
+only on ``(seed, shard index, shard size)``, a moments-mode run integrates
+exactly the same sample paths as the full-mode run it summarises.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,8 +45,7 @@ __all__ = ["EnsembleResult", "EnsembleStats", "run_ensemble",
            "compare_with_density", "shard_sizes"]
 
 #: Shard count used when ``seed=`` is given without an explicit ``n_shards``.
-#: A fixed constant (never ``n_jobs``) so the sharded result is identical no
-#: matter how many workers execute it.
+#: A fixed constant, so a sharded result depends only on ``(seed, n_paths)``.
 DEFAULT_SHARDS = 8
 
 
@@ -82,67 +80,6 @@ class EnsembleStats:
     final_states: Optional[np.ndarray] = None
     final_queue_histogram: Optional[StreamingHistogram] = None
     overflow_counts: Dict[float, int] = field(default_factory=dict)
-
-    def merge(self, other: "EnsembleStats") -> "EnsembleStats":
-        """Fold another shard-group summary into this one."""
-        if not np.array_equal(self.times, other.times):
-            raise AnalysisError(
-                "cannot merge ensemble summaries with different time grids")
-        self.moments.merge(other.moments)
-        self.n_paths += other.n_paths
-        if self.final_states is not None and other.final_states is not None:
-            self.final_states = np.concatenate(
-                [self.final_states, other.final_states], axis=0)
-        elif other.final_states is not None:
-            self.final_states = other.final_states.copy()
-        if other.final_queue_histogram is not None:
-            if self.final_queue_histogram is None:
-                self.final_queue_histogram = StreamingHistogram.from_dict(
-                    other.final_queue_histogram.to_dict())
-            else:
-                self.final_queue_histogram.merge(other.final_queue_histogram)
-        for threshold, count in other.overflow_counts.items():
-            self.overflow_counts[threshold] = (
-                self.overflow_counts.get(threshold, 0) + count)
-        return self
-
-    def to_dict(self) -> dict:
-        """JSON-friendly state; exact round trip via :meth:`from_dict`."""
-        return {
-            "__stats__": "EnsembleStats",
-            "times": self.times.tolist(),
-            "n_paths": int(self.n_paths),
-            "moments": self.moments.to_dict(),
-            "final_states": (self.final_states.tolist()
-                             if self.final_states is not None else None),
-            "final_queue_histogram": (
-                self.final_queue_histogram.to_dict()
-                if self.final_queue_histogram is not None else None),
-            "overflow_counts": {repr(threshold): int(count)
-                                for threshold, count
-                                in self.overflow_counts.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnsembleStats":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        if data.get("__stats__") != "EnsembleStats":
-            raise ConfigurationError(
-                "payload is not a serialised EnsembleStats")
-        final_states = data.get("final_states")
-        histogram = data.get("final_queue_histogram")
-        return cls(
-            times=np.asarray(data["times"], dtype=float),
-            n_paths=int(data["n_paths"]),
-            moments=StreamingMoments.from_dict(data["moments"]),
-            final_states=(np.asarray(final_states, dtype=float)
-                          if final_states is not None else None),
-            final_queue_histogram=(StreamingHistogram.from_dict(histogram)
-                                   if histogram is not None else None),
-            overflow_counts={float(threshold): int(count)
-                             for threshold, count
-                             in data.get("overflow_counts", {}).items()},
-        )
 
 
 @dataclass
@@ -265,50 +202,6 @@ class EnsembleResult:
         samples = self.final_queue_samples()
         return float(np.mean(samples > threshold))
 
-    # -- serde --------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Cheap structural summary of the run."""
-        return {
-            "retention": self.retention,
-            "n_paths": self.n_paths,
-            "n_times": int(self.times.shape[0]),
-            "t_end": float(self.times[-1]),
-            "mu": self.mu,
-        }
-
-    def to_dict(self) -> dict:
-        """JSON-friendly payload; exact round trip via :meth:`from_dict`."""
-        payload = {
-            "__result__": "EnsembleResult",
-            "mu": float(self.mu),
-            "retention": self.retention,
-        }
-        if self.paths is not None:
-            payload["paths"] = {
-                "times": self.paths.times.tolist(),
-                "paths": self.paths.paths.tolist(),
-            }
-        else:
-            payload["stats"] = self.stats.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnsembleResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        if data.get("__result__") != "EnsembleResult":
-            raise ConfigurationError(
-                "payload is not a serialised EnsembleResult")
-        paths_payload = data.get("paths")
-        if paths_payload is not None:
-            paths = SDEPaths(
-                times=np.asarray(paths_payload["times"], dtype=float),
-                paths=np.asarray(paths_payload["paths"], dtype=float))
-            return cls(mu=float(data["mu"]), retention=data["retention"],
-                       paths=paths)
-        return cls(mu=float(data["mu"]), retention=data["retention"],
-                   stats=EnsembleStats.from_dict(data["stats"]))
-
 
 def shard_sizes(n_paths: int, n_shards: int) -> List[int]:
     """Split *n_paths* into *n_shards* near-equal, deterministic shard sizes.
@@ -333,11 +226,10 @@ def _simulate_shard(control: RateControl, params: SystemParameters,
                     health_mode: str = "off",
                     shard_index: int = 0
                     ) -> Tuple[SDEPaths, Optional[dict]]:
-    """Run one shard of an ensemble (module-level so it can cross processes).
+    """Run one shard of an ensemble.
 
     Returns the shard's paths plus its health-log summary (``None`` when
-    unmonitored); the summary is a JSON dict so it pickles across worker
-    processes regardless of how the log is later merged.
+    unmonitored), which :func:`_merged_health` folds in shard-index order.
     """
     monitor = HealthMonitor.create(
         health_mode, where=f"stochastic.ensemble/shard{shard_index}")
@@ -425,7 +317,6 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
                  rng: Optional[np.random.Generator] = None,
                  seed: Optional[int] = None,
                  n_shards: Optional[int] = None,
-                 n_jobs: int = 1,
                  retention: str = "full",
                  memmap_dir: Optional[str] = None,
                  histogram_edges: Optional[np.ndarray] = None,
@@ -439,11 +330,10 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
     * **single-stream** (default, backwards compatible): all particles share
       one generator, supplied via *rng* (or a fixed default);
     * **sharded** (``seed`` given): particles are split into ``n_shards``
-      shards (default :data:`DEFAULT_SHARDS` -- deliberately *not* tied to
-      ``n_jobs``), each with its own spawn-key-derived child stream,
-      optionally simulated across ``n_jobs`` worker processes.  For fixed
-      ``(seed, n_paths, n_shards)`` the combined paths are bit-identical
-      regardless of ``n_jobs``.
+      shards (default :data:`DEFAULT_SHARDS`), each with its own
+      spawn-key-derived child stream, simulated in process in shard-index
+      order.  The combined paths depend only on
+      ``(seed, n_paths, n_shards)``.
 
     The ``retention`` policy bounds memory for sharded runs: ``"full"``
     keeps every path (``memmap_dir`` spills the combined array to disk),
@@ -466,10 +356,10 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
     health_mode = resolve_health(health or params.health or None)
     if seed is not None and rng is not None:
         raise ConfigurationError("pass either rng= or seed=, not both")
-    if seed is None and (n_jobs > 1 or (n_shards or 1) > 1):
+    if seed is None and (n_shards or 1) > 1:
         raise ConfigurationError(
-            "sharded/parallel ensembles need an explicit seed= so shard "
-            "streams can be derived deterministically")
+            "sharded ensembles need an explicit seed= so shard streams can "
+            "be derived deterministically")
     if retention != "full" and seed is None:
         raise ConfigurationError(
             "streamed retention folds per-shard summaries, so it needs the "
@@ -493,63 +383,30 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
     sizes = shard_sizes(n_paths, n_shards)
     seeds = child_seed_sequences(seed, len(sizes), key=("ensemble",))
 
-    if retention == "full":
-        if n_jobs > 1 and len(sizes) > 1:
-            with ProcessPoolExecutor(
-                    max_workers=min(n_jobs, len(sizes))) as pool:
-                futures = [pool.submit(_simulate_shard, control, params, q0,
-                                       rate0, t_end, dt, size, feedback_delay,
-                                       shard_seed, health_mode, index)
-                           for index, (size, shard_seed)
-                           in enumerate(zip(sizes, seeds, strict=True))]
-                results = [future.result() for future in futures]
-        else:
-            results = [_simulate_shard(control, params, q0, rate0, t_end, dt,
-                                       size, feedback_delay, shard_seed,
-                                       health_mode, index)
-                       for index, (size, shard_seed)
-                       in enumerate(zip(sizes, seeds, strict=True))]
-        shards = [paths for paths, _ in results]
-        # Shards are concatenated in shard-index order (never completion
-        # order), which is what makes the result independent of scheduling.
-        return EnsembleResult(
-            paths=_combine_full(shards, memmap_dir), mu=params.mu,
-            health=_merged_health([summary for _, summary in results],
-                                  health_mode))
-
-    # Streamed retention: fold shard-by-shard in shard-index order (the fold
-    # order is part of the reproducibility contract), keeping at most the
-    # in-flight window of shard results alive.
+    # Shards run and combine in shard-index order; the streamed fold order
+    # is part of the reproducibility contract.  Streamed retention folds
+    # each shard and drops it, so its working set is a shard, not the
+    # ensemble.
+    shards: List[SDEPaths] = []
     stats: Optional[EnsembleStats] = None
     summaries: List[Optional[dict]] = []
-    if n_jobs > 1 and len(sizes) > 1:
-        work = deque(enumerate(zip(sizes, seeds, strict=True)))
-        window = min(n_jobs, len(sizes)) + 1
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(sizes))) as pool:
-            pending: deque = deque()
-            while work or pending:
-                while work and len(pending) < window:
-                    index, (size, shard_seed) = work.popleft()
-                    pending.append(pool.submit(
-                        _simulate_shard, control, params, q0, rate0, t_end,
-                        dt, size, feedback_delay, shard_seed, health_mode,
-                        index))
-                shard, summary = pending.popleft().result()
-                summaries.append(summary)
-                stats = _fold_shard(stats, shard,
-                                    retention, histogram_edges,
-                                    overflow_thresholds)
-    else:
-        for index, (size, shard_seed) in enumerate(
-                zip(sizes, seeds, strict=True)):
-            shard, summary = _simulate_shard(control, params, q0, rate0,
-                                             t_end, dt, size, feedback_delay,
-                                             shard_seed, health_mode, index)
-            summaries.append(summary)
+    for index, (size, shard_seed) in enumerate(
+            zip(sizes, seeds, strict=True)):
+        shard, summary = _simulate_shard(control, params, q0, rate0, t_end,
+                                         dt, size, feedback_delay,
+                                         shard_seed, health_mode, index)
+        summaries.append(summary)
+        if retention == "full":
+            shards.append(shard)
+        else:
             stats = _fold_shard(stats, shard, retention, histogram_edges,
                                 overflow_thresholds)
+    health_log = _merged_health(summaries, health_mode)
+    if retention == "full":
+        return EnsembleResult(paths=_combine_full(shards, memmap_dir),
+                              mu=params.mu, health=health_log)
     return EnsembleResult(mu=params.mu, retention=retention, stats=stats,
-                          health=_merged_health(summaries, health_mode))
+                          health=health_log)
 
 
 def compare_with_density(ensemble: EnsembleResult,

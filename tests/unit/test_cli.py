@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -103,6 +105,19 @@ class TestCommands:
         assert "entries" in info
 
 
+def _forbid_solves(monkeypatch):
+    """Make any design solve or runner call fail the test."""
+    import repro.cli
+    import repro.design
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a design solve ran")
+
+    monkeypatch.setattr(repro.design, "design_gains", no_solve)
+    monkeypatch.setattr(repro.design, "solve_stationary", no_solve)
+    monkeypatch.setattr(repro.cli, "run_jobs", no_solve)
+
+
 class TestDesignActionOptions:
     """Each ``repro design`` action parses only the options it reads."""
 
@@ -110,18 +125,6 @@ class TestDesignActionOptions:
              "--n-q-target", "1", "--n-mu", "1", "--top-k", "2",
              "--t-end", "60"]
     STATIONARY = ["design", "stationary", "--nq", "30", "--nv", "24"]
-
-    @staticmethod
-    def _forbid_solves(monkeypatch):
-        import repro.cli
-        import repro.design
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a design solve ran")
-
-        monkeypatch.setattr(repro.design, "design_gains", no_solve)
-        monkeypatch.setattr(repro.design, "solve_stationary", no_solve)
-        monkeypatch.setattr(repro.cli, "run_jobs", no_solve)
 
     @pytest.mark.parametrize("flags", [
         ["--jobs", "4"], ["--no-cache"], ["--cache-dir", "elsewhere"],
@@ -131,7 +134,7 @@ class TestDesignActionOptions:
         ["--check-marching"], ["--stepper", "adi"],
     ])
     def test_sweep_rejects_option(self, flags, capsys, monkeypatch):
-        self._forbid_solves(monkeypatch)
+        _forbid_solves(monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
             main(self.SWEEP + flags)
         assert exit_info.value.code == 2
@@ -143,7 +146,7 @@ class TestDesignActionOptions:
         ["--retention", "moments"], ["--memmap-dir", "elsewhere"],
     ])
     def test_stationary_rejects_option(self, flags, capsys, monkeypatch):
-        self._forbid_solves(monkeypatch)
+        _forbid_solves(monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
             main(self.STATIONARY + flags)
         assert exit_info.value.code == 2
@@ -153,7 +156,7 @@ class TestDesignActionOptions:
                                        ["--t-end", "50"]])
     def test_stationary_marching_option_needs_check_marching(
             self, flags, capsys, monkeypatch):
-        self._forbid_solves(monkeypatch)
+        _forbid_solves(monkeypatch)
         assert main(self.STATIONARY + flags) == 2
         error = capsys.readouterr().err
         assert error.startswith("error: ")
@@ -231,3 +234,78 @@ class TestRunCommand:
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         cleared = capsys.readouterr().out
         assert "removed 4" in cleared
+
+
+class TestErrorExitCodes:
+    """A library error ends in one ``error:`` line on stderr, no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["theorem1"],
+        ["density", "--t-end", "1"],
+        ["delay-sweep", "--delays", "0", "--t-end", "1"],
+        ["fairness", "--t-end", "1"],
+        ["multihop", "--duration", "1"],
+        ["ensemble", "--n-paths", "10", "--t-end", "1"],
+        ["design", "stationary"],
+    ], ids=["theorem1", "density", "delay-sweep", "fairness", "multihop",
+            "ensemble", "design-stationary"])
+    def test_failed_job_exits_1_with_error_line(self, command, capsys,
+                                                monkeypatch):
+        # Every job raises an injected fault before it computes anything,
+        # and no retry is allowed, so each job fails on purpose.
+        monkeypatch.setenv("REPRO_FAULTS", json.dumps({"transient_every": 1}))
+        assert main(command + ["--no-cache"]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert error.count("\n") == 1
+        assert "jobs failed" in error and "InjectedTransientError" in error
+        assert "Traceback" not in error
+
+    def test_failing_job_input_exits_1(self, capsys):
+        assert main(["ensemble", "--n-paths", "0", "--no-cache"]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert "n_paths must be at least 1" in error
+
+    def test_configuration_error_keeps_exit_2(self, capsys):
+        assert main(["run", "no-such-grid", "--no-cache"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestIgnoredFlagsRejected:
+    """A flag that the other options would make a no-op exits 2."""
+
+    @pytest.mark.parametrize("command", [
+        ["theorem1"], ["density"], ["delay-sweep"], ["fairness"],
+        ["multihop"], ["ensemble"], ["run", "density-grid"],
+        ["design", "stationary"],
+    ], ids=lambda command: "-".join(command))
+    def test_timeout_needs_parallel_jobs(self, command, capsys, monkeypatch):
+        _forbid_solves(monkeypatch)
+        assert main(command + ["--timeout", "5", "--no-cache"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert "--timeout" in error and "--jobs" in error
+
+    def test_timeout_with_parallel_jobs_accepted(self, capsys):
+        assert main(["theorem1", "--jobs", "2", "--timeout", "60",
+                     "--no-cache"]) == 0
+        assert "converges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("retention", ["moments", "none"])
+    @pytest.mark.parametrize("command", [
+        ["ensemble"], ["run", "ensemble-grid"], ["design", "sweep"],
+    ], ids=lambda command: "-".join(command))
+    def test_memmap_dir_needs_full_retention(self, command, retention,
+                                             tmp_path, capsys, monkeypatch):
+        _forbid_solves(monkeypatch)
+        assert main(command + ["--retention", retention, "--memmap-dir",
+                               str(tmp_path)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert "--memmap-dir" in error and "--retention full" in error
+
+    def test_memmap_dir_with_full_retention_accepted(self, tmp_path, capsys):
+        assert main(["ensemble", "--memmap-dir", str(tmp_path), "--n-paths",
+                     "10", "--t-end", "1", "--no-cache"]) == 0
+        assert "retention=full" in capsys.readouterr().out

@@ -1,12 +1,11 @@
 """Unit tests for the columnar trace data plane (repro.dataplane).
 
 Covers the columnar store, the streaming accumulators, the retention
-policies threaded through the simulators / ensembles / design sweep, the
-sharded map-reduce aggregation of the runner, and the golden bit-identity
-of ``retention="full"`` against the frozen seed traces.
+policies threaded through the simulators / ensembles / design sweep, and
+the golden bit-identity of ``retention="full"`` against the frozen seed
+traces.
 """
 
-import json
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -32,8 +31,7 @@ from repro.queueing import MultiHopSimulator, Simulator
 from repro.queueing.multihop import parking_lot_scenario
 from repro.queueing.scenarios import dumbbell_scenario
 from repro.queueing.trace import SimulationTrace, TimeSeriesTrace
-from repro.runner import JobSpec, MapReduceSpec, RunJournal, run_jobs
-from repro.stochastic.ensemble import EnsembleResult, run_ensemble
+from repro.stochastic.ensemble import run_ensemble
 from repro.workloads.scenarios import packet_level_jrj_scenario
 from seed_stats import WeightedStatistics
 from seed_stats import empirical_density as seed_empirical_density
@@ -41,30 +39,6 @@ from seed_stats import time_average as seed_time_average
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / \
     "golden_des_trace.npz"
-
-
-# -- module-level fold callables (map-reduce specs cross process pools) -----
-
-def identity_value(params=None, x=0.0):
-    return float(x)
-
-
-def failing_value(params=None, x=0.0):
-    raise RuntimeError(f"boom at x={x}")
-
-
-def fold_sum(state, value):
-    # A bare-callable reduce starts from ``initial=None``.
-    return value if state is None else state + value
-
-
-def fold_moments(state, value):
-    state.update(value)
-    return state
-
-
-def finalize_mean(state):
-    return state.mean
 
 
 class TestColumnarTrace:
@@ -95,13 +69,14 @@ class TestColumnarTrace:
             disk.append(0.1 * i, float(i) ** 0.5)
         assert np.array_equal(ram.times, disk.times)
         assert np.array_equal(ram.values, disk.values)
-        assert disk.summary()["backing"] == "memmap"
-        assert ram.summary()["backing"] == "memory"
+        assert isinstance(disk.times, np.memmap)
+        assert isinstance(disk.values, np.memmap)
+        assert not isinstance(ram.times, np.memmap)
+        assert not isinstance(ram.values, np.memmap)
 
-    def test_empty_trace_summary(self):
+    def test_empty_trace(self):
         trace = ColumnarTrace()
-        summary = trace.summary()
-        assert summary["n_samples"] == 0
+        assert len(trace) == 0
         assert trace.last_time is None
         assert trace.last_value is None
 
@@ -189,22 +164,6 @@ class TestStreamingMoments:
         assert float(empty.mean) == float(block.mean)
         assert float(empty.m2) == float(block.m2)
 
-    def test_serde_round_trip(self):
-        moments = StreamingMoments(shape=(3,))
-        moments.update_batch(np.random.default_rng(5).random((40, 3)))
-        revived = StreamingMoments.from_dict(
-            json.loads(json.dumps(moments.to_dict())))
-        assert revived.count == moments.count
-        assert np.array_equal(np.asarray(revived.mean),
-                              np.asarray(moments.mean))
-        assert np.array_equal(np.asarray(revived.m2),
-                              np.asarray(moments.m2))
-
-    def test_wrong_tag_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StreamingMoments.from_dict({"__accumulator__": "bogus"})
-
-
 class TestStreamingHistogram:
     def test_counts_and_overflow(self):
         edges = np.array([0.0, 1.0, 2.0])
@@ -216,20 +175,6 @@ class TestStreamingHistogram:
         # Samples at or above 1.0: 1.5, 2.5, 1.0 and 2.0 (the final edge
         # is inclusive; 2.5 lands in the overflow counter).
         assert histogram.tail_fraction(1.0) == pytest.approx(4 / 6)
-
-    def test_merge_is_exact(self):
-        edges = np.linspace(-3.0, 3.0, 13)
-        rng = np.random.default_rng(2)
-        a, b = rng.standard_normal(400), rng.standard_normal(300)
-        left, right = StreamingHistogram(edges), StreamingHistogram(edges)
-        left.update(a)
-        right.update(b)
-        left.merge(right)
-        pooled = StreamingHistogram(edges)
-        pooled.update(np.concatenate([a, b]))
-        assert np.array_equal(left.counts, pooled.counts)
-        assert left.underflow == pooled.underflow
-        assert left.overflow == pooled.overflow
 
     def test_tail_fraction_requires_bin_edge(self):
         histogram = StreamingHistogram(np.array([0.0, 1.0, 2.0]))
@@ -283,23 +228,6 @@ class TestTimeWeightedMoments:
         assert float(streamed.mean) == float(reference.mean)
         assert float(streamed.variance) == float(reference.variance)
 
-    def test_weighted_merge_matches_sequential(self):
-        rng = np.random.default_rng(13)
-        values, weights = rng.standard_normal(80), rng.random(80) + 0.01
-        sequential = TimeWeightedMoments()
-        for v, w in zip(values, weights, strict=True):
-            sequential.update(float(v), float(w))
-        left, right = TimeWeightedMoments(), TimeWeightedMoments()
-        for v, w in zip(values[:50], weights[:50], strict=True):
-            left.update(float(v), float(w))
-        for v, w in zip(values[50:], weights[50:], strict=True):
-            right.update(float(v), float(w))
-        left.merge(right)
-        assert math.isclose(float(left.mean), float(sequential.mean),
-                            rel_tol=1e-12)
-        assert math.isclose(float(left.variance),
-                            float(sequential.variance), rel_tol=1e-12)
-
     def test_uniform_weights_match_plain_mean(self):
         values = [1.0, 2.0, 3.0, 4.0]
         stats = TimeWeightedMoments()
@@ -341,20 +269,6 @@ class TestTimeWeightedMoments:
         assert streamed.mean == reference.mean
         assert streamed.std == float(np.sqrt(reference.variance))
 
-    def test_serde_round_trip_exact(self):
-        stats = TimeWeightedMoments()
-        for value, weight in [(1.5, 0.25), (-2.0, 3.0), (7.0, 0.5)]:
-            stats.update(value, weight)
-        revived = TimeWeightedMoments.from_dict(
-            json.loads(json.dumps(stats.to_dict())))
-        assert revived.total_weight == stats.total_weight
-        assert revived.mean == stats.mean
-        assert revived.variance == stats.variance
-
-    def test_wrong_tag_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TimeWeightedMoments.from_dict(StreamingMoments().to_dict())
-
     def test_copy_is_independent(self):
         stats = TimeWeightedMoments()
         stats.update(2.0, 1.0)
@@ -364,18 +278,6 @@ class TestTimeWeightedMoments:
         assert snapshot.mean == 2.0
         assert stats.mean == pytest.approx(8.0)
 
-    def test_merge_with_empty_side(self):
-        stats = TimeWeightedMoments()
-        stats.update(4.0, 2.0)
-        stats.update(1.0, 1.0)
-        adopted = TimeWeightedMoments().merge(stats)
-        assert (adopted.total_weight, adopted.mean, adopted.variance) == \
-            (stats.total_weight, stats.mean, stats.variance)
-        before = (stats.total_weight, stats.mean, stats.variance)
-        stats.merge(TimeWeightedMoments())
-        assert (stats.total_weight, stats.mean, stats.variance) == before
-
-
 class TestTraceSinks:
     def test_all_sinks_satisfy_protocol(self):
         # isinstance() would *call* the raising history properties of the
@@ -383,7 +285,7 @@ class TestTraceSinks:
         assert isinstance(TimeSeriesTrace("a"), TraceSink)
         for sink_type in (MomentsTraceSink, NullTraceSink):
             for member in ("record", "append", "__len__", "times",
-                           "values", "summary"):
+                           "values"):
                 assert hasattr(sink_type, member), (sink_type, member)
 
     def test_moments_sink_time_average_matches_full(self):
@@ -477,24 +379,6 @@ class TestSimulationTraceRetention:
         result = self._run("none")
         with pytest.raises(AnalysisError):
             _ = result.mean_queue
-
-    def test_serde_round_trip_exact(self):
-        for retention in ("full", "moments", "none"):
-            trace = self._run(retention).trace
-            payload = json.loads(json.dumps(trace.to_dict()))
-            revived = SimulationTrace.from_dict(payload)
-            assert revived.retention == retention
-            assert revived.deliveries == trace.deliveries
-            assert revived.losses == trace.losses
-            if retention == "full":
-                assert np.array_equal(revived.queue_length.times,
-                                      trace.queue_length.times)
-                assert np.array_equal(revived.queue_length.values,
-                                      trace.queue_length.values)
-            elif retention == "moments":
-                horizon = trace.queue_length.summary()["t_end"]
-                assert revived.queue_length.time_average(0.0, horizon) == \
-                    trace.queue_length.time_average(0.0, horizon)
 
     def test_multihop_none_reports_nan_means(self):
         config = parking_lot_scenario(n_extra_hops=1, seed=5)
@@ -614,76 +498,6 @@ class TestEnsembleRetention:
         with pytest.raises(ConfigurationError):
             run_ensemble(control, params, q0=0.0, rate0=0.5, t_end=2.0,
                          n_paths=10, retention="moments")
-
-    def test_result_serde_round_trip(self):
-        params, control, common = self._ensembles()
-        streamed = run_ensemble(control, params, retention="moments",
-                                **common)
-        revived = EnsembleResult.from_dict(
-            json.loads(json.dumps(streamed.to_dict())))
-        assert revived.retention == "moments"
-        assert revived.n_paths == streamed.n_paths
-        assert np.array_equal(revived.mean_queue_series,
-                              streamed.mean_queue_series)
-        assert np.array_equal(revived.final_queue_samples(),
-                              streamed.final_queue_samples())
-
-
-class TestMapReduce:
-    def _jobs(self, values):
-        return [JobSpec(identity_value, overrides={"x": float(v)})
-                for v in values]
-
-    def test_bare_callable_reduce(self):
-        result = run_jobs(self._jobs([1.0, 2.0, 3.0]), reduce=fold_sum)
-        assert result.reduced == 6.0
-
-    def test_values_dropped_unless_kept(self):
-        spec = MapReduceSpec(fold=fold_sum, initial=0.0)
-        dropped = run_jobs(self._jobs([1.0, 2.0]), reduce=spec)
-        assert all(outcome.value is None for outcome in dropped)
-        kept = run_jobs(self._jobs([1.0, 2.0]),
-                        reduce=MapReduceSpec(fold=fold_sum, initial=0.0,
-                                             keep_values=True))
-        assert [outcome.value for outcome in kept] == [1.0, 2.0]
-
-    def test_parallel_matches_serial_bitwise(self):
-        values = list(np.random.default_rng(6).standard_normal(12))
-        spec = MapReduceSpec(fold=fold_moments, initial=StreamingMoments,
-                             finalize=finalize_mean)
-        serial = run_jobs(self._jobs(values), reduce=spec)
-        parallel = run_jobs(self._jobs(values), n_jobs=3, reduce=spec)
-        assert float(serial.reduced) == float(parallel.reduced)
-
-    def test_failures_skip_without_breaking_fold(self):
-        jobs = self._jobs([1.0, 2.0])
-        jobs.insert(1, JobSpec(failing_value, overrides={"x": 9.0}))
-        result = run_jobs(jobs, reduce=MapReduceSpec(fold=fold_sum,
-                                                     initial=0.0))
-        assert result.reduced == 3.0
-        assert len(result.failures) == 1
-
-    def test_journal_resume_reduces_identically(self, tmp_path):
-        values = [1.5, 2.5, 3.5, 4.5]
-        spec = MapReduceSpec(fold=fold_sum, initial=0.0)
-        journal_path = tmp_path / "campaign.jsonl"
-
-        first = RunJournal(str(journal_path))
-        reference = run_jobs(self._jobs(values), reduce=spec,
-                             journal=first)
-        first.close()
-
-        resumed_journal = RunJournal(str(journal_path))
-        resumed = run_jobs(self._jobs(values), reduce=spec,
-                           journal=resumed_journal)
-        resumed_journal.close()
-        assert resumed.journal_hits == len(values)
-        assert resumed.reduced == reference.reduced
-
-    def test_invalid_reduce_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_jobs(self._jobs([1.0]), reduce=42)
-
 
 class TestDesignRetention:
     def _sweep(self, retention):

@@ -81,30 +81,6 @@ class TestShardedEnsemble:
                               n_shards=4)
         np.testing.assert_array_equal(first.paths.paths, second.paths.paths)
 
-    def test_default_shard_count_independent_of_workers(self, noisy_params,
-                                                        jrj_control):
-        # No explicit n_shards: the default must not follow n_jobs, or the
-        # same seed would give different numbers on different machines.
-        serial = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                              t_end=5.0, dt=0.05, n_paths=24, seed=9,
-                              n_jobs=1)
-        parallel = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                                t_end=5.0, dt=0.05, n_paths=24, seed=9,
-                                n_jobs=2)
-        np.testing.assert_array_equal(serial.paths.paths,
-                                      parallel.paths.paths)
-
-    def test_parallel_shards_bit_identical_to_serial(self, noisy_params,
-                                                     jrj_control):
-        serial = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                              t_end=10.0, dt=0.05, n_paths=40, seed=123,
-                              n_shards=4, n_jobs=1)
-        parallel = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                                t_end=10.0, dt=0.05, n_paths=40, seed=123,
-                                n_shards=4, n_jobs=2)
-        np.testing.assert_array_equal(serial.paths.paths,
-                                      parallel.paths.paths)
-
     def test_shard_streams_order_independent(self, noisy_params, jrj_control):
         from repro.queueing import child_seed_sequence
         from repro.stochastic.ensemble import _simulate_shard, shard_sizes
@@ -130,12 +106,12 @@ class TestShardedEnsemble:
             run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
                          t_end=5.0, n_paths=10, seed=1, rng=rng)
 
-    def test_parallel_requires_seed(self, noisy_params, jrj_control):
+    def test_sharding_requires_seed(self, noisy_params, jrj_control):
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
             run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                         t_end=5.0, n_paths=10, n_jobs=2)
+                         t_end=5.0, n_paths=10, n_shards=2)
 
 
 class TestEnsembleHelpers:

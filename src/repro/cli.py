@@ -40,6 +40,8 @@ top of those, the :mod:`repro.runner` orchestration layer adds:
   runner (``delay-sweep --jobs 4`` runs one worker process per delay);
   ``design sweep`` scores its grid in process and has none of them: its
   parallel, cached form is ``repro run design-gain-grid --jobs N``;
+  ``theorem1 --portrait`` and ``design stationary --check-marching`` also
+  compute in process, and exit 2 on any runner flag;
 * ``repro ensemble`` -- Langevin ensemble of the stochastic model with
   final-time queue statistics; together with ``repro run`` and
   ``repro design sweep`` it accepts ``--retention {full,moments,none}``
@@ -186,11 +188,29 @@ def _add_health_option(parser: argparse.ArgumentParser) -> None:
                              "docs/robustness.md)")
 
 
+#: The runner flags, in the order an error names them, with their defaults.
+_RUNNER_FLAGS = (("--jobs", "jobs", 1), ("--timeout", "timeout", None),
+                 ("--retries", "retries", 0), ("--no-cache", "no_cache", False),
+                 ("--cache-dir", "cache_dir", None),
+                 ("--progress", "progress", False))
+
+
 def _reject_ignored_flags(args: argparse.Namespace) -> None:
     """Refuse a flag that the rest of the command line would make a no-op.
 
     Runs before any job, for every sub-command that has the flag.
     """
+    in_process = [flag for flag, name in (("--portrait", "portrait"),
+                                          ("--check-marching",
+                                           "check_marching"))
+                  if getattr(args, name, False)]
+    if in_process:
+        runner_flags = [flag for flag, name, default in _RUNNER_FLAGS
+                        if getattr(args, name) != default]
+        if runner_flags:
+            raise ConfigurationError(
+                f"{runner_flags[0]} is a runner flag, but {in_process[0]} "
+                f"computes in this process without the runner")
     if getattr(args, "timeout", None) is not None and args.jobs <= 1:
         raise ConfigurationError(
             "--timeout needs --jobs > 1: a serial run cannot preempt its "

@@ -11,11 +11,18 @@ Both travel over a :class:`FeedbackChannel`, which simply delivers a payload
 to a callback after a per-channel propagation delay.  Heterogeneous delays
 across sources -- the Section 7 unfairness scenario -- are expressed by
 giving each source its own channel with its own delay.
+
+A channel sits on the per-control-update path of every rate source, so it
+allocates no closure per send: with one fixed delay, payloads sent under
+the event clock arrive in the order they were sent (equal arrival times
+fire in scheduling order), so the channel keeps them in a FIFO queue and
+schedules one bound delivery method per send.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import deque
+from typing import Callable, Deque
 
 from ..exceptions import ConfigurationError
 from .events import EventQueue
@@ -36,7 +43,8 @@ class FeedbackChannel:
         Callback invoked with the payload when it arrives.
     """
 
-    __slots__ = ("_events", "delay", "_receiver", "delivered_count")
+    __slots__ = ("_events", "delay", "_receiver", "delivered_count",
+                 "_in_flight", "_deliver_action")
 
     def __init__(self, event_queue: EventQueue, delay: float,
                  receiver: Callable[[object], None]):
@@ -46,12 +54,16 @@ class FeedbackChannel:
         self.delay = float(delay)
         self._receiver = receiver
         self.delivered_count = 0
+        self._in_flight: Deque[object] = deque()
+        self._deliver_action = self._deliver
 
     def send(self, payload: object) -> None:
         """Send *payload*; it reaches the receiver ``delay`` time units later."""
-        def deliver() -> None:
-            self.delivered_count += 1
-            self._receiver(payload)
+        self._in_flight.append(payload)
+        events = self._events
+        events.schedule_call(events.current_time + self.delay,
+                             self._deliver_action)
 
-        self._events.schedule_call(self._events.current_time + self.delay,
-                                   deliver)
+    def _deliver(self) -> None:
+        self.delivered_count += 1
+        self._receiver(self._in_flight.popleft())

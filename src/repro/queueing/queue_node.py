@@ -13,9 +13,10 @@ This node sits on the simulator's hottest path (two trace samples and one
 scheduled completion per served packet), so the per-packet work is kept
 allocation-light: completions are scheduled through the engine's
 fire-and-forget path with a bound method cached at construction, queue
-samples go through the trace's unchecked append, and the service-time
-stream is resolved once instead of per draw.  Every floating-point
-expression matches the seed implementation so traces stay bit-identical.
+samples go through the trace's unchecked append, and the service time is
+computed inline from a stream resolved once instead of per draw.  Every
+floating-point expression matches the seed implementation so traces stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -135,21 +136,18 @@ class BottleneckQueue:
         if not self._busy:
             self._start_service()
 
-    def _service_time(self, packet: Packet) -> float:
-        mean = packet.size / self.service_rate
-        if self.deterministic_service:
-            return mean
-        return float(self._service_stream.exponential(mean))
-
     def _start_service(self) -> None:
         queue = self._queue
         if not queue:
             self._busy = False
             return
         self._busy = True
-        service = self._service_time(queue[0])
-        self._events.schedule_call(self._events.current_time + service,
-                                   self._complete_action)
+        service = queue[0].size / self.service_rate
+        if not self.deterministic_service:
+            service = float(self._service_stream.exponential(service))
+        events = self._events
+        events.schedule_call(events.current_time + service,
+                             self._complete_action)
 
     def _complete_service(self) -> None:
         packet = self._queue.popleft()

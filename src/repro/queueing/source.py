@@ -19,8 +19,11 @@ engine's fire-and-forget path with bound methods cached at construction,
 and resolve per-source stream names and rate traces once instead of
 formatting/looking them up per packet.  The rate-control loop runs on a
 :class:`~repro.queueing.events.PeriodicTimer` (one preallocated repeating
-event per source).  All floating-point expressions match the seed, so a
-given seed produces bit-identical traces.
+event per source).  Rate and window samples taken inside events use the
+trace's unchecked ``append``, as the bottleneck's queue samples do: they
+are stamped with the event clock, which never runs backwards because the
+engine refuses to schedule in the past.  All floating-point expressions
+match the seed, so a given seed produces bit-identical traces.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class RateSource:
         drift = float(self.control.drift(self._last_seen_queue, self.rate))
         self.rate = max(self.rate + drift * self.control_interval,
                         self.rate_floor)
-        self._rate_trace.record(now, self.rate)
+        self._rate_trace.append(now, self.rate)
         self._request_feedback()
 
     # -- packet emission --------------------------------------------------
@@ -250,7 +253,7 @@ class WindowSource:
             self.window = self.control.on_congestion(self.window)
         else:
             self.window = self.control.on_ack(self.window)
-        self._rate_trace.record(self._events.current_time, self.window)
+        self._rate_trace.append(self._events.current_time, self.window)
         self._fill_window()
 
     def handle_drop(self, _packet: Packet) -> None:
@@ -258,5 +261,5 @@ class WindowSource:
         self._outstanding = max(self._outstanding - 1, 0)
         self.congestion_signals += 1
         self.window = self.control.on_congestion(self.window)
-        self._rate_trace.record(self._events.current_time, self.window)
+        self._rate_trace.append(self._events.current_time, self.window)
         self._fill_window()

@@ -33,6 +33,11 @@ from ..exceptions import AnalysisError
 
 __all__ = ["TimeSeriesTrace", "SimulationTrace"]
 
+#: Samples per block of :meth:`TimeSeriesTrace.time_average`.  The fold
+#: builds its interval bounds with numpy one block at a time, so its
+#: temporaries stay this size however long the series is.
+_FOLD_BLOCK = 1 << 14
+
 
 class TimeSeriesTrace:
     """An append-only piecewise-constant time series.
@@ -100,11 +105,22 @@ class TimeSeriesTrace:
         if t_end <= t_start:
             raise AnalysisError("t_end must exceed t_start for a time average")
         stats = TimeWeightedMoments()
-        for i in range(n):
-            interval_start = max(times[i], t_start)
-            interval_end = t_end if i == n - 1 else min(times[i + 1], t_end)
-            if interval_end > interval_start:
-                stats.update(values[i], interval_end - interval_start)
+        update = stats.update
+        for lo in range(0, n, _FOLD_BLOCK):
+            hi = min(lo + _FOLD_BLOCK, n)
+            # Sample i holds from times[i] to times[i + 1] (the last one to
+            # t_end), clipped to the window.  maximum, minimum and the
+            # difference are exact, so these are the per-sample weights of
+            # the seed's scalar fold, kept in the same order.
+            starts = np.maximum(times[lo:hi], t_start)
+            ends = np.minimum(times[lo + 1:hi + 1], t_end)
+            if hi == n:
+                ends = np.append(ends, t_end)
+            kept = ends > starts
+            for value, weight in zip(values[lo:hi][kept].tolist(),
+                                     (ends - starts)[kept].tolist(),
+                                     strict=True):
+                update(value, weight)
         return float(stats.mean)
 
     def resample(self, sample_times: np.ndarray) -> np.ndarray:

@@ -408,7 +408,8 @@ def _dataplane_fixed(fixed: Dict[str, object], retention: str,
 
     Defaults are *omitted* rather than spelled out so the job content hash
     -- and therefore the result cache key -- of a default-configured
-    campaign is unchanged from before these knobs existed.
+    campaign is unchanged from before these knobs existed.  ``memmap_dir``
+    never enters the key (see :meth:`JobSpec.fingerprint`).
     """
     if retention != "full":
         fixed["retention"] = str(retention)

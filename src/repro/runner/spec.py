@@ -115,11 +115,16 @@ class JobSpec:
         return function_reference(self.function)
 
     def fingerprint(self) -> Dict[str, Any]:
-        """The exact structure that is hashed into the cache key."""
+        """The exact structure that is hashed into the cache key.
+
+        ``memmap_dir`` is left out: it only says where full-history
+        columns spill, and results are bit-identical with and without it.
+        """
         return {
             "function": self.function_ref,
             "params": None if self.params is None else self.params.to_dict(),
-            "overrides": dict(self.overrides),
+            "overrides": {name: value for name, value in self.overrides
+                          if name != "memmap_dir"},
             "seed": self.seed,
             "version": self.version,
         }

@@ -50,7 +50,7 @@ class TestCommands:
         assert "converges" in output
 
     def test_theorem1_with_portrait(self, capsys):
-        exit_code = main(["theorem1", "--portrait", "--no-cache"])
+        exit_code = main(["theorem1", "--portrait"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "q = q_target" in output
@@ -106,7 +106,7 @@ class TestCommands:
 
 
 def _forbid_solves(monkeypatch):
-    """Make any design solve or runner call fail the test."""
+    """Make any design solve, in-process theorem check or runner call fail."""
     import repro.cli
     import repro.design
 
@@ -115,6 +115,7 @@ def _forbid_solves(monkeypatch):
 
     monkeypatch.setattr(repro.design, "design_gains", no_solve)
     monkeypatch.setattr(repro.design, "solve_stationary", no_solve)
+    monkeypatch.setattr(repro.cli, "verify_theorem1", no_solve)
     monkeypatch.setattr(repro.cli, "run_jobs", no_solve)
 
 
@@ -304,6 +305,39 @@ class TestIgnoredFlagsRejected:
         error = capsys.readouterr().err
         assert error.startswith("error: ")
         assert "--memmap-dir" in error and "--retention full" in error
+
+    RUNNER_FLAGS = [["--jobs", "2"], ["--timeout", "5"], ["--retries", "3"],
+                    ["--no-cache"], ["--cache-dir", "elsewhere"],
+                    ["--progress"]]
+
+    @pytest.mark.parametrize("flags", RUNNER_FLAGS,
+                             ids=lambda flags: flags[0])
+    def test_portrait_rejects_runner_flags(self, flags, capsys, monkeypatch):
+        _forbid_solves(monkeypatch)
+        assert main(["theorem1", "--portrait"] + flags) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert flags[0] in error and "--portrait" in error
+
+    @pytest.mark.parametrize("flags", RUNNER_FLAGS,
+                             ids=lambda flags: flags[0])
+    def test_check_marching_rejects_runner_flags(self, flags, capsys,
+                                                 monkeypatch):
+        _forbid_solves(monkeypatch)
+        assert main(["design", "stationary", "--check-marching", "--t-end",
+                     "5"] + flags) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert flags[0] in error and "--check-marching" in error
+
+    def test_in_process_error_names_the_first_runner_flag(self, capsys,
+                                                          monkeypatch):
+        _forbid_solves(monkeypatch)
+        assert main(["theorem1", "--portrait", "--no-cache", "--retries", "3",
+                     "--timeout", "5", "--jobs", "2"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: --jobs ")
+        assert error.count("\n") == 1
 
     def test_memmap_dir_with_full_retention_accepted(self, tmp_path, capsys):
         assert main(["ensemble", "--memmap-dir", str(tmp_path), "--n-paths",

@@ -28,6 +28,7 @@ from repro.dataplane import (
 )
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.queueing import MultiHopSimulator, Simulator
+from repro.queueing import trace as trace_module
 from repro.queueing.multihop import parking_lot_scenario
 from repro.queueing.scenarios import dumbbell_scenario
 from repro.queueing.trace import SimulationTrace, TimeSeriesTrace
@@ -356,16 +357,61 @@ class TestSimulationTraceRetention:
             queue.times, queue.values, 0.0, full.duration)
         assert self._run("moments", scenario).mean_queue == full.mean_queue
 
-    @pytest.mark.parametrize("window", [(0.0, None), (5.0, 17.3),
-                                        (12.5, 45.0)],
-                             ids=["to-last-sample", "interior",
-                                  "past-the-end"])
-    def test_windowed_time_average_matches_seed_fold(self, window):
-        queue = self._run("full").trace.queue_length
+    @staticmethod
+    def _long_series(edge_ties=False):
+        """A series over two blocks of the time-average fold, inside (1, 400).
+
+        With *edge_ties* the samples on either side of the first block
+        edge share one time, so both intervals touching the edge have
+        zero width.
+        """
+        block = trace_module._FOLD_BLOCK
+        rng = np.random.default_rng(24)
+        times = 1.0 + np.cumsum(rng.exponential(0.01, 2 * block + 777))
+        if edge_ties:
+            times[block - 1:block + 2] = times[block - 1]
+        assert times[-1] < 400.0
+        series = TimeSeriesTrace("long")
+        for time, value in zip(times.tolist(),
+                               rng.uniform(0.0, 40.0, times.size).tolist(),
+                               strict=True):
+            series.record(time, value)
+        return series
+
+    @pytest.mark.parametrize("series, window", [
+        ("run", (0.0, None)), ("run", (5.0, 17.3)), ("run", (12.5, 45.0)),
+        ("long", (0.0, None)), ("edge-ties", (0.0, None)),
+        ("long", (0.5, 400.0)),
+    ], ids=["to-last-sample", "interior", "past-the-end",
+            "over-two-blocks", "zero-width-at-block-edge",
+            "beyond-both-ends"])
+    def test_windowed_time_average_matches_seed_fold(self, series, window):
+        queue = (self._run("full").trace.queue_length if series == "run"
+                 else self._long_series(edge_ties=series == "edge-ties"))
         t_start, t_end = window
         fold_end = float(queue.times[-1]) if t_end is None else t_end
         assert queue.time_average(t_start, t_end) == seed_time_average(
             queue.times, queue.values, t_start, fold_end)
+
+    def test_small_blocks_match_seed_fold_on_random_series(self,
+                                                           monkeypatch):
+        # Tiny blocks put many block edges, ties and window edges into
+        # short series.
+        monkeypatch.setattr(trace_module, "_FOLD_BLOCK", 4)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            steps = rng.exponential(1.0, n) * (rng.random(n) < 0.7)
+            times = rng.uniform(-5.0, 5.0) + np.cumsum(steps)
+            series = TimeSeriesTrace("random")
+            for time, value in zip(times.tolist(),
+                                   rng.uniform(-10.0, 50.0, n).tolist(),
+                                   strict=True):
+                series.record(time, value)
+            t_start = float(rng.uniform(times[0] - 2.0, times[-1] + 1.0))
+            t_end = t_start + float(rng.exponential(5.0)) + 1e-3
+            assert series.time_average(t_start, t_end) == seed_time_average(
+                series.times, series.values, t_start, t_end)
 
     def test_window_inside_one_interval_is_its_value(self):
         queue = self._run("full").trace.queue_length

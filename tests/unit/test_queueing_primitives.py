@@ -304,6 +304,27 @@ class TestFeedbackChannel:
         events.run_until(1.0)
         assert received == [42]
 
+    @pytest.mark.parametrize("delay", [0.0, 0.75])
+    def test_payloads_arrive_in_send_order(self, delay):
+        events = EventQueue()
+        received = []
+        channel = FeedbackChannel(
+            events, delay=delay,
+            receiver=lambda p: received.append((events.current_time, p)))
+
+        def burst():
+            for payload in ("a", "b", "c"):
+                channel.send(payload)
+
+        events.schedule(1.0, burst)
+        for time, payload in ((1.25, "d"), (1.5, "e"), (2.0, "f")):
+            events.schedule(time, lambda p=payload: channel.send(p))
+        events.run_until(10.0)
+        assert received == [(1.0 + delay, "a"), (1.0 + delay, "b"),
+                            (1.0 + delay, "c"), (1.25 + delay, "d"),
+                            (1.5 + delay, "e"), (2.0 + delay, "f")]
+        assert channel.delivered_count == 6
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
             FeedbackChannel(EventQueue(), delay=-1.0, receiver=lambda p: None)

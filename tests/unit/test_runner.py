@@ -18,6 +18,7 @@ from repro.runner import (
     expand_grid,
     run_jobs,
 )
+from repro.runner.experiments import des_scenario_point
 
 
 # -- module-level job callables (specs require importable functions) --------
@@ -85,6 +86,23 @@ class TestJobSpec:
         assert spec.key != JobSpec(square, overrides={"x": 3.0}).key
         assert spec.key != JobSpec(square, overrides={"x": 2.0}, seed=1).key
         assert spec.key != JobSpec(square, overrides={"x": 2.0}, version=2).key
+
+    def test_memmap_dir_does_not_split_the_key(self):
+        overrides = {"scenario": "dumbbell", "duration": 5.0, "n_sources": 8}
+        plain = JobSpec(des_scenario_point, overrides=overrides, seed=3)
+        spilled = [JobSpec(des_scenario_point, seed=3,
+                           overrides={**overrides, "memmap_dir": path})
+                   for path in ("/scratch/a", "/scratch/b")]
+        assert spilled[0].key == spilled[1].key == plain.key
+        assert "memmap_dir" not in spilled[0].fingerprint()["overrides"]
+
+    def test_key_without_memmap_dir_unchanged(self):
+        spec = JobSpec(des_scenario_point, seed=3, overrides={
+            "scenario": "dumbbell", "duration": 5.0, "n_sources": 8})
+        assert spec.fingerprint()["overrides"] == dict(spec.overrides)
+        # The key this spec had before memmap_dir left the fingerprint.
+        assert spec.key == ("03a622133c60f4955430b33a8200baa9"
+                            "72e2903c05657d49d5c0cbffedcd4a95")
 
     def test_key_depends_on_params(self):
         a = JobSpec(affine, params=SystemParameters(mu=1.0), overrides={"x": 1.0})

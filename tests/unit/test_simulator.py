@@ -7,6 +7,8 @@ import pytest
 
 from repro import NetworkConfig, SimulationResult, Simulator, SourceConfig
 from repro.exceptions import ConfigurationError
+from repro.queueing import MultiHopSimulator
+from repro.queueing.multihop import parking_lot_scenario
 from repro.queueing.scenarios import dumbbell_scenario
 from repro.workloads import (
     packet_level_jrj_scenario,
@@ -146,6 +148,39 @@ class TestWindowBasedSimulation:
                                               round_trip_delays=[0.5, 0.5])
         result = Simulator(config).run(duration=300.0)
         assert result.fairness_index() > 0.95
+
+
+class TestTraceTimesNonDecreasing:
+    """Every recorded series keeps non-decreasing times.
+
+    Samples taken inside events go through the traces' unchecked
+    ``append``; the per-sample ``record`` check they replaced guarded
+    exactly this property.
+    """
+
+    @staticmethod
+    def _assert_non_decreasing(sinks):
+        for sink in sinks:
+            assert len(sink) > 1, sink.name
+            assert np.all(np.diff(sink.times) >= 0.0), sink.name
+
+    def test_dumbbell_run(self):
+        trace = Simulator(dumbbell_scenario(n_sources=16, seed=5)).run(
+            60.0).trace
+        assert len(trace.source_rates) == 16
+        self._assert_non_decreasing(
+            [trace.queue_length, *trace.source_rates.values()])
+
+    @pytest.mark.parametrize("scheme", ["jacobson", "decbit"])
+    def test_parking_lot_run(self, scheme):
+        simulator = MultiHopSimulator(
+            parking_lot_scenario(n_extra_hops=2, scheme=scheme, seed=5))
+        simulator.run(120.0)
+        windows = simulator.connection_trace.source_rates
+        assert len(windows) == 2
+        self._assert_non_decreasing(
+            [node.queue_length for node in simulator._node_traces.values()]
+            + list(windows.values()))
 
 
 def _trace_digest(trace):

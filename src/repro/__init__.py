@@ -1,7 +1,7 @@
 """Reproduction of "Analysis of Dynamic Congestion Control Protocols:
 A Fokker-Planck Approximation" (Mukherjee & Strikwerda, 1991).
 
-The package provides, as documented in DESIGN.md:
+The package provides (README.md and ``docs/`` describe each part):
 
 * :mod:`repro.core` -- the Fokker-Planck solver for the joint density of
   queue length and queue growth rate under feedback rate control
@@ -111,10 +111,8 @@ from .multisource import (
     predicted_equilibrium_shares,
 )
 from .delay import (
-    DelayedFokkerPlanckSolver,
     DelayedSystem,
     RoundTripUpdateModel,
-    critical_delay,
     delay_sweep,
     heterogeneous_delay_experiment,
     measure_oscillation,
@@ -145,7 +143,6 @@ from .design import (
     score_gain_grid,
     score_operating_point,
     solve_stationary,
-    solve_stationary_multisource,
 )
 from .stochastic import LangevinModel, compare_with_density, run_ensemble
 from .numerics import available_backends, get_backend
@@ -236,9 +233,7 @@ __all__ = [
     "jain_fairness_index",
     # delayed feedback / Section 7
     "DelayedSystem",
-    "DelayedFokkerPlanckSolver",
     "RoundTripUpdateModel",
-    "critical_delay",
     "measure_oscillation",
     "delay_sweep",
     "heterogeneous_delay_experiment",
@@ -262,7 +257,6 @@ __all__ = [
     "StationaryEstimate",
     "StationaryDensity",
     "solve_stationary",
-    "solve_stationary_multisource",
     "compare_with_marching",
     "ObjectiveWeights",
     "OperatingPointScore",

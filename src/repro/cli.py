@@ -12,8 +12,9 @@ Python::
     python -m repro.cli run density-grid --jobs 4
     python -m repro.cli cache info
 
-Each classic sub-command maps onto one experiment family of DESIGN.md.  On
-top of those, the :mod:`repro.runner` orchestration layer adds:
+Each classic sub-command runs one experiment family, a point function of
+:mod:`repro.runner.experiments`.  On top of those, the :mod:`repro.runner`
+orchestration layer adds:
 
 * ``repro run <matrix>`` -- execute a named multi-dimensional experiment
   matrix (``repro run --list`` shows the registry) across ``--jobs`` worker

@@ -137,8 +137,7 @@ class UpwindAdvection:
     def set_drift(self, drift: np.ndarray) -> None:
         """Install the ν-drift field ``g`` and precompute its invariants.
 
-        With a static drift this runs once per solve; with delayed feedback
-        the solver calls it whenever the effective drift changes.  The
+        The per-axis stepper calls this once, when it is built.  The
         interface drift between adjacent ν-columns, split by upwind
         direction, and ``max |g|`` are cached until the next call.
         """

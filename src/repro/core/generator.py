@@ -316,29 +316,18 @@ class DiscreteGenerator:
                 permute(combined.data.get(0, zeros)),
                 permute(combined.data.get(nv, zeros)))
 
-    def v_direction_bands(self, drift: Optional[np.ndarray] = None):
+    def v_direction_bands(self):
         """Bands of ``A₂ = G_ν`` in the native row-major ordering.
 
         Returns ``(lower, diag, upper)`` length-``n`` arrays; the ``±1``
         couplings already vanish at every ``nv``-block boundary (no-flux
         ν-walls), so the flat matrix is one independent tridiagonal system
-        per q-row.  Passing *drift* rebuilds the bands for a new drift field
-        on the same grid without touching the stored operator — the delayed-
-        feedback solver updates the ν-transport every segment this way.
+        per q-row.
         """
-        if drift is None:
-            g_v = self._g_v
-        else:
-            drift = np.asarray(drift, dtype=float)
-            if drift.shape != self.grid.shape:
-                raise ConfigurationError(
-                    f"drift shape {drift.shape} does not match grid "
-                    f"{self.grid.shape}")
-            g_v = _v_advection_generator(self.grid, drift)
+        bands = self._g_v.data
         zeros = np.zeros(self.n)
-        return (g_v.data.get(-1, zeros).copy(),
-                g_v.data.get(0, zeros).copy(),
-                g_v.data.get(1, zeros).copy())
+        return (bands.get(-1, zeros).copy(), bands.get(0, zeros).copy(),
+                bands.get(1, zeros).copy())
 
     def diffusion_number(self, dt: float) -> float:
         """The Crank-Nicolson diffusion number ``r`` for step *dt*.
@@ -392,7 +381,6 @@ class DiscreteGenerator:
 def assemble_generator(params: SystemParameters,
                        control: Optional[RateControl] = None,
                        grid_params: Optional[GridParameters] = None,
-                       drift: Optional[np.ndarray] = None,
                        boundary: Optional[BoundaryConditions] = None
                        ) -> DiscreteGenerator:
     """Assemble the discrete Fokker-Planck operator pieces for one config.
@@ -407,10 +395,6 @@ def assemble_generator(params: SystemParameters,
         law built from *params*.
     grid_params:
         Phase-grid discretisation (defaults to :class:`GridParameters`).
-    drift:
-        Optional precomputed drift field overriding the control evaluation
-        (used by the delayed-feedback stationary solve, whose drift is
-        evaluated at a scalar self-consistent queue value).
     boundary:
         Boundary conditions.  Only the default all-reflecting policy has a
         normalisable stationary density; other policies are rejected.
@@ -431,11 +415,10 @@ def assemble_generator(params: SystemParameters,
     grid = PhaseGrid2D.from_bounds(q_max=grid_params.q_max, nq=grid_params.nq,
                                    v_min=grid_params.v_min,
                                    v_max=grid_params.v_max, nv=grid_params.nv)
-    if drift is None:
-        if control is None:
-            from ..control.jrj import jrj_from_parameters
-            control = jrj_from_parameters(params)
-        q_mesh, v_mesh = grid.meshgrid()
-        drift = np.asarray(control.drift_in_growth_coordinates(
-            q_mesh, v_mesh, params.mu), dtype=float)
+    if control is None:
+        from ..control.jrj import jrj_from_parameters
+        control = jrj_from_parameters(params)
+    q_mesh, v_mesh = grid.meshgrid()
+    drift = np.asarray(control.drift_in_growth_coordinates(
+        q_mesh, v_mesh, params.mu), dtype=float)
     return DiscreteGenerator(grid, params.sigma, drift)

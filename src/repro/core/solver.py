@@ -24,7 +24,7 @@ density plus its moments, and tracks the probability mass absorbed at the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -132,34 +132,24 @@ class FokkerPlanckSolver:
         Phase-plane discretisation.
     boundary:
         Boundary-condition policy (defaults to all-reflecting).
-    delayed_queue_provider:
-        Optional callable ``t → q_delayed`` giving the queue value the
-        controller *sees* at time ``t``.  When supplied, the ν-drift is
-        evaluated at that (scalar) delayed queue value for the whole grid
-        instead of at each cell's own ``q``; this is the quasi-deterministic
-        delayed-feedback approximation used in Section 7 experiments (see
-        :mod:`repro.delay.fokker_planck_delay` for the driver that builds
-        the provider self-consistently).
+
+    The ν-drift ``g(q, λ)`` is evaluated on the grid once, here, and handed
+    to the stepper, so one solver can run any number of solves.
     """
 
     def __init__(self, params: SystemParameters, control: RateControl,
                  grid_params: Optional[GridParameters] = None,
-                 boundary: Optional[BoundaryConditions] = None,
-                 delayed_queue_provider: Optional[Callable[[float], float]] = None):
+                 boundary: Optional[BoundaryConditions] = None):
         self.params = params
         self.control = control
         self.grid_params = grid_params if grid_params is not None else GridParameters()
         self.boundary = boundary if boundary is not None else BoundaryConditions()
-        self.delayed_queue_provider = delayed_queue_provider
         self.grid = PhaseGrid2D.from_bounds(
             q_max=self.grid_params.q_max, nq=self.grid_params.nq,
             v_min=self.grid_params.v_min, v_max=self.grid_params.v_max,
             nv=self.grid_params.nv)
-        # Pre-compute the (static) drift field for the undelayed case.
         q_mesh, v_mesh = self.grid.meshgrid()
-        self._q_mesh = q_mesh
-        self._v_mesh = v_mesh
-        self._static_drift = np.asarray(
+        drift = np.asarray(
             control.drift_in_growth_coordinates(q_mesh, v_mesh, params.mu),
             dtype=float)
         # Kernel backend plus the marching stepper, which owns all reusable
@@ -168,7 +158,7 @@ class FokkerPlanckSolver:
         # ping-pong work buffer shared by every solve() on this instance.
         self.backend = get_backend(params.backend or None)
         self.stepper = get_stepper(params.stepper or None)(
-            self.grid, params.sigma, self.backend, self.boundary)
+            self.grid, params.sigma, drift, self.backend, self.boundary)
         self._work_a = np.empty(self.grid.shape)
 
     def default_initial_density(self, q0: float, rate0: float) -> np.ndarray:
@@ -181,16 +171,6 @@ class FokkerPlanckSolver:
             self.grid, q0, rate0 - self.params.mu,
             q_std=max(1.5 * self.grid.dq, 0.5),
             v_std=max(1.5 * self.grid.dv, 0.02))
-
-    def _drift_field(self, time: float) -> np.ndarray:
-        if self.delayed_queue_provider is None:
-            return self._static_drift
-        delayed_queue = float(self.delayed_queue_provider(time))
-        return np.asarray(
-            self.control.drift_in_growth_coordinates(
-                np.full_like(self._q_mesh, delayed_queue), self._v_mesh,
-                self.params.mu),
-            dtype=float)
 
     def solve(self, initial_density: np.ndarray,
               time_params: Optional[TimeParameters] = None) -> FokkerPlanckResult:
@@ -226,33 +206,24 @@ class FokkerPlanckSolver:
         steps_between_snapshots = time_params.snapshot_every
         n_outputs = time_params.n_steps
 
-        # Hoist the per-substep invariants.  With a static drift field (the
-        # undelayed case) the drift, its interface decomposition, max |g| and
-        # therefore the free-running CFL step are all constant over the whole
-        # integration, so every substep reuses them -- and, because the
-        # substep dt repeats, every implicit substep hits the stepper's
+        # Hoist the per-substep invariants.  The drift is static, so its
+        # interface decomposition, max |g| and therefore the free-running
+        # CFL step are constant over the whole integration -- and, because
+        # the substep dt repeats, every implicit substep hits the stepper's
         # cached operator for its step size.
         grid = self.grid
         stepper = self.stepper
         boundary = self.boundary
         absorbing = boundary.absorb_q_max
-        cfl = time_params.cfl
-        static_drift = self.delayed_queue_provider is None
         stepper.begin(monitor is not None)
-        if static_drift:
-            stepper.set_drift(self._static_drift)
-            free_dt = stepper.free_running_dt(cfl)
+        free_dt = stepper.free_running_dt(time_params.cfl)
         work = self._work_a
         advance = stepper.advance
 
         for output_index in range(1, n_outputs + 1):
             target_time = min(output_index * output_dt, time_params.t_end)
             while t < target_time - 1e-12:
-                if static_drift:
-                    dt = min(target_time - t, free_dt)
-                else:
-                    stepper.set_drift(self._drift_field(t))
-                    dt = stepper.bounded_dt(cfl, target_time - t)
+                dt = min(target_time - t, free_dt)
                 density, work = advance(density, dt, work)
                 if absorbing:
                     _, absorbed = boundary.apply_post_step(density, grid,

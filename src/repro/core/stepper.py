@@ -63,6 +63,7 @@ from ..numerics.grids import PhaseGrid2D
 from .advection import UpwindAdvection, cfl_time_step_from_speeds
 from .boundary import BoundaryConditions
 from .diffusion import CrankNicolsonDiffusion
+from .generator import DiscreteGenerator
 
 __all__ = ["FPStepper", "AxisSplitStepper", "ADIStepper", "STEPPERS",
            "available_steppers", "is_known_stepper", "get_stepper"]
@@ -75,51 +76,37 @@ _MAX_CACHED_OPERATORS = 8
 
 
 class FPStepper:
-    """One Fokker-Planck marching substep, bound to a grid and σ.
+    """One Fokker-Planck marching substep, bound to a grid, σ and a drift.
 
-    The solver drives a stepper through a small protocol:
+    The solver builds a stepper once, with the static ν-drift field ``g``
+    evaluated on the grid, and drives it through a small protocol:
 
-    1. :meth:`set_drift` installs the ν-drift field (once for a static
-       drift, per substep under delayed feedback);
-    2. :meth:`free_running_dt` / :meth:`bounded_dt` report the largest
-       stable substep for the installed drift;
-    3. :meth:`begin` announces whether the solve is health-monitored;
-    4. :meth:`advance` marches ``density`` by ``dt`` using ``work`` as the
+    1. :meth:`free_running_dt` reports the largest stable substep;
+    2. :meth:`begin` announces whether the solve is health-monitored;
+    3. :meth:`advance` marches ``density`` by ``dt`` using ``work`` as the
        ping-pong buffer and returns the (possibly swapped) pair.
 
     Implementations own all kernel state (scratch buffers, operator caches)
-    so a solver holds exactly one stepper for its lifetime.
+    so a solver holds exactly one stepper for its lifetime, and the caches
+    serve every solve it runs.
     """
 
     #: Registry name of the stepper.
     name: str = ""
 
-    def __init__(self, grid: PhaseGrid2D, sigma: float,
+    def __init__(self, grid: PhaseGrid2D, sigma: float, drift: np.ndarray,
                  backend: NumericsBackend, boundary: BoundaryConditions):
         self.grid = grid
         self.sigma = float(sigma)
         self.backend = backend
         self.boundary = boundary
 
-    @property
-    def max_abs_drift(self) -> float:
-        """``max |g|`` of the drift installed by :meth:`set_drift`."""
-        raise NotImplementedError
-
-    def set_drift(self, drift: np.ndarray) -> None:
-        """Install the ν-drift field ``g`` and refresh drift-derived state."""
-        raise NotImplementedError
-
     def begin(self, monitored: bool) -> None:
         """Announce the per-solve monitoring flag before the marching loop."""
         self._monitored = monitored
 
     def free_running_dt(self, cfl: float) -> float:
-        """Largest stable substep for the installed drift (may be ``inf``)."""
-        raise NotImplementedError
-
-    def bounded_dt(self, cfl: float, max_dt: float) -> float:
-        """The free-running step clipped to *max_dt*."""
+        """Largest stable substep for the drift (may be ``inf``)."""
         raise NotImplementedError
 
     def advance(self, density: np.ndarray, dt: float, work: np.ndarray
@@ -151,31 +138,20 @@ class AxisSplitStepper(FPStepper):
 
     name = "axis"
 
-    def __init__(self, grid: PhaseGrid2D, sigma: float,
+    def __init__(self, grid: PhaseGrid2D, sigma: float, drift: np.ndarray,
                  backend: NumericsBackend, boundary: BoundaryConditions):
-        super().__init__(grid, sigma, backend, boundary)
+        super().__init__(grid, sigma, drift, backend, boundary)
         self.advection = UpwindAdvection(grid)
+        self.advection.set_drift(drift)
         self.diffusion = CrankNicolsonDiffusion(grid, sigma, backend=backend)
         self._sigma_zero = self.sigma == 0.0
         self._reflect_q_zero = boundary.reflect_q_zero
         self._monitored = False
 
-    @property
-    def max_abs_drift(self) -> float:
-        return self.advection.max_abs_drift
-
-    def set_drift(self, drift: np.ndarray) -> None:
-        self.advection.set_drift(drift)
-
     def free_running_dt(self, cfl: float) -> float:
         return cfl_time_step_from_speeds(self.grid,
                                          self.advection.max_abs_drift, cfl,
                                          max_dt=np.inf)
-
-    def bounded_dt(self, cfl: float, max_dt: float) -> float:
-        return cfl_time_step_from_speeds(self.grid,
-                                         self.advection.max_abs_drift, cfl,
-                                         max_dt=max_dt)
 
     def advance(self, density: np.ndarray, dt: float, work: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,19 +182,16 @@ class AxisSplitStepper(FPStepper):
 class ADIStepper(FPStepper):
     """Peaceman-Rachford 2-D operator-split stepper on sparse kernels.
 
-    See the module docstring for the scheme.  Construction is cheap; the
-    discrete operators are assembled on the first :meth:`set_drift` (the
-    q-direction operator ``A₁`` is drift-independent and built once, the
-    ν-direction operator ``A₂`` is rebuilt — and its per-``dt`` implicit
-    factorizations invalidated — whenever the drift changes, which is what
-    the delayed-feedback solver does every substep).
+    See the module docstring for the scheme.  Construction assembles the
+    bands of both direction operators once; their per-``dt`` implicit
+    factorizations are cached on first use and serve every later solve.
     """
 
     name = "adi"
 
-    def __init__(self, grid: PhaseGrid2D, sigma: float,
+    def __init__(self, grid: PhaseGrid2D, sigma: float, drift: np.ndarray,
                  backend: NumericsBackend, boundary: BoundaryConditions):
-        super().__init__(grid, sigma, backend, boundary)
+        super().__init__(grid, sigma, drift, backend, boundary)
         if not boundary.reflect_q_zero:
             raise ConfigurationError(
                 "the 'adi' stepper requires the reflecting q=0 boundary "
@@ -229,13 +202,14 @@ class ADIStepper(FPStepper):
         self._nq = nq
         self._nv = nv
         self.n = nq * nv
-        self._max_abs_drift = 0.0
         self._monitored = False
-        self._generator = None
-        # Static q-direction bands (ν-major ordering) built on first use.
-        self._q_bands: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        # Current ν-direction bands (row-major ordering).
-        self._v_bands: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        generator = DiscreteGenerator(grid, self.sigma, drift)
+        self._max_abs_drift = (float(np.max(np.abs(generator.drift)))
+                               if generator.drift.size else 0.0)
+        # q-direction bands in ν-major ordering, ν-direction bands in
+        # row-major ordering.
+        self._q_bands = generator.q_direction_bands()
+        self._v_bands = generator.v_direction_bands()
         # Per-dt operator caches: dt -> (explicit_bands, implicit_solver).
         self._q_ops: OrderedDict = OrderedDict()
         self._v_ops: OrderedDict = OrderedDict()
@@ -247,25 +221,6 @@ class ADIStepper(FPStepper):
         self._band_tmp = np.empty(self.n)
         self._stash: Optional[np.ndarray] = None
 
-    @property
-    def max_abs_drift(self) -> float:
-        return self._max_abs_drift
-
-    def set_drift(self, drift: np.ndarray) -> None:
-        drift = np.asarray(drift, dtype=float)
-        if drift.shape != self.grid.shape:
-            raise StabilityError("drift array shape does not match density shape")
-        if self._generator is None:
-            from .generator import DiscreteGenerator
-            self._generator = DiscreteGenerator(self.grid, self.sigma, drift)
-            self._q_bands = self._generator.q_direction_bands()
-            self._v_bands = self._generator.v_direction_bands()
-        else:
-            self._v_bands = self._generator.v_direction_bands(drift)
-        self._v_ops.clear()
-        self._max_abs_drift = (float(np.max(np.abs(drift)))
-                               if drift.size else 0.0)
-
     def free_running_dt(self, cfl: float) -> float:
         # Each explicit half advances h = dt/2, so the full step can be
         # twice the per-axis CFL step while every explicit half keeps its
@@ -274,9 +229,6 @@ class ADIStepper(FPStepper):
         return 2.0 * cfl_time_step_from_speeds(self.grid,
                                                self._max_abs_drift, cfl,
                                                max_dt=np.inf)
-
-    def bounded_dt(self, cfl: float, max_dt: float) -> float:
-        return min(self.free_running_dt(cfl), max_dt)
 
     def _ops_for(self, cache: OrderedDict, bands, block_size: int, h: float):
         """The cached ``(I + h A, (I − h A)⁻¹)`` pair for one half-step size.
@@ -327,8 +279,6 @@ class ADIStepper(FPStepper):
 
     def advance(self, density: np.ndarray, dt: float, work: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
-        if self._v_bands is None:
-            raise StabilityError("ADI advance called before set_drift")
         h = 0.5 * dt
         grid = self.grid
         courant_q = grid.max_abs_v * h / grid.dq

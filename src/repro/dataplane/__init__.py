@@ -1,13 +1,14 @@
-"""Columnar trace storage and streaming statistics (the data plane).
+"""Streaming statistics and trace sinks (the data plane).
 
 This package is the memory-bounded data plane under the simulators, the
-Langevin ensembles and the design sweep: columnar trace storage
-(:class:`ColumnarTrace`), constant-memory streaming accumulators
-(:class:`StreamingMoments`, :class:`StreamingHistogram`,
+Langevin ensembles and the design sweep: constant-memory streaming
+accumulators (:class:`StreamingMoments`, :class:`StreamingHistogram`,
 :class:`TimeWeightedMoments`), the unified :class:`TraceSink` protocol
 with its streaming implementations, and the ``retention`` policy
 vocabulary threaded through ``repro run`` / ``repro ensemble`` /
-``repro design sweep``.  See ``docs/dataplane.md``.
+``repro design sweep``.  The full-history sink, with its columnar
+storage, is :class:`repro.queueing.trace.TimeSeriesTrace`.  See
+``docs/dataplane.md``.
 """
 
 from .accumulators import (
@@ -15,12 +16,10 @@ from .accumulators import (
     StreamingMoments,
     TimeWeightedMoments,
 )
-from .columnar import ColumnarTrace
 from .retention import RETENTION_POLICIES, validate_retention
 from .sink import MomentsTraceSink, NullTraceSink, TraceSink
 
 __all__ = [
-    "ColumnarTrace",
     "StreamingMoments",
     "StreamingHistogram",
     "TimeWeightedMoments",

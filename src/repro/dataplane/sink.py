@@ -2,12 +2,12 @@
 
 Everything that records a ``(time, value)`` series in the simulator talks
 to a :class:`TraceSink`: the full-history
-:class:`~repro.queueing.trace.TimeSeriesTrace`, the raw columnar store
-:class:`~repro.dataplane.columnar.ColumnarTrace`, the O(1)-memory
+:class:`~repro.queueing.trace.TimeSeriesTrace`, the O(1)-memory
 :class:`MomentsTraceSink` and the discarding :class:`NullTraceSink` all
 share the same ``record`` / ``append`` / ``__len__`` / ``times`` /
 ``values`` surface, so the retention policy picks the implementation
-without the simulator caring.
+without the simulator caring.  All three ``record`` methods check the
+time order with :func:`check_time_order`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,20 @@ import numpy as np
 from ..exceptions import AnalysisError
 from .accumulators import TimeWeightedMoments
 
-__all__ = ["TraceSink", "NullTraceSink", "MomentsTraceSink"]
+__all__ = ["TraceSink", "NullTraceSink", "MomentsTraceSink",
+           "check_time_order"]
+
+
+def check_time_order(name: str, last_time: float, time: float) -> None:
+    """Reject a sample time that runs backwards past *last_time*.
+
+    The tolerance is relative (one part in 10^12 of the current time
+    scale), so long simulations (t ~ 1e6) are held to the same effective
+    precision as short ones.
+    """
+    if time < last_time - 1e-12 * max(1.0, abs(last_time)):
+        raise AnalysisError(
+            f"trace '{name}' received out-of-order time {time:.6g}")
 
 
 @runtime_checkable
@@ -72,11 +85,7 @@ class NullTraceSink:
     def record(self, time: float, value: float) -> None:
         """Validate monotonicity, then drop the sample."""
         if self._last_time is not None:
-            tolerance = 1e-12 * max(1.0, abs(self._last_time))
-            if time < self._last_time - tolerance:
-                raise AnalysisError(
-                    f"trace '{self.name}' received out-of-order time "
-                    f"{time:.6g}")
+            check_time_order(self.name, self._last_time, time)
         self.append(time, value)
 
     def append(self, time: float, value: float) -> None:
@@ -136,11 +145,7 @@ class MomentsTraceSink:
     def record(self, time: float, value: float) -> None:
         """Append a sample, enforcing non-decreasing times."""
         if self._last_time is not None:
-            tolerance = 1e-12 * max(1.0, abs(self._last_time))
-            if time < self._last_time - tolerance:
-                raise AnalysisError(
-                    f"trace '{self.name}' received out-of-order time "
-                    f"{time:.6g}")
+            check_time_order(self.name, self._last_time, time)
         self.append(time, value)
 
     def append(self, time: float, value: float) -> None:

@@ -23,14 +23,11 @@ from .heterogeneous import (
     HeterogeneousDelayResult,
     heterogeneous_delay_experiment,
 )
-from .fokker_planck_delay import DelayedFokkerPlanckSolver
 from .round_trip import RoundTripUpdateModel, predicted_round_trip_shares
-from .stability import critical_delay
 
 __all__ = [
     "RoundTripUpdateModel",
     "predicted_round_trip_shares",
-    "critical_delay",
     "DelayedSystem",
     "DelayedTrajectory",
     "OscillationSummary",
@@ -38,5 +35,4 @@ __all__ = [
     "delay_sweep",
     "HeterogeneousDelayResult",
     "heterogeneous_delay_experiment",
-    "DelayedFokkerPlanckSolver",
 ]

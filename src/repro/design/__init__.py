@@ -14,10 +14,9 @@ from .objectives import (GainGridScores, ObjectiveWeights,
                          OperatingPointScore, combine_score,
                          deployment_unfairness, score_gain_grid,
                          score_operating_point)
-from .stationary import (DelayShiftedControl, MultiSourceStationary,
-                         StationaryDensity, StationaryEstimate,
-                         compare_with_marching, solve_stationary,
-                         solve_stationary_multisource)
+from .stationary import (DelayShiftedControl, StationaryDensity,
+                         StationaryEstimate, compare_with_marching,
+                         solve_stationary)
 from .tuner import (GainSweepResult, RankedGain, default_axes, design_gains,
                     pareto_front_indices)
 
@@ -25,7 +24,6 @@ __all__ = [
     "DelayShiftedControl",
     "GainGridScores",
     "GainSweepResult",
-    "MultiSourceStationary",
     "ObjectiveWeights",
     "OperatingPointScore",
     "RankedGain",
@@ -40,5 +38,4 @@ __all__ = [
     "score_gain_grid",
     "score_operating_point",
     "solve_stationary",
-    "solve_stationary_multisource",
 ]

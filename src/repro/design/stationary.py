@@ -19,29 +19,29 @@ Two operator choices are exposed:
   the ``dt → 0`` limit; it differs from any finite-``dt`` march by the
   ``O(dt)`` splitting error.
 
-Delayed feedback needs care: the scalar mean-queue closure used by
-:class:`repro.delay.fokker_planck_delay.DelayedFokkerPlanckSolver` sustains
-a limit cycle (the Section 7 phenomenon), so it has *no* stationary density
-to solve for.  The stationary treatment instead uses the first-order
-characteristic closure ``Q(t − τ) ≈ q − τ ν`` (the queue a cell's
-trajectory had one delay earlier), wrapping the control law into the static
-effective drift ``g(q − τν, λ)`` of :class:`DelayShiftedControl`.  That
-field keeps the destabilising tilt of delay, reduces to the undelayed law
-at ``τ = 0``, has a genuine stationary density, and can be marched by the
-unmodified solver — which is exactly how the golden tests cross-check it.
-Multi-source configurations reuse the Section 6 aggregate reduction
-(:class:`repro.multisource.AggregateControl`).
+Delayed feedback uses the first-order characteristic closure
+``Q(t − τ) ≈ q − τ ν`` (the queue a cell's trajectory had one delay
+earlier), wrapping the control law into the static effective drift
+``g(q − τν, λ)`` of :class:`DelayShiftedControl`.  That field keeps the
+destabilising tilt of delay, reduces to the undelayed law at ``τ = 0``, has
+a genuine stationary density, and can be marched by the unmodified solver —
+which is exactly how the golden tests cross-check it.
+
+The assembled operators conserve mass except at the open ``q = q_max``
+edge, where mass moving up (``ν > 0``) leaves the grid.  A density with
+mass near that edge therefore has no null vector within tolerance, and a
+failed solve says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..config import (GridParameters, ParameterDictMixin, SourceParameters,
-                      SystemParameters, TimeParameters)
+from ..config import (GridParameters, ParameterDictMixin, SystemParameters,
+                      TimeParameters)
 from ..control.base import RateControl
 from ..core.generator import DiscreteGenerator, assemble_generator
 from ..core.initial import gaussian_initial_density
@@ -56,10 +56,8 @@ from ..numerics.grids import PhaseGrid2D
 __all__ = [
     "StationaryEstimate",
     "StationaryDensity",
-    "MultiSourceStationary",
     "DelayShiftedControl",
     "solve_stationary",
-    "solve_stationary_multisource",
     "compare_with_marching",
 ]
 
@@ -69,11 +67,9 @@ class DelayShiftedControl(RateControl):
 
     Along a characteristic, the queue one delay ``τ`` earlier is
     ``Q(t − τ) = q − τ ν + O(τ²)``; evaluating the wrapped law there gives a
-    *static* effective drift field for delayed feedback, in contrast with
-    the time-dependent mean-queue closure of
-    :class:`repro.delay.fokker_planck_delay.DelayedFokkerPlanckSolver`
-    (whose limit cycle has no stationary density).  ``τ = 0`` recovers the
-    wrapped law exactly.
+    *static* effective drift field for delayed feedback, which has a
+    stationary density and which the unmodified solver can march.  ``τ = 0``
+    recovers the wrapped law exactly.
     """
 
     def __init__(self, inner: RateControl, delay: float, mu: float):
@@ -136,21 +132,6 @@ class StationaryDensity:
     estimate: StationaryEstimate
     #: Health log of the solve (``None`` when the monitor is off).
     health: Optional[HealthLog] = None
-
-
-@dataclass
-class MultiSourceStationary:
-    """Aggregate stationary density with the Section 6 share decomposition."""
-
-    stationary: StationaryDensity
-    shares: np.ndarray
-    source_names: list
-    mu: float
-
-    def mean_source_rates(self) -> np.ndarray:
-        """Per-source stationary mean rates ``shareᵢ · E[Λ]``."""
-        aggregate_rate = self.stationary.moments.mean_v + self.mu
-        return aggregate_rate * self.shares
 
 
 def _resolve_dt(generator: DiscreteGenerator, dt: Optional[float]) -> float:
@@ -246,9 +227,8 @@ def solve_stationary(params: SystemParameters,
         the pivot row of the solve).
     delay:
         Feedback delay ``τ ≥ 0``.  A positive value wraps the control into
-        the first-order :class:`DelayShiftedControl` closure (the scalar
-        mean-queue closure of the delayed marching solver has no stationary
-        density; see the module docstring).
+        the first-order :class:`DelayShiftedControl` closure (see the module
+        docstring).
     tol, max_iterations:
         Null-solve tolerance (relative residual) and iteration cap.
     health:
@@ -262,7 +242,9 @@ def solve_stationary(params: SystemParameters,
     Raises
     ------
     ConvergenceError
-        If the null solve stalls.
+        If the null solve stalls.  The message gives the best residual
+        reached and points at ``q_max``: mass leaving through the open
+        ``q = q_max`` edge is what keeps a coarse or short grid above *tol*.
     """
     monitor = HealthMonitor.create(health or params.health or None,
                                    where="design.stationary")
@@ -279,14 +261,21 @@ def solve_stationary(params: SystemParameters,
         density, info = _solve_operator(generator, method, step,
                                         backend or params.backend, guess,
                                         tol, max_iterations)
-    except ConvergenceError:
+    except ConvergenceError as error:
+        best = error.residual if error.residual is not None else float("inf")
         if monitor is not None:
             # Under strict this aborts with the typed ResidualHealthError;
-            # otherwise it records the failure and the original
-            # ConvergenceError follows (so existing retry logic still works).
-            monitor.check_residual(float("inf"), tol,
+            # otherwise it records the failure and the ConvergenceError
+            # follows (so existing retry logic still works).
+            monitor.check_residual(best, tol,
                                    label=f"stationary {method} solve")
-        raise
+        if error.residual is None:
+            raise
+        raise ConvergenceError(
+            f"{error}. The operator loses mass only through the open "
+            f"q = q_max edge, so a density with mass near it cannot meet "
+            f"tol: raise q_max (--q-max)",
+            iterations=error.iterations, residual=error.residual) from error
     if monitor is not None:
         monitor.check_residual(float(info["residual"]), tol,
                                label=f"stationary {method} solve")
@@ -299,26 +288,6 @@ def solve_stationary(params: SystemParameters,
     return StationaryDensity(density=density, grid=generator.grid,
                              moments=moments, estimate=estimate,
                              health=monitor.log if monitor else None)
-
-
-def solve_stationary_multisource(sources: Sequence[SourceParameters],
-                                 params: SystemParameters,
-                                 grid_params: Optional[GridParameters] = None,
-                                 **kwargs) -> MultiSourceStationary:
-    """Stationary density of an N-source system via the aggregate reduction.
-
-    Accepts the same keyword options as :func:`solve_stationary`; the
-    per-source stationary mean rates follow from the equilibrium shares.
-    """
-    from ..multisource.fokker_planck_ms import AggregateControl
-    control = AggregateControl(sources, params.q_target)
-    stationary = solve_stationary(params, control=control,
-                                  grid_params=grid_params, **kwargs)
-    names = [source.name or f"source-{index}"
-             for index, source in enumerate(sources)]
-    return MultiSourceStationary(stationary=stationary,
-                                 shares=control.shares,
-                                 source_names=names, mu=params.mu)
 
 
 def compare_with_marching(stationary: StationaryDensity,

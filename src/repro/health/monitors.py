@@ -108,7 +108,7 @@ class HealthMonitor:
         return False
 
     # ------------------------------------------------------------------
-    # Fokker-Planck density invariants (core/, delay/, multisource/)
+    # Fokker-Planck density invariants (core/)
 
     def check_fp_density(self, density: np.ndarray, grid, t: float,
                          absorbed: float = 0.0) -> None:

@@ -22,16 +22,8 @@ from .fairness import (
     fairness_report,
     jain_fairness_index,
 )
-from .fokker_planck_ms import (
-    AggregateControl,
-    MultiSourceDensityResult,
-    MultiSourceFokkerPlanck,
-)
 
 __all__ = [
-    "AggregateControl",
-    "MultiSourceFokkerPlanck",
-    "MultiSourceDensityResult",
     "MultiSourceModel",
     "MultiSourceTrajectory",
     "FairnessReport",

@@ -16,7 +16,7 @@ from .backend import (
     get_backend,
 )
 from .integrate import trapezoid
-from .interpolate import linear_interpolate, interp_columns
+from .interpolate import interp_columns
 from .ode import (
     rk4_step,
     integrate_fixed,
@@ -38,7 +38,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "trapezoid",
-    "linear_interpolate",
     "interp_columns",
     "rk4_step",
     "integrate_fixed",

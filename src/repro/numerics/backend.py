@@ -132,10 +132,11 @@ def _shifted_inverse_iteration(factorize: Callable[[float], object],
     1e-11, which leaves the density's moments ~1e-9 off, and the extra
     solve takes them to rounding level.
 
-    Returns ``(vector, residual, iterations)`` with *vector* scaled to
-    ``max|v| = 1``; *vector* is ``None`` when no iterate met *tol* (the
-    iteration stalled or the factorization failed), which the backends
-    answer with their row-replacement fallback.
+    Returns ``(vector, residual, iterations)``: the iterate with the
+    smallest residual, scaled to ``max|v| = 1``, and that residual.
+    *vector* is ``None`` (residual ``inf``) when the factorization failed.
+    :func:`_finish_null_solve` answers a residual above *tol* with the
+    backend's row-replacement fallback.
     """
     if guess is None:
         vector = np.ones(n)
@@ -164,9 +165,50 @@ def _shifted_inverse_iteration(factorize: Callable[[float], object],
             converged = relative <= tol
     except ConvergenceError:
         pass
-    if best_residual > tol:
-        best = None
     return best, best_residual, iterations
+
+
+def _finish_null_solve(rows: np.ndarray, cols: np.ndarray,
+                       values: np.ndarray, n: int, weights: np.ndarray,
+                       tol: float, iterated, iteration_method: str,
+                       fallback: Callable[[], np.ndarray],
+                       fallback_method: str):
+    """Return the inverse iterate if it met *tol*, else the fallback's.
+
+    *iterated* is the result of :func:`_shifted_inverse_iteration`;
+    ``fallback()`` returns the raw row-replacement solution, or raises
+    :class:`ConvergenceError` when its own factorization fails.  When
+    neither meets *tol*, the error reports the smaller of the two
+    residuals and how much one application of the operator changes the
+    mass of that vector: a stationary vector loses none, so a material
+    change shows that the operator leaks mass where the vector sits.
+    """
+    vector, residual, iterations = iterated
+    if residual <= tol:
+        return _normalize_null_vector(vector, weights), {
+            "residual": residual, "iterations": iterations,
+            "method": iteration_method}
+    method = iteration_method
+    try:
+        solution = _normalize_null_vector(np.asarray(fallback()), weights)
+    except ConvergenceError:
+        if vector is None:
+            raise
+    else:
+        relative = _relative_residual(rows, cols, values, n, solution)
+        if relative <= tol:
+            return solution, {"residual": relative, "iterations": iterations,
+                              "method": fallback_method}
+        if vector is None or relative < residual:
+            vector, residual, method = solution, relative, fallback_method
+    mass = float(weights @ vector)
+    change = (float(weights @ _coo_matvec(rows, cols, values, n, vector))
+              / mass if mass else float("nan"))
+    raise ConvergenceError(
+        f"stationary null solve reached a best residual of {residual:.3e} "
+        f"({method}), above tol {tol:.3e}; one application of the operator "
+        f"changes that vector's mass by {change:.2e} of itself",
+        iterations=iterations, residual=residual)
 
 
 def _normalize_null_vector(vector: np.ndarray, weights: np.ndarray
@@ -459,13 +501,14 @@ class _BlockBandedFactorization:
 
 def _dense_row_replacement(rows: np.ndarray, cols: np.ndarray,
                            values: np.ndarray, n: int,
-                           guess: Optional[np.ndarray], weights: np.ndarray,
-                           tol: float, iterations: int):
+                           guess: Optional[np.ndarray], weights: np.ndarray
+                           ) -> np.ndarray:
     """Dense null solve by row replacement (numpy fallback).
 
     The matrix rows are linearly dependent (mass conservation), so the
     :func:`_pivot_row` is replaced by the mass-normalisation row and the
     system solved directly, with one step of iterative refinement.
+    Returns the raw solution.
     """
     if n > DENSE_NULL_LIMIT:
         raise ConfigurationError(
@@ -487,14 +530,7 @@ def _dense_row_replacement(rows: np.ndarray, cols: np.ndarray,
     except np.linalg.LinAlgError as error:
         raise ConvergenceError(
             f"dense stationary solve failed: {error}") from error
-    solution = _normalize_null_vector(solution, weights)
-    relative = _relative_residual(rows, cols, values, n, solution)
-    if relative > tol:
-        raise ConvergenceError(
-            f"dense stationary solve residual {relative:.3e} exceeds "
-            f"tol {tol:.3e}", iterations=iterations, residual=relative)
-    return solution, {"residual": relative, "iterations": iterations,
-                      "method": "dense-row-replacement"}
+    return solution
 
 
 class NumpyBackend(NumericsBackend):
@@ -538,21 +574,21 @@ class NumpyBackend(NumericsBackend):
         The shifted operator is factorized once by
         :class:`_BlockBandedFactorization` and the shared
         :func:`_shifted_inverse_iteration` drives the seed into the null
-        space; only a stalled iteration falls back to the dense
+        space; only a stalled or failed iteration falls back to the dense
         row-replacement solve (``n ≤ DENSE_NULL_LIMIT``).
         """
         rows, cols, values, weights = _null_inputs(rows, cols, values, n,
                                                    weights)
-        vector, residual, iterations = _shifted_inverse_iteration(
+        iterated = _shifted_inverse_iteration(
             lambda shift: _BlockBandedFactorization(rows, cols, values, n,
                                                     shift),
             rows, cols, values, n, guess, tol, max_iterations)
-        if vector is None:
-            return _dense_row_replacement(rows, cols, values, n, guess,
-                                          weights, tol, iterations)
-        return _normalize_null_vector(vector, weights), {
-            "residual": residual, "iterations": iterations,
-            "method": "block-banded-inverse-iteration"}
+        return _finish_null_solve(
+            rows, cols, values, n, weights, tol, iterated,
+            "block-banded-inverse-iteration",
+            lambda: _dense_row_replacement(rows, cols, values, n, guess,
+                                           weights),
+            "dense-row-replacement")
 
 
 class _ScipyGttrfFactorization:
@@ -695,41 +731,34 @@ class ScipyBackend(NumericsBackend):
 
         The shifted operator is factorized once by ``splu`` and the shared
         :func:`_shifted_inverse_iteration` drives the seed into the null
-        space; only a stalled iteration falls back to a row-replacement
-        ``spsolve``.
+        space; only a stalled or failed iteration falls back to a
+        row-replacement ``spsolve``.
         """
         if not self.is_available():  # pragma: no cover - env dependent
             raise ConfigurationError(
                 "the 'scipy' backend was requested but scipy is not installed")
         rows, cols, values, weights = _null_inputs(rows, cols, values, n,
                                                    weights)
-        vector, residual, iterations = _shifted_inverse_iteration(
+        iterated = _shifted_inverse_iteration(
             lambda shift: _SpluSparseFactorization(rows, cols, values, n,
                                                    shift),
             rows, cols, values, n, guess, tol, max_iterations)
-        if vector is not None:
-            return _normalize_null_vector(vector, weights), {
-                "residual": residual, "iterations": iterations,
-                "method": "sparse-inverse-iteration"}
 
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import spsolve
+        def row_replacement() -> np.ndarray:
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import spsolve
 
-        pivot = _pivot_row(guess)
-        lil = csc_matrix((values, (rows, cols)), shape=(n, n)).tolil()
-        lil[pivot, :] = weights
-        rhs = np.zeros(n)
-        rhs[pivot] = 1.0
-        solution = spsolve(lil.tocsc(), rhs)
-        solution = _normalize_null_vector(np.asarray(solution), weights)
-        relative = _relative_residual(rows, cols, values, n, solution)
-        if relative > tol:
-            raise ConvergenceError(
-                f"sparse stationary solve residual {relative:.3e} exceeds "
-                f"tol {tol:.3e}", iterations=iterations, residual=relative)
-        return solution, {"residual": relative,
-                          "iterations": iterations,
-                          "method": "sparse-row-replacement"}
+            pivot = _pivot_row(guess)
+            lil = csc_matrix((values, (rows, cols)), shape=(n, n)).tolil()
+            lil[pivot, :] = weights
+            rhs = np.zeros(n)
+            rhs[pivot] = 1.0
+            return spsolve(lil.tocsc(), rhs)
+
+        return _finish_null_solve(
+            rows, cols, values, n, weights, tol, iterated,
+            "sparse-inverse-iteration", row_replacement,
+            "sparse-row-replacement")
 
     def factorize_sparse(self, rows, cols, values, n, block_size=None):
         """General sparse LU via ``scipy.sparse.linalg.splu``.

@@ -1,16 +1,15 @@
-"""Light-weight interpolation routines.
+"""Piecewise-linear interpolation of many columns at once.
 
-The delayed Fokker-Planck solver needs fast linear interpolation into a
-history buffer, and batched ODE results interpolate every trajectory column
-at once.  Both are small enough to implement here without reaching for
-:mod:`scipy.interpolate`, keeping the hot paths allocation-free.
+Batched ODE results interpolate every trajectory column at the same query
+times.  :func:`interp_columns` does that in one vectorized pass without
+reaching for :mod:`scipy.interpolate`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["linear_interpolate", "interp_columns"]
+__all__ = ["interp_columns"]
 
 
 def interp_columns(x: np.ndarray, xp: np.ndarray,
@@ -68,29 +67,3 @@ def interp_columns(x: np.ndarray, xp: np.ndarray,
     # A NaN query point stays NaN (np.interp's behaviour); without this the
     # equal-endpoint fallback above would fabricate a finite value for it.
     return np.where(np.isnan(x)[:, None], np.nan, result)
-
-
-def linear_interpolate(x: float, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Piecewise-linear interpolation of ``(xs, ys)`` at scalar *x*.
-
-    Values outside the range of *xs* are clamped to the boundary values,
-    which is the behaviour wanted for DDE history lookups before time zero.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size == 0:
-        raise ValueError("cannot interpolate with an empty abscissa array")
-    if xs.size == 1:
-        return float(ys[0])
-    if x <= xs[0]:
-        return float(ys[0])
-    if x >= xs[-1]:
-        return float(ys[-1])
-    idx = int(np.searchsorted(xs, x) - 1)
-    idx = min(max(idx, 0), xs.size - 2)
-    x0, x1 = xs[idx], xs[idx + 1]
-    y0, y1 = ys[idx], ys[idx + 1]
-    if x1 == x0:
-        return float(y0)
-    weight = (x - x0) / (x1 - x0)
-    return float(y0 + weight * (y1 - y0))

@@ -6,30 +6,31 @@ Two layers are provided: :class:`TimeSeriesTrace`, a generic append-only
 (queue length, per-source sending rate / window, cumulative deliveries and
 losses) plus the derived metrics the experiments need.
 
-Since the columnar data-plane redesign, ``TimeSeriesTrace`` stores its
-samples in a chunk-growing :class:`~repro.dataplane.ColumnarTrace` (two
-contiguous ``float64`` columns instead of boxed-float lists; recorded
-values are bit-identical either way), and ``SimulationTrace`` applies a
-``retention`` policy choosing between full history, streamed time-weighted
-moments, or bare counters for every series it owns.  All three sink kinds
-implement the :class:`~repro.dataplane.TraceSink` protocol, so the
-simulator's hot paths bind ``append`` without knowing the policy.
+``TimeSeriesTrace`` stores its samples in two contiguous ``float64``
+columns instead of boxed-float lists (recorded values are bit-identical
+either way), and ``SimulationTrace`` applies a ``retention`` policy
+choosing between full history, streamed time-weighted moments, or bare
+counters for every series it owns.  All three sink kinds implement the
+:class:`~repro.dataplane.TraceSink` protocol, so the simulator's hot paths
+bind ``append`` without knowing the policy.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..dataplane import (
-    ColumnarTrace,
     MomentsTraceSink,
     NullTraceSink,
     TimeWeightedMoments,
     validate_retention,
 )
-from ..exceptions import AnalysisError
+from ..dataplane.sink import check_time_order
+from ..exceptions import AnalysisError, ConfigurationError
 
 __all__ = ["TimeSeriesTrace", "SimulationTrace"]
 
@@ -38,33 +39,72 @@ __all__ = ["TimeSeriesTrace", "SimulationTrace"]
 #: temporaries stay this size however long the series is.
 _FOLD_BLOCK = 1 << 14
 
+#: Initial capacity of a trace's columns, in samples; full columns double.
+_INITIAL_CAPACITY = 1024
+
 
 class TimeSeriesTrace:
     """An append-only piecewise-constant time series.
 
     Values are recorded at (non-decreasing) times; between two records the
     series holds the earlier value, which matches how queue length and
-    window size actually evolve in the simulator.  Storage is columnar
-    (:class:`~repro.dataplane.ColumnarTrace`); pass ``memmap_dir`` to
-    spill the columns to disk for very long runs.
+    window size actually evolve in the simulator.
+
+    The samples live in two parallel ``float64`` columns that double when
+    full, so a million-sample trace costs two contiguous arrays, and every
+    recorded Python float is stored exactly.  Pass ``memmap_dir`` to back
+    the columns with ``numpy.memmap`` files in that directory instead of
+    RAM, for runs too long for memory; each file is unlinked as soon as it
+    is mapped, so its space is reclaimed when the trace is collected.
     """
 
+    __slots__ = ("name", "_memmap_dir", "_times", "_values", "_length",
+                 "_capacity")
+
     def __init__(self, name: str = "", memmap_dir: Optional[str] = None):
+        if memmap_dir is not None and not os.path.isdir(memmap_dir):
+            raise ConfigurationError(
+                f"memmap directory does not exist: {memmap_dir}")
         self.name = name
-        self._store = ColumnarTrace(memmap_dir=memmap_dir)
+        self._memmap_dir = memmap_dir
+        self._capacity = _INITIAL_CAPACITY
+        self._length = 0
+        self._times = self._allocate(_INITIAL_CAPACITY)
+        self._values = self._allocate(_INITIAL_CAPACITY)
+
+    def _allocate(self, capacity: int) -> np.ndarray:
+        if self._memmap_dir is None:
+            return np.empty(capacity, dtype=np.float64)
+        fd, path = tempfile.mkstemp(suffix=".col", dir=self._memmap_dir)
+        try:
+            os.ftruncate(fd, capacity * 8)
+            column = np.memmap(path, dtype=np.float64, mode="r+",
+                               shape=(capacity,))
+        finally:
+            os.close(fd)
+        # The mapping keeps the data alive; unlinking now means the file
+        # vanishes from disk as soon as the trace is collected.
+        os.unlink(path)
+        return column
+
+    def _grow(self) -> None:
+        capacity = 2 * self._capacity
+        length = self._length
+        for name in ("_times", "_values"):
+            column = self._allocate(capacity)
+            column[:length] = getattr(self, name)[:length]
+            setattr(self, name, column)
+        self._capacity = capacity
 
     def record(self, time: float, value: float) -> None:
         """Append a sample (times must be non-decreasing).
 
-        The monotonicity tolerance is relative (one part in 10^12 of the
-        current time scale), so long simulations (t ~ 1e6) are held to the
-        same effective precision as short ones.
+        See :func:`~repro.dataplane.sink.check_time_order` for the
+        tolerance.
         """
-        last = self._store.last_time
-        if last is not None and time < last - 1e-12 * max(1.0, abs(last)):
-            raise AnalysisError(
-                f"trace '{self.name}' received out-of-order time {time:.6g}")
-        self._store.append(float(time), float(value))
+        if self._length:
+            check_time_order(self.name, self._times[self._length - 1], time)
+        self.append(float(time), float(value))
 
     def append(self, time: float, value: float) -> None:
         """Append a sample without the monotonicity check (hot path).
@@ -73,34 +113,44 @@ class TimeSeriesTrace:
         per-sample ordering check of :meth:`record` is redundant there; the
         caller guarantees non-decreasing times and pre-converted floats.
         """
-        self._store.append(time, value)
+        index = self._length
+        if index == self._capacity:
+            self._grow()
+        self._times[index] = time
+        self._values[index] = value
+        self._length = index + 1
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self._length
 
     @property
     def times(self) -> np.ndarray:
-        """Recorded times as a (read-only, zero-copy) array view."""
-        return self._store.times
+        """Recorded times as a read-only array view (no copy)."""
+        view = self._times[:self._length]
+        view.flags.writeable = False
+        return view
 
     @property
     def values(self) -> np.ndarray:
-        """Recorded values as a (read-only, zero-copy) array view."""
-        return self._store.values
+        """Recorded values as a read-only array view (no copy)."""
+        view = self._values[:self._length]
+        view.flags.writeable = False
+        return view
 
     def last_value(self, default: float = 0.0) -> float:
         """Most recent value, or *default* when the trace is empty."""
-        value = self._store.last_value
-        return value if value is not None else default
+        if self._length == 0:
+            return default
+        return float(self._values[self._length - 1])
 
     def time_average(self, t_start: float = 0.0,
                      t_end: Optional[float] = None) -> float:
         """Time-average of the piecewise-constant series over ``[t_start, t_end]``."""
-        n = len(self._store)
+        n = self._length
         if n == 0:
             raise AnalysisError(f"trace '{self.name}' is empty")
-        times = self._store.times
-        values = self._store.values
+        times = self.times
+        values = self.values
         t_end = t_end if t_end is not None else float(times[-1])
         if t_end <= t_start:
             raise AnalysisError("t_end must exceed t_start for a time average")
@@ -125,7 +175,7 @@ class TimeSeriesTrace:
 
     def resample(self, sample_times: np.ndarray) -> np.ndarray:
         """Sample the piecewise-constant series at the given times."""
-        if len(self._store) == 0:
+        if self._length == 0:
             raise AnalysisError(f"trace '{self.name}' is empty")
         sample_times = np.asarray(sample_times, dtype=float)
         times = self.times

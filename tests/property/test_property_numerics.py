@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.numerics.grids import UniformGrid1D
 from repro.numerics.integrate import trapezoid
-from repro.numerics.interpolate import linear_interpolate
+from repro.numerics.interpolate import interp_columns
 from repro.numerics.tridiag import solve_tridiagonal
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -93,6 +93,7 @@ class TestInterpolationProperties:
         rng = np.random.default_rng(seed)
         n = rng.integers(2, 30)
         xs = np.sort(rng.uniform(-100.0, 100.0, n))
-        ys = rng.uniform(-50.0, 50.0, n)
-        value = linear_interpolate(float(x), xs, ys)
-        assert np.min(ys) - 1e-9 <= value <= np.max(ys) + 1e-9
+        ys = rng.uniform(-50.0, 50.0, (n, 3))
+        values = interp_columns(np.array([x]), xs, ys)[0]
+        assert np.all(np.min(ys, axis=0) - 1e-9 <= values)
+        assert np.all(values <= np.max(ys, axis=0) + 1e-9)

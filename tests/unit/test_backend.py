@@ -7,11 +7,14 @@ from repro import FokkerPlanckSolver, GridParameters, JRJControl, SystemParamete
 from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.core.generator import assemble_generator
 from repro.design import solve_stationary
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ConvergenceError
+from repro.numerics import backend as backend_module
 from repro.numerics.backend import (
     BACKEND_ENV_VAR,
     DENSE_NULL_LIMIT,
     NumpyBackend,
+    _finish_null_solve,
+    _relative_residual,
     available_backends,
     get_backend,
     is_known_backend,
@@ -360,6 +363,149 @@ class TestNullVectorFallback:
         assert info["iterations"] == 2
         assert fallback["method"].endswith("row-replacement")
         np.testing.assert_allclose(replaced, iterated, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_failed_factorization_falls_back(self, backend_name,
+                                             monkeypatch):
+        # When the shifted operator cannot be factorized, the
+        # row-replacement solve still answers.
+        grid = GridParameters(q_max=30.0, nq=48, v_min=-1.2, v_max=1.2,
+                              nv=36)
+        generator = assemble_generator(STATIONARY_PARAMS, grid_params=grid)
+        operator = generator.splitting_matrix(0.05)
+        backend = get_backend(backend_name)
+        iterated, _ = backend.stationary_null_vector(
+            operator.rows, operator.cols, operator.values, operator.n,
+            weights=generator.mass_weights)
+
+        def fail(*args):
+            raise ConvergenceError("factorization failed")
+
+        factorization = {"numpy": "_BlockBandedFactorization",
+                         "scipy": "_SpluSparseFactorization"}[backend_name]
+        monkeypatch.setattr(backend_module, factorization, fail)
+        replaced, info = backend.stationary_null_vector(
+            operator.rows, operator.cols, operator.values, operator.n,
+            weights=generator.mass_weights)
+        assert info["method"].endswith("row-replacement")
+        assert info["iterations"] == 0
+        assert info["residual"] <= 1e-9
+        np.testing.assert_allclose(replaced, iterated, rtol=0.0, atol=1e-12)
+
+
+class TestFinishNullSolve:
+    """How a null solve picks its answer, or reports why it has none.
+
+    The operator is the generator of a three-state Markov chain: its columns
+    sum to zero, and its stationary vector is ``(2, 1, 1) / 4``.
+    """
+
+    DENSE = np.array([[-1.0, 2.0, 0.0],
+                      [1.0, -3.0, 1.0],
+                      [0.0, 1.0, -1.0]])
+    STATIONARY = np.array([0.5, 0.25, 0.25])
+    WEIGHTS = np.ones(3)
+    TOL = 1e-9
+
+    @classmethod
+    def _coo(cls, dense=None):
+        dense = cls.DENSE if dense is None else dense
+        rows, cols = np.nonzero(dense)
+        return rows, cols, dense[rows, cols], dense.shape[0]
+
+    @classmethod
+    def _residual(cls, vector, dense=None):
+        return _relative_residual(*cls._coo(dense), vector)
+
+    @classmethod
+    def _finish(cls, iterated, fallback, dense=None):
+        return _finish_null_solve(*cls._coo(dense), cls.WEIGHTS, cls.TOL,
+                                  iterated, "inverse-iteration", fallback,
+                                  "row-replacement")
+
+    @staticmethod
+    def _unused():
+        pytest.fail("the fallback must not run")
+
+    @staticmethod
+    def _failed():
+        raise ConvergenceError("fallback factorization failed")
+
+    def test_iterate_that_meets_tol_is_returned(self):
+        vector, info = self._finish((3.0 * self.STATIONARY, 0.0, 2),
+                                    self._unused)
+        np.testing.assert_allclose(vector, self.STATIONARY, rtol=1e-15)
+        assert info == {"residual": 0.0, "iterations": 2,
+                        "method": "inverse-iteration"}
+
+    def test_fallback_answers_a_stalled_iteration(self):
+        stalled = self.STATIONARY + np.array([1e-3, 0.0, 0.0])
+        vector, info = self._finish(
+            (stalled, self._residual(stalled), 50),
+            lambda: 7.0 * self.STATIONARY)
+        np.testing.assert_allclose(vector, self.STATIONARY, rtol=1e-15)
+        assert info["method"] == "row-replacement"
+        assert info["iterations"] == 50
+        assert info["residual"] <= self.TOL
+
+    def test_error_reports_the_better_iterate(self):
+        iterate = self.STATIONARY + np.array([1e-6, 0.0, 0.0])
+        worse = self.STATIONARY + np.array([1e-3, 0.0, 0.0])
+        residual = self._residual(iterate)
+        with pytest.raises(ConvergenceError) as failure:
+            self._finish((iterate, residual, 50), lambda: worse)
+        assert failure.value.residual == residual
+        assert failure.value.iterations == 50
+        assert (f"best residual of {residual:.3e} (inverse-iteration)"
+                in str(failure.value))
+
+    def test_error_reports_the_better_fallback(self):
+        iterate = self.STATIONARY + np.array([1e-3, 0.0, 0.0])
+        better = self.STATIONARY + np.array([1e-6, 0.0, 0.0])
+        residual = self._residual(better / (self.WEIGHTS @ better))
+        with pytest.raises(ConvergenceError) as failure:
+            self._finish((iterate, self._residual(iterate), 50),
+                         lambda: better)
+        assert failure.value.residual == residual
+        assert (f"best residual of {residual:.3e} (row-replacement)"
+                in str(failure.value))
+
+    def test_failed_fallback_keeps_the_iterate(self):
+        iterate = self.STATIONARY + np.array([1e-6, 0.0, 0.0])
+        residual = self._residual(iterate)
+        with pytest.raises(ConvergenceError) as failure:
+            self._finish((iterate, residual, 50), self._failed)
+        assert failure.value.residual == residual
+        assert "(inverse-iteration)" in str(failure.value)
+
+    def test_failed_iteration_reports_the_fallback(self):
+        # No iterate (the shifted factorization failed) and a fallback that
+        # misses tol: the fallback's residual is the best there is.
+        near = self.STATIONARY + np.array([1e-6, 0.0, 0.0])
+        residual = self._residual(near / (self.WEIGHTS @ near))
+        with pytest.raises(ConvergenceError) as failure:
+            self._finish((None, np.inf, 0), lambda: near)
+        assert failure.value.residual == residual
+        assert "(row-replacement)" in str(failure.value)
+
+    def test_both_factorizations_failed(self):
+        with pytest.raises(ConvergenceError,
+                           match="fallback factorization failed"):
+            self._finish((None, np.inf, 0), self._failed)
+
+    def test_error_reports_the_mass_one_application_changes(self):
+        # Mass leaks out of the third state at rate 1/2, so one application
+        # of the operator to a vector with mass there changes its mass.
+        leaky = self.DENSE.copy()
+        leaky[2, 2] = -1.5
+        iterate = self.STATIONARY / self.STATIONARY.max()
+        change = (self.WEIGHTS @ (leaky @ iterate)) / (self.WEIGHTS @ iterate)
+        assert change < 0.0
+        with pytest.raises(ConvergenceError) as failure:
+            self._finish((iterate, self._residual(iterate, leaky), 50),
+                         self._failed, leaky)
+        assert (f"changes that vector's mass by {change:.2e} of itself"
+                in str(failure.value))
 
 
 class TestBackendObjects:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.numerics import available_backends
 
 
 class TestParser:
@@ -267,6 +268,18 @@ class TestErrorExitCodes:
         error = capsys.readouterr().err
         assert error.startswith("error: ")
         assert "n_paths must be at least 1" in error
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_stationary_residual_floor_names_q_max(self, backend, capsys):
+        command = ["design", "stationary", "--nq", "20", "--nv", "16",
+                   "--backend", backend, "--no-cache"]
+        assert main(command) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert error.count("\n") == 1
+        assert "--q-max" in error and "Traceback" not in error
+        assert main(command + ["--q-max", "40"]) == 0
+        assert "residual" in capsys.readouterr().out
 
     def test_configuration_error_keeps_exit_2(self, capsys):
         assert main(["run", "no-such-grid", "--no-cache"]) == 2

@@ -222,8 +222,8 @@ class TestUpwindAdvectionWorkspace:
         workspace = UpwindAdvection(grid)
         q_mesh, v_mesh = grid.meshgrid()
         rng = np.random.default_rng(shape[1])
-        # A drift that changes between calls, as under delayed feedback,
-        # with both upwind directions inside each field.
+        # A drift re-installed between calls must fully replace the last
+        # one; each field has both upwind directions.
         for switch_q in (2.0, 8.0, 5.0):
             drift = np.where(q_mesh <= switch_q, 0.05,
                              -0.2 * (v_mesh + 0.5))

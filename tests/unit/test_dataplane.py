@@ -1,6 +1,7 @@
 """Unit tests for the columnar trace data plane (repro.dataplane).
 
-Covers the columnar store, the streaming accumulators, the retention
+Covers the columnar storage of ``TimeSeriesTrace``, the streaming
+accumulators, the retention
 policies threaded through the simulators / ensembles / design sweep, and
 the golden bit-identity of ``retention="full"`` against the frozen seed
 traces.
@@ -17,7 +18,6 @@ import pytest
 from repro import SystemParameters
 from repro.control.jrj import jrj_from_parameters
 from repro.dataplane import (
-    ColumnarTrace,
     MomentsTraceSink,
     NullTraceSink,
     StreamingHistogram,
@@ -43,19 +43,26 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / \
 
 
 class TestColumnarTrace:
+    """The columnar storage of ``TimeSeriesTrace``.
+
+    Its columns start at 1,024 samples and double when full, so 3,000
+    appends grow them twice.
+    """
+
     def test_growth_preserves_exact_floats(self):
-        trace = ColumnarTrace(capacity=4)
-        times = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+        trace = TimeSeriesTrace("q")
+        times = np.random.default_rng(0).uniform(0.0, 1.0, 3000)
         times.sort()
-        values = np.random.default_rng(1).standard_normal(1000)
+        values = np.random.default_rng(1).standard_normal(3000)
         for t, v in zip(times, values, strict=True):
             trace.append(float(t), float(v))
-        assert len(trace) == 1000
+        assert len(trace) == 3000
         assert np.array_equal(trace.times, times)
         assert np.array_equal(trace.values, values)
+        assert trace.last_value() == values[-1]
 
     def test_views_are_read_only(self):
-        trace = ColumnarTrace()
+        trace = TimeSeriesTrace("q")
         trace.append(0.0, 1.0)
         with pytest.raises(ValueError):
             trace.times[0] = 5.0
@@ -63,9 +70,9 @@ class TestColumnarTrace:
             trace.values[0] = 5.0
 
     def test_memmap_backing_matches_ram(self, tmp_path):
-        ram = ColumnarTrace(capacity=8)
-        disk = ColumnarTrace(capacity=8, memmap_dir=str(tmp_path))
-        for i in range(200):
+        ram = TimeSeriesTrace("q")
+        disk = TimeSeriesTrace("q", memmap_dir=str(tmp_path))
+        for i in range(3000):
             ram.append(0.1 * i, float(i) ** 0.5)
             disk.append(0.1 * i, float(i) ** 0.5)
         assert np.array_equal(ram.times, disk.times)
@@ -74,12 +81,36 @@ class TestColumnarTrace:
         assert isinstance(disk.values, np.memmap)
         assert not isinstance(ram.times, np.memmap)
         assert not isinstance(ram.values, np.memmap)
+        # Each backing file is unlinked as soon as it is mapped.
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_trace(self):
-        trace = ColumnarTrace()
+        trace = TimeSeriesTrace("q")
         assert len(trace) == 0
-        assert trace.last_time is None
-        assert trace.last_value is None
+        assert trace.times.size == 0
+        assert trace.values.size == 0
+        assert trace.last_value(default=-1.0) == -1.0
+
+    @pytest.mark.parametrize("backing", ["ram", "memmap"])
+    def test_views_taken_before_growth_keep_their_samples(self, tmp_path,
+                                                          backing):
+        memmap_dir = str(tmp_path) if backing == "memmap" else None
+        trace = TimeSeriesTrace("q", memmap_dir=memmap_dir)
+        for i in range(1000):
+            trace.append(float(i), float(-i))
+        times, values = trace.times, trace.values
+        for i in range(1000, 3000):
+            trace.append(float(i), float(-i))
+        expected = np.arange(1000, dtype=float)
+        assert np.array_equal(times, expected)
+        assert np.array_equal(values, -expected)
+        assert np.array_equal(trace.times[:1000], expected)
+        assert np.array_equal(trace.values, -np.arange(3000, dtype=float))
+
+    def test_missing_memmap_dir_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError,
+                           match="memmap directory does not exist"):
+            TimeSeriesTrace("q", memmap_dir=str(tmp_path / "absent"))
 
 
 class TestRecordTolerance:
@@ -103,6 +134,16 @@ class TestRecordTolerance:
         trace.record(2.0, 1.0)
         with pytest.raises(AnalysisError):
             trace.record(1.0, 2.0)
+
+    @pytest.mark.parametrize("sink_type", [MomentsTraceSink, NullTraceSink])
+    def test_streamed_sinks_share_the_check(self, sink_type):
+        sink = sink_type("q")
+        sink.record(1.0e9, 1.0)
+        sink.record(1.0e9 - 1.0e-10, 2.0)
+        with pytest.raises(AnalysisError, match="trace 'q' received "
+                           "out-of-order time"):
+            sink.record(1.0e9 - 1.0, 3.0)
+        assert len(sink) == 2
 
 
 class TestStreamingMoments:

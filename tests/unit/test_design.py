@@ -42,7 +42,8 @@ from repro.design import (
     score_operating_point,
     solve_stationary,
 )
-from repro.exceptions import AnalysisError, ConfigurationError
+from repro.exceptions import (AnalysisError, ConfigurationError,
+                              ConvergenceError)
 from repro.multisource.fairness import (jain_fairness_index,
                                         predicted_equilibrium_shares)
 from repro.numerics import available_backends
@@ -178,6 +179,29 @@ class TestStationaryBackends:
                                        tail_fraction=0.25,
                                        n_snapshots_used=10)
         assert SteadyStateEstimate.from_dict(estimate.to_dict()) == estimate
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_residual_floor_from_q_max_outflow(self, backend_name):
+        # On 20 x 16 cells up to q_max = 30 the density reaches the open
+        # q = q_max edge, so no vector meets the 1e-9 tolerance.  The error
+        # reports the best residual reached (the inverse iteration's
+        # ~1.8e-9, not the ~1e-7 of the row-replacement fallback) and
+        # names the knob; with q_max = 40 the same cells solve.
+        params = SystemParameters(sigma=0.4)
+        coarse = GridParameters(q_max=30.0, nq=20, v_min=-1.2, v_max=1.2,
+                                nv=16)
+        with pytest.raises(ConvergenceError) as failure:
+            solve_stationary(params, grid_params=coarse,
+                             backend=backend_name)
+        best = failure.value.residual
+        assert 1e-9 < best < 1e-8
+        message = str(failure.value)
+        assert f"best residual of {best:.3e}" in message
+        assert "q = q_max" in message and "--q-max" in message
+        wider = solve_stationary(params, grid_params=replace(coarse,
+                                                             q_max=40.0),
+                                 backend=backend_name)
+        assert wider.estimate.residual <= 1e-9
 
 
 class TestDelayShiftedControl:

@@ -22,7 +22,6 @@ from repro import (
     SystemParameters,
     TimeParameters,
 )
-from repro.delay.fokker_planck_delay import DelayedFokkerPlanckSolver
 from repro.numerics.backend import available_backends
 
 #: (mass, mean_q, var_q, mean_v, var_v, covariance) at the final snapshot,
@@ -32,8 +31,6 @@ SEED_GOLDEN = {
               0.5608506597917168, 0.054725986671031054, 0.1949394760669374),
     "sigma0": (1.0, 4.573574451663091, 7.371550731665107,
                0.5755212114835607, 0.0502239132599258, 0.3054008878349241),
-    "delayed": (0.999999999998196, 5.008999460122174, 7.5325961108530946,
-                0.5997978366329594, 0.04123079497265126, 0.3677294804173208),
     "highsigma": (0.9999999999998861, 4.796532807903856, 12.58468646800706,
                   0.041429428582635715, 0.048955174714521286,
                   -0.2733250825247134),
@@ -82,15 +79,6 @@ class TestSeedGoldenValues:
         result = FokkerPlanckSolver(params, jrj_control, grid_params=GRID
                                     ).solve_from_point(2.0, 0.6, TIME)
         assert _moment_tuple(result.final_moments) == SEED_GOLDEN["sigma0"]
-
-    def test_delayed_feedback(self, jrj_control, backend_name):
-        params = SystemParameters(mu=1.0, sigma=0.4, backend=backend_name,
-                                  **CONTROL_KW)
-        solver = DelayedFokkerPlanckSolver(params, jrj_control, delay=2.0,
-                                           grid_params=GRID)
-        result = solver.solve_from_point(2.0, 0.6, TIME)
-        _assert_close(_moment_tuple(result.final_moments),
-                      SEED_GOLDEN["delayed"], tol=1e-12)
 
     def test_high_sigma_subcycled_diffusion(self, jrj_control, backend_name):
         params = SystemParameters(mu=1.0, sigma=2.0, backend=backend_name,

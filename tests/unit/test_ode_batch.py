@@ -327,12 +327,43 @@ class TestResampleVectorized:
         expected = np.interp(np.array([np.nan, 0.5]), xp, constant[:, 0])
         assert np.array_equal(got[:, 0], expected, equal_nan=True)
 
+    def test_interp_columns_repeated_nodes_match_np_interp(self, rng):
+        # Equal neighbouring abscissae make the slope 0/0 or x/0; the result
+        # then comes from np.interp's fallback branches, which interp_columns
+        # mirrors.
+        xp = np.repeat(np.sort(rng.uniform(0.0, 4.0, 12)), 2)
+        fp = rng.normal(size=(24, 3))
+        fp[6:8] = 5.0
+        x = np.concatenate([rng.uniform(-1.0, 5.0, 200), xp])
+        got = interp_columns(x, xp, fp)
+        for column in range(fp.shape[1]):
+            expected = np.interp(x, xp, fp[:, column])
+            assert np.array_equal(got[:, column], expected, equal_nan=True)
+
+    def test_interp_columns_infinite_values_match_np_interp(self):
+        # An infinite sample makes inf - inf appear inside the slope formula;
+        # the right-anchored retry and the equal-endpoint fallback decide
+        # what comes out, as in np.interp.
+        xp = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        fp = np.array([[0.0, np.inf, 1.0],
+                       [np.inf, np.inf, 2.0],
+                       [1.0, np.inf, -np.inf],
+                       [2.0, 3.0, -np.inf],
+                       [3.0, 4.0, 5.0]])
+        x = np.linspace(-0.5, 4.5, 41)
+        got = interp_columns(x, xp, fp)
+        for column in range(fp.shape[1]):
+            expected = np.interp(x, xp, fp[:, column])
+            assert np.array_equal(got[:, column], expected, equal_nan=True)
+
     def test_interp_columns_single_sample(self):
         got = interp_columns(np.array([0.0, 5.0]), np.array([1.0]),
                              np.array([[2.0, 3.0]]))
         assert np.array_equal(got, [[2.0, 3.0], [2.0, 3.0]])
 
     def test_interp_columns_validates(self):
+        with pytest.raises(ValueError):
+            interp_columns(np.array([0.0]), np.array([]), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             interp_columns(np.array([0.0]), np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):

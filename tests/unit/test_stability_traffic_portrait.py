@@ -1,4 +1,4 @@
-"""Unit tests for delay-margin analysis, traffic calibration and phase portraits."""
+"""Unit tests for traffic calibration and phase portraits."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro import SystemParameters
 from repro.analysis import render_phase_portrait, render_trajectory_portrait
 from repro.characteristics import integrate_characteristic
 from repro.control.jrj import JRJControl
-from repro.delay import DelayedSystem, critical_delay, measure_oscillation
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.workloads import (
     OnOffArrivals,
@@ -15,31 +14,6 @@ from repro.workloads import (
     estimate_sigma_from_counts,
     sigma_for_poisson,
 )
-
-
-class TestCriticalDelay:
-    @pytest.fixture(scope="class")
-    def params(self):
-        return SystemParameters(mu=1.0, q_target=10.0, c0=0.05, c1=0.2)
-
-    def test_critical_delay_is_positive_and_bounded(self, params):
-        margin = critical_delay(params, delay_upper_bound=10.0, t_end=400.0)
-        assert 0.0 < margin < 10.0
-
-    def test_threshold_consistency(self, params):
-        threshold = 1.0
-        margin = critical_delay(params, amplitude_threshold=threshold,
-                                delay_upper_bound=10.0, t_end=400.0)
-        control = JRJControl(c0=params.c0, c1=params.c1,
-                             q_target=params.q_target)
-        above = DelayedSystem(control, params, delay=2.0 * margin).solve(
-            0.0, 0.5, t_end=400.0, dt=0.05)
-        assert measure_oscillation(above).queue_amplitude > threshold
-
-    def test_no_oscillation_in_bracket_raises(self, params):
-        with pytest.raises(ConfigurationError):
-            critical_delay(params, amplitude_threshold=1e6,
-                           delay_upper_bound=5.0, t_end=300.0)
 
 
 class TestTrafficCalibration:

@@ -2,10 +2,9 @@
 
 The direct stationary solver (:mod:`repro.design.stationary`) claims the
 null vector of the one-step splitting matrix reproduces the time-marched
-density's limit exactly.  These tests pin that claim on three golden
-configurations -- plain diffusion, delayed feedback through the
-shifted-drift closure, and a two-source aggregate -- at 1e-6 relative
-against long marches, plus the absolute moment values so that silent
+density's limit exactly.  These tests pin that claim on two golden
+configurations -- plain diffusion and delayed feedback through the
+shifted-drift closure -- at 1e-6 relative against long marches, plus the absolute moment values so that silent
 numerical drift in either path is caught.  The pinned moments are also
 checked, without the marches, on every backend.  A property test checks the
 null-space solve is invariant to the COO triplet ordering on every
@@ -15,14 +14,9 @@ backend.
 import numpy as np
 import pytest
 
-from repro.config import GridParameters, SourceParameters, SystemParameters
+from repro.config import GridParameters, SystemParameters
 from repro.core.generator import assemble_generator
-from repro.design import (
-    compare_with_marching,
-    solve_stationary,
-    solve_stationary_multisource,
-)
-from repro.multisource.fokker_planck_ms import AggregateControl
+from repro.design import compare_with_marching, solve_stationary
 from repro.numerics import available_backends, get_backend
 
 # Canonical golden discretisation: coarse enough to march far, fine enough
@@ -33,12 +27,8 @@ GRID = GridParameters(q_max=30.0, nq=48, v_min=-1.2, v_max=1.2, nv=36)
 PARAMS = SystemParameters(mu=1.0, q_target=8.0, c0=0.1, c1=0.4, sigma=0.5)
 DT = 0.05
 DELAY = 2.0
-SOURCES = (
-    SourceParameters(c0=0.06, c1=0.3, name="a"),
-    SourceParameters(c0=0.04, c1=0.1, name="b"),
-)
 
-# Pinned moments of the three stationary solves (numpy backend, dt=0.05).
+# Pinned moments of the two stationary solves (numpy backend, dt=0.05).
 GOLDEN = {
     "plain": {
         "mean_queue": 6.427279399627013,
@@ -51,12 +41,6 @@ GOLDEN = {
         "std_queue": 3.5573805246233037,
         "mean_growth_rate": -0.027327672112228283,
         "std_growth_rate": 0.6764878850356499,
-    },
-    "multisource": {
-        "mean_queue": 7.459801601093587,
-        "std_queue": 2.480635321325868,
-        "mean_growth_rate": -0.0021386948870061487,
-        "std_growth_rate": 0.4691322713453641,
     },
 }
 
@@ -95,28 +79,6 @@ class TestGoldenStationary:
                                            t_end=800.0, delay=DELAY)
         _assert_marching(comparison["relative"])
 
-    def test_multisource_moments_and_marching(self):
-        result = solve_stationary_multisource(SOURCES, PARAMS,
-                                              grid_params=GRID, dt=DT)
-        _assert_estimate(result.stationary.estimate, GOLDEN["multisource"])
-        control = AggregateControl(SOURCES, PARAMS.q_target)
-        comparison = compare_with_marching(result.stationary, PARAMS,
-                                           control=control, grid_params=GRID,
-                                           t_end=400.0)
-        _assert_marching(comparison["relative"])
-
-    def test_multisource_shares_follow_gain_ratios(self):
-        result = solve_stationary_multisource(SOURCES, PARAMS,
-                                              grid_params=GRID, dt=DT)
-        ratios = np.array([s.c0 / s.c1 for s in SOURCES])
-        np.testing.assert_allclose(result.shares, ratios / ratios.sum(),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(
-            result.mean_source_rates(),
-            result.shares * (PARAMS.mu
-                             + result.stationary.moments.mean_v),
-            rtol=1e-12)
-
 
 @pytest.mark.parametrize("backend_name", available_backends())
 class TestGoldenStationaryEveryBackend:
@@ -131,12 +93,6 @@ class TestGoldenStationaryEveryBackend:
         density = solve_stationary(PARAMS, grid_params=GRID, dt=DT,
                                    delay=DELAY, backend=backend_name)
         _assert_estimate(density.estimate, GOLDEN["delayed"])
-
-    def test_multisource(self, backend_name):
-        result = solve_stationary_multisource(SOURCES, PARAMS,
-                                              grid_params=GRID, dt=DT,
-                                              backend=backend_name)
-        _assert_estimate(result.stationary.estimate, GOLDEN["multisource"])
 
 
 class TestTripletPermutationInvariance:

@@ -1,5 +1,7 @@
 """Unit tests for the FPStepper seam (axis split and 2-D ADI)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro import (
 )
 from repro.core.boundary import BoundaryConditions
 from repro.core.diffusion import DENSE_NQ_LIMIT
+from repro.core.generator import assemble_generator
 from repro.core.stepper import (
     ADIStepper,
     AxisSplitStepper,
@@ -19,11 +22,12 @@ from repro.core.stepper import (
     get_stepper,
     is_known_stepper,
 )
-from repro.delay.fokker_planck_delay import DelayedFokkerPlanckSolver
 from repro.design import solve_stationary
-from repro.exceptions import ConfigurationError, NegativeDensityError
+from repro.exceptions import (ConfigurationError, NegativeDensityError,
+                              ReproError)
 from repro.health.monitors import HealthMonitor
 from repro.numerics.backend import available_backends, get_backend, scipy_available
+from repro.numerics.grids import PhaseGrid2D
 
 GRID = GridParameters(q_max=30.0, nq=60, v_min=-1.2, v_max=1.2, nv=48)
 TIME = TimeParameters(t_end=20.0, dt=0.5, snapshot_every=4)
@@ -163,14 +167,15 @@ class TestADIStepper:
     def test_free_running_step_doubles_axis_cfl(self, jrj_control):
         params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)
         backend = get_backend("numpy")
-        solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
-        axis = AxisSplitStepper(solver.grid, params.sigma, backend,
-                                solver.boundary)
-        adi = ADIStepper(solver.grid, params.sigma, backend, solver.boundary)
-        drift = solver._static_drift
-        for stepper in (axis, adi):
-            stepper.begin(False)
-            stepper.set_drift(drift)
+        boundary = BoundaryConditions()
+        grid = PhaseGrid2D.from_bounds(q_max=GRID.q_max, nq=GRID.nq,
+                                       v_min=GRID.v_min, v_max=GRID.v_max,
+                                       nv=GRID.nv)
+        q_mesh, v_mesh = grid.meshgrid()
+        drift = jrj_control.drift_in_growth_coordinates(q_mesh, v_mesh,
+                                                        params.mu)
+        axis = AxisSplitStepper(grid, params.sigma, drift, backend, boundary)
+        adi = ADIStepper(grid, params.sigma, drift, backend, boundary)
         assert adi.free_running_dt(0.8) == pytest.approx(
             2.0 * axis.free_running_dt(0.8))
 
@@ -182,32 +187,197 @@ class TestADIStepper:
                                boundary=BoundaryConditions(
                                    reflect_q_zero=False))
 
-    def test_delayed_feedback_smoke(self, jrj_control):
-        # Time-dependent drift: the v-operator cache is rebuilt per substep.
+
+class TestSolverReuse:
+    """One solver runs many solves; its stepper's operator caches survive
+    between them and must never change a result."""
+
+    OTHER_TIME = TimeParameters(t_end=7.0, dt=0.35, cfl=0.6,
+                                snapshot_every=3)
+
+    @staticmethod
+    def _assert_identical(got, want):
+        assert len(got.snapshots) == len(want.snapshots)
+        for ours, theirs in zip(got.snapshots, want.snapshots, strict=True):
+            assert ours.time == theirs.time
+            assert np.array_equal(ours.density, theirs.density)
+            assert ours.moments == theirs.moments
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_same_time_parameters_twice(self, jrj_control, stepper):
+        params = SystemParameters(mu=1.0, sigma=0.4, stepper=stepper,
+                                  **CONTROL_KW)
+        solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
+        first = solver.solve_from_point(2.0, 0.6, TIME)
+        second = solver.solve_from_point(2.0, 0.6, TIME)
+        self._assert_identical(second, first)
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_different_time_parameters(self, jrj_control, stepper):
+        # A solve with other step sizes between two equal solves leaves the
+        # second one unchanged, and itself matches a fresh solver's.
+        params = SystemParameters(mu=1.0, sigma=0.4, stepper=stepper,
+                                  **CONTROL_KW)
+        solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
+        first = solver.solve_from_point(2.0, 0.6, TIME)
+        other = solver.solve_from_point(2.0, 0.6, self.OTHER_TIME)
+        again = solver.solve_from_point(2.0, 0.6, TIME)
+        fresh = FokkerPlanckSolver(params, jrj_control, grid_params=GRID
+                                   ).solve_from_point(2.0, 0.6,
+                                                      self.OTHER_TIME)
+        self._assert_identical(other, fresh)
+        self._assert_identical(again, first)
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_absorbed_mass_is_counted_per_solve(self, jrj_control, stepper):
+        # An absorbing q = q_max edge reports the mass one solve removed; a
+        # second solve starts its count from zero.
+        params = SystemParameters(mu=1.0, sigma=0.4, stepper=stepper,
+                                  **CONTROL_KW)
+        solver = FokkerPlanckSolver(
+            params, jrj_control, grid_params=GRID,
+            boundary=BoundaryConditions(absorb_q_max=True))
+        first = solver.solve_from_point(25.0, 1.2, TIME)
+        second = solver.solve_from_point(25.0, 1.2, TIME)
+        assert first.absorbed_mass > 0.0
+        assert second.absorbed_mass == first.absorbed_mass
+        self._assert_identical(second, first)
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_monitored_solves_keep_their_own_health_logs(self, jrj_control,
+                                                         stepper):
+        # Each solve gets a fresh monitor (and, on ADI, a fresh stash of the
+        # half-step intermediate), and monitoring never changes a result.
+        params = SystemParameters(mu=1.0, sigma=0.4, stepper=stepper,
+                                  health="strict", **CONTROL_KW)
+        solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
+        first = solver.solve_from_point(2.0, 0.6, TIME)
+        second = solver.solve_from_point(2.0, 0.6, TIME)
+        assert first.health is not None and second.health is not None
+        assert second.health is not first.health
+        assert first.health.n_reports == second.health.n_reports == 0
+        self._assert_identical(second, first)
+        unmonitored = FokkerPlanckSolver(
+            replace(params, health="off"), jrj_control, grid_params=GRID
+        ).solve_from_point(2.0, 0.6, TIME)
+        assert unmonitored.health is None
+        self._assert_identical(first, unmonitored)
+
+    def test_adi_factorizations_serve_the_next_solve(self, jrj_control,
+                                                     monkeypatch):
+        # The per-half-step operators are factorized on first use; a later
+        # solve that takes the same substeps factorizes nothing.  (This
+        # schedule has four half-step sizes per direction, within the
+        # cache's eight entries.)
         params = SystemParameters(mu=1.0, sigma=0.4, stepper="adi",
                                   **CONTROL_KW)
-        solver = DelayedFokkerPlanckSolver(params, jrj_control, delay=2.0,
-                                           grid_params=GRID)
-        result = solver.solve_from_point(2.0, 0.6, TIME)
-        # The delay-driven oscillation pushes a thin tail through the open
-        # q_max edge, so exact unit mass is not expected -- only a tiny,
-        # strictly one-sided leak.
-        assert 0.999999 <= result.final_moments.mass <= 1.0 + 1e-12
-        assert np.isfinite(result.final_moments.mean_q)
+        solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
+        factorize = solver.backend.factorize_sparse
+        calls = []
 
-    def test_multisource_smoke(self):
-        from repro.config import SourceParameters
-        from repro.multisource.fokker_planck_ms import MultiSourceFokkerPlanck
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return factorize(*args, **kwargs)
 
-        sources = [SourceParameters(c0=0.05, c1=0.2, name=f"s{i}")
-                   for i in range(3)]
-        params = SystemParameters(mu=1.0, sigma=0.4, stepper="adi",
+        monkeypatch.setattr(solver.backend, "factorize_sparse", counting)
+        solver.solve_from_point(2.0, 0.6, TIME)
+        assert calls and set(calls) == {solver.grid.shape[0]
+                                        * solver.grid.shape[1]}
+        calls.clear()
+        solver.solve_from_point(2.0, 0.6, TIME)
+        assert calls == []
+
+
+class TestStepperDrift:
+    """Each stepper takes the static ν-drift once, when it is built."""
+
+    @staticmethod
+    def _grid_and_drift(control, params):
+        grid = PhaseGrid2D.from_bounds(q_max=GRID.q_max, nq=GRID.nq,
+                                       v_min=GRID.v_min, v_max=GRID.v_max,
+                                       nv=GRID.nv)
+        q_mesh, v_mesh = grid.meshgrid()
+        drift = control.drift_in_growth_coordinates(q_mesh, v_mesh,
+                                                    params.mu)
+        return grid, drift
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_solver_hands_its_drift_to_the_stepper(self, jrj_control,
+                                                   stepper):
+        # A stepper built by hand from the control's drift marches bit for
+        # bit like the one the solver built.
+        params = SystemParameters(mu=1.0, sigma=0.4, stepper=stepper,
                                   **CONTROL_KW)
-        model = MultiSourceFokkerPlanck(sources, params)
-        result = model.solve(time_params=TimeParameters(
-            t_end=10.0, dt=0.5, snapshot_every=5))
-        assert result.aggregate.final_moments.mass == pytest.approx(
-            1.0, abs=1e-9)
+        solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
+        _, drift = self._grid_and_drift(jrj_control, params)
+        built = get_stepper(stepper)(solver.grid, params.sigma, drift,
+                                     solver.backend, solver.boundary)
+        dt = solver.stepper.free_running_dt(TIME.cfl)
+        assert built.free_running_dt(TIME.cfl) == dt
+        start = solver.default_initial_density(2.0, 0.6)
+        marched = []
+        for each in (solver.stepper, built):
+            each.begin(False)
+            density, work = start.copy(), np.empty_like(start)
+            for _ in range(3):
+                density, work = each.advance(density, dt, work)
+            marched.append(density)
+        assert np.array_equal(marched[0], marched[1])
+
+    @pytest.mark.parametrize("stepper,factor", [("axis", 1.0), ("adi", 2.0)])
+    def test_free_running_dt_follows_the_drift(self, jrj_control, stepper,
+                                               factor):
+        # Without drift only the q-speed bounds the step; with the control's
+        # drift the axis step is the generator's largest stable step, the
+        # one its splitting matrix assumes, and ADI's is twice that.
+        params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)
+        grid, drift = self._grid_and_drift(jrj_control, params)
+        backend = get_backend("numpy")
+        cls = get_stepper(stepper)
+        still = cls(grid, params.sigma, np.zeros(grid.shape), backend,
+                    BoundaryConditions())
+        driven = cls(grid, params.sigma, drift, backend, BoundaryConditions())
+        cfl = 0.8
+        assert still.free_running_dt(cfl) == factor * (
+            cfl * grid.dq / grid.max_abs_v)
+        generator = assemble_generator(params, jrj_control, grid_params=GRID)
+        assert driven.free_running_dt(cfl) == factor * \
+            generator.max_stable_dt(cfl)
+        assert driven.free_running_dt(cfl) < still.free_running_dt(cfl)
+
+    @pytest.mark.parametrize("stepper", ["axis", "adi"])
+    def test_drift_of_another_grid_is_rejected(self, jrj_control, stepper):
+        params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)
+        grid, drift = self._grid_and_drift(jrj_control, params)
+        with pytest.raises(ReproError, match="shape"):
+            get_stepper(stepper)(grid, params.sigma, drift[:, :-1],
+                                 get_backend("numpy"), BoundaryConditions())
+
+    def test_direction_bands_sum_to_the_generator(self, jrj_control):
+        # ADI's two direction operators, A₁ (q transport and diffusion, in
+        # ν-major order) and A₂ (ν transport, row-major), add up to the
+        # continuous generator L of the stationary solver.
+        params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)
+        small = GridParameters(q_max=30.0, nq=12, v_min=-1.2, v_max=1.2,
+                               nv=10)
+        generator = assemble_generator(params, jrj_control,
+                                       grid_params=small)
+        nq, nv = generator.grid.shape
+        n = generator.n
+
+        def dense(bands):
+            lower, diag, upper = bands
+            return (np.diag(diag) + np.diag(lower[1:], -1)
+                    + np.diag(upper[:-1], 1))
+
+        # Position j·nq + i of the ν-major order is cell i·nv + j.
+        order = np.arange(n).reshape(nq, nv).T.reshape(-1)
+        a1 = np.empty((n, n))
+        a1[np.ix_(order, order)] = dense(generator.q_direction_bands())
+        a2 = dense(generator.v_direction_bands())
+        reference = generator.generator().to_dense()
+        np.testing.assert_allclose(a1 + a2, reference, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(reference)))
 
 
 class TestHalfStepHealth:

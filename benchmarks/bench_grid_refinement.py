@@ -1,6 +1,7 @@
 """Numerical ablation: grid-refinement study of the Fokker-Planck solver.
 
-DESIGN.md calls out the operator-splitting discretisation as the key
+The operator-splitting discretisation (q-advection, nu-advection,
+Crank-Nicolson diffusion; see docs/performance.md) is the solver's key
 numerical design decision; this benchmark quantifies its convergence.  The
 same scenario is solved on successively finer phase grids and the final
 mean/std of the queue are compared against the finest run and against the

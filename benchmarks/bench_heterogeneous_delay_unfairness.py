@@ -1,7 +1,7 @@
 """Experiment E7 (Section 7): heterogeneous feedback delays cause unfairness.
 
-Two mechanisms are quantified, matching the discussion in DESIGN.md and
-EXPERIMENTS.md:
+Two mechanisms are quantified, following the discussion in the docstring
+of :mod:`repro.delay.round_trip`:
 
 * per-round-trip rate updates (the rate analogue of window adjustment once
   per RTT): the source with the longer feedback path applies its additive

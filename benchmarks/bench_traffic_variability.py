@@ -1,6 +1,6 @@
 """Experiment E9b (ablation): what the diffusion term buys.
 
-An ablation benchmark for the design decision DESIGN.md calls out: the
+An ablation benchmark for the model's central design decision: the
 sigma^2 diffusion term is what distinguishes Equation 14 from a transported
 delta function (equivalently, from the fluid model).  The benchmark sweeps
 sigma and reports the stationary queue spread and the buffer-overflow

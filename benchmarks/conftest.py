@@ -1,12 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark corresponds to one experiment of DESIGN.md (E1-E10) and does
-two things: it *times* the underlying computation with pytest-benchmark and
-it *prints* the rows/series of the corresponding paper figure or claim (run
-with ``pytest benchmarks/ --benchmark-only -s`` to see them).  Qualitative
-assertions guard the shape of each result so a regression in the physics is
-caught; ``pytest benchmarks/ --benchmark-disable -q`` runs those assertions
-once each with timing off, as CI does.
+Every benchmark names what it measures in its module docstring -- a paper
+experiment (E1-E11), a numerical ablation or the runner's scaling -- and
+does two things: it *times* the underlying computation with
+pytest-benchmark and it *prints* the rows/series of the corresponding paper
+figure or claim (run with ``pytest benchmarks/ --benchmark-only -s`` to see
+them).  Qualitative assertions guard the shape of each result so a
+regression in the physics is caught; ``pytest benchmarks/
+--benchmark-disable -q`` runs those assertions once each with timing off,
+as CI does.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ import numpy as np
 from ..exceptions import AnalysisError
 
 __all__ = ["OscillationMetrics", "OscillationMetricsBatch",
-           "oscillation_metrics", "oscillation_metrics_batch"]
+           "oscillation_envelope_batch", "oscillation_metrics",
+           "oscillation_metrics_batch"]
 
 #: Elements per column block of :func:`oscillation_metrics_batch` (512 KiB
 #: of float64 window rows): its temporaries stay a few times this size
@@ -96,6 +97,55 @@ class OscillationMetricsBatch:
                                   n_peaks=int(self.n_peaks[index]))
 
 
+def _steady_window(times, values, steady_fraction: float):
+    """The analysed ``(times, values)`` rows of a ``(n, batch)`` block: its
+    final *steady_fraction*, after checking the shapes."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or times.shape != (values.shape[0],):
+        raise AnalysisError(
+            "batched oscillation metrics need times of shape (n,) and "
+            "values of shape (n, batch)")
+    if times.size < 8:
+        raise AnalysisError("need at least eight samples for oscillation metrics")
+    if not 0.0 < steady_fraction <= 1.0:
+        raise AnalysisError("steady_fraction must lie in (0, 1]")
+    start = int((1.0 - steady_fraction) * times.size)
+    return times[start:], values[start:]
+
+
+def _row_blocks(window: np.ndarray):
+    """Yield ``(columns, rows)``: a slice of *window*'s columns and their
+    transpose as contiguous rows of at most ``_BLOCK_ELEMENTS`` elements."""
+    width, batch = window.shape
+    block = max(_BLOCK_ELEMENTS // width, 1)
+    for first in range(0, batch, block):
+        columns = slice(first, min(first + block, batch))
+        yield columns, np.ascontiguousarray(window[:, columns].T)
+
+
+def _envelope(rows: np.ndarray):
+    """Half the peak-to-trough swing and the mean of each contiguous row."""
+    return 0.5 * (rows.max(axis=1) - rows.min(axis=1)), rows.mean(axis=1)
+
+
+def oscillation_envelope_batch(times: np.ndarray, values: np.ndarray,
+                               steady_fraction: float = 0.5):
+    """Column-wise ``(amplitude, mean_value)`` of a ``(n, batch)`` block.
+
+    The two fields of :func:`oscillation_metrics_batch` that need neither
+    peaks nor a spectrum, computed the same way and so bit-identical to
+    its ``amplitude`` and ``mean_value``: all that the gain-design score
+    reads of a window.
+    """
+    _, window = _steady_window(times, values, steady_fraction)
+    amplitude = np.empty(window.shape[1])
+    mean_value = np.empty(window.shape[1])
+    for columns, rows in _row_blocks(window):
+        amplitude[columns], mean_value[columns] = _envelope(rows)
+    return amplitude, mean_value
+
+
 def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
                               steady_fraction: float = 0.5,
                               amplitude_floor: float = 0.05
@@ -115,20 +165,7 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
     member whose spectrum shows no oscillation falls back, on its own, to
     the mean spacing of its peaks.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or times.shape != (values.shape[0],):
-        raise AnalysisError(
-            "oscillation_metrics_batch needs times of shape (n,) and values "
-            "of shape (n, batch)")
-    if times.size < 8:
-        raise AnalysisError("need at least eight samples for oscillation metrics")
-    if not 0.0 < steady_fraction <= 1.0:
-        raise AnalysisError("steady_fraction must lie in (0, 1]")
-
-    start = int((1.0 - steady_fraction) * times.size)
-    window_times = times[start:]
-    window = values[start:]
+    window_times, window = _steady_window(times, values, steady_fraction)
     width, batch = window.shape
     if width >= 8:
         dt = float(np.mean(np.diff(window_times)))
@@ -139,16 +176,13 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
     mean_value = np.empty(batch)
     n_peaks = np.empty(batch, dtype=np.int_)
     period = np.full(batch, np.nan)
-    block = max(_BLOCK_ELEMENTS // width, 1)
-    for first in range(0, batch, block):
-        columns = slice(first, min(first + block, batch))
-        rows = np.ascontiguousarray(window[:, columns].T)
-        amplitude[columns] = 0.5 * (rows.max(axis=1) - rows.min(axis=1))
+    for columns, rows in _row_blocks(window):
+        first = columns.start
+        amplitude[columns], mean_value[columns] = _envelope(rows)
         sustained[columns] = amplitude[columns] > amplitude_floor
         interior = rows[:, 1:-1]
         peak_mask = (interior > rows[:, :-2]) & (interior >= rows[:, 2:])
         n_peaks[columns] = peak_mask.sum(axis=1)
-        mean_value[columns] = rows.mean(axis=1)
 
         oscillating = np.flatnonzero(sustained[columns] & (width >= 8))
         if oscillating.size:

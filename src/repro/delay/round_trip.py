@@ -5,8 +5,9 @@ feedback delay purely as a *phase lag*.  For sources whose decrease is
 multiplicative, a pure phase lag shifts each source's periodic rate waveform
 in time without changing its average, so heterogeneous delays alone produce
 only a weak throughput imbalance (this is measurable with
-:func:`repro.delay.heterogeneous.heterogeneous_delay_experiment` and is
-documented in EXPERIMENTS.md).
+:func:`repro.delay.heterogeneous.heterogeneous_delay_experiment`; experiment
+E7, ``benchmarks/bench_heterogeneous_delay_unfairness.py``, sets it beside
+the per-round-trip updates below).
 
 The unfairness the paper (and Jacobson's measurements, and Zhang's
 simulations) attribute to longer feedback paths has a second ingredient: the

@@ -3,9 +3,10 @@
 A gain choice ``(c0, c1, q_target, mu)`` is scored on four axes, all drawn
 from quantities the rest of the library already measures:
 
-* **oscillation amplitude / period** of the queue trajectory's steady-state
-  window (:func:`repro.analysis.oscillations.oscillation_metrics`) — the
-  paper's Section 5 limit-cycle behaviour,
+* **oscillation amplitude** of the queue trajectory's steady-state window
+  (:func:`repro.analysis.oscillations.oscillation_metrics`) — the paper's
+  Section 5 limit-cycle behaviour; the window's dominant period is
+  reported beside it but not scored,
 * **relaxation** — how quickly the characteristic settles near its final
   queue (:meth:`repro.characteristics.CharacteristicBatch.settling_times`),
 * **queue error** — distance of the steady-window mean queue from the
@@ -19,17 +20,20 @@ The combined score is a weighted sum of the normalised axes (lower is
 better).  Scoring is vectorised over gain grids through
 :func:`repro.characteristics.integrate_characteristic_batch`; the scalar
 path (:func:`score_operating_point`) produces bit-identical numbers for any
-single point, which the unit tests pin.
+single point, which the unit tests pin.  The period takes one spectrum per
+point, so a grid caller that reports only a few points can ask
+:func:`score_gain_grid` for those periods alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.oscillations import oscillation_metrics_batch
+from ..analysis.oscillations import (oscillation_envelope_batch,
+                                     oscillation_metrics_batch)
 from ..config import ParameterDictMixin, SystemParameters
 from ..control.jrj import JRJControl
 from ..characteristics.trajectory import integrate_characteristic_batch
@@ -82,7 +86,12 @@ class OperatingPointScore(ParameterDictMixin):
 
 @dataclass
 class GainGridScores:
-    """Vectorised scorecards of a whole gain grid (one entry per point)."""
+    """Vectorised scorecards of a whole gain grid (one entry per point).
+
+    ``oscillation_period`` is NaN for a point without a sustained
+    oscillation, and for a point that a ``score_gain_grid(period_points=)``
+    selector left out.
+    """
 
     c0: np.ndarray
     c1: np.ndarray
@@ -184,7 +193,10 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
                     q0: float = 0.0,
                     rate0: float = 0.0,
                     steady_fraction: float = 0.5,
-                    tolerance: float = 0.1) -> GainGridScores:
+                    tolerance: float = 0.1,
+                    period_points: Optional[
+                        Callable[[GainGridScores], np.ndarray]] = None
+                    ) -> GainGridScores:
     """Score a family of gain choices with one batched trajectory run.
 
     Parameters
@@ -206,6 +218,13 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
     steady_fraction, tolerance:
         Analysis-window fraction for the oscillation metrics and the band
         tolerance for the settling times.
+    period_points:
+        Which points get an oscillation period.  The default, ``None``,
+        computes every period.  A callable is given the scores with every
+        period NaN and returns the indices of the points that need one;
+        only those run the spectrum and the peak fallback.  A point's
+        period does not depend on which others are analysed, and no score
+        reads it, so every column is the same either way.
 
     Every axis reads the queue series alone, so the trajectories record no
     arrival rate: a point's working set is its queue series plus the fixed
@@ -227,26 +246,32 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
         control, params, q0, rate0, t_end=t_end, dt=dt,
         columns={"c0": c0, "c1": c1, "q_target": q_target, "mu": mu},
         record_rate=False)
-    oscillation = oscillation_metrics_batch(batch.times, batch.queue,
-                                            steady_fraction=steady_fraction)
+    amplitude, mean_value = oscillation_envelope_batch(
+        batch.times, batch.queue, steady_fraction=steady_fraction)
+    period = np.full(amplitude.shape, np.nan)
     relaxation = batch.settling_times(tolerance)
-    queue_error = np.abs(oscillation.mean_value - batch.q_target)
+    queue_error = np.abs(mean_value - batch.q_target)
     unfairness = deployment_unfairness(
         np.broadcast_to(np.asarray(c0, dtype=float), batch.q_target.shape),
         np.broadcast_to(np.asarray(c1, dtype=float), batch.q_target.shape),
         reference_c0, reference_c1)
     q_scale = np.maximum(batch.q_target, 1.0)
-    score = combine_score(weights, oscillation.amplitude, relaxation,
+    score = combine_score(weights, amplitude, relaxation,
                           queue_error, unfairness, q_scale, t_end)
     size = batch.q_target.shape
-    return GainGridScores(
+    scores = GainGridScores(
         c0=np.broadcast_to(np.asarray(c0, dtype=float), size).copy(),
         c1=np.broadcast_to(np.asarray(c1, dtype=float), size).copy(),
         q_target=batch.q_target, mu=batch.mu,
-        oscillation_amplitude=oscillation.amplitude,
-        oscillation_period=oscillation.period,
+        oscillation_amplitude=amplitude, oscillation_period=period,
         relaxation_time=relaxation, queue_error=queue_error,
         unfairness=unfairness, score=score)
+    members = (slice(None) if period_points is None
+               else np.asarray(period_points(scores), dtype=np.intp))
+    period[members] = oscillation_metrics_batch(
+        batch.times, batch.queue[:, members],
+        steady_fraction=steady_fraction).period
+    return scores
 
 
 def score_operating_point(params: SystemParameters, c0: float, c1: float,

@@ -7,7 +7,9 @@ stages:
    trajectory (:func:`repro.design.objectives.score_gain_grid`), processed
    in the fewest equal chunks whose recorded queue series fit
    :data:`CHUNK_QUEUE_BYTES`, so a ≥10⁴-point grid streams through the
-   2-state RK4 engine in a bounded working set.
+   2-state RK4 engine in a bounded working set.  Only the points a chunk
+   can report -- its ``top_k`` and its Pareto front -- get an oscillation
+   period, the one column no score reads.
 2. **Refine** — the best ``top_k`` points are re-examined with direct
    stationary Fokker-Planck solves (:func:`repro.design.stationary
    .solve_stationary`) when ``σ > 0``: the stationary mean queue replaces
@@ -153,6 +155,24 @@ def pareto_front_indices(amplitude: np.ndarray, relaxation: np.ndarray
             front.append(index)
             best_relaxation = relaxation[index]
     return np.asarray(front, dtype=int)
+
+
+def _reportable(top_k: int, with_front: bool):
+    """Selector of the points one chunk can report: its ``top_k`` by score
+    and, *with_front*, its amplitude/relaxation Pareto front.
+
+    The sweep's ranked and Pareto points are among them, by the argument
+    the streamed retentions rely on (see :func:`design_gains`), so a
+    ``score_gain_grid(period_points=)`` call with this selector gives
+    every reported point its period.
+    """
+    def select(scores: GainGridScores) -> np.ndarray:
+        indices = scores.ranking()[:top_k]
+        if with_front:
+            indices = np.union1d(indices, pareto_front_indices(
+                scores.oscillation_amplitude, scores.relaxation_time))
+        return indices
+    return select
 
 
 def _chunk_bounds(n_points: int, n_rows: int,
@@ -358,11 +378,12 @@ def design_gains(params: SystemParameters,
     top_candidates: List[Tuple[int, OperatingPointScore]] = []
     pareto_candidates: List[Tuple[int, OperatingPointScore]] = []
     bounds = _chunk_bounds(n_points, math.ceil(t_end / dt) + 1, chunk_size)
+    reportable = _reportable(top_k, track_pareto)
     for start, stop in zip(bounds[:-1], bounds[1:], strict=True):
         chunk = score_gain_grid(
             params, c0_flat[start:stop], c1_flat[start:stop],
             q_target_flat[start:stop], mu_flat[start:stop],
-            weights=weights, t_end=t_end, dt=dt)
+            weights=weights, t_end=t_end, dt=dt, period_points=reportable)
         chunk.fold_score_moments(score_moments)
         if keep_columns:
             chunk_scores.append(chunk)

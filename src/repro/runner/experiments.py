@@ -329,7 +329,8 @@ def design_chunk_point(params: SystemParameters,
     :func:`~repro.runner.grid.expand_grid` order) and scored as one batched
     characteristic run through
     :func:`~repro.design.objectives.score_gain_grid`; the ``design-gain-grid``
-    matrix fans one job per ``(q_target, mu)`` pair.
+    matrix fans one job per ``(q_target, mu)`` pair.  The value reports no
+    oscillation period, so the chunk computes none.
     """
     c0_list = [params.c0] if c0_values is None else [float(v)
                                                     for v in c0_values]
@@ -342,7 +343,8 @@ def design_chunk_point(params: SystemParameters,
     scores = score_gain_grid(params, c0, c1,
                              np.full(c0.size, target),
                              np.full(c0.size, service),
-                             t_end=t_end, dt=dt)
+                             t_end=t_end, dt=dt,
+                             period_points=lambda scores: ())
     ranking = scores.ranking()[:max(int(top_k), 1)]
     top = [scores.point(int(index)) for index in ranking]
     return {

@@ -1,9 +1,11 @@
 """Canonical scenarios and parameter sweeps used by examples and benchmarks.
 
-Every experiment in EXPERIMENTS.md starts from one of the scenario builders
-here so the parameters appearing in reports are defined in exactly one
-place.  Parameter grids over them run through
-:func:`repro.runner.build_matrix` and :func:`repro.runner.run_jobs`.
+The paper experiments (``benchmarks/bench_*.py``, each naming its
+experiment in its module docstring) and the examples build their shared
+scenarios here, so the parameters appearing in reports are defined in
+exactly one place.
+Parameter grids over them run through :func:`repro.runner.build_matrix` and
+:func:`repro.runner.run_jobs`.
 
 The registered network topologies of :mod:`repro.queueing.scenarios`
 (dumbbell, parking-lot, chain, mesh) are re-exported here so workloads can

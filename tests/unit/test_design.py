@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import oscillations
-from repro.analysis.oscillations import (oscillation_metrics,
+from repro.analysis.oscillations import (oscillation_envelope_batch,
+                                         oscillation_metrics,
                                          oscillation_metrics_batch)
 from repro.characteristics import (CharacteristicBatch,
                                    integrate_characteristic,
@@ -467,6 +468,10 @@ def _assert_oscillation_oracle(times, values, **options):
     """Batch and scalar metrics equal the oracle's, bit for bit, and so
     does a batch of tiled copies wider than one column block."""
     batch = oscillation_metrics_batch(times, values, **options)
+    amplitude, mean_value = oscillation_envelope_batch(
+        times, values, steady_fraction=options.get("steady_fraction", 0.5))
+    assert amplitude.tobytes() == batch.amplitude.tobytes()
+    assert mean_value.tobytes() == batch.mean_value.tobytes()
     fields = ("amplitude", "period", "sustained", "mean_value", "n_peaks")
     for index in range(values.shape[1]):
         want = _oscillation_metrics_oracle(times, values[:, index], **options)
@@ -595,6 +600,143 @@ class TestTuner:
         # queue series fit the byte budget.
         monkeypatch.setattr(tuner, "CHUNK_QUEUE_BYTES", 10 * 601 * 8)
         assert_same(None, [9] * 4)
+
+
+#: A 120-point sweep grid whose ranked and Pareto points each include both
+#: finite and NaN oscillation periods under the horizon, ``top_k`` and
+#: weights of :class:`TestReportedPeriods`.  A fast-settling point swings
+#: little, so most fronts hold NaN periods alone; this one's large gains and
+#: wide target range put a sustained oscillation on the front too, and the
+#: weights rank by queue error and unfairness alone, so that point is on its
+#: chunk's front but not in the chunk's top 3.
+PERIOD_AXES = {"c0_values": np.geomspace(0.05, 2.0, 6),
+               "c1_values": np.geomspace(0.5, 8.0, 5),
+               "q_target_values": np.array([4.0, 30.0]),
+               "mu_values": np.array([0.8, 1.2])}
+
+
+def _flat_grid(axes):
+    """The sweep's row-major ``(c0, c1, q_target, mu)`` point columns."""
+    mesh = np.meshgrid(*axes.values(), indexing="ij")
+    return tuple(m.ravel() for m in mesh)
+
+
+class TestReportedPeriods:
+    """The coarse stage computes an oscillation period only for the points
+    a chunk can report -- its top_k and its Pareto front -- and every
+    period the sweep reports is the scalar path's."""
+
+    TOP_K = 3
+    T_END = 80.0
+    WEIGHTS = ObjectiveWeights(oscillation=0.0, relaxation=0.0)
+
+    def _sweep(self, retention="full", chunk_size=None):
+        return design_gains(PARAMS, **PERIOD_AXES, weights=self.WEIGHTS,
+                            top_k=self.TOP_K, t_end=self.T_END, refine=False,
+                            retention=retention, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("retention", ["full", "moments", "none"])
+    def test_chunked_sweep_reports_the_scalar_periods(self, retention):
+        whole = self._sweep()
+        chunked = self._sweep(retention, chunk_size=25)
+        assert (whole.chunks, chunked.chunks) == (1, 5)
+        # repr() compares floats bit for bit and NaN equal to NaN.
+        assert repr(chunked.ranked) == repr(whole.ranked)
+        if retention == "none":
+            assert chunked.pareto == []
+        else:
+            assert repr(chunked.pareto) == repr(whole.pareto)
+        for gain in chunked.ranked + chunked.pareto:
+            scalar = score_operating_point(PARAMS, gain.c0, gain.c1,
+                                           gain.q_target, gain.mu,
+                                           t_end=self.T_END)
+            assert (repr(gain.oscillation_period)
+                    == repr(scalar.oscillation_period)), gain
+        for gains in (chunked.ranked, chunked.pareto or whole.pareto):
+            periods = [gain.oscillation_period for gain in gains]
+            assert any(math.isnan(period) for period in periods)
+            assert any(math.isfinite(period) for period in periods)
+
+    @pytest.mark.parametrize("retention", ["full", "moments", "none"])
+    def test_sweep_analyses_only_reportable_points(self, monkeypatch,
+                                                   retention):
+        analysed = []
+        original = objectives.oscillation_metrics_batch
+
+        def counted(times, values, **kwargs):
+            analysed.append(values.shape[1])
+            return original(times, values, **kwargs)
+
+        monkeypatch.setattr(objectives, "oscillation_metrics_batch", counted)
+        result = self._sweep(retention, chunk_size=25)
+        # One spectrum call per 24-point chunk, over its top_k and, unless
+        # the sweep keeps no front, the chunk's front.
+        assert len(analysed) == result.chunks == 5
+        if retention == "none":
+            assert analysed == [self.TOP_K] * 5
+        else:
+            assert all(self.TOP_K <= count < 24 for count in analysed)
+            assert max(analysed) > self.TOP_K
+
+    def test_default_grid_call_computes_every_period(self):
+        c0, c1, q_target, mu = _flat_grid(PERIOD_AXES)
+        every = score_gain_grid(PARAMS, c0, c1, q_target, mu,
+                                t_end=self.T_END)
+        batch = integrate_characteristic_batch(
+            jrj_from_parameters(PARAMS), PARAMS, 0.0, 0.0, t_end=self.T_END,
+            dt=0.1, columns={"c0": c0, "c1": c1, "q_target": q_target,
+                             "mu": mu})
+        want = oscillation_metrics_batch(batch.times, batch.queue).period
+        assert every.oscillation_period.tobytes() == want.tobytes()
+        assert 0 < np.isnan(want).sum() < want.size
+
+        # A selector is given the scores with every period NaN; only its
+        # points get one, and no other column changes.
+        chosen = np.flatnonzero(np.isfinite(want))[::7]
+        offered = []
+
+        def select(scores):
+            offered.append(scores.oscillation_period.copy())
+            return chosen
+
+        picked = score_gain_grid(PARAMS, c0, c1, q_target, mu,
+                                 t_end=self.T_END, period_points=select)
+        assert len(offered) == 1 and np.isnan(offered[0]).all()
+        for name in SCORE_COLUMNS:
+            if name != "oscillation_period":
+                assert (getattr(picked, name).tobytes()
+                        == getattr(every, name).tobytes()), name
+        period = picked.oscillation_period
+        assert period[chosen].tobytes() == want[chosen].tobytes()
+        assert np.isnan(np.delete(period, chosen)).all()
+
+    def test_design_chunk_point_computes_no_spectrum(self, monkeypatch):
+        c0_values, c1_values = (0.05, 0.1, 0.4), (0.2, 0.4)
+        c0 = np.repeat(c0_values, 2)
+        c1 = np.tile(c1_values, 3)
+        scores = score_gain_grid(PARAMS, c0, c1, np.full(6, 8.0),
+                                 np.full(6, 1.0), t_end=60.0)
+
+        analysed = []
+        original = objectives.oscillation_metrics_batch
+
+        def counted(times, values, **kwargs):
+            analysed.append(values.shape[1])
+            return original(times, values, **kwargs)
+
+        monkeypatch.setattr(objectives, "oscillation_metrics_batch", counted)
+        value = design_chunk_point(PARAMS, c0_values=c0_values,
+                                   c1_values=c1_values, q_target=8.0,
+                                   mu=1.0, t_end=60.0, top_k=3)
+        want = [scores.point(int(index)) for index in scores.ranking()[:3]]
+        assert [(entry["c0"], entry["c1"], entry["score"],
+                 entry["oscillation_amplitude"], entry["relaxation_time"],
+                 entry["queue_error"], entry["unfairness"])
+                for entry in value["top"]] == [
+            (point.c0, point.c1, point.score, point.oscillation_amplitude,
+             point.relaxation_time, point.queue_error, point.unfairness)
+            for point in want]
+        assert analysed == [0]
 
 
 class TestGainAxisValidation:

@@ -93,6 +93,7 @@ from .runner.experiments import (
     density_point,
     ensemble_point,
     fairness_point,
+    FP_JOB_VERSION,
     get_matrix,
     multihop_point,
     stationary_point,
@@ -502,7 +503,8 @@ def _run_density(args: argparse.Namespace) -> int:
     params = _system_parameters(args)
     job = JobSpec(density_point, params=params,
                   overrides={"t_end": args.t_end, "nq": args.nq,
-                             "nv": args.nv})
+                             "nv": args.nv},
+                  version=FP_JOB_VERSION)
     value = _run_matrix([job], args).outcomes[0].value
     print(format_table(value["snapshots"],
                        title="Fokker-Planck moments over time"))

@@ -234,8 +234,16 @@ class TimeParameters(ParameterDictMixin):
 
     @property
     def n_steps(self) -> int:
-        """Number of full time steps of size ``dt`` needed to reach ``t_end``."""
-        return max(1, int(round(self.t_end / self.dt)))
+        """Number of output steps of size ``dt`` needed to reach ``t_end``.
+
+        ``t_end / dt`` rounded to the nearest integer, plus one step when
+        that many steps would fall short of ``t_end`` by more than
+        ``1e-9 · dt``; the solver cuts the last step to end at ``t_end``.
+        """
+        n = max(1, int(round(self.t_end / self.dt)))
+        if n * self.dt < self.t_end - 1e-9 * self.dt:
+            n += 1
+        return n
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,11 @@ used first out, at most :data:`_MAX_CACHED_OPERATORS` of them:
 
 * for ``nq ≤ DENSE_NQ_LIMIT``, the combined dense operator
   ``M = (I - r L)^{-1} (I + r L)``, built on the first request of ``r`` and
-  applied as one BLAS matrix product plus the non-negativity clamp;
+  applied as BLAS matrix products plus the non-negativity clamp.  ``M`` is
+  stored as tiles of :data:`_TILE_ROWS` rows, each keeping only the column
+  range that holds its entries of magnitude at least
+  :data:`_BAND_THRESHOLD` · max|M|, so a small ``r`` multiplies only the
+  numerical band;
 * for larger grids, a reusable tridiagonal factorization from the active
   :mod:`repro.numerics.backend`.
 
@@ -39,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..exceptions import ConfigurationError
 from ..numerics.backend import NumericsBackend, get_backend
 from ..numerics.grids import PhaseGrid2D
 from .advection import FLUSH_THRESHOLD
@@ -51,6 +56,16 @@ DENSE_NQ_LIMIT = 512
 
 #: Retain at most this many per-``r`` operator cache entries per instance.
 _MAX_CACHED_OPERATORS = 16
+
+#: Rows per tile of the dense combined operator.
+_TILE_ROWS = 32
+
+#: A tile keeps the columns holding an entry ``|M_ij| ≥ _BAND_THRESHOLD ·
+#: max|M|``.  The dropped part of any output cell is then at most
+#: ``nq · 2⁻⁶⁴ · max|M| · max f``, about ``1e-17 · max f`` at ``nq = 200``:
+#: under half an ulp of the largest cell.  The 1e-150 flush below would keep
+#: bands 60-199 diagonals wide at ``nq = 200``; this threshold keeps 7-51.
+_BAND_THRESHOLD = 2.0 ** -64
 
 
 def _neumann_second_difference(nq: int) -> np.ndarray:
@@ -78,8 +93,31 @@ def _neumann_second_difference(nq: int) -> np.ndarray:
 _FLUSH_THRESHOLD = FLUSH_THRESHOLD
 
 
+def _band_tiles(combined: np.ndarray) -> list:
+    """Row tiles ``(rows, cols, M[rows, cols])`` of the operator *combined*.
+
+    Each tile of :data:`_TILE_ROWS` rows keeps the contiguous column range
+    that holds every entry of its rows at or above :data:`_BAND_THRESHOLD`
+    · max|M| (never empty: the rows of ``M`` sum to one).
+    """
+    nq = combined.shape[0]
+    magnitude = np.abs(combined)
+    significant = magnitude >= _BAND_THRESHOLD * magnitude.max()
+    tiles = []
+    for start in range(0, nq, _TILE_ROWS):
+        rows = slice(start, min(start + _TILE_ROWS, nq))
+        columns = np.flatnonzero(significant[rows].any(axis=0))
+        cols = slice(int(columns[0]), int(columns[-1]) + 1)
+        tiles.append((rows, cols, combined[rows, cols].copy()))
+    return tiles
+
+
 class _DenseStep:
-    """Combined CN substep ``density -> max(M @ density, 0)`` for one ``r``."""
+    """Combined CN substep ``density -> max(M @ density, 0)`` for one ``r``.
+
+    ``M`` is held only as the tiles of :func:`_band_tiles`; :meth:`apply`
+    runs one matrix product per tile into its rows of *out*.
+    """
 
     def __init__(self, nq: int, r: float):
         laplacian = _neumann_second_difference(nq)
@@ -87,10 +125,11 @@ class _DenseStep:
         explicit = np.eye(nq) + r * laplacian
         combined = np.linalg.solve(implicit, explicit)
         combined[np.abs(combined) < _FLUSH_THRESHOLD] = 0.0
-        self._combined = combined
+        self.tiles = _band_tiles(combined)
 
     def apply(self, density: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(self._combined, density, out=out)
+        for rows, cols, block in self.tiles:
+            np.matmul(block, density[cols], out=out[rows])
         np.maximum(out, 0.0, out=out)
 
 
@@ -180,15 +219,20 @@ class CrankNicolsonDiffusion:
              out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply one Crank-Nicolson step of size *dt* to *density*.
 
-        Writes into *out* when given (must not alias *density*), otherwise
-        returns a new array.  For σ = 0 the input is returned unchanged
-        (or copied into *out*).
+        Writes into *out* when given, otherwise returns a new array.  *out*
+        must not share memory with *density*: the tiled product would read
+        rows an earlier tile has already overwritten, so an overlap raises
+        :class:`~repro.exceptions.ConfigurationError` before any write.  For
+        σ = 0 the input is copied into *out*.
         """
         if out is None:
             out = np.empty_like(density)
+        elif np.may_share_memory(out, density):
+            raise ConfigurationError(
+                "CrankNicolsonDiffusion.step: out must not share memory with "
+                "density")
         if self.sigma == 0.0:
-            if out is not density:
-                np.copyto(out, density)
+            np.copyto(out, density)
             return out
 
         # Diffusion number of the requested step.  Crank-Nicolson is

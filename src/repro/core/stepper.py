@@ -160,7 +160,7 @@ class AxisSplitStepper(FPStepper):
         # keeps the reference arithmetic; the σ > 0 path only skips the
         # q-advection clamp (the flush-clamp of the ν-advection output
         # removes the same rounding negatives) and runs the diffusion as
-        # one matrix product.
+        # the products of one dense operator's band tiles.
         sigma_zero = self._sigma_zero
         self.advection.advect_q(density, dt, self._reflect_q_zero, work,
                                 sigma_zero)

@@ -95,6 +95,18 @@ class TestTimeParameters:
         time_params = TimeParameters(t_end=10.0, dt=0.5)
         assert time_params.n_steps == 20
 
+    @pytest.mark.parametrize("t_end, dt, n_steps", [
+        (1.0, 0.3, 4),      # round(3.33) steps would end at 0.9
+        (1.0, 0.4, 3),      # round(2.5) is 2: would end at 0.8
+        (10.0, 3.0, 4),     # would end at 9.0
+        (60.0, 0.05, 1200),  # a multiple of dt keeps its count
+        (1.0, 0.6, 2),      # rounding up already reaches t_end
+    ])
+    def test_n_steps_reaches_t_end(self, t_end, dt, n_steps):
+        time_params = TimeParameters(t_end=t_end, dt=dt)
+        assert time_params.n_steps == n_steps
+        assert time_params.n_steps * dt >= t_end - 1e-9 * dt
+
     def test_rejects_bad_cfl(self):
         with pytest.raises(ConfigurationError):
             TimeParameters(cfl=0.0)

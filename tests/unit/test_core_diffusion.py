@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.diffusion import CrankNicolsonDiffusion
+from repro.exceptions import ConfigurationError
 from repro.numerics.backend import NumpyBackend
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
+
+#: A tile keeps every entry of at least this fraction of max|M|.
+BAND_THRESHOLD = 2.0 ** -64
+#: Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @pytest.fixture
@@ -17,14 +23,29 @@ def _diffuse(density, grid, sigma, dt):
     return CrankNicolsonDiffusion(grid, sigma).step(density, dt)
 
 
-def _reference_diffuse(density, grid, sigma, dt):
-    """Per-call Crank-Nicolson step: dense solve of (I - rL) f = (I + rL) d."""
-    nq = grid.shape[0]
-    r = 0.5 * sigma * sigma * dt / (2.0 * grid.dq * grid.dq)
+def _laplacian(nq):
     laplacian = (np.diag(np.full(nq - 1, 1.0), 1)
                  + np.diag(np.full(nq - 1, 1.0), -1)
                  - 2.0 * np.eye(nq))
     laplacian[0, 0] = laplacian[-1, -1] = -1.0  # Neumann (no-flux) rows
+    return laplacian
+
+
+def _full_operator(nq, r):
+    """The full combined operator ``M``, flushed below 1e-150 like the step's."""
+    laplacian = _laplacian(nq)
+    identity = np.eye(nq)
+    combined = np.linalg.solve(identity - r * laplacian,
+                               identity + r * laplacian)
+    combined[np.abs(combined) < 1e-150] = 0.0
+    return combined
+
+
+def _reference_diffuse(density, grid, sigma, dt):
+    """Per-call Crank-Nicolson step: dense solve of (I - rL) f = (I + rL) d."""
+    nq = grid.shape[0]
+    r = 0.5 * sigma * sigma * dt / (2.0 * grid.dq * grid.dq)
+    laplacian = _laplacian(nq)
     identity = np.eye(nq)
     updated = np.linalg.solve(identity - r * laplacian,
                               (identity + r * laplacian) @ density)
@@ -184,3 +205,134 @@ class TestCrankNicolsonDiffusionOperator:
         updated = operator.step(density, 50.0)
         assert np.all(updated >= 0.0)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_out_sharing_memory_with_density_is_rejected(self, grid, sigma):
+        operator = CrankNicolsonDiffusion(grid, sigma=sigma)
+        nq, nv = grid.shape
+        buffer = np.zeros((nq + 1, nv))
+        buffer[:nq] = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
+        before = buffer.copy()
+        density = buffer[:nq]
+        with pytest.raises(ConfigurationError, match="share memory"):
+            operator.step(density, 0.1, out=density)
+        # An overlapping view, shifted by one row.
+        with pytest.raises(ConfigurationError, match="share memory"):
+            operator.step(density, 0.1, out=buffer[1:])
+        assert np.array_equal(buffer, before)  # nothing was written
+
+
+def _grid(nq):
+    """A queue axis of *nq* cells of width 0.2, as on the fp-density grid
+    (200 × 101, q_max 40): there σ = 0.5 gives r ≈ 0.075 on a free-running
+    CFL substep and r ≈ 0.0034 on a sliver, σ = 2.0 gives r ≈ 1.2 and
+    0.055."""
+    return PhaseGrid2D(UniformGrid1D(0.0, 0.2 * nq, nq),
+                       UniformGrid1D(-1.5, 1.5, 101))
+
+
+def _dt_for(grid, sigma, r):
+    return r * 2.0 * grid.dq * grid.dq / (0.5 * sigma * sigma)
+
+
+def _cached_step(operator):
+    """The one cached ``(r, step)`` of *operator*."""
+    ((r, step),) = operator._steps.items()
+    return r, step
+
+
+def _product_bound(combined, density):
+    """Largest gap between the tiled and the full ``max(M @ f, 0)``.
+
+    The dropped entries contribute at most ``nq · 2⁻⁶⁴ · max|M| · max f``
+    to any cell; each of the two products rounds by at most
+    ``γ_nq · (|M| @ |f|)``, with ``γ_n = n·u / (1 − n·u)``.
+    """
+    nq = combined.shape[0]
+    dropped = nq * BAND_THRESHOLD * np.abs(combined).max() * np.abs(
+        density).max()
+    gamma = nq * UNIT_ROUNDOFF / (1.0 - nq * UNIT_ROUNDOFF)
+    rounding = 2.0 * gamma * (np.abs(combined) @ np.abs(density)).max()
+    return dropped + rounding
+
+
+class TestBandTiles:
+    """The dense operator stored as 32-row tiles of its numerical band."""
+
+    @pytest.mark.parametrize("sigma, r", [(0.5, 0.0034), (2.0, 0.055),
+                                          (0.5, 0.075), (2.0, 1.2),
+                                          (2.0, 0.3)])
+    def test_step_matches_full_operator(self, sigma, r):
+        grid = _grid(200)
+        operator = CrankNicolsonDiffusion(grid, sigma)
+        # Mass in every cell, so every dropped entry meets a full-size value.
+        density = np.random.default_rng(3).uniform(0.5, 1.0, grid.shape)
+        got = operator.step(density, _dt_for(grid, sigma, r))
+        r_used, _ = _cached_step(operator)
+        assert r_used == pytest.approx(r, rel=1e-12)
+        combined = _full_operator(200, r_used)
+        want = np.maximum(combined @ density, 0.0)
+        assert np.abs(got - want).max() <= _product_bound(combined, density)
+
+    @pytest.mark.parametrize("nq, n_tiles", [(200, 7), (400, 13)])
+    def test_subcycled_step_matches_full_operator(self, nq, n_tiles):
+        # r = 3 runs two substeps of r = 1.5.
+        grid = _grid(nq)
+        operator = CrankNicolsonDiffusion(grid, 2.0)
+        density = np.random.default_rng(4).uniform(0.5, 1.0, grid.shape)
+        got = operator.step(density, _dt_for(grid, 2.0, 3.0))
+        sub_r, step = _cached_step(operator)
+        assert sub_r == pytest.approx(1.5, rel=1e-12)
+        assert len(step.tiles) == n_tiles
+        combined = _full_operator(nq, sub_r)
+        norm = np.abs(combined).sum(axis=1).max()
+        want, bound = density, 0.0
+        for _ in range(2):
+            bound = norm * bound + _product_bound(combined, want)
+            want = np.maximum(combined @ want, 0.0)
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("nq, r, n_tiles, max_share", [
+        (50, 0.0034, 2, 0.7), (50, 0.075, 2, 0.9), (120, 0.034, 4, 0.45),
+        (200, 0.0034, 7, 0.25), (200, 0.055, 7, 0.3), (200, 0.075, 7, 0.3),
+        (200, 1.2, 7, 0.6), (400, 1.5, 13, 0.35)])
+    def test_tiles_hold_exactly_the_band(self, nq, r, n_tiles, max_share):
+        grid = _grid(nq)
+        operator = CrankNicolsonDiffusion(grid, 0.5)
+        operator.step(np.ones(grid.shape), _dt_for(grid, 0.5, r))
+        r_used, step = _cached_step(operator)
+        combined = _full_operator(nq, r_used)
+        assert len(step.tiles) == n_tiles
+        # The tiles store at most this share of M's nq² entries.
+        stored = sum(block.size for _, _, block in step.tiles)
+        assert stored <= max_share * nq * nq
+        significant = np.abs(combined) >= (
+            BAND_THRESHOLD * np.abs(combined).max())
+        next_row = 0
+        for rows, cols, block in step.tiles:
+            # The tiles partition the rows, in order, 32 at a time.
+            assert rows == slice(next_row, min(next_row + 32, nq))
+            next_row = rows.stop
+            assert np.array_equal(block, combined[rows, cols])
+            # Nothing significant lies outside the column range, and its
+            # first and last columns each hold a significant entry.
+            band = significant[rows]
+            assert not band[:, :cols.start].any()
+            assert not band[:, cols.stop:].any()
+            assert band[:, cols.start].any()
+            assert band[:, cols.stop - 1].any()
+        assert next_row == nq
+
+    def test_tiled_steps_conserve_mass(self):
+        # 2,400 substeps alternating a free-running and a sliver step, as
+        # in one fp-density solve at σ = 0.5.
+        grid = _grid(200)
+        operator = CrankNicolsonDiffusion(grid, 0.5)
+        density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
+        other = np.empty_like(density)
+        steps = [_dt_for(grid, 0.5, r) for r in (0.075, 0.0034)]
+        for index in range(2400):
+            operator.step(density, steps[index % 2], out=other)
+            density, other = other, density
+        assert all(len(step.tiles) > 1 for step in operator._steps.values())
+        assert abs(grid.total_mass(density) - 1.0) <= 1e-12

@@ -98,6 +98,29 @@ class TestSeedGoldenValues:
         _assert_close(_moment_tuple(result.final_moments),
                       SEED_GOLDEN["e4"], tol=1e-12)
 
+    @pytest.mark.parametrize("case, sigma, grid", [
+        ("e4", 0.5, E4_GRID),
+        ("noisy", 0.4, GRID),
+        ("highsigma", 2.0, GRID),
+    ])
+    def test_pins_run_band_tiles(self, jrj_control, backend_name, case,
+                                 sigma, grid):
+        # The Crank-Nicolson operator runs as band tiles narrower than the
+        # grid on every pinned configuration, so the pins above guard the
+        # tiled product.  The first two output steps request the
+        # free-running and the interval-final diffusion numbers.
+        params = SystemParameters(mu=1.0, sigma=sigma, backend=backend_name,
+                                  **CONTROL_KW)
+        solver = FokkerPlanckSolver(params, jrj_control, grid_params=grid)
+        solver.solve_from_point(2.0, 0.6,
+                                TimeParameters(t_end=1.0, dt=0.5))
+        steps = list(solver.stepper.diffusion._steps.values())
+        assert len(steps) >= 2, case
+        nq = grid.nq
+        for step in steps:
+            assert len(step.tiles) > 1, case
+            assert sum(block.size for _, _, block in step.tiles) < nq * nq
+
     def test_repeated_solves_are_deterministic(self, jrj_control,
                                                backend_name):
         # The cached operators and reused scratch buffers must not leak

@@ -38,6 +38,18 @@ class TestFokkerPlanckSolver:
             short_time_params.t_end, rel=0.05)
         assert len(result.snapshots) >= 3
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.4), (1.0, 0.3),
+                                           (10.0, 3.0)])
+    def test_final_snapshot_reaches_t_end(self, solver, t_end, dt):
+        # t_end / dt rounds down: the solve still ends at t_end, on a
+        # shortened last output step.
+        result = solver.solve_from_point(
+            2.0, 0.6, TimeParameters(t_end=t_end, dt=dt, snapshot_every=1))
+        times = [snapshot.time for snapshot in result.snapshots]
+        assert times[-1] == t_end
+        assert len(times) == TimeParameters(t_end=t_end, dt=dt).n_steps + 1
+        assert times[-2] == pytest.approx(times[-1] - (t_end % dt), abs=1e-12)
+
     def test_mean_queue_grows_from_under_loaded_start(self, solver):
         # Starting under-loaded below the target, the controller ramps the
         # rate up and the mean queue grows towards the target.

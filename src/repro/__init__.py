@@ -73,7 +73,6 @@ from .control import (
     MultiplicativeIncreaseMultiplicativeDecrease,
     RateControl,
     WindowControl,
-    available_controls,
     create_control,
 )
 from .core import (
@@ -83,19 +82,15 @@ from .core import (
     FokkerPlanckResult,
     FokkerPlanckSolver,
     SparseOperator,
-    SteadyStateEstimate,
     assemble_generator,
     compute_moments,
-    estimate_steady_state,
     marginal_q,
-    marginal_v,
     tail_probability,
 )
 from .characteristics import (
     CharacteristicBatch,
     CharacteristicTrajectory,
     analyze_spiral,
-    classify_equilibrium,
     find_equilibrium,
     integrate_characteristic,
     integrate_characteristic_batch,
@@ -125,8 +120,6 @@ from .queueing import (
     SimulationResult,
     Simulator,
     SourceConfig,
-    available_scenarios,
-    build_scenario,
 )
 from .crossval import CrossValidationReport, cross_validate
 from .design import (
@@ -199,7 +192,6 @@ __all__ = [
     "JacobsonWindow",
     "DECbitWindow",
     "create_control",
-    "available_controls",
     # Fokker-Planck core
     "FokkerPlanckSolver",
     "FokkerPlanckResult",
@@ -207,13 +199,10 @@ __all__ = [
     "DensityMoments",
     "compute_moments",
     "marginal_q",
-    "marginal_v",
     "tail_probability",
     "SparseOperator",
     "DiscreteGenerator",
     "assemble_generator",
-    "SteadyStateEstimate",
-    "estimate_steady_state",
     # characteristics / Section 5
     "CharacteristicBatch",
     "CharacteristicTrajectory",
@@ -221,7 +210,6 @@ __all__ = [
     "integrate_characteristic_batch",
     "quadrant_drift_table",
     "find_equilibrium",
-    "classify_equilibrium",
     "analyze_spiral",
     "is_convergent_spiral",
     "verify_theorem1",
@@ -247,8 +235,6 @@ __all__ = [
     "SourceConfig",
     "MultiHopConfig",
     "MultiHopSimulator",
-    "available_scenarios",
-    "build_scenario",
     # DES-vs-FP cross-validation
     "CrossValidationReport",
     "cross_validate",

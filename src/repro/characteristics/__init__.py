@@ -16,7 +16,7 @@ from .trajectory import (
     integrate_characteristic_batch,
 )
 from .phase_plane import QuadrantDrift, quadrant_drift_table, drift_field
-from .equilibrium import Equilibrium, find_equilibrium, classify_equilibrium
+from .equilibrium import Equilibrium, find_equilibrium
 from .limit_cycle import (
     SpiralAnalysis,
     analyze_spiral,
@@ -45,7 +45,6 @@ __all__ = [
     "drift_field",
     "Equilibrium",
     "find_equilibrium",
-    "classify_equilibrium",
     "SpiralAnalysis",
     "analyze_spiral",
     "peak_contraction_ratios",

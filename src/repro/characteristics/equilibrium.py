@@ -1,4 +1,4 @@
-"""Equilibrium location and local stability classification.
+"""Equilibrium location of the reduced system.
 
 The limit point identified by Theorem 1 is the state where both drifts
 vanish: ``dq/dt = λ − μ = 0`` (so ``λ = μ``) and ``dλ/dt = g(q, λ) = 0``.
@@ -7,22 +7,19 @@ the switching line and ``−C1 λ`` on the other); the equilibrium is instead
 the sliding point on the switching line ``q = q̂`` that the spiral contracts
 towards.  :func:`find_equilibrium` handles both situations -- a genuine zero
 of the vector field when one exists, and the switching-line limit point
-otherwise -- and :func:`classify_equilibrium` reports the local character
-from a (numerical) Jacobian, smoothing the switching discontinuity over a
-small window so the linearisation is meaningful.
+otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..config import SystemParameters
 from ..control.base import RateControl
 
-__all__ = ["Equilibrium", "find_equilibrium", "classify_equilibrium"]
+__all__ = ["Equilibrium", "find_equilibrium"]
 
 
 @dataclass(frozen=True)
@@ -49,20 +46,6 @@ class Equilibrium:
     def growth_rate(self) -> float:
         """Growth rate ``ν`` at the equilibrium (zero by construction)."""
         return 0.0
-
-
-@dataclass(frozen=True)
-class EquilibriumClassification:
-    """Eigenvalue-based classification of the local dynamics."""
-
-    eigenvalues: tuple
-    classification: str
-    spectral_abscissa: float
-
-    @property
-    def is_stable(self) -> bool:
-        """True when every eigenvalue has a non-positive real part."""
-        return self.spectral_abscissa <= 1e-9
 
 
 def find_equilibrium(control: RateControl, params: SystemParameters
@@ -97,67 +80,3 @@ def find_equilibrium(control: RateControl, params: SystemParameters
     d0, d1 = drifts[index], drifts[index + 1]
     q_star = q0 if d1 == d0 else q0 - d0 * (q1 - q0) / (d1 - d0)
     return Equilibrium(queue=float(q_star), rate=params.mu, is_sliding=False)
-
-
-def classify_equilibrium(control: RateControl, params: SystemParameters,
-                         equilibrium: Optional[Equilibrium] = None,
-                         smoothing: float = 0.5) -> EquilibriumClassification:
-    """Classify the local dynamics around the equilibrium.
-
-    The vector field is ``F(q, λ) = (λ − μ, g(q, λ))``.  A centred finite
-    difference with half-width *smoothing* (in queue units, and the
-    proportional amount in rate units) yields an averaged Jacobian that is
-    well defined even across the JRJ switching line; its eigenvalues give
-    the familiar node / focus / centre / saddle classification.
-    """
-    eq = equilibrium if equilibrium is not None else find_equilibrium(control, params)
-    dq = max(smoothing, 1e-6)
-    dlam = max(smoothing * params.mu / max(params.q_target, 1.0), 1e-6)
-
-    def smoothed_drift(q: float, lam: float) -> float:
-        # Average the drift over a window straddling the switching line so
-        # the linearisation sees the Filippov (sliding) average rather than
-        # a single branch; away from the line this reduces to the plain
-        # drift up to O(dq) smoothing.
-        above = float(np.asarray(control.drift(q + dq, lam)))
-        below = float(np.asarray(control.drift(max(q - dq, 0.0), lam)))
-        return 0.5 * (above + below)
-
-    def field(q: float, lam: float) -> np.ndarray:
-        return np.array([lam - params.mu, smoothed_drift(q, lam)])
-
-    f_q_plus = field(eq.queue + dq, eq.rate)
-    f_q_minus = field(max(eq.queue - dq, 0.0), eq.rate)
-    f_l_plus = field(eq.queue, eq.rate + dlam)
-    f_l_minus = field(eq.queue, max(eq.rate - dlam, 0.0))
-
-    jacobian = np.column_stack([
-        (f_q_plus - f_q_minus) / (2.0 * dq),
-        (f_l_plus - f_l_minus) / (2.0 * dlam),
-    ])
-    eigenvalues = np.linalg.eigvals(jacobian)
-    real_parts = np.real(eigenvalues)
-    imag_parts = np.imag(eigenvalues)
-    spectral_abscissa = float(np.max(real_parts))
-
-    if np.all(np.abs(imag_parts) > 1e-12):
-        if spectral_abscissa < -1e-9:
-            kind = "stable focus (convergent spiral)"
-        elif spectral_abscissa > 1e-9:
-            kind = "unstable focus (divergent spiral)"
-        else:
-            kind = "centre (neutral cycles)"
-    else:
-        if np.all(real_parts < -1e-9):
-            kind = "stable node"
-        elif np.all(real_parts > 1e-9):
-            kind = "unstable node"
-        elif np.any(real_parts > 1e-9) and np.any(real_parts < -1e-9):
-            kind = "saddle"
-        else:
-            kind = "degenerate"
-
-    return EquilibriumClassification(
-        eigenvalues=tuple(complex(ev) for ev in eigenvalues),
-        classification=kind,
-        spectral_abscissa=spectral_abscissa)

@@ -31,8 +31,7 @@ from .trajectory import (
     integrate_characteristic_batch,
 )
 
-__all__ = ["Theorem1Verification", "verify_theorem1", "verify_theorem1_batch",
-           "parabolic_arc_queue"]
+__all__ = ["Theorem1Verification", "verify_theorem1", "verify_theorem1_batch"]
 
 
 @dataclass(frozen=True)
@@ -68,22 +67,6 @@ class Theorem1Verification:
         q_scale = max(self.trajectory.q_target, 1.0)
         return (self.final_queue_error <= 0.15 * q_scale
                 and self.final_rate_error <= 0.15 * self.trajectory.mu)
-
-
-def parabolic_arc_queue(times: np.ndarray, q_start: float, rate_start: float,
-                        params: SystemParameters) -> np.ndarray:
-    """Closed-form queue evolution on the increase side (``q ≤ q̂``).
-
-    While the queue stays below the target the JRJ law gives
-    ``d²q/dt² = dλ/dt = C0`` so, starting from ``(q_start, λ_start)``,
-
-        q(t) = q_start + (λ_start − μ) t + C0 t² / 2,
-
-    the parabolic arc used in the paper's proof of Theorem 1 (its
-    Equation 18).  Valid until the arc reaches ``q = q̂`` or ``q = 0``.
-    """
-    times = np.asarray(times, dtype=float)
-    return q_start + (rate_start - params.mu) * times + 0.5 * params.c0 * times ** 2
 
 
 def _default_horizon(q_target: float, c0: float) -> float:

@@ -40,10 +40,6 @@ __all__ = [
     "integrate_characteristic_batch",
 ]
 
-#: Parameter columns understood by :func:`integrate_characteristic_batch`
-#: that are consumed by the queue dynamics rather than the control law.
-_DYNAMICS_COLUMNS = ("mu",)
-
 #: Elements per row block of :meth:`CharacteristicBatch.settling_times`
 #: (512 KiB of float64): its temporaries stay this size whatever the batch.
 _SCAN_ELEMENTS = 1 << 16
@@ -89,36 +85,13 @@ class CharacteristicTrajectory:
         """Arrival rate at the end of the run."""
         return float(self.rate[-1])
 
-    def distance_to_limit_point(self) -> np.ndarray:
-        """Euclidean distance to the Theorem 1 limit point ``(q̂, μ)``.
-
-        Queue and rate are normalised by the target queue and the service
-        rate respectively so the two coordinates are comparable.
-        """
-        q_scale = max(self.q_target, 1.0)
-        r_scale = max(self.mu, 1e-12)
-        return np.sqrt(((self.queue - self.q_target) / q_scale) ** 2
-                       + ((self.rate - self.mu) / r_scale) ** 2)
-
-    def target_crossings(self) -> List[int]:
-        """Indices where the path crosses the ``q = q̂`` switching line."""
-        offset = self.queue - self.q_target
-        if offset.size < 2:
-            return []
-        previous = offset[:-1]
-        current = offset[1:]
-        mask = (previous != 0.0) & (previous * current < 0.0)
-        return (np.nonzero(mask)[0] + 1).tolist()
-
     def settling_time(self, tolerance: float = 0.1) -> float:
         """Earliest time after which the queue stays near its final value.
 
         The band is relative to the final queue with an absolute floor of
-        *tolerance* (same convention as
-        :func:`repro.core.steady_state.relaxation_time`, but non-raising:
-        the final sample is always inside its own band, so a
-        still-oscillating path simply reports a time near the horizon --
-        the behaviour gain-design scoring needs).
+        *tolerance*.  It never raises: the final sample is always inside its
+        own band, so a still-oscillating path simply reports a time near
+        the horizon -- the behaviour gain-design scoring needs.
         """
         final = float(self.queue[-1])
         band = max(tolerance * abs(final), tolerance)
@@ -233,32 +206,6 @@ class CharacteristicBatch:
         """Arrival rate of every path at its last valid sample."""
         return self._recorded_rate()[self.n_samples - 1,
                                      np.arange(self.batch_size)]
-
-    def distance_to_limit_point(self) -> np.ndarray:
-        """Normalised distances to each path's limit point, shape ``(n, batch)``.
-
-        Element-wise identical to
-        :meth:`CharacteristicTrajectory.distance_to_limit_point` evaluated on
-        each extracted trajectory.
-        """
-        rate = self._recorded_rate()
-        q_scale = np.maximum(self.q_target, 1.0)[None, :]
-        r_scale = np.maximum(self.mu, 1e-12)[None, :]
-        return np.sqrt(((self.queue - self.q_target[None, :]) / q_scale) ** 2
-                       + ((rate - self.mu[None, :]) / r_scale) ** 2)
-
-    def target_crossing_counts(self) -> np.ndarray:
-        """Number of ``q = q̂`` crossings per trajectory, shape ``(batch,)``.
-
-        Vectorized across the family; agrees with
-        ``len(trajectory.target_crossings())`` for every member (frozen
-        tails repeat the last sample and can contribute no sign change).
-        """
-        offsets = self.queue - self.q_target[None, :]
-        previous = offsets[:-1]
-        current = offsets[1:]
-        mask = (previous != 0.0) & (previous * current < 0.0)
-        return mask.sum(axis=0)
 
     def settling_times(self, tolerance: float = 0.1) -> np.ndarray:
         """Per-trajectory settling times, shape ``(batch,)``.

@@ -93,7 +93,6 @@ from .runner.experiments import (
     density_point,
     ensemble_point,
     fairness_point,
-    FP_JOB_VERSION,
     get_matrix,
     multihop_point,
     stationary_point,
@@ -390,13 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     stationary.add_argument("--dt", type=float, default=None,
                             help="splitting step (default: auto)")
     stationary.add_argument("--method",
-                            choices=["splitting", "generator", "adi"],
+                            choices=["splitting", "generator"],
                             default="splitting",
                             help="stationary operator: the one-step "
-                                 "splitting fixed point (matches marching), "
-                                 "the continuous generator, or 'adi' (alias "
-                                 "of 'generator': the ADI fixed point is the "
-                                 "generator null vector)")
+                                 "splitting fixed point (matches marching) "
+                                 "or the continuous generator (the ADI "
+                                 "fixed point)")
     _add_stepper_option(stationary)
     stationary.add_argument("--delay", type=float, default=0.0,
                             help="feedback delay for the shifted-drift "
@@ -503,8 +501,7 @@ def _run_density(args: argparse.Namespace) -> int:
     params = _system_parameters(args)
     job = JobSpec(density_point, params=params,
                   overrides={"t_end": args.t_end, "nq": args.nq,
-                             "nv": args.nv},
-                  version=FP_JOB_VERSION)
+                             "nv": args.nv})
     value = _run_matrix([job], args).outcomes[0].value
     print(format_table(value["snapshots"],
                        title="Fokker-Planck moments over time"))

@@ -20,8 +20,7 @@ errors surface where the mistake was made rather than deep inside a solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, fields
 
 from .exceptions import ConfigurationError
 
@@ -148,41 +147,6 @@ class SystemParameters(ParameterDictMixin):
         from .core.stepper import is_known_stepper
         _require(is_known_stepper(self.stepper),
                  f"unknown FP stepper {self.stepper!r}")
-
-    def with_backend(self, backend: str) -> "SystemParameters":
-        """Return a copy of these parameters pinned to a kernel *backend*."""
-        return replace(self, backend=backend)
-
-    def with_stepper(self, stepper: str) -> "SystemParameters":
-        """Return a copy of these parameters pinned to an FP *stepper*."""
-        return replace(self, stepper=stepper)
-
-    def with_health(self, health: str) -> "SystemParameters":
-        """Return a copy of these parameters pinned to a *health* policy."""
-        return replace(self, health=health)
-
-    def with_sigma(self, sigma: float) -> "SystemParameters":
-        """Return a copy of these parameters with a different ``sigma``."""
-        return replace(self, sigma=sigma)
-
-    def with_rates(self, c0: Optional[float] = None,
-                   c1: Optional[float] = None) -> "SystemParameters":
-        """Return a copy with updated increase/decrease constants."""
-        return replace(
-            self,
-            c0=self.c0 if c0 is None else c0,
-            c1=self.c1 if c1 is None else c1,
-        )
-
-    @property
-    def equilibrium_rate(self) -> float:
-        """The arrival rate at the limit point of Theorem 1 (``λ* = μ``)."""
-        return self.mu
-
-    @property
-    def equilibrium_queue(self) -> float:
-        """The queue length at the limit point of Theorem 1 (``Q* = q̂``)."""
-        return self.q_target
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .multiplicative import (
     LinearIncreaseMultiplicativeStepDecrease,
 )
 from .window import JacobsonWindow, DECbitWindow
-from .registry import register_control, create_control, available_controls
+from .registry import register_control, create_control
 
 __all__ = [
     "RateControl",
@@ -37,5 +37,4 @@ __all__ = [
     "DECbitWindow",
     "register_control",
     "create_control",
-    "available_controls",
 ]

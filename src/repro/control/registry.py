@@ -8,7 +8,7 @@ downstream users through :func:`register_control`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..exceptions import ConfigurationError
 from .base import RateControl
@@ -19,7 +19,7 @@ from .multiplicative import (
     MultiplicativeIncreaseMultiplicativeDecrease,
 )
 
-__all__ = ["register_control", "create_control", "available_controls"]
+__all__ = ["register_control", "create_control"]
 
 ControlFactory = Callable[..., RateControl]
 
@@ -50,11 +50,6 @@ def create_control(name: str, **kwargs) -> RateControl:
         raise ConfigurationError(
             f"unknown control law '{name}'; available: {sorted(_REGISTRY)}")
     return _REGISTRY[key](**kwargs)
-
-
-def available_controls() -> List[str]:
-    """Return the sorted list of registered control-law names."""
-    return sorted(_REGISTRY)
 
 
 # Built-in registrations.

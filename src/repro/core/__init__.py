@@ -17,39 +17,29 @@ by :mod:`repro.characteristics`, which reproduces the paper's Section 5
 analysis directly.
 """
 
-from .advection import UpwindAdvection, cfl_time_step, cfl_time_step_from_speeds
+from .advection import UpwindAdvection, cfl_time_step_from_speeds
 from .boundary import BoundaryConditions
 from .diffusion import CrankNicolsonDiffusion
 from .initial import (
-    delta_initial_density,
     gaussian_initial_density,
-    uniform_initial_density,
 )
 from .generator import DiscreteGenerator, SparseOperator, assemble_generator
-from .moments import DensityMoments, compute_moments, marginal_q, marginal_v, tail_probability
+from .moments import DensityMoments, compute_moments, marginal_q, tail_probability
 from .solver import FokkerPlanckSolver, FokkerPlanckResult, DensitySnapshot
-from .steady_state import SteadyStateEstimate, estimate_steady_state, relaxation_time
 
 __all__ = [
     "UpwindAdvection",
-    "cfl_time_step",
     "cfl_time_step_from_speeds",
     "BoundaryConditions",
     "CrankNicolsonDiffusion",
-    "delta_initial_density",
     "gaussian_initial_density",
-    "uniform_initial_density",
     "DensityMoments",
     "compute_moments",
     "marginal_q",
-    "marginal_v",
     "tail_probability",
     "FokkerPlanckSolver",
     "FokkerPlanckResult",
     "DensitySnapshot",
-    "SteadyStateEstimate",
-    "estimate_steady_state",
-    "relaxation_time",
     "SparseOperator",
     "DiscreteGenerator",
     "assemble_generator",

@@ -49,28 +49,18 @@ from ..numerics.grids import PhaseGrid2D
 #: matmul), so the advection-side and diffusion-side flushes always agree.
 FLUSH_THRESHOLD = 1e-150
 
-__all__ = ["UpwindAdvection", "cfl_time_step"]
-
-
-def cfl_time_step(grid: PhaseGrid2D, v_drift: np.ndarray, cfl: float,
-                  max_dt: float) -> float:
-    """Return the largest stable time step for the explicit advection steps.
-
-    The step must satisfy ``|ν| dt / dq ≤ cfl`` for the q-advection and
-    ``|g| dt / dν ≤ cfl`` for the ν-advection.  *v_drift* is the drift array
-    ``g`` evaluated on the grid (shape ``(nq, nv)``).
-    """
-    max_v_speed = float(np.max(np.abs(v_drift))) if v_drift.size else 0.0
-    return cfl_time_step_from_speeds(grid, max_v_speed, cfl, max_dt)
+__all__ = ["UpwindAdvection", "cfl_time_step_from_speeds"]
 
 
 def cfl_time_step_from_speeds(grid: PhaseGrid2D, max_v_speed: float,
                               cfl: float, max_dt: float) -> float:
-    """CFL step from a precomputed ``max |g|`` (the grid caches ``max |ν|``).
+    """The largest stable time step for the explicit advection steps.
 
-    Hot-loop variant of :func:`cfl_time_step`: with a static drift field the
-    maximum drift speed is constant over the whole integration, so the
-    solver computes it once and skips the per-substep array reduction.
+    The step must satisfy ``|ν| dt / dq ≤ cfl`` for the q-advection and
+    ``|g| dt / dν ≤ cfl`` for the ν-advection.  *max_v_speed* is a
+    precomputed ``max |g|`` (the grid caches ``max |ν|``): with a static
+    drift field it is constant over the whole integration, so the solver
+    computes it once and skips the per-substep array reduction.
     """
     max_q_speed = grid.max_abs_v
     limits = [max_dt]

@@ -71,27 +71,6 @@ class SparseOperator:
     values: np.ndarray
     n: int
 
-    @property
-    def nnz(self) -> int:
-        """Number of stored entries."""
-        return int(self.values.size)
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """Return ``M @ vector`` (used for residual checks, backend-free)."""
-        vector = np.asarray(vector, dtype=float).ravel()
-        if vector.size != self.n:
-            raise ConfigurationError(
-                f"operator is {self.n}x{self.n} but vector has size "
-                f"{vector.size}")
-        return np.bincount(self.rows, weights=self.values * vector[self.cols],
-                           minlength=self.n)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise the full dense matrix (small grids / reference solves)."""
-        dense = np.zeros((self.n, self.n))
-        np.add.at(dense, (self.rows, self.cols), self.values)
-        return dense
-
 
 class _DiaMatrix:
     """Square matrix stored as diagonals: ``data[offset][k] = M[k, k+offset]``.
@@ -270,14 +249,6 @@ class DiscreteGenerator:
     def mass_weights(self) -> np.ndarray:
         """Cell quadrature weights: ``w · p`` is the total probability mass."""
         return np.full(self.n, self.grid.cell_area)
-
-    def advection_q(self) -> SparseOperator:
-        """The q-advection generator ``G_q`` (``A_q(dt) = I + dt G_q``)."""
-        return self._g_q.to_operator()
-
-    def advection_v(self) -> SparseOperator:
-        """The ν-advection generator ``G_ν`` (``A_ν(dt) = I + dt G_ν``)."""
-        return self._g_v.to_operator()
 
     def diffusion(self) -> SparseOperator:
         """The diffusion generator ``(σ²/2)/dq² · L̃`` (zero when σ = 0)."""

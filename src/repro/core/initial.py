@@ -2,11 +2,9 @@
 
 The paper's derivation conditions on a known starting point
 ``(Q(0), ν(0)) = (q̂₀, ν̂₀)``, i.e. a delta-function initial density.  On a
-finite grid a delta is represented either exactly (all mass in one cell,
-:func:`delta_initial_density`) or as a narrow Gaussian
-(:func:`gaussian_initial_density`), which is smoother and converges to the
-same solution as the grid is refined.  A uniform density over a rectangle is
-also provided for ensemble-of-initial-conditions studies.
+finite grid the delta is represented as a narrow Gaussian
+(:func:`gaussian_initial_density`), which is smoother than putting all mass
+in one cell and converges to the same solution as the grid is refined.
 """
 
 from __future__ import annotations
@@ -17,22 +15,8 @@ from ..exceptions import ConfigurationError
 from ..numerics.grids import PhaseGrid2D
 
 __all__ = [
-    "delta_initial_density",
     "gaussian_initial_density",
-    "uniform_initial_density",
 ]
-
-
-def delta_initial_density(grid: PhaseGrid2D, q0: float, v0: float) -> np.ndarray:
-    """All probability mass in the cell containing ``(q0, v0)``.
-
-    The returned array integrates to one over the grid.
-    """
-    density = np.zeros(grid.shape)
-    qi = grid.q_grid.locate(q0)
-    vi = grid.v_grid.locate(v0)
-    density[qi, vi] = 1.0 / grid.cell_area
-    return density
 
 
 def gaussian_initial_density(grid: PhaseGrid2D, q0: float, v0: float,
@@ -46,24 +30,5 @@ def gaussian_initial_density(grid: PhaseGrid2D, q0: float, v0: float,
     """
     if q_std < 0.5 * grid.dq or v_std < 0.5 * grid.dv:
         raise ConfigurationError(
-            "Gaussian initial condition narrower than half a grid cell; "
-            "use delta_initial_density instead")
+            "Gaussian initial condition narrower than half a grid cell")
     return grid.gaussian_density(q0, v0, q_std, v_std)
-
-
-def uniform_initial_density(grid: PhaseGrid2D, q_low: float, q_high: float,
-                            v_low: float, v_high: float) -> np.ndarray:
-    """Uniform density over the rectangle ``[q_low, q_high] × [v_low, v_high]``.
-
-    Cells whose centre falls inside the rectangle receive equal mass; the
-    result is normalised to one.
-    """
-    if q_high <= q_low or v_high <= v_low:
-        raise ConfigurationError("uniform initial rectangle must have positive area")
-    q, v = grid.meshgrid()
-    inside = ((q >= q_low) & (q <= q_high) & (v >= v_low) & (v <= v_high))
-    if not np.any(inside):
-        raise ConfigurationError(
-            "uniform initial rectangle does not contain any grid cell centre")
-    density = inside.astype(float)
-    return grid.normalize(density)

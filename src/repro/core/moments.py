@@ -19,7 +19,6 @@ __all__ = [
     "DensityMoments",
     "compute_moments",
     "marginal_q",
-    "marginal_v",
     "tail_probability",
 ]
 
@@ -92,11 +91,6 @@ def marginal_q(density: np.ndarray, grid: PhaseGrid2D) -> np.ndarray:
     integrates (cell-sum rule) to the total mass of the joint density.
     """
     return np.sum(density, axis=1) * grid.dv
-
-
-def marginal_v(density: np.ndarray, grid: PhaseGrid2D) -> np.ndarray:
-    """Marginal density of the growth rate, shape ``(nv,)``."""
-    return np.sum(density, axis=0) * grid.dq
 
 
 def tail_probability(density: np.ndarray, grid: PhaseGrid2D,

@@ -38,7 +38,7 @@ from ..numerics.grids import PhaseGrid2D
 from .boundary import BoundaryConditions
 from .initial import gaussian_initial_density
 from .stepper import get_stepper
-from .moments import DensityMoments, compute_moments, marginal_q, tail_probability
+from .moments import DensityMoments, compute_moments, tail_probability
 
 __all__ = ["FokkerPlanckSolver", "FokkerPlanckResult", "DensitySnapshot"]
 
@@ -109,10 +109,6 @@ class FokkerPlanckResult:
     def final_moments(self) -> DensityMoments:
         """Moments at the final snapshot."""
         return self.snapshots[-1].moments
-
-    def final_marginal_q(self) -> np.ndarray:
-        """Queue-length marginal density at the final time."""
-        return marginal_q(self.final_density, self.grid)
 
     def overflow_probability(self, buffer_size: float) -> float:
         """``P(Q > buffer_size)`` at the final time."""

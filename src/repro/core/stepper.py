@@ -323,11 +323,6 @@ class ADIStepper(FPStepper):
         np.maximum(density, 0.0, out=density)
         return density, work
 
-    @property
-    def last_intermediate(self) -> Optional[np.ndarray]:
-        """The most recent stashed Peaceman-Rachford intermediate (flat)."""
-        return self._stash
-
     def record_health(self, monitor, t: float) -> None:
         if monitor is None or self._stash is None:
             return

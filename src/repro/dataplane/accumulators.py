@@ -35,7 +35,7 @@ class StreamingMoments:
     block of particles into the running per-time statistics.
 
     ``variance`` is the population variance (``ddof=0``, matching
-    :func:`numpy.var`); ``sample_variance`` applies Bessel's correction.
+    :func:`numpy.var`).
     """
 
     __slots__ = ("count", "mean", "m2", "minimum", "maximum")
@@ -123,13 +123,6 @@ class StreamingMoments:
         if self.count == 0:
             return np.zeros(self.shape)
         return self.m2 / self.count
-
-    @property
-    def sample_variance(self) -> np.ndarray:
-        """Unbiased sample variance (zeros with fewer than two samples)."""
-        if self.count < 2:
-            return np.zeros(self.shape)
-        return self.m2 / (self.count - 1)
 
     @property
     def std(self) -> np.ndarray:
@@ -245,11 +238,6 @@ class TimeWeightedMoments:
         self._mean += delta * ratio
         self._m2 += weight * delta * (value - self._mean)
         self._weight_sum = new_weight_sum
-
-    @property
-    def total_weight(self) -> float:
-        """Sum of the weights seen so far."""
-        return self._weight_sum
 
     @property
     def mean(self) -> float:

@@ -1,26 +1,25 @@
-"""The unified trace-sink protocol and its streaming implementations.
+"""The streaming trace sinks.
 
 Everything that records a ``(time, value)`` series in the simulator talks
-to a :class:`TraceSink`: the full-history
+to one of three sinks: the full-history
 :class:`~repro.queueing.trace.TimeSeriesTrace`, the O(1)-memory
 :class:`MomentsTraceSink` and the discarding :class:`NullTraceSink` all
 share the same ``record`` / ``append`` / ``__len__`` / ``times`` /
-``values`` surface, so the retention policy picks the implementation
-without the simulator caring.  All three ``record`` methods check the
-time order with :func:`check_time_order`.
+``values`` / ``time_average`` surface, so the retention policy picks the
+implementation without the simulator caring.  All three ``record``
+methods check the time order with :func:`check_time_order`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 import numpy as np
 
 from ..exceptions import AnalysisError
 from .accumulators import TimeWeightedMoments
 
-__all__ = ["TraceSink", "NullTraceSink", "MomentsTraceSink",
-           "check_time_order"]
+__all__ = ["NullTraceSink", "MomentsTraceSink", "check_time_order"]
 
 
 def check_time_order(name: str, last_time: float, time: float) -> None:
@@ -33,30 +32,6 @@ def check_time_order(name: str, last_time: float, time: float) -> None:
     if time < last_time - 1e-12 * max(1.0, abs(last_time)):
         raise AnalysisError(
             f"trace '{name}' received out-of-order time {time:.6g}")
-
-
-@runtime_checkable
-class TraceSink(Protocol):
-    """What every trace implementation exposes.
-
-    ``record`` checks time monotonicity; ``append`` is the unchecked hot
-    path the event loop binds directly.  ``times`` / ``values`` return the
-    retained history as arrays -- implementations that do not retain
-    history raise :class:`~repro.exceptions.AnalysisError` with a message
-    pointing at ``retention="full"``.
-    """
-
-    def record(self, time: float, value: float) -> None: ...
-
-    def append(self, time: float, value: float) -> None: ...
-
-    def __len__(self) -> int: ...
-
-    @property
-    def times(self) -> np.ndarray: ...
-
-    @property
-    def values(self) -> np.ndarray: ...
 
 
 def _no_history(what: str):
@@ -194,11 +169,6 @@ class MomentsTraceSink:
                      t_end: Optional[float] = None) -> float:
         """Time-average over ``[t_start, t_end]`` (must cover the recording)."""
         return self._closed_moments(t_start, t_end).mean
-
-    def time_variance(self, t_start: float = 0.0,
-                      t_end: Optional[float] = None) -> float:
-        """Time-weighted population variance over ``[t_start, t_end]``."""
-        return self._closed_moments(t_start, t_end).variance
 
     def resample(self, sample_times: np.ndarray) -> np.ndarray:
         _no_history(f"resampling of trace '{self.name}'")

@@ -1,9 +1,9 @@
 """Direct stationary solves of the discrete Fokker-Planck operator.
 
-Instead of time-marching Equation 14 to ``t_end`` and averaging the tail
-(:mod:`repro.core.steady_state`), the heavy-traffic questions of the paper
-can be answered directly: the stationary density is the null vector of the
-assembled discrete operator from :mod:`repro.core.generator`, solved through
+Instead of time-marching Equation 14 to ``t_end`` and averaging the tail,
+the heavy-traffic questions of the paper can be answered directly: the
+stationary density is the null vector of the assembled discrete operator
+from :mod:`repro.core.generator`, solved through
 the :mod:`repro.numerics.backend` registry (block-banded shifted inverse
 iteration with a dense row-replacement fallback on numpy, ``splu``
 shifted inverse iteration on scipy).
@@ -46,7 +46,6 @@ from ..control.base import RateControl
 from ..core.generator import DiscreteGenerator, assemble_generator
 from ..core.initial import gaussian_initial_density
 from ..core.moments import DensityMoments, compute_moments
-from ..core.steady_state import SteadyStateEstimate
 from ..exceptions import ConfigurationError, ConvergenceError
 from ..health import HealthMonitor
 from ..health.report import HealthLog
@@ -112,15 +111,6 @@ class StationaryEstimate(ParameterDictMixin):
     backend: str
     iterations: int
 
-    def to_steady_state(self, tail_fraction: float = 1.0
-                        ) -> SteadyStateEstimate:
-        """View as a :class:`SteadyStateEstimate` (e.g. to seed another solve)."""
-        return SteadyStateEstimate(mean_queue=self.mean_queue,
-                                   std_queue=self.std_queue,
-                                   mean_growth_rate=self.mean_growth_rate,
-                                   tail_fraction=tail_fraction,
-                                   n_snapshots_used=0)
-
 
 @dataclass
 class StationaryDensity:
@@ -143,19 +133,12 @@ def _resolve_dt(generator: DiscreteGenerator, dt: Optional[float]) -> float:
     return min(TimeParameters().dt, generator.max_stable_dt())
 
 
-def _seed_density(grid: PhaseGrid2D, seed: Optional[SteadyStateEstimate],
-                  q_center: float) -> np.ndarray:
-    """Gaussian guess density from a tail estimate (or around the target)."""
-    if seed is not None:
-        q_center = seed.mean_queue
-        v_center = seed.mean_growth_rate
-        q_std = max(seed.std_queue, 1.5 * grid.dq, 0.5)
-    else:
-        v_center = 0.0
-        q_std = max(1.5 * grid.dq, 0.5)
+def _seed_density(grid: PhaseGrid2D, q_center: float) -> np.ndarray:
+    """Gaussian guess density around ``(q_center, ν = 0)``."""
+    q_std = max(1.5 * grid.dq, 0.5)
     v_std = max(1.5 * grid.dv, 0.02)
     q_center = float(np.clip(q_center, 0.0, grid.q_grid.upper))
-    v_center = float(np.clip(v_center, grid.v_grid.lower, grid.v_grid.upper))
+    v_center = float(np.clip(0.0, grid.v_grid.lower, grid.v_grid.upper))
     return gaussian_initial_density(grid, q_center, v_center,
                                     q_std=q_std, v_std=v_std)
 
@@ -166,17 +149,15 @@ def _solve_operator(generator: DiscreteGenerator, method: str, dt: float,
     """Run the null-vector solve for one assembled operator."""
     if method == "splitting":
         operator = generator.splitting_matrix(dt)
-    elif method in ("generator", "adi"):
+    elif method == "generator":
         # The Peaceman-Rachford recurrence fixes exactly the null vector of
         # the continuous discrete generator (no splitting error), so the
-        # stationary density of an ADI march is the "generator" solve;
-        # "adi" is accepted as an alias to make that correspondence
-        # explicit for callers marching with stepper="adi".
+        # stationary density of an ADI march is the "generator" solve.
         operator = generator.generator()
     else:
         raise ConfigurationError(
-            f"unknown stationary method {method!r}; choose 'splitting', "
-            f"'generator' or 'adi'")
+            f"unknown stationary method {method!r}; choose 'splitting' or "
+            f"'generator'")
     backend = get_backend(backend_name)
     vector, info = backend.stationary_null_vector(
         operator.rows, operator.cols, operator.values, operator.n,
@@ -192,7 +173,6 @@ def solve_stationary(params: SystemParameters,
                      dt: Optional[float] = None,
                      method: str = "splitting",
                      backend: Optional[str] = None,
-                     seed: Optional[SteadyStateEstimate] = None,
                      delay: float = 0.0,
                      tol: float = 1e-9,
                      max_iterations: int = 50,
@@ -211,20 +191,16 @@ def solve_stationary(params: SystemParameters,
         substeps of exactly its ``dt``, so passing that value here makes the
         solve match that run's tail to solver tolerance.
     method:
-        ``"splitting"`` (matches the per-axis marching fixed point),
-        ``"generator"`` (continuous-time operator), or ``"adi"`` (alias of
-        ``"generator"``: the ADI stepper's fixed point carries no
-        splitting error, so its marched tail is the generator null
-        vector).  The numpy backend's block-banded factorization costs
+        ``"splitting"`` (matches the per-axis marching fixed point) or
+        ``"generator"`` (continuous-time operator; the ADI stepper's fixed
+        point carries no splitting error, so an ADI march's tail is this
+        null vector).  The numpy backend's block-banded factorization costs
         O(n·b²) for bandwidth ``b ≈ 2·nv``; when its blocks would not fit
         in memory (``nv`` in the thousands) it raises
         :class:`~repro.exceptions.ConfigurationError` up front, and the
         scipy backend's sparse ``splu`` takes over.
     backend:
         Backend registry name; defaults to ``params.backend`` resolution.
-    seed:
-        Optional tail estimate used to build the initial guess (and to pick
-        the pivot row of the solve).
     delay:
         Feedback delay ``τ ≥ 0``.  A positive value wraps the control into
         the first-order :class:`DelayShiftedControl` closure (see the module
@@ -256,7 +232,7 @@ def solve_stationary(params: SystemParameters,
     generator = assemble_generator(params, control=control,
                                    grid_params=grid_params)
     step = _resolve_dt(generator, dt)
-    guess = _seed_density(generator.grid, seed, params.q_target)
+    guess = _seed_density(generator.grid, params.q_target)
     try:
         density, info = _solve_operator(generator, method, step,
                                         backend or params.backend, guess,

@@ -24,7 +24,6 @@ Monitors are created with :meth:`HealthMonitor.create`, which returns
 from .faults import (
     KNOWN_NUMERICAL_FAULTS,
     arm_numerical_fault,
-    armed_numerical_faults,
     consume_numerical_fault,
     reset_numerical_faults,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "HealthReport",
     "KNOWN_NUMERICAL_FAULTS",
     "arm_numerical_fault",
-    "armed_numerical_faults",
     "consume_numerical_fault",
     "is_known_health",
     "reset_numerical_faults",

@@ -12,12 +12,11 @@ never leak across jobs that share a worker process.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = [
     "KNOWN_NUMERICAL_FAULTS",
     "arm_numerical_fault",
-    "armed_numerical_faults",
     "consume_numerical_fault",
     "reset_numerical_faults",
 ]
@@ -48,11 +47,6 @@ def consume_numerical_fault(kind: str) -> bool:
     else:
         _armed[kind] = remaining - 1
     return True
-
-
-def armed_numerical_faults() -> Tuple[str, ...]:
-    """Currently armed fault kinds (for tests and diagnostics)."""
-    return tuple(sorted(kind for kind, n in _armed.items() if n > 0))
 
 
 def reset_numerical_faults() -> None:

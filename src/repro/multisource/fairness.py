@@ -28,13 +28,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..config import SourceParameters, SystemParameters
+from ..config import SourceParameters
 from ..exceptions import AnalysisError
 from .model import MultiSourceTrajectory
 
 __all__ = [
     "predicted_equilibrium_shares",
-    "predicted_equilibrium_rates",
     "jain_fairness_index",
     "FairnessReport",
     "fairness_report",
@@ -51,12 +50,6 @@ def predicted_equilibrium_shares(sources: Sequence[SourceParameters]) -> np.ndar
         raise AnalysisError("need at least one source")
     ratios = np.array([source.c0 / source.c1 for source in sources], dtype=float)
     return ratios / float(np.sum(ratios))
-
-
-def predicted_equilibrium_rates(sources: Sequence[SourceParameters],
-                                params: SystemParameters) -> np.ndarray:
-    """Predicted per-source equilibrium rates ``λᵢ* = μ · shareᵢ``."""
-    return params.mu * predicted_equilibrium_shares(sources)
 
 
 def jain_fairness_index(throughputs: Sequence[float]) -> float:
@@ -107,11 +100,6 @@ class FairnessReport:
     observed_rates: np.ndarray
     jain_index: float
     max_share_error: float
-
-    @property
-    def is_fair(self) -> bool:
-        """True when the observed allocation is essentially equal (Jain ≥ 0.99)."""
-        return self.jain_index >= 0.99
 
     def rows(self) -> List[dict]:
         """Table rows (one per source) for report printing."""

@@ -59,15 +59,6 @@ class MultiSourceTrajectory:
         """Number of sources in the run."""
         return self.rates.shape[1]
 
-    @property
-    def aggregate_rate(self) -> np.ndarray:
-        """Total offered rate ``Σᵢ λᵢ(t)``."""
-        return np.sum(self.rates, axis=1)
-
-    def source_rate(self, index: int) -> np.ndarray:
-        """Rate time-series of one source."""
-        return self.rates[:, index]
-
     def final_rates(self) -> np.ndarray:
         """Per-source rates at the end of the run."""
         return self.rates[-1].copy()

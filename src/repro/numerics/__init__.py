@@ -8,14 +8,13 @@ code.  Streaming statistics live in :mod:`repro.dataplane`.
 """
 
 from .grids import UniformGrid1D, PhaseGrid2D
-from .tridiag import TridiagonalFactorization, solve_tridiagonal
+from .tridiag import TridiagonalFactorization
 from .backend import (
     BACKEND_ENV_VAR,
     NumericsBackend,
     available_backends,
     get_backend,
 )
-from .integrate import trapezoid
 from .interpolate import interp_columns
 from .ode import (
     rk4_step,
@@ -32,12 +31,10 @@ __all__ = [
     "UniformGrid1D",
     "PhaseGrid2D",
     "TridiagonalFactorization",
-    "solve_tridiagonal",
     "BACKEND_ENV_VAR",
     "NumericsBackend",
     "available_backends",
     "get_backend",
-    "trapezoid",
     "interp_columns",
     "rk4_step",
     "integrate_fixed",

@@ -255,11 +255,6 @@ class NumericsBackend:
         """Return an object with ``solve(rhs, out=None)`` for this matrix."""
         raise NotImplementedError
 
-    def solve_tridiagonal(self, lower: np.ndarray, diag: np.ndarray,
-                          upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """One-shot tridiagonal solve (factorize then solve)."""
-        return self.factorize_tridiagonal(lower, diag, upper).solve(rhs)
-
     def factorize_sparse(self, rows: np.ndarray, cols: np.ndarray,
                          values: np.ndarray, n: int,
                          block_size: Optional[int] = None):
@@ -650,6 +645,10 @@ class _ScipyBandedFactorization:
         n = diag.shape[0]
         if lower.shape[0] != n or upper.shape[0] != n:
             raise ValueError("lower, diag and upper must all have the same length")
+        if n == 1 and diag[0] == 0.0:
+            # solve_banded divides a 1x1 system without a singularity check.
+            raise ConvergenceError(
+                "banded tridiagonal solve failed: singular matrix")
         ab = np.zeros((3, n))
         ab[0, 1:] = upper[:-1]
         ab[1, :] = diag

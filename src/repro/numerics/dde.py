@@ -46,11 +46,6 @@ class DelayBuffer:
     def __len__(self) -> int:
         return len(self._times)
 
-    @property
-    def latest_time(self) -> float:
-        """Most recent recorded time."""
-        return self._times[-1]
-
     def lookup(self, t: float) -> np.ndarray:
         """Return the (interpolated) state at time *t*.
 
@@ -85,11 +80,6 @@ class DDEResult:
 
     times: np.ndarray
     states: np.ndarray
-
-    @property
-    def final_state(self) -> np.ndarray:
-        """State at the end of the integration."""
-        return self.states[-1]
 
     def component(self, index: int) -> np.ndarray:
         """Time series of a single state component."""

@@ -80,26 +80,6 @@ class UniformGrid1D:
         """Largest absolute cell-centre coordinate, ``max |x_i|`` (cached)."""
         return self._max_abs
 
-    def locate(self, x: float) -> int:
-        """Return the index of the cell containing *x* (clamped to the grid)."""
-        idx = int(np.floor((x - self.lower) / self.dx))
-        return min(max(idx, 0), self.n - 1)
-
-    def contains(self, x: float) -> bool:
-        """Return ``True`` if *x* lies within the grid interval."""
-        return self.lower <= x <= self.upper
-
-    def delta_density(self, x: float) -> np.ndarray:
-        """Return a discrete approximation of a Dirac delta centred at *x*.
-
-        The mass ``1`` is placed in the cell containing *x*, scaled by
-        ``1 / dx`` so that the trapezoid integral of the returned array over
-        the grid is (approximately) one.
-        """
-        density = np.zeros(self.n)
-        density[self.locate(x)] = 1.0 / self.dx
-        return density
-
 
 @dataclass(frozen=True)
 class PhaseGrid2D:

@@ -73,16 +73,6 @@ class ODEResult:
     states: np.ndarray
     event_time: Optional[float] = None
 
-    @property
-    def final_state(self) -> np.ndarray:
-        """State at the last recorded time."""
-        return self.states[-1]
-
-    @property
-    def final_time(self) -> float:
-        """Last recorded time."""
-        return float(self.times[-1])
-
     def component(self, index: int) -> np.ndarray:
         """Time series of a single state component."""
         return self.states[:, index]
@@ -239,11 +229,6 @@ class BatchODEResult:
         """Last valid state of every trajectory, shape ``(batch, dim)``."""
         rows = self.n_samples - 1
         return self.states[rows, np.arange(self.batch_size)]
-
-    @property
-    def final_times(self) -> np.ndarray:
-        """Last valid sample time of every trajectory, shape ``(batch,)``."""
-        return self.times[self.n_samples - 1]
 
     def component(self, index: int) -> np.ndarray:
         """All trajectories of one recorded component, shape ``(n, batch)``.

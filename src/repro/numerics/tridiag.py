@@ -14,8 +14,6 @@ The solver comes in two layers:
   one factorization for every Crank-Nicolson substep that shares the same
   diffusion number, which removes the per-step elimination cost that used to
   dominate the PDE hot path.
-* :func:`solve_tridiagonal` is the original one-shot convenience wrapper; it
-  simply builds a factorization and solves once.
 
 The row-by-row arithmetic of :meth:`TridiagonalFactorization.solve` is the
 same as the historical one-shot implementation (``b[i] = (b[i] - l[i] *
@@ -29,8 +27,7 @@ import numpy as np
 
 from ..exceptions import ConvergenceError
 
-__all__ = ["TridiagonalFactorization", "BatchedTridiagonalFactorization",
-           "solve_tridiagonal"]
+__all__ = ["TridiagonalFactorization", "BatchedTridiagonalFactorization"]
 
 
 class TridiagonalFactorization:
@@ -261,38 +258,3 @@ class BatchedTridiagonalFactorization:
             np.subtract(bi, tmp, out=bi)
             following = bi
         return b
-
-
-def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` for a tridiagonal matrix ``A``.
-
-    One-shot convenience wrapper around :class:`TridiagonalFactorization`;
-    callers that solve against the same matrix repeatedly should build the
-    factorization once and reuse it.
-
-    Parameters
-    ----------
-    lower:
-        Sub-diagonal of length ``n`` (``lower[0]`` is ignored).
-    diag:
-        Main diagonal of length ``n``.
-    upper:
-        Super-diagonal of length ``n`` (``upper[-1]`` is ignored).
-    rhs:
-        Right-hand side.  May be one-dimensional of length ``n`` or
-        two-dimensional of shape ``(n, m)`` to solve ``m`` systems that share
-        the same matrix.
-
-    Returns
-    -------
-    numpy.ndarray
-        Solution with the same shape as *rhs*.
-
-    Raises
-    ------
-    ConvergenceError
-        If a pivot becomes numerically zero (the matrix is singular or badly
-        conditioned for the Thomas algorithm).
-    """
-    return TridiagonalFactorization(lower, diag, upper).solve(rhs)

@@ -18,7 +18,7 @@ The simulator validates the continuous models: the fairness, oscillation and
 delay-unfairness experiments all have a packet-level counterpart.
 """
 
-from .events import Event, EventQueue, PeriodicTimer
+from .events import EventQueue, PeriodicTimer
 from .packet import Packet
 from .random_streams import (
     BufferedJitter,
@@ -26,7 +26,6 @@ from .random_streams import (
     child_seed_sequence,
     child_seed_sequences,
     derive_child_seed,
-    derive_child_seeds,
 )
 from .trace import TimeSeriesTrace, SimulationTrace
 from .queue_node import BottleneckQueue
@@ -38,8 +37,6 @@ from .topology import MultiHopConfig, NodeConfig, Route
 from .multihop import MultiHopResult, MultiHopSimulator, parking_lot_scenario
 from .scenarios import (
     ScenarioSpec,
-    available_scenarios,
-    build_scenario,
     chain_scenario,
     dumbbell_scenario,
     get_scenario,
@@ -54,7 +51,6 @@ __all__ = [
     "MultiHopSimulator",
     "MultiHopResult",
     "parking_lot_scenario",
-    "Event",
     "EventQueue",
     "PeriodicTimer",
     "Packet",
@@ -63,7 +59,6 @@ __all__ = [
     "child_seed_sequence",
     "child_seed_sequences",
     "derive_child_seed",
-    "derive_child_seeds",
     "TimeSeriesTrace",
     "SimulationTrace",
     "BottleneckQueue",
@@ -75,8 +70,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "ScenarioSpec",
-    "available_scenarios",
-    "build_scenario",
     "chain_scenario",
     "dumbbell_scenario",
     "get_scenario",

@@ -42,15 +42,3 @@ class Packet:
     enqueue_time: Optional[float] = None
     departure_time: Optional[float] = None
     dropped: bool = False
-
-    def queueing_delay(self) -> Optional[float]:
-        """Time the packet spent at the bottleneck, or ``None`` if not yet served."""
-        if self.departure_time is None or self.enqueue_time is None:
-            return None
-        return self.departure_time - self.enqueue_time
-
-    def end_to_end_delay(self) -> Optional[float]:
-        """Delay from creation to departure, or ``None`` if not yet served."""
-        if self.departure_time is None:
-            return None
-        return self.departure_time - self.creation_time

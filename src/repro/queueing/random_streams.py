@@ -29,7 +29,6 @@ __all__ = [
     "child_seed_sequence",
     "child_seed_sequences",
     "derive_child_seed",
-    "derive_child_seeds",
 ]
 
 SpawnKeyElement = Union[int, str]
@@ -100,13 +99,6 @@ def derive_child_seed(master_seed: int,
     """Derive one deterministic 63-bit integer child seed for *key*."""
     state = child_seed_sequence(master_seed, key).generate_state(2, np.uint32)
     return (int(state[0]) | (int(state[1]) << 32)) & (2 ** 63 - 1)
-
-
-def derive_child_seeds(master_seed: int, n_children: int,
-                       key: Sequence[SpawnKeyElement] = ()) -> List[int]:
-    """Derive *n_children* deterministic integer child seeds (spawn-key based)."""
-    return [derive_child_seed(master_seed, tuple(key) + (index,))
-            for index in range(n_children)]
 
 
 class BufferedJitter:
@@ -184,24 +176,11 @@ class RandomStreams:
             raise ConfigurationError("exponential mean must be positive")
         return float(self.stream(name).exponential(mean))
 
-    def deterministic(self, _name: str, value: float) -> float:
-        """Return *value* unchanged (deterministic 'distribution' helper)."""
-        return float(value)
-
     def jitter_factors(self, name: str, jitter_fraction: float,
                        block_size: int = 256) -> BufferedJitter:
-        """A :class:`BufferedJitter` over stream *name* (hot-path variant).
+        """A :class:`BufferedJitter` over stream *name*.
 
-        Draws the same variates as repeated :meth:`uniform_jitter` calls on
-        the same stream; do not mix the two on one name within a run.
+        Its factors are ``1 + U(-jitter_fraction, +jitter_fraction)``, drawn
+        from the stream in blocks of *block_size*.
         """
         return BufferedJitter(self.stream(name), jitter_fraction, block_size)
-
-    def uniform_jitter(self, name: str, base: float, jitter_fraction: float) -> float:
-        """Return *base* perturbed by a uniform factor in ``±jitter_fraction``."""
-        if jitter_fraction < 0.0:
-            raise ConfigurationError("jitter_fraction must be non-negative")
-        if jitter_fraction == 0.0:
-            return float(base)
-        factor = 1.0 + self.stream(name).uniform(-jitter_fraction, jitter_fraction)
-        return float(base * factor)

@@ -10,8 +10,8 @@ scenario a stable name so the experiment-matrix layer and the CLI
 (``repro run des-<scenario>``) can address them declaratively, and so new
 topologies plug in without touching the runner:
 
->>> from repro.queueing.scenarios import build_scenario
->>> config = build_scenario("dumbbell", n_sources=64, seed=3)
+>>> from repro.queueing.scenarios import get_scenario
+>>> config = get_scenario("dumbbell").build(n_sources=64, seed=3)
 
 Built-in scenarios:
 
@@ -31,7 +31,7 @@ Built-in scenarios:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .topology import MultiHopConfig, NodeConfig, Route
 
 __all__ = [
     "ScenarioSpec",
-    "available_scenarios",
-    "build_scenario",
     "chain_scenario",
     "dumbbell_scenario",
     "get_scenario",
@@ -105,16 +103,6 @@ def get_scenario(name: str) -> ScenarioSpec:
         known = ", ".join(sorted(_SCENARIOS))
         raise ConfigurationError(f"unknown scenario {name!r} (available: {known})")
     return _SCENARIOS[name]
-
-
-def available_scenarios() -> List[ScenarioSpec]:
-    """All registered scenarios, sorted by name."""
-    return [_SCENARIOS[name] for name in sorted(_SCENARIOS)]
-
-
-def build_scenario(name: str, **kwargs) -> ScenarioConfig:
-    """Build the configuration of scenario *name* with builder overrides."""
-    return get_scenario(name).build(**kwargs)
 
 
 # ---------------------------------------------------------------------------

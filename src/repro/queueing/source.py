@@ -14,16 +14,17 @@ explicitly (the congestion bit carried by the acknowledgement, the DECbit
 case).
 
 Both sources sit on the per-packet hot path of runs with hundreds of
-senders, so they use ``__slots__``, schedule their sends through the
-engine's fire-and-forget path with bound methods cached at construction,
-and resolve per-source stream names and rate traces once instead of
-formatting/looking them up per packet.  The rate-control loop runs on a
-:class:`~repro.queueing.events.PeriodicTimer` (one preallocated repeating
-event per source).  Rate and window samples taken inside events use the
-trace's unchecked ``append``, as the bottleneck's queue samples do: they
-are stamped with the event clock, which never runs backwards because the
-engine refuses to schedule in the past.  All floating-point expressions
-match the seed, so a given seed produces bit-identical traces.
+senders, so they use ``__slots__``, schedule their sends through
+:meth:`~repro.queueing.events.EventQueue.schedule_call` with bound methods
+cached at construction, and resolve per-source stream names and rate traces
+once instead of formatting/looking them up per packet.  The rate-control
+loop runs on a :class:`~repro.queueing.events.PeriodicTimer` (one
+preallocated repeating event per source).  Rate and window samples taken
+inside events use the trace's unchecked ``append``, as the bottleneck's
+queue samples do: they are stamped with the event clock, which never runs
+backwards because the engine refuses to schedule in the past.  All
+floating-point expressions match the seed, so a given seed produces
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class RateSource:
                  "control", "rate", "control_interval", "feedback_channel",
                  "rate_floor", "jitter_fraction", "_sequence",
                  "_last_seen_queue", "packets_sent", "_spacing_stream",
-                 "_jitter", "_rate_trace", "_send_action", "_control_timer")
+                 "_jitter", "_rate_trace", "_send_action")
 
     def __init__(self, source_id: int, event_queue: EventQueue,
                  bottleneck: BottleneckQueue, trace: SimulationTrace,
@@ -111,7 +112,6 @@ class RateSource:
                         if self.jitter_fraction > 0.0 else None)
         self._rate_trace = trace.rate_trace(source_id)
         self._send_action = self._send_next_packet
-        self._control_timer = None
 
     # -- feedback ---------------------------------------------------------
 
@@ -132,9 +132,8 @@ class RateSource:
     def start(self, at_time: float = 0.0) -> None:
         """Begin sending and schedule the periodic control updates."""
         self._rate_trace.record(at_time, self.rate)
-        self._events.schedule(at_time, self._send_action,
-                              label=f"first packet src={self.source_id}")
-        self._control_timer = self._events.schedule_periodic(
+        self._events.schedule_call(at_time, self._send_action)
+        self._events.schedule_periodic(
             at_time + self.control_interval, self.control_interval,
             self._control_update,
             label=f"control update src={self.source_id}")
@@ -222,8 +221,7 @@ class WindowSource:
     def start(self, at_time: float = 0.0) -> None:
         """Record the initial window and start filling it."""
         self._rate_trace.record(at_time, self.window)
-        self._events.schedule(at_time, self._fill_action,
-                              label=f"start window src={self.source_id}")
+        self._events.schedule_call(at_time, self._fill_action)
 
     # -- sending ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ delay per traversed link and for the acknowledgement return path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..exceptions import ConfigurationError
 
@@ -138,19 +138,3 @@ class MultiHopConfig:
         labels = [route.source_name for route in self.routes]
         if len(set(labels)) != len(labels):
             raise ConfigurationError("route source names must be unique")
-
-    def node_map(self) -> Dict[str, NodeConfig]:
-        """Mapping from node name to its configuration."""
-        return {node.name: node for node in self.nodes}
-
-    def route_names(self) -> List[str]:
-        """Labels of the routes in configuration order."""
-        return [route.source_name for route in self.routes]
-
-    def shared_nodes(self) -> List[str]:
-        """Names of nodes traversed by more than one route."""
-        usage: Dict[str, int] = {}
-        for route in self.routes:
-            for hop in set(route.hops):
-                usage[hop] = usage.get(hop, 0) + 1
-        return [name for name, count in usage.items() if count > 1]

@@ -10,9 +10,10 @@ losses) plus the derived metrics the experiments need.
 columns instead of boxed-float lists (recorded values are bit-identical
 either way), and ``SimulationTrace`` applies a ``retention`` policy
 choosing between full history, streamed time-weighted moments, or bare
-counters for every series it owns.  All three sink kinds implement the
-:class:`~repro.dataplane.TraceSink` protocol, so the simulator's hot paths
-bind ``append`` without knowing the policy.
+counters for every series it owns.  All three sink kinds share the
+``record`` / ``append`` / ``time_average`` surface of
+:mod:`repro.dataplane.sink`, so the simulator's hot paths bind ``append``
+without knowing the policy.
 """
 
 from __future__ import annotations
@@ -239,16 +240,3 @@ class SimulationTrace:
     def count_loss(self, source_id: int) -> None:
         """Increment the dropped-packet counter of a source."""
         self.losses[source_id] = self.losses.get(source_id, 0) + 1
-
-    def throughput(self, source_id: int, duration: float) -> float:
-        """Delivered packets per unit time for one source over *duration*."""
-        if duration <= 0.0:
-            raise AnalysisError("duration must be positive")
-        return self.deliveries.get(source_id, 0) / duration
-
-    def loss_rate(self, source_id: int) -> float:
-        """Fraction of a source's packets that were dropped."""
-        delivered = self.deliveries.get(source_id, 0)
-        lost = self.losses.get(source_id, 0)
-        total = delivered + lost
-        return lost / total if total else 0.0

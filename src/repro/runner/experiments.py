@@ -47,13 +47,6 @@ __all__ = [
     "get_matrix",
 ]
 
-#: Cache version of the jobs that march the Fokker-Planck solver.  Version
-#: 2: a solve whose horizon is not a multiple of its output step ends at
-#: ``t_end`` instead of up to half a step short (``TimeParameters.n_steps``),
-#: so values cached under version 1 are recomputed.
-FP_JOB_VERSION = 2
-
-
 # ---------------------------------------------------------------------------
 # Job callables.  Keep them module-level and keyword-friendly: the runner
 # addresses them by ``module:qualname`` and hashes their keyword overrides.
@@ -435,8 +428,7 @@ def _density_grid(params: SystemParameters, seed: Optional[int],
         axes={"sigma": [0.2, 0.5, 0.8], "c1": [0.1, 0.2, 0.4, 0.8]},
         fixed={"t_end": t_end if t_end is not None else 60.0,
                "nq": 50, "nv": 40},
-        master_seed=seed,
-        version=FP_JOB_VERSION)
+        master_seed=seed)
 
 
 def _fp2d_grid(params: SystemParameters, seed: Optional[int],
@@ -451,8 +443,7 @@ def _fp2d_grid(params: SystemParameters, seed: Optional[int],
         axes={"stepper": ["axis", "adi"], "sigma": [0.5, 2.0]},
         fixed={"t_end": t_end if t_end is not None else 40.0,
                "nq": 160, "nv": 96},
-        master_seed=seed,
-        version=FP_JOB_VERSION)
+        master_seed=seed)
 
 
 def _delay_grid(params: SystemParameters, seed: Optional[int],
@@ -582,8 +573,7 @@ def _des_crossval_grid(params: SystemParameters, seed: Optional[int],
         fixed={"duration": 2000.0,
                "t_end": t_end if t_end is not None else 150.0,
                "nq": 100, "nv": 70},
-        master_seed=seed if seed is not None else 1991,
-        version=FP_JOB_VERSION)
+        master_seed=seed if seed is not None else 1991)
 
 
 _MATRICES: Dict[str, MatrixDefinition] = {

@@ -65,8 +65,7 @@ def build_matrix(function: Callable,
                  params: Optional[ParameterDictMixin],
                  axes: Mapping[str, Sequence[Any]],
                  fixed: Optional[Mapping[str, Any]] = None,
-                 master_seed: Optional[int] = None,
-                 version: int = 1) -> List[JobSpec]:
+                 master_seed: Optional[int] = None) -> List[JobSpec]:
     """Build the full cartesian job matrix for *function* over *axes*.
 
     Parameters
@@ -87,8 +86,6 @@ def build_matrix(function: Callable,
         when *function* can actually accept a ``seed=`` keyword; a
         deterministic callable keeps ``seed=None`` so its cache key (and
         hence its cached result) is independent of the master seed.
-    version:
-        Cache-busting version recorded in every spec.
     """
     points = expand_grid(axes)
     derive_seeds = master_seed is not None and function_accepts_seed(function)
@@ -103,5 +100,5 @@ def build_matrix(function: Callable,
         label = ", ".join(f"{name}={value}" for name, value in point.items())
         jobs.append(JobSpec(function=function, params=job_params,
                             overrides=tuple(sorted(call_overrides.items())),
-                            seed=seed, version=version, label=label))
+                            seed=seed, label=label))
     return jobs

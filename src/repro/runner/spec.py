@@ -4,9 +4,10 @@ A :class:`JobSpec` captures one experiment evaluation as the tuple the issue
 tracker of every large simulation study converges on: *(callable, parameters,
 overrides, seed)*.  The callable must be an importable module-level function
 so the spec can cross a process boundary; the remaining fields are plain
-data.  From those four ingredients the spec derives a stable content hash
-that serves as its identity in the on-disk result cache -- two specs with
-the same hash represent the same computation and may share a result.
+data.  From those four ingredients and :data:`RESULTS_EPOCH` the spec
+derives a stable content hash that serves as its identity in the on-disk
+result cache and in run journals -- two specs with the same hash represent
+the same computation and may share a result.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ from ..config import ParameterDictMixin
 from ..exceptions import ConfigurationError
 from .hashing import canonical_json, content_hash
 
-__all__ = ["JobSpec", "function_reference", "function_accepts_seed"]
+__all__ = ["RESULTS_EPOCH", "JobSpec", "function_reference",
+           "function_accepts_seed"]
+
+#: Epoch of the results the library computes, hashed into every job key.
+#: Bump it in any change that changes a result: values cached or journaled
+#: under an older epoch are then never served again (``repro cache prune``
+#: reclaims them).  ``tests/unit/test_results_epoch.py`` keeps a digest of
+#: the pinned reference values per epoch, so editing a pin without bumping
+#: the epoch fails tier-1.
+RESULTS_EPOCH = 1
 
 
 def function_accepts_seed(function: Callable) -> bool:
@@ -77,9 +87,6 @@ class JobSpec:
         Optional deterministic seed for stochastic experiments.  Part of the
         content hash: the same experiment under a different seed is a
         different job.
-    version:
-        Manual cache-busting salt.  Bump it when the *meaning* of the
-        function changes so stale cached results are not reused.
     label:
         Human-readable name for progress reports and tables.  Not part of
         the content hash.
@@ -89,7 +96,6 @@ class JobSpec:
     params: Optional[ParameterDictMixin] = None
     overrides: Tuple[Tuple[str, Any], ...] = ()
     seed: Optional[int] = None
-    version: int = 1
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
@@ -119,6 +125,8 @@ class JobSpec:
 
         ``memmap_dir`` is left out: it only says where full-history
         columns spill, and results are bit-identical with and without it.
+        :data:`RESULTS_EPOCH` is in it, so a result from an older epoch is
+        never served.
         """
         return {
             "function": self.function_ref,
@@ -126,7 +134,7 @@ class JobSpec:
             "overrides": {name: value for name, value in self.overrides
                           if name != "memmap_dir"},
             "seed": self.seed,
-            "version": self.version,
+            "epoch": RESULTS_EPOCH,
         }
 
     @property

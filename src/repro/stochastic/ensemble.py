@@ -150,11 +150,6 @@ class EnsembleResult:
         """Ensemble standard deviation of the queue length over time."""
         return self._moment_series(0, "std")
 
-    @property
-    def mean_rate_series(self) -> np.ndarray:
-        """Ensemble-mean arrival rate over time."""
-        return self._moment_series(1, "mean")
-
     # -- final-time statistics ---------------------------------------------
 
     def final_queue_samples(self) -> np.ndarray:

@@ -13,8 +13,6 @@ be composed from one namespace.
 """
 
 from ..queueing.scenarios import (
-    available_scenarios,
-    build_scenario,
     chain_scenario,
     dumbbell_scenario,
     random_mesh_scenario,
@@ -23,30 +21,16 @@ from .scenarios import (
     single_source_scenario,
     homogeneous_sources_scenario,
     heterogeneous_parameters_scenario,
-    heterogeneous_delay_scenario,
     packet_level_jrj_scenario,
     packet_level_window_scenario,
 )
-from .traffic import (
-    OnOffArrivals,
-    PoissonArrivals,
-    estimate_sigma_from_counts,
-    sigma_for_poisson,
-)
 
 __all__ = [
-    "PoissonArrivals",
-    "OnOffArrivals",
-    "estimate_sigma_from_counts",
-    "sigma_for_poisson",
     "single_source_scenario",
     "homogeneous_sources_scenario",
     "heterogeneous_parameters_scenario",
-    "heterogeneous_delay_scenario",
     "packet_level_jrj_scenario",
     "packet_level_window_scenario",
-    "available_scenarios",
-    "build_scenario",
     "chain_scenario",
     "dumbbell_scenario",
     "random_mesh_scenario",

@@ -19,7 +19,6 @@ __all__ = [
     "single_source_scenario",
     "homogeneous_sources_scenario",
     "heterogeneous_parameters_scenario",
-    "heterogeneous_delay_scenario",
     "packet_level_jrj_scenario",
     "packet_level_window_scenario",
 ]
@@ -69,21 +68,6 @@ def heterogeneous_parameters_scenario(ratios: Sequence[float] = (1.0, 2.0, 4.0),
                          initial_rate=mu / (2.0 * len(ratios)),
                          name=f"c0x{ratio:g}")
         for ratio in ratios
-    ]
-    return params, sources
-
-
-def heterogeneous_delay_scenario(delays: Sequence[float] = (0.5, 4.0),
-                                 mu: float = 1.0, q_target: float = 10.0,
-                                 c0: float = 0.05, c1: float = 0.2
-                                 ) -> Tuple[SystemParameters, List[SourceParameters]]:
-    """Identical sources that differ only in feedback delay (Section 7 unfairness)."""
-    params = SystemParameters(mu=mu, q_target=q_target, c0=c0, c1=c1)
-    sources = [
-        SourceParameters(c0=c0, c1=c1, delay=float(delay),
-                         initial_rate=mu / (2.0 * len(delays)),
-                         name=f"delay-{delay:g}")
-        for delay in delays
     ]
     return params, sources
 

@@ -12,7 +12,6 @@ from repro import (
     JRJControl,
     SystemParameters,
     TimeParameters,
-    available_controls,
     create_control,
     verify_theorem1,
 )
@@ -50,8 +49,6 @@ class TestPublicAPI:
         assert check.converges
 
     def test_registry_round_trip(self):
-        for name in ("jrj", "linear", "mimd"):
-            assert name in available_controls()
         control = create_control("jrj", c0=0.1, c1=0.3, q_target=4.0)
         assert control.drift(0.0, 1.0) == pytest.approx(0.1)
 

@@ -58,8 +58,8 @@ class TestMomentsMergeProperties:
         for sample in samples:
             moments.update(sample)
         assert np.isclose(float(moments.mean), np.mean(samples), atol=1e-6)
-        assert np.isclose(float(moments.sample_variance),
-                          np.var(samples, ddof=1), atol=1e-4, rtol=1e-4)
+        assert np.isclose(float(moments.variance),
+                          np.var(samples), atol=1e-4, rtol=1e-4)
 
     @given(samples=sample_blocks, seed=st.integers(0, 2 ** 31 - 1),
            n_shards=st.integers(min_value=1, max_value=6))

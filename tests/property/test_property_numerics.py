@@ -1,14 +1,13 @@
 """Property-based tests of the numerical substrate (hypothesis)."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.numerics import available_backends, get_backend
 from repro.numerics.grids import UniformGrid1D
-from repro.numerics.integrate import trapezoid
 from repro.numerics.interpolate import interp_columns
-from repro.numerics.tridiag import solve_tridiagonal
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                           allow_infinity=False)
@@ -25,11 +24,14 @@ class TestTridiagonalProperties:
         upper = rng.uniform(-1.0, 1.0, n)
         diag = 3.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant
         rhs = rng.uniform(-10.0, 10.0, n)
-        solution = solve_tridiagonal(lower, diag, upper, rhs)
-        reconstructed = diag * solution
-        reconstructed[1:] += lower[1:] * solution[:-1]
-        reconstructed[:-1] += upper[:-1] * solution[1:]
-        assert np.allclose(reconstructed, rhs, atol=1e-8)
+        for name in available_backends():
+            factorization = get_backend(name).factorize_tridiagonal(
+                lower, diag, upper)
+            solution = factorization.solve(rhs)
+            reconstructed = diag * solution
+            reconstructed[1:] += lower[1:] * solution[:-1]
+            reconstructed[:-1] += upper[:-1] * solution[1:]
+            assert np.allclose(reconstructed, rhs, atol=1e-8), name
 
 
 class TestGridProperties:
@@ -42,49 +44,6 @@ class TestGridProperties:
         assert grid.edges.size == n + 1
         assert np.isclose(grid.edges[-1] - grid.edges[0], width, rtol=1e-9)
         assert np.allclose(np.diff(grid.centers), grid.dx, rtol=1e-6)
-
-    @given(lower=finite_floats, width=positive_floats,
-           n=st.integers(min_value=2, max_value=200),
-           x=finite_floats)
-    @settings(max_examples=100, deadline=None)
-    def test_locate_returns_valid_index(self, lower, width, n, x):
-        grid = UniformGrid1D(lower, lower + width, n)
-        index = grid.locate(x)
-        assert 0 <= index < n
-
-    @given(lower=finite_floats, width=positive_floats,
-           n=st.integers(min_value=2, max_value=200))
-    @settings(max_examples=50, deadline=None)
-    def test_delta_density_always_unit_mass(self, lower, width, n):
-        grid = UniformGrid1D(lower, lower + width, n)
-        x = lower + 0.37 * width
-        density = grid.delta_density(x)
-        assert np.isclose(np.sum(density) * grid.dx, 1.0)
-
-
-class TestQuadratureProperties:
-    @given(values=arrays(np.float64, st.integers(min_value=2, max_value=200),
-                         elements=st.floats(min_value=0.0, max_value=1e3)),
-           dx=positive_floats)
-    # Broke the purely relative bound: the exact integral is 3 subnormal
-    # ulps, trapezoid returns 4 and the upper bound rounds to 3.
-    @example(values=np.full(3, 5e-324), dx=1.5)
-    @settings(max_examples=100, deadline=None)
-    def test_non_negative_integrand_bounded_by_its_range(self, values, dx):
-        span = dx * (values.size - 1)
-        integral = trapezoid(values, dx)
-        # The relative slack covers rounding of normal numbers only.  A
-        # product or quotient with a subnormal result rounds to within half
-        # a subnormal ulp u = 2**-1074 in absolute terms, and no relative
-        # bound survives that: [u, u] at dx=1.3 integrates to exactly 1.3u,
-        # which must round to u or 2u.  Each of the n-1 trapezoid terms
-        # dx*(a+b)/2 rounds a product and a quotient (at most u/4 + u/2),
-        # and each bound below rounds twice more (at most u), so n*u covers
-        # both sides.
-        allowance = values.size * np.nextafter(0.0, 1.0)
-        assert np.min(values) * span * (1 - 1e-12) - allowance <= integral
-        assert integral <= np.max(values) * span * (1 + 1e-12) + allowance
-
 
 class TestInterpolationProperties:
     @given(seed=st.integers(0, 2**31 - 1), x=finite_floats)

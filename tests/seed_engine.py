@@ -19,13 +19,20 @@ from repro.exceptions import SimulationError
 from repro.queueing import events, multihop, simulator
 
 
-class SeedEvent(events.Event):
+class SeedEvent:
     """An event ordered by ``(time, sequence)``, as the seed's dataclass was.
 
     The seed engine heaps event objects directly and relies on this order.
     """
 
-    __slots__ = ()
+    __slots__ = ("time", "sequence", "action", "label", "cancelled")
+
+    def __init__(self, time, sequence, action, label=""):
+        self.time = time
+        self.sequence = sequence
+        self.action = action
+        self.label = label
+        self.cancelled = False
 
     def __lt__(self, other: "SeedEvent") -> bool:
         return (self.time, self.sequence) < (other.time, other.sequence)

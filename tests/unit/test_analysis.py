@@ -1,55 +1,15 @@
-"""Unit tests for the analysis toolkit (convergence, oscillation, fairness, reports)."""
+"""Unit tests for the analysis toolkit (oscillation metrics, reports)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    assess_convergence,
     format_key_values,
     format_series,
     format_table,
-    mean_absolute_error,
     oscillation_metrics,
-    overshoot,
-    root_mean_square_error,
-    settling_time,
-    share_table,
-    time_to_first_peak,
 )
 from repro.exceptions import AnalysisError
-
-
-class TestConvergence:
-    def test_converging_series(self):
-        times = np.linspace(0.0, 100.0, 500)
-        values = 10.0 + 5.0 * np.exp(-times / 10.0)
-        report = assess_convergence(times, values, target=10.0)
-        assert report.converged
-        assert report.settling_time is not None
-        assert report.final_error < 0.1
-        assert report.residual_amplitude < 0.1
-
-    def test_oscillating_series_not_converged(self):
-        times = np.linspace(0.0, 100.0, 1000)
-        values = 10.0 + 5.0 * np.sin(times)
-        report = assess_convergence(times, values, target=10.0, tolerance=1.0)
-        assert not report.converged
-        assert report.residual_amplitude > 3.0
-
-    def test_settling_time_of_step_response(self):
-        times = np.linspace(0.0, 10.0, 101)
-        values = np.where(times < 4.0, 0.0, 1.0)
-        assert settling_time(times, values, target=1.0, tolerance=0.1) == \
-            pytest.approx(4.0, abs=0.11)
-
-    def test_settling_time_none_when_never_settles(self):
-        times = np.linspace(0.0, 10.0, 101)
-        values = times  # keeps growing
-        assert settling_time(times, values, target=0.0, tolerance=0.5) is None
-
-    def test_too_short_series_rejected(self):
-        with pytest.raises(AnalysisError):
-            assess_convergence(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0)
 
 
 class TestOscillationMetrics:
@@ -76,57 +36,6 @@ class TestOscillationMetrics:
         times = np.linspace(0.0, 10.0, 100)
         with pytest.raises(AnalysisError):
             oscillation_metrics(times, np.sin(times), steady_fraction=0.0)
-
-
-class TestShareTable:
-    def test_shares_and_jain_index(self):
-        table = share_table(["a", "b"], [3.0, 1.0])
-        assert table.shares[0] == pytest.approx(0.75)
-        assert table.jain_index == pytest.approx((4.0 ** 2) / (2 * 10.0))
-
-    def test_with_predictions(self):
-        table = share_table(["a", "b"], [2.0, 2.0],
-                            predicted_shares=[0.5, 0.5])
-        assert table.max_prediction_error() == pytest.approx(0.0)
-        rows = table.rows()
-        assert rows[0]["predicted_share"] == 0.5
-
-    def test_without_predictions_error_is_nan(self):
-        table = share_table(["a"], [1.0])
-        assert np.isnan(table.max_prediction_error())
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(AnalysisError):
-            share_table(["a", "b"], [1.0])
-        with pytest.raises(AnalysisError):
-            share_table(["a"], [1.0], predicted_shares=[0.5, 0.5])
-
-    def test_negative_throughput_rejected(self):
-        with pytest.raises(AnalysisError):
-            share_table(["a"], [-1.0])
-
-
-class TestScalarMetrics:
-    def test_overshoot(self):
-        assert overshoot(np.array([1.0, 12.0, 9.0]), target=10.0) == 2.0
-        assert overshoot(np.array([1.0, 5.0]), target=10.0) == 0.0
-
-    def test_time_to_first_peak(self):
-        times = np.array([0.0, 1.0, 2.0, 3.0])
-        values = np.array([0.0, 5.0, 3.0, 1.0])
-        assert time_to_first_peak(times, values) == 1.0
-
-    def test_errors(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([2.0, 2.0, 5.0])
-        assert mean_absolute_error(a, b) == pytest.approx(1.0)
-        assert root_mean_square_error(a, b) == pytest.approx(np.sqrt(5.0 / 3.0))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(AnalysisError):
-            mean_absolute_error(np.zeros(3), np.zeros(4))
-        with pytest.raises(AnalysisError):
-            overshoot(np.array([]), 1.0)
 
 
 class TestReportFormatting:

@@ -1,5 +1,7 @@
 """Unit tests for the numerics backend registry and backend parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ class TestRegistry:
     def test_system_parameters_backend_field(self):
         params = SystemParameters(backend="numpy")
         assert params.backend == "numpy"
-        assert params.with_backend("auto").backend == "auto"
+        assert replace(params, backend="auto").backend == "auto"
         data = params.to_dict()
         assert data["backend"] == "numpy"
         assert SystemParameters.from_dict(data) == params
@@ -106,8 +108,10 @@ class TestScipyParity:
         n = 60
         lower, diag, upper = _cn_bands(n, 0.37)
         rhs = rng.uniform(0.0, 1.0, (n, 9))
-        reference = get_backend("numpy").solve_tridiagonal(lower, diag, upper, rhs)
-        scipy_result = get_backend("scipy").solve_tridiagonal(lower, diag, upper, rhs)
+        reference = get_backend("numpy").factorize_tridiagonal(
+            lower, diag, upper).solve(rhs)
+        scipy_result = get_backend("scipy").factorize_tridiagonal(
+            lower, diag, upper).solve(rhs)
         assert np.allclose(scipy_result, reference, rtol=0.0, atol=1e-13)
 
     def test_tiny_systems_supported(self, rng):
@@ -117,9 +121,10 @@ class TestScipyParity:
         for n in (1, 2, 3):
             lower, diag, upper = _cn_bands(n, 0.3)
             rhs = rng.uniform(0.0, 1.0, n)
-            reference = get_backend("numpy").solve_tridiagonal(
-                lower, diag, upper, rhs)
-            result = backend.solve_tridiagonal(lower, diag, upper, rhs)
+            reference = get_backend("numpy").factorize_tridiagonal(
+                lower, diag, upper).solve(rhs)
+            result = backend.factorize_tridiagonal(lower, diag,
+                                                   upper).solve(rhs)
             assert np.allclose(result, reference, rtol=0.0, atol=1e-13)
 
     def test_factorization_reuse_matches(self, rng):
@@ -524,5 +529,66 @@ class TestBackendObjects:
             if i < n - 1:
                 dense[i, i + 1] = upper[i]
         for name in available_backends():
-            result = get_backend(name).solve_tridiagonal(lower, diag, upper, rhs)
+            result = get_backend(name).factorize_tridiagonal(
+                lower, diag, upper).solve(rhs)
             assert np.allclose(dense @ result, rhs, atol=1e-10), name
+
+
+def _dense_from_bands(lower, diag, upper):
+    return (np.diag(diag) + np.diag(lower[1:], -1)
+            + np.diag(upper[:-1], 1))
+
+
+#: Sizes that reach every tridiagonal path: the scipy backend hands systems
+#: below three rows to its banded solver and the rest to LAPACK ``gttrf``.
+TRIDIAGONAL_SIZES = (1, 2, 5)
+
+
+class TestTridiagonalFactorizationOnEveryBackend:
+    """``factorize_tridiagonal(...).solve``, the one tridiagonal path the
+    steppers take, keeps shapes and rejects bad systems on each backend."""
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("n", TRIDIAGONAL_SIZES)
+    def test_solution_keeps_the_rhs_shape(self, backend_name, n, rng):
+        lower, diag, upper = _cn_bands(n, 0.6)
+        dense = _dense_from_bands(lower, diag, upper)
+        factorization = get_backend(backend_name).factorize_tridiagonal(
+            lower, diag, upper)
+        for shape in ((n,), (n, 3)):
+            rhs = rng.uniform(-1.0, 1.0, shape)
+            solution = factorization.solve(rhs)
+            assert solution.shape == shape
+            assert np.allclose(dense @ solution, rhs, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("n", TRIDIAGONAL_SIZES)
+    def test_singular_matrix_raises(self, backend_name, n):
+        backend = get_backend(backend_name)
+        with pytest.raises(ConvergenceError):
+            backend.factorize_tridiagonal(
+                np.zeros(n), np.zeros(n), np.zeros(n)).solve(np.ones(n))
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("n", TRIDIAGONAL_SIZES)
+    def test_rhs_length_mismatch_raises(self, backend_name, n):
+        factorization = get_backend(backend_name).factorize_tridiagonal(
+            np.zeros(n), np.ones(n), np.zeros(n))
+        with pytest.raises(ValueError):
+            factorization.solve(np.ones(n + 1))
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_band_length_mismatch_raises(self, backend_name):
+        with pytest.raises(ValueError):
+            get_backend(backend_name).factorize_tridiagonal(
+                np.zeros(3), np.ones(4), np.zeros(4))
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_preallocated_out_is_filled_and_returned(self, backend_name, rng):
+        lower, diag, upper = _cn_bands(6, 0.4)
+        factorization = get_backend(backend_name).factorize_tridiagonal(
+            lower, diag, upper)
+        rhs = rng.uniform(-1.0, 1.0, (6, 2))
+        out = np.empty_like(rhs)
+        assert factorization.solve(rhs, out=out) is out
+        assert np.array_equal(out, factorization.solve(rhs))

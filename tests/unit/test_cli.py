@@ -106,38 +106,6 @@ class TestCommands:
         assert "entries" in info
 
 
-class _Captured(Exception):
-    """Raised by a stand-in ``run_jobs`` once it has seen its jobs."""
-
-
-class TestFokkerPlanckCacheVersion:
-    """Values cached before FP solves ended at ``t_end`` are not reused."""
-
-    def test_fp_matrices_carry_the_version(self):
-        from repro import SystemParameters
-        from repro.runner.experiments import FP_JOB_VERSION, get_matrix
-
-        assert FP_JOB_VERSION == 2
-        for name in ("density-grid", "fp2d-steppers", "des-crossval"):
-            jobs = get_matrix(name).build(SystemParameters(), None, None)
-            assert {job.version for job in jobs} == {FP_JOB_VERSION}, name
-
-    def test_density_command_carries_the_version(self, monkeypatch):
-        import repro.cli
-        from repro.runner.experiments import FP_JOB_VERSION
-
-        seen = []
-
-        def capture(jobs, **kwargs):
-            seen.extend(jobs)
-            raise _Captured
-
-        monkeypatch.setattr(repro.cli, "run_jobs", capture)
-        with pytest.raises(_Captured):
-            main(["density", "--t-end", "5.05", "--no-cache"])
-        assert [job.version for job in seen] == [FP_JOB_VERSION]
-
-
 def _forbid_solves(monkeypatch):
     """Make any design solve, in-process theorem check or runner call fail."""
     import repro.cli
@@ -185,6 +153,13 @@ class TestDesignActionOptions:
             main(self.STATIONARY + flags)
         assert exit_info.value.code == 2
         assert flags[0] in capsys.readouterr().err
+
+    def test_stationary_method_has_no_adi_alias(self, capsys, monkeypatch):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.STATIONARY + ["--method", "adi"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'adi'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--stepper", "adi"],
                                        ["--t-end", "50"]])

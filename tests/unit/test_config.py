@@ -21,11 +21,6 @@ class TestSystemParameters:
         assert params.c0 > 0.0
         assert params.c1 > 0.0
 
-    def test_equilibrium_point_properties(self):
-        params = SystemParameters(mu=2.0, q_target=7.0)
-        assert params.equilibrium_rate == 2.0
-        assert params.equilibrium_queue == 7.0
-
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemParameters(mu=-1.0)
@@ -49,19 +44,6 @@ class TestSystemParameters:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemParameters(sigma=-0.1)
-
-    def test_with_sigma_returns_new_object(self):
-        params = SystemParameters(sigma=0.0)
-        noisy = params.with_sigma(0.3)
-        assert noisy.sigma == 0.3
-        assert params.sigma == 0.0
-        assert noisy.mu == params.mu
-
-    def test_with_rates_updates_only_given_values(self):
-        params = SystemParameters(c0=0.05, c1=0.2)
-        updated = params.with_rates(c0=0.1)
-        assert updated.c0 == 0.1
-        assert updated.c1 == 0.2
 
     def test_frozen(self):
         params = SystemParameters()

@@ -2,18 +2,36 @@
 
 import pytest
 
-from repro import ConfigurationError, JRJControl, available_controls, create_control
+from repro import ConfigurationError, JRJControl, create_control
 from repro.control.base import RateControl
+from repro.control.linear import (
+    AdditiveIncreaseAdditiveDecrease,
+    LinearIncreaseLinearDecrease,
+)
+from repro.control.multiplicative import (
+    LinearIncreaseMultiplicativeStepDecrease,
+    MultiplicativeIncreaseMultiplicativeDecrease,
+)
 from repro.control.registry import register_control
+
+_GAINS = {"c0": 0.05, "c1": 0.2, "q_target": 10.0}
+_LINEAR = {"c0": 0.05, "d0": 0.1, "q_target": 10.0}
+
+#: Every built-in name, the law it creates and gains for it.
+BUILTIN_LAWS = {
+    "jrj": (JRJControl, _GAINS),
+    "linear-exponential": (JRJControl, _GAINS),
+    "linear": (LinearIncreaseLinearDecrease, _LINEAR),
+    "linear-linear": (LinearIncreaseLinearDecrease, _LINEAR),
+    "aiad": (AdditiveIncreaseAdditiveDecrease, _LINEAR),
+    "mimd": (MultiplicativeIncreaseMultiplicativeDecrease,
+             {"increase_gain": 0.05, "decrease_gain": 0.2, "q_target": 10.0}),
+    "capped-jrj": (LinearIncreaseMultiplicativeStepDecrease,
+                   {**_GAINS, "max_decrease": 0.5}),
+}
 
 
 class TestRegistry:
-    def test_builtin_names_present(self):
-        names = available_controls()
-        assert "jrj" in names
-        assert "linear" in names
-        assert "mimd" in names
-
     def test_create_jrj_by_name(self):
         control = create_control("jrj", c0=0.05, c1=0.2, q_target=10.0)
         assert isinstance(control, JRJControl)
@@ -26,7 +44,10 @@ class TestRegistry:
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(ConfigurationError) as excinfo:
             create_control("does-not-exist")
-        assert "available" in str(excinfo.value)
+        message = str(excinfo.value)
+        assert "available" in message
+        for name in ("jrj", "linear", "mimd"):
+            assert f"'{name}'" in message
 
     def test_register_custom_control(self):
         class ConstantControl(RateControl):
@@ -50,3 +71,12 @@ class TestRegistry:
         control = create_control("linear-exponential", c0=0.1, c1=0.3,
                                  q_target=5.0)
         assert isinstance(control, JRJControl)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_LAWS))
+    def test_builtin_name_creates_its_law(self, name):
+        law, gains = BUILTIN_LAWS[name]
+        control = create_control(name, **gains)
+        assert type(control) is law
+        # Every built-in law raises the rate below its target queue and
+        # lowers it above.
+        assert control.drift(0.0, 1.0) > 0.0 > control.drift(20.0, 1.0)

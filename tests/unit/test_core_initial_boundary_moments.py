@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.boundary import BoundaryConditions
-from repro.core.initial import (
-    delta_initial_density,
-    gaussian_initial_density,
-    uniform_initial_density,
-)
+from repro.core.initial import gaussian_initial_density
 from repro.core.moments import (
     compute_moments,
     marginal_q,
-    marginal_v,
     tail_probability,
 )
 from repro.exceptions import AnalysisError, ConfigurationError
@@ -25,17 +20,6 @@ def grid():
 
 
 class TestInitialConditions:
-    def test_delta_density_unit_mass(self, grid):
-        density = delta_initial_density(grid, 5.0, 0.2)
-        assert grid.total_mass(density) == pytest.approx(1.0)
-        assert np.count_nonzero(density) == 1
-
-    def test_delta_density_located_correctly(self, grid):
-        density = delta_initial_density(grid, 5.0, 0.2)
-        qi, vi = np.unravel_index(np.argmax(density), density.shape)
-        assert abs(grid.q_centers[qi] - 5.0) <= grid.dq
-        assert abs(grid.v_centers[vi] - 0.2) <= grid.dv
-
     def test_gaussian_density_moments(self, grid):
         density = gaussian_initial_density(grid, 8.0, 0.1, q_std=1.5, v_std=0.2)
         moments = compute_moments(density, grid)
@@ -46,16 +30,6 @@ class TestInitialConditions:
     def test_gaussian_too_narrow_rejected(self, grid):
         with pytest.raises(ConfigurationError):
             gaussian_initial_density(grid, 8.0, 0.1, q_std=1e-6, v_std=0.2)
-
-    def test_uniform_density(self, grid):
-        density = uniform_initial_density(grid, 2.0, 6.0, -0.5, 0.5)
-        assert grid.total_mass(density) == pytest.approx(1.0)
-        moments = compute_moments(density, grid)
-        assert moments.mean_q == pytest.approx(4.0, abs=0.3)
-
-    def test_uniform_empty_rectangle_rejected(self, grid):
-        with pytest.raises(ConfigurationError):
-            uniform_initial_density(grid, 6.0, 2.0, -0.5, 0.5)
 
 
 class TestBoundaryConditions:
@@ -107,9 +81,7 @@ class TestMoments:
     def test_marginals_integrate_to_total_mass(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 2.0, 0.3)
         q_marginal = marginal_q(density, grid)
-        v_marginal = marginal_v(density, grid)
         assert np.sum(q_marginal) * grid.dq == pytest.approx(1.0, rel=1e-10)
-        assert np.sum(v_marginal) * grid.dv == pytest.approx(1.0, rel=1e-10)
 
     def test_tail_probability_of_gaussian(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 2.0, 0.3)

@@ -28,19 +28,18 @@ class TestDelayBuffer:
         with pytest.raises(ValueError):
             buffer.append(0.5, np.array([2.0]))
 
-    def test_length_and_latest_time(self):
+    def test_length_counts_every_sample(self):
         buffer = DelayBuffer(0.0, [0.0])
         buffer.append(0.5, np.array([1.0]))
         buffer.append(1.5, np.array([2.0]))
         assert len(buffer) == 3
-        assert buffer.latest_time == 1.5
 
 
 class TestIntegrateDDE:
     def test_zero_delay_matches_ode(self):
         # dx/dt = -x(t) with the "delayed" lookup at the current time.
         result = integrate_dde(lambda t, s, h: -h(t), [1.0], t_end=2.0, dt=0.01)
-        assert result.final_state[0] == pytest.approx(np.exp(-2.0), rel=2e-2)
+        assert result.states[-1, 0] == pytest.approx(np.exp(-2.0), rel=2e-2)
 
     def test_constant_history_phase(self):
         # dx/dt = -x(t - 1); for t < 1 the derivative is -x0 = -1, so the
@@ -49,7 +48,7 @@ class TestIntegrateDDE:
                                dt=0.01)
         index = np.searchsorted(result.times, 0.5)
         assert result.states[index, 0] == pytest.approx(0.5, abs=1e-6)
-        assert result.final_state[0] == pytest.approx(0.0, abs=1e-6)
+        assert result.states[-1, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_delayed_negative_feedback_oscillates(self):
         # dx/dt = -x(t - tau) with a large enough tau produces oscillation

@@ -28,7 +28,6 @@ from repro.core.generator import assemble_generator
 from repro.core.initial import gaussian_initial_density
 from repro.core.advection import UpwindAdvection
 from repro.core.diffusion import CrankNicolsonDiffusion
-from repro.core.steady_state import SteadyStateEstimate
 from repro.design import objectives, tuner
 from repro.design import (
     DelayShiftedControl,
@@ -62,6 +61,13 @@ SCORE_COLUMNS = ("c0", "c1", "q_target", "mu", "oscillation_amplitude",
                  "unfairness", "score")
 
 
+def _matvec(operator, vector):
+    """``M @ vector`` for a COO :class:`~repro.core.generator.SparseOperator`."""
+    return np.bincount(operator.rows,
+                       weights=operator.values * vector[operator.cols],
+                       minlength=operator.n)
+
+
 def _approx_equal_scores(scalar, batch_point) -> None:
     """Field-wise equality that treats NaN == NaN (oscillation period)."""
     for name in SCORE_COLUMNS:
@@ -83,21 +89,18 @@ class TestGeneratorKernelParity:
         self.advection = UpwindAdvection(self.grid)
         self.advection.set_drift(self.generator.drift)
 
-    def test_q_advection_matches_kernel(self):
+    def test_generator_matches_kernels(self):
+        # L = G_q + G_v + diffusion, and each explicit kernel step is
+        # A(dt) p = p + dt G p, so dt L p is the sum of both kernel
+        # increments plus dt times the diffusion generator's action.
         dt = 0.05
-        stepped = self.advection.advect_q(self.density, dt)
-        via_operator = self.flat + dt * self.generator.advection_q().matvec(
-            self.flat)
-        np.testing.assert_allclose(via_operator,
-                                   stepped.ravel(), rtol=0, atol=1e-14)
-
-    def test_v_advection_matches_kernel(self):
-        dt = 0.05
-        stepped = self.advection.advect_v(self.density, dt)
-        via_operator = self.flat + dt * self.generator.advection_v().matvec(
-            self.flat)
-        np.testing.assert_allclose(via_operator,
-                                   stepped.ravel(), rtol=0, atol=1e-14)
+        q_step = self.advection.advect_q(self.density, dt).ravel() - self.flat
+        v_step = self.advection.advect_v(self.density, dt).ravel() - self.flat
+        via_operator = dt * _matvec(self.generator.generator(), self.flat)
+        via_kernels = (q_step + v_step
+                       + dt * _matvec(self.generator.diffusion(), self.flat))
+        np.testing.assert_allclose(via_operator, via_kernels,
+                                   rtol=0, atol=1e-14)
 
     def test_splitting_matrix_annihilates_split_fixed_point(self):
         # One full split step applied through the kernels; the splitting
@@ -115,11 +118,11 @@ class TestGeneratorKernelParity:
         # S p = (I - r Ltilde)(stepped - p).  Recover the Ltilde action
         # from diffusion() = (sigma^2/2)/dq^2 * Ltilde.
         operator = self.generator.splitting_matrix(dt)
-        left = operator.matvec(self.flat)
+        left = _matvec(operator, self.flat)
         difference = stepped.ravel() - self.flat
         diffusion = self.generator.diffusion()
         scale = (PARAMS.sigma ** 2 / 2.0) / self.grid.dq ** 2
-        ltilde_diff = diffusion.matvec(difference) / scale
+        ltilde_diff = _matvec(diffusion, difference) / scale
         right = difference - r_number * ltilde_diff
         np.testing.assert_allclose(left, right, rtol=0, atol=1e-13)
 
@@ -128,7 +131,7 @@ class TestGeneratorKernelParity:
         # q_max outflow for nu > 0 is the only leak.  Check total mass
         # change of the continuous generator acting on a density supported
         # away from the outflow boundary equals zero to round-off.
-        derivative = self.generator.generator().matvec(self.flat)
+        derivative = _matvec(self.generator.generator(), self.flat)
         assert abs(derivative.sum() * self.grid.cell_area) < 1e-12
 
     def test_splitting_matrix_rejects_bad_dt(self):
@@ -163,6 +166,14 @@ class TestStationaryBackends:
         assert 0.0 < difference < 0.1
         assert continuous.estimate.method == "generator"
 
+    @pytest.mark.parametrize("method", ["adi", "marching"])
+    def test_unknown_method_rejected_with_the_choices(self, method):
+        # "adi" is not a second name for "generator": the one stationary
+        # solve has one name and one cache key.
+        with pytest.raises(ConfigurationError) as excinfo:
+            solve_stationary(PARAMS, grid_params=GRID, dt=0.05, method=method)
+        assert "'splitting' or 'generator'" in str(excinfo.value)
+
     def test_density_is_normalised_and_nonnegative(self):
         density = solve_stationary(PARAMS, grid_params=GRID, dt=0.05)
         assert density.density.min() >= 0.0
@@ -173,13 +184,6 @@ class TestStationaryBackends:
         estimate = solve_stationary(PARAMS, grid_params=GRID,
                                     dt=0.05).estimate
         assert StationaryEstimate.from_dict(estimate.to_dict()) == estimate
-
-    def test_steady_state_estimate_round_trips(self):
-        estimate = SteadyStateEstimate(mean_queue=6.4, std_queue=2.3,
-                                       mean_growth_rate=0.0,
-                                       tail_fraction=0.25,
-                                       n_snapshots_used=10)
-        assert SteadyStateEstimate.from_dict(estimate.to_dict()) == estimate
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_residual_floor_from_q_max_outflow(self, backend_name):

@@ -16,7 +16,7 @@ from repro.queueing import (
     EventQueue,
     MultiHopSimulator,
     Simulator,
-    build_scenario,
+    get_scenario,
 )
 from repro.workloads import (
     packet_level_jrj_scenario,
@@ -44,18 +44,43 @@ class TestFastEngineSemantics:
         fired = []
         queue.schedule_call(2.0, lambda: fired.append("b"))
         queue.schedule_call(1.0, lambda: fired.append("a"))
-        queue.schedule(3.0, lambda: fired.append("c"))
-        queue.run_until(10.0)
+        queue.schedule_call(3.0, lambda: fired.append("c"))
+        assert queue.run_until(10.0) == 3
         assert fired == ["a", "b", "c"]
 
-    def test_ties_break_by_insertion_across_both_paths(self):
+    def test_ties_break_by_insertion_across_calls_and_timers(self):
         queue = EventQueue()
         fired = []
-        queue.schedule(1.0, lambda: fired.append("handle-first"))
-        queue.schedule_call(1.0, lambda: fired.append("call-second"))
-        queue.schedule(1.0, lambda: fired.append("handle-third"))
+
+        def first():
+            fired.append("call-first")
+            # Scheduled while time 1.0 runs: after every pending tie.
+            queue.schedule_call(1.0, lambda: fired.append("nested-last"))
+
+        queue.schedule_call(1.0, first)
+        queue.schedule_periodic(1.0, 5.0, lambda: fired.append("tick-second"))
+        queue.schedule_call(1.0, lambda: fired.append("call-third"))
         queue.run_until(2.0)
-        assert fired == ["handle-first", "call-second", "handle-third"]
+        assert fired == ["call-first", "tick-second", "call-third",
+                         "nested-last"]
+
+    def test_run_until_fires_through_t_end_and_keeps_the_clock(self):
+        queue = EventQueue()
+        seen = []
+        for time in (1.0, 2.0, 2.5):
+            queue.schedule_call(time, lambda: seen.append(queue.current_time))
+        assert queue.run_until(2.0) == 2
+        assert seen == [1.0, 2.0]
+        assert queue.current_time == 2.0
+        assert len(queue) == 1
+        assert queue.run_until(2.2) == 0
+        assert queue.current_time == 2.2
+        # A horizon behind the clock fires nothing and does not rewind it.
+        assert queue.run_until(1.0) == 0
+        assert queue.current_time == 2.2
+        assert queue.run_until(3.0) == 1
+        assert seen == [1.0, 2.0, 2.5]
+        assert queue.current_time == 3.0
 
     def test_schedule_call_in_the_past_rejected(self):
         queue = EventQueue()
@@ -63,59 +88,110 @@ class TestFastEngineSemantics:
         queue.run_until(5.0)
         with pytest.raises(SimulationError):
             queue.schedule_call(2.0, lambda: None)
+        with pytest.raises(SimulationError):
+            queue.schedule_periodic(2.0, 1.0, lambda: None)
 
-    def test_periodic_timer_fires_and_cancels(self):
+    def test_periodic_timer_fires_every_interval(self):
         queue = EventQueue()
         ticks = []
-        timer = queue.schedule_periodic(
+        queue.schedule_periodic(
             1.0, 1.0, lambda: ticks.append(queue.current_time)
         )
         queue.run_until(3.5)
         assert ticks == [1.0, 2.0, 3.0]
-        timer.cancel()
-        queue.run_until(10.0)
-        assert ticks == [1.0, 2.0, 3.0]
+        queue.run_until(5.0)
+        assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_periodic_timer_rejects_bad_interval(self):
         with pytest.raises(ConfigurationError):
             EventQueue().schedule_periodic(0.0, 0.0, lambda: None)
 
-    def test_len_ignores_cancelled_handles(self):
+    def test_len_counts_pending_actions(self):
         queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
+        queue.schedule_call(1.0, lambda: None)
         queue.schedule_call(1.5, lambda: None)
-        event = queue.schedule(2.0, lambda: None)
-        event.cancel()
-        assert len(queue) == 2
+        queue.schedule_periodic(2.0, 1.0, lambda: None)
+        assert len(queue) == 3
+        queue.run_until(1.5)
+        assert len(queue) == 1
+        queue.run_until(2.0)
+        assert len(queue) == 1  # the timer re-armed itself
 
-    def test_pop_next_wraps_bare_callbacks(self):
+    def test_periodic_timer_accumulates_its_interval(self):
+        # Each tick is the previous tick plus the interval, the seed's
+        # floating-point expression, not start + k * interval.
+        queue = EventQueue()
+        ticks = []
+        queue.schedule_periodic(0.0, 0.1, lambda: ticks.append(queue.current_time))
+        queue.run_until(1.05)
+        expected = [0.0]
+        while len(expected) < 11:
+            expected.append(expected[-1] + 0.1)
+        assert ticks == expected
+        assert ticks[-1] != 10 * 0.1
+
+    def test_periodic_timer_rearms_after_its_action(self):
+        # A call the action schedules for the next tick time takes an
+        # earlier sequence number than the re-armed tick, so it fires first.
         queue = EventQueue()
         fired = []
-        queue.schedule_call(1.0, lambda: fired.append("x"))
-        event = queue.pop_next()
-        assert queue.current_time == 1.0
-        event.action()
-        assert fired == ["x"]
+
+        def tick():
+            fired.append(("tick", queue.current_time))
+            if queue.current_time == 1.0:
+                queue.schedule_call(2.0, lambda: fired.append(("call", 2.0)))
+
+        queue.schedule_periodic(1.0, 1.0, tick)
+        queue.run_until(2.0)
+        assert fired == [("tick", 1.0), ("call", 2.0), ("tick", 2.0)]
+
+    def test_a_numpy_firing_time_leaves_the_clock_a_python_float(self):
+        queue = EventQueue()
+        clocks = []
+        queue.schedule_call(np.float32(1.5),
+                            lambda: clocks.append(queue.current_time))
+        queue.run_until(2.0)
+        assert clocks == [1.5]
+        assert type(clocks[0]) is float
+
+    def test_schedule_tolerates_rounding_just_behind_the_clock(self):
+        queue = EventQueue()
+        queue.run_until(1.0)
+        fired = []
+        queue.schedule_call(1.0 - 1e-13, lambda: fired.append("late"))
+        assert queue.run_until(1.0) == 1
+        assert fired == ["late"]
+
+    def test_run_until_on_an_empty_queue_only_moves_the_clock(self):
+        queue = EventQueue()
+        assert queue.run_until(4.0) == 0
+        assert queue.current_time == 4.0
+        assert len(queue) == 0
 
 
 class TestEngineEquivalence:
     def _randomized_program(self, queue, rng):
-        """Schedule a reproducible random mix of handles, calls and timers."""
+        """Schedule a reproducible random mix of calls, follow-ups, a timer."""
         fired = []
         times = rng.integers(0, 20, size=60) * 0.25
+        delays = rng.integers(0, 4, size=60) * 0.25
+
+        def action(index, time):
+            fired.append(("call", index, time, queue.current_time))
+            if index % 3 == 0:
+                # A zero delay lands on a tie scheduled while it runs.
+                queue.schedule_call(
+                    queue.current_time + delays[index],
+                    lambda: fired.append(("follow-up", index,
+                                          queue.current_time)),
+                )
+
         for index, time in enumerate(times):
             time = float(time)
-            if index % 3 == 0:
-                queue.schedule_call(
-                    time, lambda i=index, t=time: fired.append(("call", i, t))
-                )
-            else:
-                event = queue.schedule(
-                    time, lambda i=index, t=time: fired.append(("evt", i, t))
-                )
-                if index % 7 == 0:
-                    event.cancel()
-        queue.schedule_periodic(0.5, 1.25, lambda: fired.append(("tick",)))
+            queue.schedule_call(time, lambda i=index, t=time: action(i, t))
+        queue.schedule_periodic(
+            0.5, 1.25, lambda: fired.append(("tick", queue.current_time))
+        )
         return fired
 
     def test_randomized_firing_order_identical(self):
@@ -145,7 +221,7 @@ class TestEngineEquivalence:
                 n_sources=2, service_rate=10.0, buffer_size=40,
                 scheme="decbit",
             ),
-            lambda: build_scenario("dumbbell", n_sources=12, seed=5),
+            lambda: get_scenario("dumbbell").build(n_sources=12, seed=5),
         ],
         ids=["jrj-1", "jrj-2", "jacobson", "decbit", "dumbbell-12"],
     )
@@ -162,7 +238,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("scenario", ["parking-lot", "chain", "mesh"])
     def test_multihop_traces_bit_identical(self, scenario, monkeypatch):
         def run():
-            simulator = MultiHopSimulator(build_scenario(scenario, seed=13))
+            simulator = MultiHopSimulator(get_scenario(scenario).build(seed=13))
             result = simulator.run(80.0)
             return (
                 result.throughputs,
@@ -185,7 +261,7 @@ class TestBufferedJitterParity:
         buffered = RandomStreams(seed=9)
         drawer = buffered.jitter_factors("spacing-0", 0.2, block_size=7)
         for _ in range(25):
-            expected = scalar.uniform_jitter("spacing-0", 1.0, 0.2)
+            expected = 1.0 + scalar.stream("spacing-0").uniform(-0.2, 0.2)
             assert drawer.next_factor() == expected
 
     def test_invalid_arguments_rejected(self):

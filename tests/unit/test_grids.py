@@ -18,24 +18,6 @@ class TestUniformGrid1D:
         assert grid.centers.size == 10
         assert grid.edges.size == 11
 
-    def test_locate_interior_and_clamping(self):
-        grid = UniformGrid1D(0.0, 10.0, 10)
-        assert grid.locate(0.7) == 0
-        assert grid.locate(5.5) == 5
-        assert grid.locate(-3.0) == 0
-        assert grid.locate(42.0) == 9
-
-    def test_contains(self):
-        grid = UniformGrid1D(-1.0, 1.0, 4)
-        assert grid.contains(0.0)
-        assert grid.contains(-1.0)
-        assert not grid.contains(1.5)
-
-    def test_delta_density_integrates_to_one(self):
-        grid = UniformGrid1D(0.0, 5.0, 25)
-        density = grid.delta_density(2.3)
-        assert np.sum(density) * grid.dx == pytest.approx(1.0)
-
     def test_rejects_degenerate_grids(self):
         with pytest.raises(GridError):
             UniformGrid1D(0.0, 1.0, 1)

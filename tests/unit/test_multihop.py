@@ -45,15 +45,6 @@ class TestTopologyDescriptions:
             MultiHopConfig(nodes=nodes,
                            routes=[Route(source_name="r", hops=["a"])])
 
-    def test_shared_nodes_detection(self):
-        nodes = [NodeConfig(name="a", service_rate=1.0),
-                 NodeConfig(name="b", service_rate=1.0)]
-        routes = [Route(source_name="long", hops=["a", "b"]),
-                  Route(source_name="short", hops=["b"])]
-        config = MultiHopConfig(nodes=nodes, routes=routes)
-        assert config.shared_nodes() == ["b"]
-        assert config.route_names() == ["long", "short"]
-
     def test_parking_lot_builder(self):
         config = parking_lot_scenario(n_extra_hops=3)
         assert len(config.nodes) == 4

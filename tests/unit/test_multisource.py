@@ -13,7 +13,6 @@ from repro import (
     predicted_equilibrium_shares,
 )
 from repro.exceptions import AnalysisError
-from repro.multisource.fairness import predicted_equilibrium_rates
 
 
 def _sources(*c0_values, c1=0.2):
@@ -37,11 +36,6 @@ class TestPredictedShares:
     def test_shares_sum_to_one(self):
         shares = predicted_equilibrium_shares(_sources(0.01, 0.07, 0.2, 0.05))
         assert np.sum(shares) == pytest.approx(1.0)
-
-    def test_predicted_rates_scale_with_mu(self):
-        params = SystemParameters(mu=3.0, q_target=10.0)
-        rates = predicted_equilibrium_rates(_sources(0.05, 0.05), params)
-        assert np.sum(rates) == pytest.approx(3.0)
 
     def test_empty_source_list_rejected(self):
         with pytest.raises(AnalysisError):
@@ -94,7 +88,7 @@ class TestMultiSourceModel:
     def test_aggregate_rate_settles_at_service_rate(self, canonical_params):
         model = MultiSourceModel(_sources(0.05, 0.05, 0.05), canonical_params)
         trajectory = model.solve(t_end=600.0, dt=0.05)
-        tail = trajectory.aggregate_rate[-trajectory.times.size // 5:]
+        tail = trajectory.rates.sum(axis=1)[-trajectory.times.size // 5:]
         assert np.mean(tail) == pytest.approx(canonical_params.mu, rel=0.05)
 
     def test_equal_sources_get_equal_shares(self, canonical_params):
@@ -102,7 +96,6 @@ class TestMultiSourceModel:
         model = MultiSourceModel(sources, canonical_params)
         trajectory = model.solve(t_end=600.0, dt=0.05)
         report = fairness_report(trajectory, sources)
-        assert report.is_fair
         assert report.jain_index > 0.999
         assert np.allclose(report.observed_shares, 0.25, atol=0.01)
 

@@ -29,7 +29,7 @@ class TestSingleSteps:
 class TestIntegrateFixed:
     def test_exponential_decay_accuracy(self):
         result = integrate_fixed(exponential_decay, [1.0], t_end=2.0, dt=0.01)
-        assert result.final_state[0] == pytest.approx(np.exp(-2.0), rel=1e-6)
+        assert result.states[-1, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
 
     def test_harmonic_oscillator_energy_conserved(self):
         result = integrate_fixed(harmonic_oscillator, [1.0, 0.0], t_end=10.0,
@@ -53,7 +53,7 @@ class TestIntegrateFixed:
     def test_result_helpers(self):
         result = integrate_fixed(exponential_decay, [1.0], t_end=1.0, dt=0.1)
         assert isinstance(result, ODEResult)
-        assert result.final_time == pytest.approx(1.0)
+        assert result.times[-1] == pytest.approx(1.0)
         assert result.component(0).shape == result.times.shape
         resampled = result.resample(np.array([0.0, 0.5, 1.0]))
         assert resampled.shape == (3, 1)

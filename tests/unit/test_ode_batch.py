@@ -238,8 +238,6 @@ class TestIntegrateFixedBatch:
         assert batch.batch_size == len(INITIALS)
         assert batch.final_states.shape == (len(INITIALS), 2)
         assert batch.component(0).shape == (batch.times.size, len(INITIALS))
-        assert np.array_equal(batch.final_times,
-                              np.full(len(INITIALS), batch.times[-1]))
         members = batch.trajectories()
         assert len(members) == len(INITIALS)
         assert all(isinstance(member, ODEResult) for member in members)

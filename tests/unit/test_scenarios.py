@@ -8,8 +8,6 @@ from repro.queueing import (
     MultiHopSimulator,
     NetworkConfig,
     Simulator,
-    available_scenarios,
-    build_scenario,
     chain_scenario,
     dumbbell_scenario,
     get_scenario,
@@ -21,14 +19,21 @@ from repro.queueing.scenarios import _SCENARIOS
 
 class TestRegistry:
     def test_builtin_scenarios_registered(self):
-        names = [spec.name for spec in available_scenarios()]
-        assert names == sorted(names)
         for expected in ("chain", "dumbbell", "mesh", "parking-lot"):
-            assert expected in names
+            assert get_scenario(expected).name == expected
 
     def test_get_scenario_kinds(self):
         assert get_scenario("dumbbell").kind == "single"
         assert get_scenario("mesh").kind == "multihop"
+
+    @pytest.mark.parametrize("name", ["chain", "dumbbell", "mesh",
+                                      "parking-lot"])
+    def test_builtin_builds_its_kind_the_same_from_one_seed(self, name):
+        spec = get_scenario(name)
+        config = spec.build(seed=11)
+        expected = NetworkConfig if spec.kind == "single" else MultiHopConfig
+        assert type(config) is expected
+        assert config == spec.build(seed=11)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -49,7 +54,7 @@ class TestRegistry:
         spec = register_scenario("tiny-dumbbell", "single", "two sources", build)
         try:
             assert get_scenario("tiny-dumbbell") is spec
-            assert build_scenario("tiny-dumbbell", seed=5).n_sources == 2
+            assert get_scenario("tiny-dumbbell").build(seed=5).n_sources == 2
         finally:
             del _SCENARIOS["tiny-dumbbell"]
 
@@ -91,7 +96,9 @@ class TestChain:
         assert len(config.routes) == 5
         end_to_end = config.routes[0]
         assert end_to_end.hop_count == 4
-        assert set(config.shared_nodes()) == {node.name for node in config.nodes}
+        hops = [hop for route in config.routes for hop in route.hops]
+        shared = {name for name in hops if hops.count(name) > 1}
+        assert shared == {node.name for node in config.nodes}
 
     def test_without_cross_traffic(self):
         config = chain_scenario(n_hops=3, cross_traffic=False)

@@ -197,6 +197,34 @@ def _trace_digest(trace):
     return digest.hexdigest()
 
 
+#: Pins of the seed simulator stack (see :class:`TestSeedStackTracePins`):
+#: ``id -> (configuration, duration, events executed, trace digest)``.
+SEED_STACK_PINS = {
+    "jrj-1": (
+        packet_level_jrj_scenario(n_sources=1, service_rate=10.0, seed=3),
+        60.0, 1601,
+        "2c9885513d68920a95e23bcdcc0532923cb9b8aa30338cc5ff041160bd52e000"),
+    "jrj-2": (
+        packet_level_jrj_scenario(n_sources=2, service_rate=10.0, seed=7),
+        60.0, 2121,
+        "fa904a0785da70b6e3a85c8e7c88a4cca74c89c25451aa8efaa02c3c72215c07"),
+    "jacobson-2": (
+        packet_level_window_scenario(n_sources=2, service_rate=10.0,
+                                     buffer_size=20, scheme="jacobson"),
+        60.0, 1276,
+        "7b5f9ee3b29c55ffbb9d0fa019f8ea79ffc6c2bd7164eb7b5e2c36d118a76f14"),
+    "decbit-2": (
+        packet_level_window_scenario(n_sources=2, service_rate=10.0,
+                                     buffer_size=40, scheme="decbit"),
+        60.0, 1486,
+        "371d70d12b7c71fb7d771168969702db7f2e0eef3fe2cc2d1d58d7b5f6b823fe"),
+    "dumbbell-64": (
+        dumbbell_scenario(n_sources=64, seed=11),
+        40.0, 42706,
+        "1220e4467074fa0a679e5495a72c12c2eb3ef9c564fc5d352f599b1fe8927cd4"),
+}
+
+
 class TestSeedStackTracePins:
     """Event counts and trace digests of the seed simulator stack.
 
@@ -207,33 +235,7 @@ class TestSeedStackTracePins:
     """
 
     @pytest.mark.parametrize("config, duration, events, digest", [
-        pytest.param(
-            packet_level_jrj_scenario(n_sources=1, service_rate=10.0, seed=3),
-            60.0, 1601,
-            "2c9885513d68920a95e23bcdcc0532923cb9b8aa30338cc5ff041160bd52e000",
-            id="jrj-1"),
-        pytest.param(
-            packet_level_jrj_scenario(n_sources=2, service_rate=10.0, seed=7),
-            60.0, 2121,
-            "fa904a0785da70b6e3a85c8e7c88a4cca74c89c25451aa8efaa02c3c72215c07",
-            id="jrj-2"),
-        pytest.param(
-            packet_level_window_scenario(n_sources=2, service_rate=10.0,
-                                         buffer_size=20, scheme="jacobson"),
-            60.0, 1276,
-            "7b5f9ee3b29c55ffbb9d0fa019f8ea79ffc6c2bd7164eb7b5e2c36d118a76f14",
-            id="jacobson-2"),
-        pytest.param(
-            packet_level_window_scenario(n_sources=2, service_rate=10.0,
-                                         buffer_size=40, scheme="decbit"),
-            60.0, 1486,
-            "371d70d12b7c71fb7d771168969702db7f2e0eef3fe2cc2d1d58d7b5f6b823fe",
-            id="decbit-2"),
-        pytest.param(
-            dumbbell_scenario(n_sources=64, seed=11),
-            40.0, 42706,
-            "1220e4467074fa0a679e5495a72c12c2eb3ef9c564fc5d352f599b1fe8927cd4",
-            id="dumbbell-64"),
+        pytest.param(*pin, id=name) for name, pin in SEED_STACK_PINS.items()
     ])
     def test_trace_matches_seed_stack(self, config, duration, events, digest):
         result = Simulator(config).run(duration)

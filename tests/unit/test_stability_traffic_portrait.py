@@ -1,4 +1,4 @@
-"""Unit tests for traffic calibration and phase portraits."""
+"""Unit tests for the text phase portraits."""
 
 import numpy as np
 import pytest
@@ -7,62 +7,7 @@ from repro import SystemParameters
 from repro.analysis import render_phase_portrait, render_trajectory_portrait
 from repro.characteristics import integrate_characteristic
 from repro.control.jrj import JRJControl
-from repro.exceptions import AnalysisError, ConfigurationError
-from repro.workloads import (
-    OnOffArrivals,
-    PoissonArrivals,
-    estimate_sigma_from_counts,
-    sigma_for_poisson,
-)
-
-
-class TestTrafficCalibration:
-    def test_poisson_sigma_matches_theory(self):
-        rate = 4.0
-        counts = PoissonArrivals(rate=rate, seed=3).counts(20000, interval=1.0)
-        estimated = estimate_sigma_from_counts(counts)
-        assert estimated == pytest.approx(sigma_for_poisson(rate), rel=0.05)
-
-    def test_interval_scaling(self):
-        rate = 2.0
-        counts = PoissonArrivals(rate=rate, seed=5).counts(20000, interval=0.5)
-        estimated = estimate_sigma_from_counts(counts, interval=0.5)
-        assert estimated == pytest.approx(np.sqrt(rate), rel=0.1)
-
-    def test_onoff_traffic_is_burstier_than_poisson(self):
-        onoff = OnOffArrivals(peak_rate=8.0, mean_on_intervals=10.0,
-                              mean_off_intervals=10.0, seed=2)
-        onoff_counts = onoff.counts(20000)
-        poisson_counts = PoissonArrivals(rate=onoff.average_rate,
-                                         seed=2).counts(20000)
-        sigma_onoff = estimate_sigma_from_counts(onoff_counts)
-        sigma_poisson = estimate_sigma_from_counts(poisson_counts)
-        assert sigma_onoff > 1.5 * sigma_poisson
-
-    def test_onoff_average_rate(self):
-        onoff = OnOffArrivals(peak_rate=10.0, mean_on_intervals=5.0,
-                              mean_off_intervals=5.0, seed=0)
-        counts = onoff.counts(50000)
-        assert np.mean(counts) == pytest.approx(onoff.average_rate, rel=0.1)
-
-    def test_service_counts_reduce_variance_when_correlated(self):
-        arrivals = PoissonArrivals(rate=5.0, seed=9).counts(5000)
-        # Perfectly correlated service cancels all variability.
-        sigma = estimate_sigma_from_counts(arrivals, service_counts=arrivals)
-        assert sigma == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PoissonArrivals(rate=0.0)
-        with pytest.raises(ConfigurationError):
-            OnOffArrivals(peak_rate=-1.0)
-        with pytest.raises(AnalysisError):
-            estimate_sigma_from_counts(np.array([1.0]))
-        with pytest.raises(AnalysisError):
-            estimate_sigma_from_counts(np.array([1.0, 2.0]),
-                                       service_counts=np.array([1.0]))
-        with pytest.raises(ConfigurationError):
-            sigma_for_poisson(0.0)
+from repro.exceptions import AnalysisError
 
 
 class TestPhasePortrait:

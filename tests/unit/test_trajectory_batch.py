@@ -101,12 +101,9 @@ class TestBatchedCharacteristics:
         assert queue_only.queue.tobytes() == full.queue.tobytes()
         assert (queue_only.settling_times().tobytes()
                 == full.settling_times().tobytes())
-        assert np.array_equal(queue_only.target_crossing_counts(),
-                              full.target_crossing_counts())
         rate_readers = (
             lambda batch: batch.growth_rate,
             lambda batch: batch.final_rates,
-            lambda batch: batch.distance_to_limit_point(),
             lambda batch: batch.time_average_rates(),
             lambda batch: batch.trajectory(0),
             lambda batch: batch.trajectories(),
@@ -189,14 +186,9 @@ class TestBatchedCharacteristics:
     def test_derived_series_match_scalar(self, jrj_control, canonical_params):
         batch = integrate_characteristic_batch(jrj_control, canonical_params,
                                                Q0S, RATE0S, t_end=200.0)
-        counts = batch.target_crossing_counts()
-        distances = batch.distance_to_limit_point()
         growth = batch.growth_rate
         for index in range(batch.batch_size):
             member = batch.trajectory(index)
-            assert counts[index] == len(member.target_crossings())
-            assert np.array_equal(distances[:, index],
-                                  member.distance_to_limit_point())
             assert np.array_equal(growth[:, index], member.growth_rate)
         assert np.array_equal(batch.final_queues,
                               [batch.trajectory(i).final_queue

@@ -8,23 +8,8 @@ from typing import List
 
 import numpy as np
 
-from repro import SystemParameters
-from repro.characteristics import integrate_characteristic
-from repro.characteristics.trajectory import CharacteristicTrajectory
-from repro.control.jrj import JRJControl
 from repro.numerics.sde import euler_maruyama
 from repro.numerics.spectral import detect_peaks
-
-
-def _loop_target_crossings(queue: np.ndarray, q_target: float) -> List[int]:
-    offset = queue - q_target
-    crossings: List[int] = []
-    for i in range(1, offset.size):
-        if offset[i - 1] == 0.0:
-            continue
-        if offset[i - 1] * offset[i] < 0.0:
-            crossings.append(i)
-    return crossings
 
 
 def _loop_detect_peaks(signal: np.ndarray) -> List[int]:
@@ -33,32 +18,6 @@ def _loop_detect_peaks(signal: np.ndarray) -> List[int]:
         if signal[i] > signal[i - 1] and signal[i] >= signal[i + 1]:
             peaks.append(i)
     return peaks
-
-
-class TestTargetCrossingsVectorized:
-    def test_matches_loop_on_characteristic(self):
-        params = SystemParameters(mu=1.0, q_target=10.0, c0=0.05, c1=0.2)
-        control = JRJControl(c0=0.05, c1=0.2, q_target=10.0)
-        trajectory = integrate_characteristic(control, params, q0=0.0,
-                                              rate0=0.5, t_end=400.0)
-        assert trajectory.target_crossings() == _loop_target_crossings(
-            trajectory.queue, trajectory.q_target)
-
-    def test_matches_loop_on_synthetic_series(self, rng):
-        queue = rng.normal(loc=10.0, scale=3.0, size=500)
-        queue[::37] = 10.0  # exact hits on the switching line
-        trajectory = CharacteristicTrajectory(
-            times=np.arange(queue.size, dtype=float), queue=queue,
-            rate=np.ones_like(queue), mu=1.0, q_target=10.0)
-        crossings = trajectory.target_crossings()
-        assert crossings == _loop_target_crossings(queue, 10.0)
-        assert all(isinstance(index, int) for index in crossings)
-
-    def test_short_series(self):
-        trajectory = CharacteristicTrajectory(
-            times=np.array([0.0]), queue=np.array([3.0]),
-            rate=np.array([1.0]), mu=1.0, q_target=10.0)
-        assert trajectory.target_crossings() == []
 
 
 class TestDetectPeaksFastPath:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import JRJControl, SystemParameters
 from repro.workloads import (
-    heterogeneous_delay_scenario,
     heterogeneous_parameters_scenario,
     homogeneous_sources_scenario,
     packet_level_jrj_scenario,
@@ -31,12 +30,6 @@ class TestScenarioBuilders:
     def test_heterogeneous_parameters_scale_c0(self):
         _, sources = heterogeneous_parameters_scenario(ratios=(1.0, 3.0))
         assert sources[1].c0 == pytest.approx(3.0 * sources[0].c0)
-
-    def test_heterogeneous_delay_scenario(self):
-        _, sources = heterogeneous_delay_scenario(delays=(0.5, 4.0))
-        assert sources[0].delay == 0.5
-        assert sources[1].delay == 4.0
-        assert sources[0].c0 == sources[1].c0
 
     def test_packet_level_jrj_scenario_shapes(self):
         config = packet_level_jrj_scenario(n_sources=3, service_rate=20.0)

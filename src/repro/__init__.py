@@ -76,7 +76,6 @@ from .control import (
     create_control,
 )
 from .core import (
-    BoundaryConditions,
     DensityMoments,
     DiscreteGenerator,
     FokkerPlanckResult,
@@ -94,7 +93,6 @@ from .characteristics import (
     find_equilibrium,
     integrate_characteristic,
     integrate_characteristic_batch,
-    is_convergent_spiral,
     quadrant_drift_table,
     verify_theorem1,
     verify_theorem1_batch,
@@ -134,7 +132,6 @@ from .design import (
     compare_with_marching,
     design_gains,
     score_gain_grid,
-    score_operating_point,
     solve_stationary,
 )
 from .stochastic import LangevinModel, compare_with_density, run_ensemble
@@ -195,7 +192,6 @@ __all__ = [
     # Fokker-Planck core
     "FokkerPlanckSolver",
     "FokkerPlanckResult",
-    "BoundaryConditions",
     "DensityMoments",
     "compute_moments",
     "marginal_q",
@@ -211,7 +207,6 @@ __all__ = [
     "quadrant_drift_table",
     "find_equilibrium",
     "analyze_spiral",
-    "is_convergent_spiral",
     "verify_theorem1",
     "verify_theorem1_batch",
     # multiple sources / Section 6
@@ -248,7 +243,6 @@ __all__ = [
     "OperatingPointScore",
     "GainGridScores",
     "score_gain_grid",
-    "score_operating_point",
     "RankedGain",
     "GainSweepResult",
     "design_gains",

@@ -25,6 +25,9 @@ __all__ = ["OscillationMetrics", "OscillationMetricsBatch",
 #: whatever the batch.
 _BLOCK_ELEMENTS = 1 << 16
 
+#: Amplitude at or below which a series' oscillation is not sustained.
+_AMPLITUDE_FLOOR = 0.05
+
 
 @dataclass(frozen=True)
 class OscillationMetrics:
@@ -37,7 +40,7 @@ class OscillationMetrics:
     period:
         Dominant period (NaN when there is no sustained oscillation).
     sustained:
-        Whether the amplitude exceeds the supplied floor.
+        Whether the amplitude exceeds ``_AMPLITUDE_FLOOR`` (0.05).
     mean_value:
         Mean of the series over the window.
     n_peaks:
@@ -52,8 +55,7 @@ class OscillationMetrics:
 
 
 def oscillation_metrics(times: np.ndarray, values: np.ndarray,
-                        steady_fraction: float = 0.5,
-                        amplitude_floor: float = 0.05) -> OscillationMetrics:
+                        steady_fraction: float = 0.5) -> OscillationMetrics:
     """Measure the steady-state oscillation of ``(times, values)``.
 
     The final *steady_fraction* of the series is used so start-up transients
@@ -65,8 +67,7 @@ def oscillation_metrics(times: np.ndarray, values: np.ndarray,
     if times.shape != values.shape or times.size < 8:
         raise AnalysisError("need at least eight samples for oscillation metrics")
     return oscillation_metrics_batch(
-        times, values[:, None], steady_fraction=steady_fraction,
-        amplitude_floor=amplitude_floor).member(0)
+        times, values[:, None], steady_fraction=steady_fraction).member(0)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,7 @@ def oscillation_envelope_batch(times: np.ndarray, values: np.ndarray,
 
 
 def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
-                              steady_fraction: float = 0.5,
-                              amplitude_floor: float = 0.05
+                              steady_fraction: float = 0.5
                               ) -> OscillationMetricsBatch:
     """Column-wise oscillation metrics of a ``(n, batch)`` block.
 
@@ -158,12 +158,11 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
     Every field is a row-wise reduction: amplitude from the row extremes,
     peaks from the local-maximum mask of
     :func:`~repro.numerics.spectral.detect_peaks`, the mean, and the period
-    from one ``rfft`` over the sustained rows with the power test of
-    :func:`~repro.numerics.spectral.dominant_period`.  Reductions along a
-    contiguous row use the same pairwise summation as a 1-D call, so every
-    member is bit-identical to analysing its column alone.  A sustained
-    member whose spectrum shows no oscillation falls back, on its own, to
-    the mean spacing of its peaks.
+    from the strongest non-zero bin of one ``rfft`` over the sustained rows
+    (as :func:`~repro.numerics.spectral.dominant_period` finds it).
+    Reductions along a contiguous row use the same pairwise summation as a
+    1-D call, so every member is bit-identical to analysing its column
+    alone.
     """
     window_times, window = _steady_window(times, values, steady_fraction)
     width, batch = window.shape
@@ -179,7 +178,7 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
     for columns, rows in _row_blocks(window):
         first = columns.start
         amplitude[columns], mean_value[columns] = _envelope(rows)
-        sustained[columns] = amplitude[columns] > amplitude_floor
+        sustained[columns] = amplitude[columns] > _AMPLITUDE_FLOOR
         interior = rows[:, 1:-1]
         peak_mask = (interior > rows[:, :-2]) & (interior >= rows[:, 2:])
         n_peaks[columns] = peak_mask.sum(axis=1)
@@ -189,18 +188,12 @@ def oscillation_metrics_batch(times: np.ndarray, values: np.ndarray,
             spectrum = np.fft.rfft(rows[oscillating]
                                    - mean_value[first + oscillating, None],
                                    axis=1)
+            # Above the floor the window's power is far above the 1e-12
+            # relative threshold of dominant_period, so the strongest
+            # non-zero bin always gives the period.
             power = (np.abs(spectrum) ** 2)[:, 1:]
-            total = power.sum(axis=1)
-            frequency = frequencies[1 + np.argmax(power, axis=1)]
-            found = ~((total <= 0.0)
-                      | (power.max(axis=1) < 1e-12 * np.maximum(total, 1.0))
-                      | (frequency <= 0.0))
-            period[first + oscillating[found]] = 1.0 / frequency[found]
-            for index in oscillating[~found]:
-                peaks = np.flatnonzero(peak_mask[index]) + 1
-                if peaks.size >= 2:
-                    period[first + index] = np.mean(
-                        np.diff(window_times[peaks]))
+            period[first + oscillating] = 1.0 / frequencies[
+                1 + np.argmax(power, axis=1)]
 
     return OscillationMetricsBatch(amplitude=amplitude, period=period,
                                    sustained=sustained, mean_value=mean_value,

@@ -11,7 +11,7 @@ a test log.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,10 +23,11 @@ _TRAJECTORY_MARKS = "abcdefghij"
 
 
 def render_phase_portrait(trajectories: Sequence[Tuple[np.ndarray, np.ndarray]],
-                          q_target: float, width: int = 72, height: int = 24,
-                          q_range: Optional[Tuple[float, float]] = None,
-                          v_range: Optional[Tuple[float, float]] = None) -> str:
+                          q_target: float) -> str:
     """Render ``(q, ν)`` trajectories as an ASCII phase portrait.
+
+    The portrait is 72 by 24 characters, and its axis limits are the data
+    range padded by 5 %.
 
     Parameters
     ----------
@@ -35,10 +36,6 @@ def render_phase_portrait(trajectories: Sequence[Tuple[np.ndarray, np.ndarray]],
         own letter (``a``, ``b``, ...), later trajectories drawn on top.
     q_target:
         Position of the vertical switching line ``q = q̂``.
-    width, height:
-        Character-grid dimensions.
-    q_range, v_range:
-        Axis limits; default to the data range padded by 5 %.
 
     Returns
     -------
@@ -48,22 +45,16 @@ def render_phase_portrait(trajectories: Sequence[Tuple[np.ndarray, np.ndarray]],
     """
     if not trajectories:
         raise AnalysisError("need at least one trajectory to render")
-    if width < 20 or height < 8:
-        raise AnalysisError("portrait must be at least 20x8 characters")
+    width, height = 72, 24
 
     all_q = np.concatenate([np.asarray(q, dtype=float) for q, _ in trajectories])
     all_v = np.concatenate([np.asarray(v, dtype=float) for _, v in trajectories])
-    if q_range is None:
-        q_low, q_high = float(np.min(all_q)), float(np.max(all_q))
-        padding = 0.05 * max(q_high - q_low, 1e-9)
-        q_range = (q_low - padding, q_high + padding)
-    if v_range is None:
-        v_low, v_high = float(np.min(all_v)), float(np.max(all_v))
-        padding = 0.05 * max(v_high - v_low, 1e-9)
-        v_range = (v_low - padding, v_high + padding)
-
-    q_low, q_high = q_range
-    v_low, v_high = v_range
+    q_low, q_high = float(np.min(all_q)), float(np.max(all_q))
+    padding = 0.05 * max(q_high - q_low, 1e-9)
+    q_low, q_high = q_low - padding, q_high + padding
+    v_low, v_high = float(np.min(all_v)), float(np.max(all_v))
+    padding = 0.05 * max(v_high - v_low, 1e-9)
+    v_low, v_high = v_low - padding, v_high + padding
     if q_high <= q_low or v_high <= v_low:
         raise AnalysisError("axis ranges must have positive extent")
 
@@ -111,8 +102,7 @@ def render_phase_portrait(trajectories: Sequence[Tuple[np.ndarray, np.ndarray]],
     return "\n".join(lines)
 
 
-def render_trajectory_portrait(trajectory, width: int = 72,
-                               height: int = 24) -> str:
+def render_trajectory_portrait(trajectory) -> str:
     """Render a single :class:`CharacteristicTrajectory`-like object.
 
     The object only needs ``queue``, ``rate``, ``mu`` and ``q_target``
@@ -121,6 +111,5 @@ def render_trajectory_portrait(trajectory, width: int = 72,
     q_values = np.asarray(trajectory.queue, dtype=float)
     v_values = np.asarray(trajectory.rate, dtype=float) - trajectory.mu
     return render_phase_portrait([(q_values, v_values)],
-                                 q_target=trajectory.q_target,
-                                 width=width, height=height)
+                                 q_target=trajectory.q_target)
 

@@ -21,21 +21,14 @@ from .limit_cycle import (
     SpiralAnalysis,
     analyze_spiral,
     peak_contraction_ratios,
-    is_convergent_spiral,
 )
 from .theorem1 import (
     Theorem1Verification,
     verify_theorem1,
     verify_theorem1_batch,
 )
-from .poincare import (
-    PoincareSection,
-    compute_poincare_section,
-)
 
 __all__ = [
-    "PoincareSection",
-    "compute_poincare_section",
     "CharacteristicBatch",
     "CharacteristicTrajectory",
     "integrate_characteristic",
@@ -48,7 +41,6 @@ __all__ = [
     "SpiralAnalysis",
     "analyze_spiral",
     "peak_contraction_ratios",
-    "is_convergent_spiral",
     "Theorem1Verification",
     "verify_theorem1",
     "verify_theorem1_batch",

@@ -28,8 +28,10 @@ __all__ = [
     "SpiralAnalysis",
     "analyze_spiral",
     "peak_contraction_ratios",
-    "is_convergent_spiral",
 ]
+
+#: Peak amplitudes (packets) at or below this count as zero.
+_AMPLITUDE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -78,21 +80,12 @@ def peak_contraction_ratios(amplitudes: Sequence[float]) -> np.ndarray:
     return amplitudes[1:] / amplitudes[:-1]
 
 
-def analyze_spiral(trajectory: CharacteristicTrajectory,
-                   settle_fraction: float = 0.3,
-                   amplitude_floor: float = 1e-3) -> SpiralAnalysis:
+def analyze_spiral(trajectory: CharacteristicTrajectory) -> SpiralAnalysis:
     """Analyse the queue-peak sequence of *trajectory*.
 
-    Parameters
-    ----------
-    trajectory:
-        A characteristic (or delayed-characteristic) trajectory.
-    settle_fraction:
-        Fraction of the final peaks used to estimate the limit-cycle
-        amplitude (at least one peak).
-    amplitude_floor:
-        Amplitudes below this value (in packets) are treated as zero when
-        deciding convergence.
+    The limit-cycle amplitude is the mean of the last 30% of the peaks (at
+    least one), and peak amplitudes at or below ``_AMPLITUDE_FLOOR``
+    packets count as zero when deciding convergence.
 
     Raises
     ------
@@ -110,22 +103,19 @@ def analyze_spiral(trajectory: CharacteristicTrajectory,
     peak_times = trajectory.times[peak_indices]
     peak_amplitudes = np.maximum(excursion[peak_indices], 0.0)
 
-    positive = peak_amplitudes > amplitude_floor
+    positive = peak_amplitudes > _AMPLITUDE_FLOOR
     ratios = peak_contraction_ratios(peak_amplitudes[positive])
 
-    n_tail = max(1, int(round(settle_fraction * peak_amplitudes.size)))
+    n_tail = max(1, int(round(0.3 * peak_amplitudes.size)))
     tail_amplitude = float(np.mean(peak_amplitudes[-n_tail:]))
 
-    if peak_amplitudes.size == 1:
-        converges = tail_amplitude <= amplitude_floor or True
+    if peak_amplitudes.size == 1 or ratios.size == 0:
         # A single overshoot followed by settling is the convergent case.
-        converges = True
-    elif ratios.size == 0:
         converges = True
     else:
         final_ratio = float(ratios[-1])
         shrinking = final_ratio < 0.98
-        vanished = tail_amplitude <= max(amplitude_floor,
+        vanished = tail_amplitude <= max(_AMPLITUDE_FLOOR,
                                          0.05 * float(np.max(peak_amplitudes)))
         converges = shrinking or vanished
 
@@ -134,17 +124,3 @@ def analyze_spiral(trajectory: CharacteristicTrajectory,
                           contraction_ratios=ratios,
                           converges=converges,
                           limit_cycle_amplitude=tail_amplitude)
-
-
-def is_convergent_spiral(trajectory: CharacteristicTrajectory,
-                         amplitude_floor: float = 1e-3) -> bool:
-    """Convenience predicate: does the trajectory converge to the limit point?
-
-    Trajectories with no peaks at all (monotone settling) count as
-    convergent.
-    """
-    try:
-        analysis = analyze_spiral(trajectory, amplitude_floor=amplitude_floor)
-    except AnalysisError:
-        return True
-    return analysis.converges

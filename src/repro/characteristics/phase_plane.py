@@ -22,7 +22,7 @@ from the control law so the benchmark for Figure 2 reproduces the table, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,27 +57,25 @@ class QuadrantDrift:
         return f"{vertical}-{horizontal}"
 
 
-def _sign(value: float, tolerance: float = 1e-12) -> int:
-    if value > tolerance:
+def _sign(value: float) -> int:
+    if value > 1e-12:
         return 1
-    if value < -tolerance:
+    if value < -1e-12:
         return -1
     return 0
 
 
-def quadrant_drift_table(control: RateControl, params: SystemParameters,
-                         probe_offset_q: Optional[float] = None,
-                         probe_offset_v: Optional[float] = None
+def quadrant_drift_table(control: RateControl, params: SystemParameters
                          ) -> List[QuadrantDrift]:
     """Evaluate the drift signs at a representative point of each quadrant.
 
-    The probe points sit *probe_offset_q* away from the ``q = q̂`` line and
-    *probe_offset_v* away from the ``ν = 0`` line (defaults: half the target
-    queue and a quarter of the service rate).
+    The probe points sit half the target queue (at least one packet) away
+    from the ``q = q̂`` line and a quarter of the service rate away from the
+    ``ν = 0`` line.
     """
     q_target = getattr(control, "q_target", params.q_target)
-    dq = probe_offset_q if probe_offset_q is not None else max(0.5 * q_target, 1.0)
-    dv = probe_offset_v if probe_offset_v is not None else 0.25 * params.mu
+    dq = max(0.5 * q_target, 1.0)
+    dv = 0.25 * params.mu
 
     probes = {
         "I": (max(q_target - dq, 0.0), +dv),

@@ -133,7 +133,7 @@ def verify_theorem1(params: SystemParameters, q0: float = 0.0,
     return _verification_from_trajectory(trajectory)
 
 
-def verify_theorem1_batch(params: SystemParameters, q0=0.0, rate0=None,
+def verify_theorem1_batch(params: SystemParameters,
                           t_end: Optional[float] = None, dt: float = 0.02,
                           columns: Optional[Mapping[str, object]] = None
                           ) -> List[Theorem1Verification]:
@@ -150,9 +150,8 @@ def verify_theorem1_batch(params: SystemParameters, q0=0.0, rate0=None,
     ----------
     params:
         Base system parameters; ``sigma`` is ignored as in the scalar form.
-    q0, rate0:
-        Initial queue lengths / rates, scalars or per-trajectory arrays.
-        ``rate0=None`` defaults to half the (per-trajectory) service rate.
+        Every member starts from an empty queue at half its service rate,
+        the scalar form's default start.
     t_end:
         Shared horizon.  ``None`` picks the *largest* of the members'
         parameter-scaled default horizons -- every member integrates at
@@ -174,8 +173,7 @@ def verify_theorem1_batch(params: SystemParameters, q0=0.0, rate0=None,
             f"got {unknown}")
 
     mu_values = columns.get("mu", np.asarray([params.mu]))
-    if rate0 is None:
-        rate0 = 0.5 * mu_values
+    rate0 = 0.5 * mu_values
     if t_end is None:
         q_target_values = columns.get("q_target",
                                       np.asarray([params.q_target]))
@@ -185,7 +183,7 @@ def verify_theorem1_batch(params: SystemParameters, q0=0.0, rate0=None,
                     for q_target, c0 in zip(*pairs, strict=True))
 
     control = JRJControl(c0=params.c0, c1=params.c1, q_target=params.q_target)
-    batch = integrate_characteristic_batch(control, params, q0=q0,
+    batch = integrate_characteristic_batch(control, params, q0=0.0,
                                            rate0=rate0, t_end=t_end, dt=dt,
                                            columns=columns)
     return [_verification_from_trajectory(batch.trajectory(index))

@@ -17,14 +17,14 @@ per-trajectory parameter columns (``c0``/``c1``/``q_target``/``mu``) -- as a
 single batched RK4 integration, and :class:`CharacteristicBatch` exposes the
 family with vectorized derived series.  Every member of the batch is bit-
 identical to the scalar :func:`integrate_characteristic` run with the same
-point parameters, so the sweeps built on top (Theorem 1 grids, Poincaré
-sections, phase portraits) keep their scalar-era results exactly.
+point parameters, so the sweeps built on top (Theorem 1 grids, gain
+scoring, the fluid model) keep their scalar-era results exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -85,20 +85,6 @@ class CharacteristicTrajectory:
         """Arrival rate at the end of the run."""
         return float(self.rate[-1])
 
-    def settling_time(self, tolerance: float = 0.1) -> float:
-        """Earliest time after which the queue stays near its final value.
-
-        The band is relative to the final queue with an absolute floor of
-        *tolerance*.  It never raises: the final sample is always inside its
-        own band, so a still-oscillating path simply reports a time near
-        the horizon -- the behaviour gain-design scoring needs.
-        """
-        final = float(self.queue[-1])
-        band = max(tolerance * abs(final), tolerance)
-        inside = np.abs(self.queue - final) <= band
-        settled = np.logical_and.accumulate(inside[::-1])[::-1]
-        return float(self.times[int(np.argmax(settled))])
-
     def time_average_rate(self, skip_fraction: float = 0.2) -> float:
         """Time-average arrival rate over the trajectory tail.
 
@@ -158,17 +144,11 @@ class CharacteristicBatch:
         Shared sample times, shape ``(n,)``.
     queue, rate:
         Queue lengths and arrival rates along every path, shape
-        ``(n, batch)``.  Rows past a trajectory's ``n_samples`` (possible
-        only under event termination) are frozen copies of its last state.
-        ``rate`` is ``None`` when the family was integrated with
-        ``record_rate=False``; the members derived from it then raise
+        ``(n, batch)``.  ``rate`` is ``None`` when the family was integrated
+        with ``record_rate=False``; the members derived from it then raise
         :class:`~repro.exceptions.AnalysisError`.
     mu, q_target:
         Per-trajectory service rate and control target, shape ``(batch,)``.
-    n_samples:
-        Valid samples per trajectory.
-    event_times:
-        Terminal-event times (``NaN`` where no event fired).
     """
 
     times: np.ndarray
@@ -176,8 +156,6 @@ class CharacteristicBatch:
     rate: Optional[np.ndarray]
     mu: np.ndarray
     q_target: np.ndarray
-    n_samples: np.ndarray
-    event_times: np.ndarray
 
     @property
     def batch_size(self) -> int:
@@ -198,14 +176,13 @@ class CharacteristicBatch:
 
     @property
     def final_queues(self) -> np.ndarray:
-        """Queue length of every path at its last valid sample."""
-        return self.queue[self.n_samples - 1, np.arange(self.batch_size)]
+        """Queue length of every path at the horizon."""
+        return self.queue[-1]
 
     @property
     def final_rates(self) -> np.ndarray:
-        """Arrival rate of every path at its last valid sample."""
-        return self._recorded_rate()[self.n_samples - 1,
-                                     np.arange(self.batch_size)]
+        """Arrival rate of every path at the horizon."""
+        return self._recorded_rate()[-1]
 
     def settling_times(self, tolerance: float = 0.1) -> np.ndarray:
         """Per-trajectory settling times, shape ``(batch,)``.
@@ -214,8 +191,7 @@ class CharacteristicBatch:
         member: a path settles one sample after its last sample outside the
         band, and a path outside its band at the horizon (a non-finite
         final queue) reports index 0, as that method's all-false settled
-        mask does.  Frozen tail rows repeat the final state, so they are
-        inside the band and cannot move the result.
+        mask does.
 
         The scan walks row blocks of at most ``_SCAN_ELEMENTS`` elements
         backwards from the horizon and drops each member as soon as its
@@ -246,21 +222,15 @@ class CharacteristicBatch:
         return np.array([self.trajectory(i).time_average_rate(skip_fraction)
                          for i in range(self.batch_size)])
 
-    def event_time(self, index: int) -> Optional[float]:
-        """Terminal-event time of one trajectory, or ``None``."""
-        value = float(self.event_times[index])
-        return None if np.isnan(value) else value
-
     def trajectory(self, index: int) -> CharacteristicTrajectory:
         """Extract one member as a scalar :class:`CharacteristicTrajectory`.
 
         Bit-identical to :func:`integrate_characteristic` run with the
         member's initial conditions and parameter column values.
         """
-        n = int(self.n_samples[index])
-        return CharacteristicTrajectory(times=self.times[:n],
-                                        queue=self.queue[:n, index],
-                                        rate=self._recorded_rate()[:n, index],
+        return CharacteristicTrajectory(times=self.times,
+                                        queue=self.queue[:, index],
+                                        rate=self._recorded_rate()[:, index],
                                         mu=float(self.mu[index]),
                                         q_target=float(self.q_target[index]))
 
@@ -285,7 +255,6 @@ def integrate_characteristic_batch(
         control: RateControl, params: SystemParameters,
         q0, rate0, t_end: float, dt: float = 0.02,
         columns: Optional[Mapping[str, object]] = None,
-        event: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None,
         record_rate: bool = True,
         ) -> CharacteristicBatch:
     """Integrate a family of characteristics as one batched RK4 run.
@@ -305,10 +274,6 @@ def integrate_characteristic_batch(
         ``control.drift_batch`` as a per-trajectory gain column (for
         :class:`~repro.control.jrj.JRJControl`: ``c0``, ``c1``,
         ``q_target``).  Scalars and length-``batch`` arrays both work.
-    event:
-        Optional batched terminal event ``event(t, states, indices)`` (see
-        :data:`repro.numerics.ode.BatchRHS`); trajectories stop individually
-        at their first sign change.
     record_rate:
         Record the arrival-rate series (default).  ``False`` records the
         queue alone, half the stored block, for callers that read nothing
@@ -336,8 +301,6 @@ def integrate_characteristic_batch(
     batch = q0.shape[0]
     mu = (mu_column if mu_column is not None
           else np.full(batch, float(params.mu)))
-    heterogeneous_mu = mu_column is not None
-    mu_scalar = float(params.mu)
 
     # Fail fast on unsupported gain columns (rather than on step one).
     if gain_columns:
@@ -350,30 +313,18 @@ def integrate_characteristic_batch(
                 f"{control.name} does not accept per-trajectory columns "
                 f"{names}") from None
 
-    # The integrator passes one ``indices`` array to all four RK stages and
-    # rebinds it only when it drops finished trajectories, so the per-member
-    # columns are gathered once per active set rather than once per stage.
-    active = None
-    active_mu = mu_scalar
-    active_gains = {}
+    rhs_mu = float(params.mu) if mu_column is None else mu_column
 
-    def rhs(_t: float, states: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        nonlocal active, active_mu, active_gains
-        if indices is not active:
-            active = indices
-            if heterogeneous_mu:
-                active_mu = mu[indices]
-            active_gains = {name: value[indices]
-                            for name, value in gain_columns.items()}
+    def rhs(_t: float, states: np.ndarray) -> np.ndarray:
         q = states[:, 0]
         lam = states[:, 1]
         # ``empty_like`` keeps the engine's component-major layout, so the
         # queue drift is computed in place in a contiguous column.
         derivative = np.empty_like(states)
-        dq = np.subtract(lam, active_mu, out=derivative[:, 0])
+        dq = np.subtract(lam, rhs_mu, out=derivative[:, 0])
         dq[(q <= 0.0) & (dq < 0.0)] = 0.0
         if gain_columns:
-            derivative[:, 1] = control.drift_batch(q, lam, **active_gains)
+            derivative[:, 1] = control.drift_batch(q, lam, **gain_columns)
         else:
             derivative[:, 1] = control.drift(q, lam)
         return derivative
@@ -383,8 +334,7 @@ def integrate_characteristic_batch(
 
     result: BatchODEResult = integrate_fixed_batch(
         rhs, np.column_stack([q0, rate0]), t_end=t_end, dt=dt,
-        projection=project, event=event,
-        record=None if record_rate else (0,))
+        projection=project, record=None if record_rate else (0,))
 
     if "q_target" in gain_columns:
         q_target = gain_columns["q_target"]
@@ -395,6 +345,4 @@ def integrate_characteristic_batch(
                                queue=result.states[:, :, 0],
                                rate=result.states[:, :, 1] if record_rate
                                else None,
-                               mu=mu, q_target=q_target,
-                               n_samples=result.n_samples,
-                               event_times=result.event_times)
+                               mu=mu, q_target=q_target)

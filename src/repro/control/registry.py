@@ -26,19 +26,18 @@ ControlFactory = Callable[..., RateControl]
 _REGISTRY: Dict[str, ControlFactory] = {}
 
 
-def register_control(name: str, factory: ControlFactory,
-                     overwrite: bool = False) -> None:
+def register_control(name: str, factory: ControlFactory) -> None:
     """Register *factory* under *name* (case-insensitive).
 
     Raises
     ------
     ConfigurationError
-        If the name is already registered and *overwrite* is false.
+        If the name is already registered.
     """
     key = name.strip().lower()
     if not key:
         raise ConfigurationError("control-law name must be non-empty")
-    if key in _REGISTRY and not overwrite:
+    if key in _REGISTRY:
         raise ConfigurationError(f"control law '{name}' is already registered")
     _REGISTRY[key] = factory
 

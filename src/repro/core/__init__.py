@@ -18,7 +18,6 @@ analysis directly.
 """
 
 from .advection import UpwindAdvection, cfl_time_step_from_speeds
-from .boundary import BoundaryConditions
 from .diffusion import CrankNicolsonDiffusion
 from .initial import (
     gaussian_initial_density,
@@ -30,7 +29,6 @@ from .solver import FokkerPlanckSolver, FokkerPlanckResult, DensitySnapshot
 __all__ = [
     "UpwindAdvection",
     "cfl_time_step_from_speeds",
-    "BoundaryConditions",
     "CrankNicolsonDiffusion",
     "gaussian_initial_density",
     "DensityMoments",

@@ -11,9 +11,9 @@ Equation 14 contains two advection terms:
 Both are discretised with a first-order finite-volume upwind scheme written
 in flux form, which guarantees exact conservation of the total probability
 mass up to what leaves through the outflow boundaries.  The queue-axis
-boundary at ``q = 0`` is handled by the boundary-condition object (mass that
-would be advected below zero is reflected back into the first cell,
-implementing the paper's convention ``ν = 0`` when ``Q = 0`` and ``λ < μ``).
+boundary at ``q = 0`` reflects: mass that would be advected below zero stays
+in the first cell, implementing the paper's convention ``ν = 0`` when
+``Q = 0`` and ``λ < μ``.
 
 Performance.  :class:`UpwindAdvection` binds the scheme to one grid and
 preallocates every flux and scratch array, so repeated steps run
@@ -101,10 +101,9 @@ class UpwindAdvection:
         self._scratch = np.empty((nq, nv))
         self._scratch_flat = self._scratch.reshape(-1)
         self._product_v = self._scratch_flat[:-1]
-        # q-interface fluxes.  Row 0 is the q = 0 boundary: it stays zero
-        # while reflecting and is re-zeroed after a non-reflecting step.
+        # q-interface fluxes.  Row 0 is the reflecting q = 0 boundary and
+        # stays zero.
         self._flux_q = np.zeros((nq + 1, nv))
-        self._flux_q0_dirty = False
         # Flat ν-interface fluxes; entries 0 and nq·nv are the no-flux walls
         # and are never written.
         self._flux_v = np.zeros(nq * nv + 1)
@@ -146,15 +145,14 @@ class UpwindAdvection:
                                if drift.size else 0.0)
 
     def advect_q(self, density: np.ndarray, dt: float,
-                 reflect_at_zero: bool = True,
                  out: Optional[np.ndarray] = None,
                  clamp: bool = True) -> np.ndarray:
         """Advect along the queue axis with per-column velocity ``ν``.
 
-        *dt* must satisfy the CFL condition (checked).  With
-        *reflect_at_zero* (the default, matching the paper's model) mass
-        that would flow out through ``q = 0`` is retained in the first cell
-        instead of leaving the domain: a queue cannot become negative.
+        *dt* must satisfy the CFL condition (checked).  Mass that would flow
+        out through ``q = 0`` is retained in the first cell instead of
+        leaving the domain (the paper's model): a queue cannot become
+        negative.
         Writes into *out* when given (must not alias *density*); otherwise
         returns a new array.
 
@@ -174,18 +172,13 @@ class UpwindAdvection:
         # Interface i (between cells i-1 and i) carries v⁺·f[i-1] + v⁻·f[i]:
         # for v > 0 the donor is the cell below, for v < 0 the cell above,
         # and the sign split zeroes the other term.  Row nq is the v > 0
-        # outflow through the top; row 0 is v⁻·f[0] unless reflecting.
+        # outflow through the top; row 0 (the reflecting q = 0 wall) stays
+        # zero.
         flux = self._flux_q
         scratch = self._scratch
         np.multiply(self._v_pos, density, out=flux[1:])
         np.multiply(self._v_neg, density, out=scratch)
         np.add(flux[1:-1], scratch[1:], out=flux[1:-1])
-        if not reflect_at_zero:
-            np.copyto(flux[0], scratch[0])
-            self._flux_q0_dirty = True
-        elif self._flux_q0_dirty:
-            flux[0] = 0.0
-            self._flux_q0_dirty = False
         np.subtract(flux[1:], flux[:-1], out=scratch)
         np.multiply(scratch, dt / self._dq, out=scratch)
         np.subtract(density, scratch, out=out)

@@ -175,19 +175,17 @@ class CrankNicolsonDiffusion:
     backend:
         Kernel backend used for the factorized (large-grid) path; defaults
         to :func:`repro.numerics.backend.get_backend` resolution.
-    dense_limit:
-        Largest ``nq`` for which the dense combined operator is used
-        (defaults to :data:`DENSE_NQ_LIMIT`; pass 0 to force the factorized
-        path, e.g. in backend-parity tests).
+
+    Grids of at most :data:`DENSE_NQ_LIMIT` queue cells, read when the
+    object is built, use the dense combined operator.
     """
 
     def __init__(self, grid: PhaseGrid2D, sigma: float,
-                 backend: Optional[NumericsBackend] = None,
-                 dense_limit: Optional[int] = None):
+                 backend: Optional[NumericsBackend] = None):
         self.grid = grid
         self.sigma = float(sigma)
         self.backend = backend if backend is not None else get_backend()
-        self.dense_limit = DENSE_NQ_LIMIT if dense_limit is None else dense_limit
+        self.dense_limit = DENSE_NQ_LIMIT
         self._diffusivity = 0.5 * self.sigma * self.sigma
         # Kept as a divisor (not a cached reciprocal) so the diffusion number
         # r rounds exactly as in the original per-call implementation.

@@ -47,7 +47,6 @@ from ..config import GridParameters, SystemParameters
 from ..control.base import RateControl
 from ..exceptions import ConfigurationError
 from ..numerics.grids import PhaseGrid2D
-from .boundary import BoundaryConditions
 
 __all__ = ["SparseOperator", "DiscreteGenerator", "assemble_generator"]
 
@@ -310,8 +309,10 @@ class DiscreteGenerator:
         two_dq2 = 2.0 * self.grid.dq * self.grid.dq
         return self._diffusivity * dt / two_dq2
 
-    def max_stable_dt(self, cfl: float = 0.8) -> float:
-        """Largest ``dt`` for which the explicit advection factors are stable."""
+    def max_stable_dt(self) -> float:
+        """Largest ``dt`` for which the explicit advection factors are stable
+        (at the default CFL number 0.8)."""
+        cfl = 0.8
         limits = []
         if self.grid.max_abs_v > 0.0:
             limits.append(cfl * self.grid.dq / self.grid.max_abs_v)
@@ -351,8 +352,7 @@ class DiscreteGenerator:
 
 def assemble_generator(params: SystemParameters,
                        control: Optional[RateControl] = None,
-                       grid_params: Optional[GridParameters] = None,
-                       boundary: Optional[BoundaryConditions] = None
+                       grid_params: Optional[GridParameters] = None
                        ) -> DiscreteGenerator:
     """Assemble the discrete Fokker-Planck operator pieces for one config.
 
@@ -366,9 +366,6 @@ def assemble_generator(params: SystemParameters,
         law built from *params*.
     grid_params:
         Phase-grid discretisation (defaults to :class:`GridParameters`).
-    boundary:
-        Boundary conditions.  Only the default all-reflecting policy has a
-        normalisable stationary density; other policies are rejected.
 
     Returns
     -------
@@ -376,12 +373,6 @@ def assemble_generator(params: SystemParameters,
         The assembled operator pieces, row-major flattened (``k = i·nv + j``
         matching ``density.ravel()``).
     """
-    boundary = boundary if boundary is not None else BoundaryConditions()
-    if not boundary.reflect_q_zero or boundary.absorb_q_max:
-        raise ConfigurationError(
-            "assemble_generator supports only the default all-reflecting "
-            "boundary conditions (an absorbing boundary has no normalisable "
-            "stationary density)")
     grid_params = grid_params if grid_params is not None else GridParameters()
     grid = PhaseGrid2D.from_bounds(q_max=grid_params.q_max, nq=grid_params.nq,
                                    v_min=grid_params.v_min,

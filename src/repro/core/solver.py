@@ -17,8 +17,8 @@ using a pluggable marching scheme (see :mod:`repro.core.stepper`):
 
 The solver automatically sub-cycles the requested output step so the
 explicit sub-steps respect the CFL condition, records snapshots of the full
-density plus its moments, and tracks the probability mass absorbed at the
-``q = q_max`` boundary when a finite buffer is modelled.
+density plus its moments.  The ``q = 0`` edge reflects (the paper's
+convention); mass that reaches the open ``q = q_max`` edge leaves the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..health import HealthMonitor, consume_numerical_fault
 from ..health.report import HealthLog
 from ..numerics.backend import get_backend
 from ..numerics.grids import PhaseGrid2D
-from .boundary import BoundaryConditions
 from .initial import gaussian_initial_density
 from .stepper import get_stepper
 from .moments import DensityMoments, compute_moments, tail_probability
@@ -63,9 +62,6 @@ class FokkerPlanckResult:
     snapshots:
         Density snapshots at the requested output interval (always includes
         the initial and the final time).
-    absorbed_mass:
-        Total probability mass removed at the ``q = q_max`` boundary (zero
-        unless a finite buffer was modelled).
     health:
         The :class:`~repro.health.HealthLog` of the run when health
         monitoring was active, else ``None``.
@@ -73,7 +69,6 @@ class FokkerPlanckResult:
 
     grid: PhaseGrid2D
     snapshots: List[DensitySnapshot] = field(default_factory=list)
-    absorbed_mass: float = 0.0
     health: Optional[HealthLog] = None
 
     @property
@@ -126,20 +121,16 @@ class FokkerPlanckSolver:
         Rate-control law supplying the drift ``g(q, λ)``.
     grid_params:
         Phase-plane discretisation.
-    boundary:
-        Boundary-condition policy (defaults to all-reflecting).
 
     The ν-drift ``g(q, λ)`` is evaluated on the grid once, here, and handed
     to the stepper, so one solver can run any number of solves.
     """
 
     def __init__(self, params: SystemParameters, control: RateControl,
-                 grid_params: Optional[GridParameters] = None,
-                 boundary: Optional[BoundaryConditions] = None):
+                 grid_params: Optional[GridParameters] = None):
         self.params = params
         self.control = control
         self.grid_params = grid_params if grid_params is not None else GridParameters()
-        self.boundary = boundary if boundary is not None else BoundaryConditions()
         self.grid = PhaseGrid2D.from_bounds(
             q_max=self.grid_params.q_max, nq=self.grid_params.nq,
             v_min=self.grid_params.v_min, v_max=self.grid_params.v_max,
@@ -154,7 +145,7 @@ class FokkerPlanckSolver:
         # ping-pong work buffer shared by every solve() on this instance.
         self.backend = get_backend(params.backend or None)
         self.stepper = get_stepper(params.stepper or None)(
-            self.grid, params.sigma, drift, self.backend, self.boundary)
+            self.grid, params.sigma, drift, self.backend)
         self._work_a = np.empty(self.grid.shape)
 
     def default_initial_density(self, q0: float, rate0: float) -> np.ndarray:
@@ -197,7 +188,6 @@ class FokkerPlanckSolver:
             moments=compute_moments(density, self.grid)))
 
         t = 0.0
-        absorbed_total = 0.0
         output_dt = time_params.dt
         steps_between_snapshots = time_params.snapshot_every
         n_outputs = time_params.n_steps
@@ -209,8 +199,6 @@ class FokkerPlanckSolver:
         # cached operator for its step size.
         grid = self.grid
         stepper = self.stepper
-        boundary = self.boundary
-        absorbing = boundary.absorb_q_max
         stepper.begin(monitor is not None)
         free_dt = stepper.free_running_dt(time_params.cfl)
         work = self._work_a
@@ -221,10 +209,6 @@ class FokkerPlanckSolver:
             while t < target_time - 1e-12:
                 dt = min(target_time - t, free_dt)
                 density, work = advance(density, dt, work)
-                if absorbing:
-                    _, absorbed = boundary.apply_post_step(density, grid,
-                                                           inplace=True)
-                    absorbed_total += absorbed
                 t += dt
 
             # density >= 0, so a plain sum is finite iff every cell is (no
@@ -239,8 +223,7 @@ class FokkerPlanckSolver:
                     raise StabilityError(
                         f"Fokker-Planck density became non-finite at t={t:.4g}")
             else:
-                monitor.check_fp_density(density, grid, t,
-                                         absorbed=absorbed_total)
+                monitor.check_fp_density(density, grid, t)
                 # Steppers with internal intermediates (the ADI half-step
                 # state) surface them to the monitor at the same cadence.
                 stepper.record_health(monitor, t)
@@ -251,7 +234,6 @@ class FokkerPlanckSolver:
                     time=t, density=density.copy(),
                     moments=compute_moments(density, grid)))
 
-        result.absorbed_mass = absorbed_total
         if monitor is not None:
             result.health = monitor.log
         return result

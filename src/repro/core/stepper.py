@@ -61,7 +61,6 @@ from ..exceptions import ConfigurationError, StabilityError
 from ..numerics.backend import NumericsBackend
 from ..numerics.grids import PhaseGrid2D
 from .advection import UpwindAdvection, cfl_time_step_from_speeds
-from .boundary import BoundaryConditions
 from .diffusion import CrankNicolsonDiffusion
 from .generator import DiscreteGenerator
 
@@ -95,11 +94,10 @@ class FPStepper:
     name: str = ""
 
     def __init__(self, grid: PhaseGrid2D, sigma: float, drift: np.ndarray,
-                 backend: NumericsBackend, boundary: BoundaryConditions):
+                 backend: NumericsBackend):
         self.grid = grid
         self.sigma = float(sigma)
         self.backend = backend
-        self.boundary = boundary
 
     def begin(self, monitored: bool) -> None:
         """Announce the per-solve monitoring flag before the marching loop."""
@@ -139,13 +137,12 @@ class AxisSplitStepper(FPStepper):
     name = "axis"
 
     def __init__(self, grid: PhaseGrid2D, sigma: float, drift: np.ndarray,
-                 backend: NumericsBackend, boundary: BoundaryConditions):
-        super().__init__(grid, sigma, drift, backend, boundary)
+                 backend: NumericsBackend):
+        super().__init__(grid, sigma, drift, backend)
         self.advection = UpwindAdvection(grid)
         self.advection.set_drift(drift)
         self.diffusion = CrankNicolsonDiffusion(grid, sigma, backend=backend)
         self._sigma_zero = self.sigma == 0.0
-        self._reflect_q_zero = boundary.reflect_q_zero
         self._monitored = False
 
     def free_running_dt(self, cfl: float) -> float:
@@ -162,8 +159,7 @@ class AxisSplitStepper(FPStepper):
         # removes the same rounding negatives) and runs the diffusion as
         # the products of one dense operator's band tiles.
         sigma_zero = self._sigma_zero
-        self.advection.advect_q(density, dt, self._reflect_q_zero, work,
-                                sigma_zero)
+        self.advection.advect_q(density, dt, work, sigma_zero)
         if sigma_zero:
             # The diffusion step is a no-op: the ν-advection output (written
             # over the dead pre-step density) is the state.
@@ -190,14 +186,8 @@ class ADIStepper(FPStepper):
     name = "adi"
 
     def __init__(self, grid: PhaseGrid2D, sigma: float, drift: np.ndarray,
-                 backend: NumericsBackend, boundary: BoundaryConditions):
-        super().__init__(grid, sigma, drift, backend, boundary)
-        if not boundary.reflect_q_zero:
-            raise ConfigurationError(
-                "the 'adi' stepper requires the reflecting q=0 boundary "
-                "(its q-direction operator is assembled with the paper's "
-                "reflecting convention); use stepper='axis' for "
-                "non-reflecting boundaries")
+                 backend: NumericsBackend):
+        super().__init__(grid, sigma, drift, backend)
         nq, nv = grid.shape
         self._nq = nq
         self._nv = nv

@@ -47,6 +47,15 @@ __all__ = [
     "matched_network_config",
 ]
 
+#: Packet-level control interval and rate jitter of every matched source.
+CONTROL_INTERVAL = 0.5
+JITTER_FRACTION = 0.1
+#: Fraction of the DES horizon discarded before averaging.
+WARMUP_FRACTION = 0.25
+#: FP phase grid: q in [0, Q_MAX], growth rate in [-V_SPAN, V_SPAN].
+Q_MAX = 40.0
+V_SPAN = 1.5
+
 
 @dataclass(frozen=True)
 class CrossValidationReport:
@@ -81,8 +90,6 @@ class CrossValidationReport:
 def matched_network_config(
     params: SystemParameters,
     n_sources: int = 1,
-    control_interval: float = 0.5,
-    jitter_fraction: float = 0.1,
     seed: int = 11,
 ) -> NetworkConfig:
     """The packet-level configuration matching *params* for N sources.
@@ -105,8 +112,8 @@ def matched_network_config(
                 "q_target": params.q_target,
             },
             initial_rate=0.5 * params.mu / n_sources,
-            control_interval=control_interval,
-            jitter_fraction=jitter_fraction,
+            control_interval=CONTROL_INTERVAL,
+            jitter_fraction=JITTER_FRACTION,
             name=f"matched-{index}",
         )
         for index in range(n_sources)
@@ -155,15 +162,10 @@ def cross_validate(
     params: SystemParameters,
     n_sources: int = 1,
     duration: float = 4000.0,
-    warmup_fraction: float = 0.25,
     t_end: float = 240.0,
     nq: int = 120,
     nv: int = 90,
-    q_max: float = 40.0,
-    v_span: float = 1.5,
     seed: int = 11,
-    control_interval: float = 0.5,
-    jitter_fraction: float = 0.1,
 ) -> CrossValidationReport:
     """Run the matched DES and FP configurations and report their agreement.
 
@@ -171,41 +173,33 @@ def cross_validate(
     ----------
     params:
         Continuous-model parameters (``sigma`` drives the FP diffusion; the
-        DES side models burstiness through *jitter_fraction*).
+        DES side models burstiness through :data:`JITTER_FRACTION`).
     n_sources:
         Number of homogeneous packet-level sources (aggregate-matched to
         the single-source FP solve, see module docstring).
-    duration, warmup_fraction:
-        DES horizon and the fraction of it discarded before averaging.
-    t_end, nq, nv, q_max, v_span:
+    duration:
+        DES horizon; its first :data:`WARMUP_FRACTION` is discarded before
+        averaging.
+    t_end, nq, nv:
         FP horizon and phase-grid resolution.
-    seed, control_interval, jitter_fraction:
-        Packet-level knobs.
+    seed:
+        Packet-level seed.
     """
     from .core.solver import FokkerPlanckSolver
 
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
-
-    config = matched_network_config(
-        params,
-        n_sources=n_sources,
-        control_interval=control_interval,
-        jitter_fraction=jitter_fraction,
-        seed=seed,
-    )
+    config = matched_network_config(params, n_sources=n_sources, seed=seed)
     des_result = Simulator(config).run(duration)
     grid_params = GridParameters(
-        q_max=q_max,
+        q_max=Q_MAX,
         nq=nq,
-        v_min=-v_span,
-        v_max=v_span,
+        v_min=-V_SPAN,
+        v_max=V_SPAN,
         nv=nv,
     )
-    n_bins = int(np.ceil(q_max))
+    n_bins = int(np.ceil(Q_MAX))
     des_mean, des_std, p_des, above = _stationary_occupancy(
         des_result.trace.queue_length,
-        warmup_fraction * duration,
+        WARMUP_FRACTION * duration,
         duration,
         n_bins,
     )
@@ -227,10 +221,10 @@ def cross_validate(
     return CrossValidationReport(
         n_sources=n_sources,
         duration=duration,
-        warmup_fraction=warmup_fraction,
+        warmup_fraction=WARMUP_FRACTION,
         t_end=t_end,
         sigma=params.sigma,
-        jitter_fraction=jitter_fraction,
+        jitter_fraction=JITTER_FRACTION,
         des_mean_queue=des_mean,
         des_std_queue=des_std,
         fp_mean_queue=moments.mean_q,

@@ -185,23 +185,6 @@ class StreamingHistogram:
         centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         return centers, self.counts / (total * widths)
 
-    def tail_fraction(self, threshold: float) -> float:
-        """Fraction of all samples strictly above *threshold*.
-
-        *threshold* must coincide with a bin edge (within one part in
-        10^12), because the histogram cannot split a bin after the fact.
-        """
-        if self.total == 0:
-            raise AnalysisError("histogram is empty")
-        matches = np.isclose(self.edges, threshold, rtol=1e-12, atol=1e-12)
-        if not np.any(matches):
-            raise AnalysisError(
-                f"threshold {threshold:g} is not a histogram bin edge; "
-                "tail fractions are exact only at edges")
-        index = int(np.argmax(matches))
-        above = int(self.counts[index:].sum()) + self.overflow
-        return above / self.total
-
     def __repr__(self) -> str:
         return (f"StreamingHistogram(bins={self.counts.size}, "
                 f"total={self.total})")

@@ -80,9 +80,9 @@ class NullTraceSink:
     def values(self) -> np.ndarray:
         _no_history(f"trace '{self.name}' history")
 
-    def last_value(self, default: float = 0.0) -> float:
-        """Most recent value, or *default* when nothing was recorded."""
-        return self._last_value if self._last_value is not None else default
+    def last_value(self) -> float:
+        """Most recent value, or 0.0 when nothing was recorded."""
+        return self._last_value if self._last_value is not None else 0.0
 
     def time_average(self, t_start: float = 0.0,
                      t_end: Optional[float] = None) -> float:
@@ -144,9 +144,9 @@ class MomentsTraceSink:
     def values(self) -> np.ndarray:
         _no_history(f"trace '{self.name}' history")
 
-    def last_value(self, default: float = 0.0) -> float:
-        """Most recent value, or *default* when nothing was recorded."""
-        return self._last_value if self._last_value is not None else default
+    def last_value(self) -> float:
+        """Most recent value, or 0.0 when nothing was recorded."""
+        return self._last_value if self._last_value is not None else 0.0
 
     def _closed_moments(self, t_start: float,
                         t_end: Optional[float]) -> TimeWeightedMoments:

@@ -10,14 +10,14 @@ series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..config import SystemParameters
 from ..control.base import RateControl
 from ..exceptions import AnalysisError
-from ..numerics.spectral import detect_peaks, dominant_period
+from ..numerics.spectral import dominant_period
 from .delayed_model import DelayedSystem, DelayedTrajectory
 
 __all__ = ["OscillationSummary", "measure_oscillation", "delay_sweep"]
@@ -58,36 +58,30 @@ def _steady_window(values: np.ndarray, fraction: float) -> np.ndarray:
     return values[max(start, 0):]
 
 
-def measure_oscillation(trajectory: DelayedTrajectory,
-                        steady_fraction: float = 0.4,
-                        amplitude_floor: float = 0.05) -> OscillationSummary:
+def measure_oscillation(trajectory: DelayedTrajectory) -> OscillationSummary:
     """Quantify the steady-state oscillation of a delayed-feedback run.
 
-    The final *steady_fraction* of the trajectory is treated as the steady
-    state; the amplitude is half the peak-to-trough swing over that window
-    and the period comes from the dominant FFT component.  Oscillations
-    whose queue amplitude is below *amplitude_floor* packets are reported as
-    not sustained.
+    The final 40% of the trajectory is treated as the steady state; the
+    amplitude is half the peak-to-trough swing over that window and the
+    period comes from the dominant FFT component.  Oscillations whose queue
+    amplitude is at most 0.05 packets are reported as not sustained.
     """
-    queue_window = _steady_window(trajectory.queue, steady_fraction)
-    rate_window = _steady_window(trajectory.rate, steady_fraction)
-    times_window = _steady_window(trajectory.times, steady_fraction)
+    queue_window = _steady_window(trajectory.queue, 0.4)
+    rate_window = _steady_window(trajectory.rate, 0.4)
+    times_window = _steady_window(trajectory.times, 0.4)
     if queue_window.size < 8:
         raise AnalysisError("trajectory too short for oscillation analysis")
 
     queue_amplitude = 0.5 * float(np.max(queue_window) - np.min(queue_window))
     rate_amplitude = 0.5 * float(np.max(rate_window) - np.min(rate_window))
-    sustained = queue_amplitude > amplitude_floor
+    sustained = queue_amplitude > 0.05
 
     period = float("nan")
     if sustained:
+        # Above the floor the window's power is far above dominant_period's
+        # 1e-12 relative threshold, so it always finds a period.
         dt = float(np.mean(np.diff(times_window)))
-        try:
-            period = dominant_period(queue_window, dt)
-        except AnalysisError:
-            peaks = detect_peaks(queue_window)
-            if len(peaks) >= 2:
-                period = float(np.mean(np.diff(times_window[peaks])))
+        period = dominant_period(queue_window, dt)
 
     return OscillationSummary(
         delay=trajectory.delay,
@@ -99,8 +93,7 @@ def measure_oscillation(trajectory: DelayedTrajectory,
 
 
 def delay_sweep(control: RateControl, params: SystemParameters,
-                delays: Sequence[float], q0: float = 0.0,
-                rate0: Optional[float] = None, t_end: float = 600.0,
+                delays: Sequence[float], t_end: float = 600.0,
                 dt: float = 0.02) -> List[OscillationSummary]:
     """Run the delayed system for each delay value and summarise the oscillation.
 
@@ -111,16 +104,14 @@ def delay_sweep(control: RateControl, params: SystemParameters,
     delays:
         Feedback delays to sweep (zero is allowed and gives the convergent
         baseline).
-    q0, rate0:
-        Common initial condition (the default starting rate is ``μ/2``).
     t_end, dt:
-        Integration horizon and step for every run.
+        Integration horizon and step for every run, each from an empty queue
+        at rate ``μ/2``.
     """
-    if rate0 is None:
-        rate0 = 0.5 * params.mu
+    rate0 = 0.5 * params.mu
     summaries: List[OscillationSummary] = []
     for delay in delays:
         system = DelayedSystem(control, params, delay=float(delay))
-        trajectory = system.solve(q0=q0, rate0=rate0, t_end=t_end, dt=dt)
+        trajectory = system.solve(q0=0.0, rate0=rate0, t_end=t_end, dt=dt)
         summaries.append(measure_oscillation(trajectory))
     return summaries

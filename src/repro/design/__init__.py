@@ -12,8 +12,7 @@ as ``repro design`` and through the ``design-gain-grid`` runner matrix.
 
 from .objectives import (GainGridScores, ObjectiveWeights,
                          OperatingPointScore, combine_score,
-                         deployment_unfairness, score_gain_grid,
-                         score_operating_point)
+                         deployment_unfairness, score_gain_grid)
 from .stationary import (DelayShiftedControl, StationaryDensity,
                          StationaryEstimate, compare_with_marching,
                          solve_stationary)
@@ -36,6 +35,5 @@ __all__ = [
     "design_gains",
     "pareto_front_indices",
     "score_gain_grid",
-    "score_operating_point",
     "solve_stationary",
 ]

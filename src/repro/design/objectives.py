@@ -18,17 +18,17 @@ from quantities the rest of the library already measures:
 
 The combined score is a weighted sum of the normalised axes (lower is
 better).  Scoring is vectorised over gain grids through
-:func:`repro.characteristics.integrate_characteristic_batch`; the scalar
-path (:func:`score_operating_point`) produces bit-identical numbers for any
-single point, which the unit tests pin.  The period takes one spectrum per
+:func:`repro.characteristics.integrate_characteristic_batch`; the tests'
+scalar path produces bit-identical numbers for any single point.  The
+period takes one spectrum per
 point, so a grid caller that reports only a few points can ask
 :func:`score_gain_grid` for those periods alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "combine_score",
     "deployment_unfairness",
     "score_gain_grid",
-    "score_operating_point",
 ]
 
 
@@ -187,13 +186,8 @@ def combine_score(weights: ObjectiveWeights, amplitude, relaxation,
 def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
                     *,
                     weights: Optional[ObjectiveWeights] = None,
-                    reference: Optional[Tuple[float, float]] = None,
                     t_end: float = 150.0,
                     dt: float = 0.1,
-                    q0: float = 0.0,
-                    rate0: float = 0.0,
-                    steady_fraction: float = 0.5,
-                    tolerance: float = 0.1,
                     period_points: Optional[
                         Callable[[GainGridScores], np.ndarray]] = None
                     ) -> GainGridScores:
@@ -202,22 +196,18 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
     Parameters
     ----------
     params:
-        Base system parameters (the fallback gains also serve as the default
-        fairness reference deployment).
+        Base system parameters (its gains are the reference deployment of
+        the unfairness axis).
     c0, c1, q_target, mu:
         Gain-point coordinates; scalars or 1-D arrays that broadcast to a
         common batch size.
     weights:
         Axis weights (defaults to equal weights).
-    reference:
-        Reference ``(c0, c1)`` deployment for the unfairness axis; defaults
-        to the gains in *params*.
-    t_end, dt, q0, rate0:
-        Trajectory horizon, step and shared start point (the canonical
-        empty-queue, zero-rate startup by default).
-    steady_fraction, tolerance:
-        Analysis-window fraction for the oscillation metrics and the band
-        tolerance for the settling times.
+    t_end, dt:
+        Trajectory horizon and step, from the canonical empty-queue,
+        zero-rate startup.  The oscillation metrics read the last half of
+        the run, and the settling times a band of 0.1 (relative, with that
+        absolute floor).
     period_points:
         Which points get an oscillation period.  The default, ``None``,
         computes every period.  A callable is given the scores with every
@@ -238,23 +228,21 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
     """
     _validate_gain_axes(c0, c1, q_target, mu)
     weights = weights if weights is not None else ObjectiveWeights()
-    reference_c0, reference_c1 = (reference if reference is not None
-                                  else (params.c0, params.c1))
     control = JRJControl(c0=params.c0, c1=params.c1,
                          q_target=params.q_target)
     batch = integrate_characteristic_batch(
-        control, params, q0, rate0, t_end=t_end, dt=dt,
+        control, params, 0.0, 0.0, t_end=t_end, dt=dt,
         columns={"c0": c0, "c1": c1, "q_target": q_target, "mu": mu},
         record_rate=False)
     amplitude, mean_value = oscillation_envelope_batch(
-        batch.times, batch.queue, steady_fraction=steady_fraction)
+        batch.times, batch.queue, steady_fraction=0.5)
     period = np.full(amplitude.shape, np.nan)
-    relaxation = batch.settling_times(tolerance)
+    relaxation = batch.settling_times(0.1)
     queue_error = np.abs(mean_value - batch.q_target)
     unfairness = deployment_unfairness(
         np.broadcast_to(np.asarray(c0, dtype=float), batch.q_target.shape),
         np.broadcast_to(np.asarray(c1, dtype=float), batch.q_target.shape),
-        reference_c0, reference_c1)
+        params.c0, params.c1)
     q_scale = np.maximum(batch.q_target, 1.0)
     score = combine_score(weights, amplitude, relaxation,
                           queue_error, unfairness, q_scale, t_end)
@@ -269,51 +257,5 @@ def score_gain_grid(params: SystemParameters, c0, c1, q_target, mu,
     members = (slice(None) if period_points is None
                else np.asarray(period_points(scores), dtype=np.intp))
     period[members] = oscillation_metrics_batch(
-        batch.times, batch.queue[:, members],
-        steady_fraction=steady_fraction).period
+        batch.times, batch.queue[:, members], steady_fraction=0.5).period
     return scores
-
-
-def score_operating_point(params: SystemParameters, c0: float, c1: float,
-                          q_target: float, mu: float,
-                          *,
-                          weights: Optional[ObjectiveWeights] = None,
-                          reference: Optional[Tuple[float, float]] = None,
-                          t_end: float = 150.0,
-                          dt: float = 0.1,
-                          q0: float = 0.0,
-                          rate0: float = 0.0,
-                          steady_fraction: float = 0.5,
-                          tolerance: float = 0.1) -> OperatingPointScore:
-    """Score one gain choice through the scalar trajectory path.
-
-    Runs the non-batched integrator and analysis routines end to end;
-    because the batched engine is member-wise bit-identical to the scalar
-    one, the result equals the corresponding :func:`score_gain_grid` entry
-    exactly — a parity the unit tests pin.
-    """
-    from ..analysis.oscillations import oscillation_metrics
-    from ..characteristics.trajectory import integrate_characteristic
-    weights = weights if weights is not None else ObjectiveWeights()
-    reference_c0, reference_c1 = (reference if reference is not None
-                                  else (params.c0, params.c1))
-    point_params = replace(params, mu=float(mu))
-    control = JRJControl(c0=float(c0), c1=float(c1),
-                         q_target=float(q_target))
-    trajectory = integrate_characteristic(control, point_params, q0, rate0,
-                                          t_end=t_end, dt=dt)
-    oscillation = oscillation_metrics(trajectory.times, trajectory.queue,
-                                      steady_fraction=steady_fraction)
-    relaxation = trajectory.settling_time(tolerance)
-    queue_error = abs(oscillation.mean_value - float(q_target))
-    unfairness = float(deployment_unfairness(float(c0), float(c1),
-                                             reference_c0, reference_c1))
-    q_scale = max(float(q_target), 1.0)
-    score = float(combine_score(weights, oscillation.amplitude, relaxation,
-                                queue_error, unfairness, q_scale, t_end))
-    return OperatingPointScore(
-        c0=float(c0), c1=float(c1), q_target=float(q_target), mu=float(mu),
-        oscillation_amplitude=oscillation.amplitude,
-        oscillation_period=oscillation.period,
-        relaxation_time=relaxation, queue_error=queue_error,
-        unfairness=unfairness, score=score)

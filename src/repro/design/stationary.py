@@ -49,7 +49,7 @@ from ..core.moments import DensityMoments, compute_moments
 from ..exceptions import ConfigurationError, ConvergenceError
 from ..health import HealthMonitor
 from ..health.report import HealthLog
-from ..numerics.backend import get_backend
+from ..numerics.backend import NULL_TOL, get_backend
 from ..numerics.grids import PhaseGrid2D
 
 __all__ = [
@@ -144,8 +144,7 @@ def _seed_density(grid: PhaseGrid2D, q_center: float) -> np.ndarray:
 
 
 def _solve_operator(generator: DiscreteGenerator, method: str, dt: float,
-                    backend_name: str, guess: np.ndarray, tol: float,
-                    max_iterations: int):
+                    backend_name: str, guess: np.ndarray):
     """Run the null-vector solve for one assembled operator."""
     if method == "splitting":
         operator = generator.splitting_matrix(dt)
@@ -161,29 +160,25 @@ def _solve_operator(generator: DiscreteGenerator, method: str, dt: float,
     backend = get_backend(backend_name)
     vector, info = backend.stationary_null_vector(
         operator.rows, operator.cols, operator.values, operator.n,
-        guess=guess.ravel(), weights=generator.mass_weights,
-        tol=tol, max_iterations=max_iterations)
+        guess=guess.ravel(), weights=generator.mass_weights)
     return vector.reshape(generator.grid.shape), info
 
 
 def solve_stationary(params: SystemParameters,
-                     control: Optional[RateControl] = None,
                      grid_params: Optional[GridParameters] = None,
                      *,
                      dt: Optional[float] = None,
                      method: str = "splitting",
                      backend: Optional[str] = None,
                      delay: float = 0.0,
-                     tol: float = 1e-9,
-                     max_iterations: int = 50,
                      health: Optional[str] = None) -> StationaryDensity:
     """Solve for the stationary density of one operating point directly.
 
     Parameters
     ----------
-    params, control, grid_params:
-        As for :class:`repro.core.solver.FokkerPlanckSolver`; the control
-        defaults to the JRJ law built from *params*.
+    params, grid_params:
+        As for :class:`repro.core.solver.FokkerPlanckSolver`, with the JRJ
+        law built from *params*.
     dt:
         Substep for ``method="splitting"`` (defaults to the library default
         step capped at the free-running CFL limit).  A marching run with
@@ -205,8 +200,6 @@ def solve_stationary(params: SystemParameters,
         Feedback delay ``τ ≥ 0``.  A positive value wraps the control into
         the first-order :class:`DelayShiftedControl` closure (see the module
         docstring).
-    tol, max_iterations:
-        Null-solve tolerance (relative residual) and iteration cap.
     health:
         Numerical health policy (falls back to ``params.health``, then the
         environment / the ``observe`` default).  The monitor checks the
@@ -218,15 +211,16 @@ def solve_stationary(params: SystemParameters,
     Raises
     ------
     ConvergenceError
-        If the null solve stalls.  The message gives the best residual
-        reached and points at ``q_max``: mass leaving through the open
-        ``q = q_max`` edge is what keeps a coarse or short grid above *tol*.
+        If the null solve stalls above the relative residual
+        :data:`~repro.numerics.backend.NULL_TOL`.  The message gives the
+        best residual reached and points at ``q_max``: mass leaving through
+        the open ``q = q_max`` edge is what keeps a coarse or short grid
+        above it.
     """
+    from ..control.jrj import jrj_from_parameters
     monitor = HealthMonitor.create(health or params.health or None,
                                    where="design.stationary")
-    if control is None:
-        from ..control.jrj import jrj_from_parameters
-        control = jrj_from_parameters(params)
+    control = jrj_from_parameters(params)
     if delay > 0.0:
         control = DelayShiftedControl(control, delay, params.mu)
     generator = assemble_generator(params, control=control,
@@ -235,15 +229,14 @@ def solve_stationary(params: SystemParameters,
     guess = _seed_density(generator.grid, params.q_target)
     try:
         density, info = _solve_operator(generator, method, step,
-                                        backend or params.backend, guess,
-                                        tol, max_iterations)
+                                        backend or params.backend, guess)
     except ConvergenceError as error:
         best = error.residual if error.residual is not None else float("inf")
         if monitor is not None:
             # Under strict this aborts with the typed ResidualHealthError;
             # otherwise it records the failure and the ConvergenceError
             # follows (so existing retry logic still works).
-            monitor.check_residual(best, tol,
+            monitor.check_residual(best, NULL_TOL,
                                    label=f"stationary {method} solve")
         if error.residual is None:
             raise
@@ -253,7 +246,7 @@ def solve_stationary(params: SystemParameters,
             f"tol: raise q_max (--q-max)",
             iterations=error.iterations, residual=error.residual) from error
     if monitor is not None:
-        monitor.check_residual(float(info["residual"]), tol,
+        monitor.check_residual(float(info["residual"]), NULL_TOL,
                                label=f"stationary {method} solve")
     moments = compute_moments(density, generator.grid)
     estimate = StationaryEstimate(
@@ -268,34 +261,29 @@ def solve_stationary(params: SystemParameters,
 
 def compare_with_marching(stationary: StationaryDensity,
                           params: SystemParameters,
-                          control: Optional[RateControl] = None,
                           grid_params: Optional[GridParameters] = None,
                           *,
                           t_end: float = 400.0,
-                          delay: float = 0.0,
-                          q0: Optional[float] = None,
-                          rate0: Optional[float] = None) -> dict:
+                          delay: float = 0.0) -> dict:
     """Cross-check a stationary solve against the time-marched tail.
 
-    Marches the same configuration to *t_end* with the stationary solve's
-    own ``dt`` (so both discretisations share the identical substep) and
-    returns the relative moment differences alongside both moment sets.
-    Pass the same *delay* given to :func:`solve_stationary` so the march
-    uses the identical effective drift field.
+    Marches the same configuration (the JRJ law built from *params*) from
+    ``(q̂, μ)`` to *t_end* with the stationary solve's own ``dt`` (so both
+    discretisations share the identical substep) and returns the relative
+    moment differences alongside both moment sets.  Pass the same *delay*
+    given to :func:`solve_stationary` so the march uses the identical
+    effective drift field.
     """
+    from ..control.jrj import jrj_from_parameters
     from ..core.solver import FokkerPlanckSolver
-    if control is None:
-        from ..control.jrj import jrj_from_parameters
-        control = jrj_from_parameters(params)
+    control = jrj_from_parameters(params)
     if delay > 0.0:
         control = DelayShiftedControl(control, delay, params.mu)
     solver = FokkerPlanckSolver(params, control, grid_params=grid_params)
     dt = stationary.estimate.dt
     time_params = TimeParameters(t_end=t_end, dt=dt,
                                  snapshot_every=max(1, int(round(t_end / dt))))
-    start_q = params.q_target if q0 is None else q0
-    start_rate = params.mu if rate0 is None else rate0
-    result = solver.solve_from_point(start_q, start_rate, time_params)
+    result = solver.solve_from_point(params.q_target, params.mu, time_params)
     marched = result.final_density / solver.grid.total_mass(
         result.final_density)
     marched_moments = compute_moments(marched, solver.grid)

@@ -7,12 +7,9 @@ deterministic fluid model: the queue obeys
 
 and the arrival rate obeys the control law ``dλ/dt = g(Q, λ)``.  Both
 quantities are treated as deterministic functions of time; the model
-captures the mean behaviour (and, with delay, the oscillations) but has no
-notion of variance -- the gap the paper's Fokker-Planck formulation fills.
-
-The model optionally takes a feedback delay ``τ``: the controller then sees
-``Q(t − τ)`` instead of ``Q(t)``, turning the system into a DDE which is
-integrated by the method of steps.
+captures the mean behaviour but has no notion of variance -- the gap the
+paper's Fokker-Planck formulation fills.  Delayed feedback lives in
+:mod:`repro.delay`.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import numpy as np
 from ..characteristics.trajectory import integrate_characteristic_batch
 from ..config import SystemParameters
 from ..control.base import RateControl
-from ..numerics.dde import integrate_dde
 
 __all__ = ["FluidModel", "FluidTrajectory"]
 
@@ -54,9 +50,10 @@ class FluidTrajectory:
         """Arrival rate at the end of the run."""
         return float(self.rate[-1])
 
-    def time_average_queue(self, skip_fraction: float = 0.2) -> float:
-        """Time-averaged queue length over the post-transient part of the run."""
-        start = min(int(skip_fraction * self.times.size), self.times.size - 2)
+    def time_average_queue(self) -> float:
+        """Time-averaged queue length over the run's last 80% (the first 20%
+        is transient)."""
+        start = min(int(0.2 * self.times.size), self.times.size - 2)
         duration = self.times[-1] - self.times[start]
         if duration <= 0.0:
             return float(self.queue[-1])
@@ -64,78 +61,31 @@ class FluidTrajectory:
 
 
 class FluidModel:
-    """Deterministic fluid approximation of the controlled queue.
+    """Deterministic fluid approximation of the controlled queue: the plain
+    coupled-ODE model of Bolot-Shankar, with undelayed feedback."""
 
-    Parameters
-    ----------
-    control:
-        Rate-control law ``g(q, λ)``.
-    params:
-        System parameters (``mu`` is the service rate).
-    feedback_delay:
-        Feedback delay ``τ ≥ 0``.  Zero gives the plain coupled-ODE model of
-        Bolot-Shankar; a positive value delays the queue value the
-        controller sees.
-    """
-
-    def __init__(self, control: RateControl, params: SystemParameters,
-                 feedback_delay: float = 0.0):
-        if feedback_delay < 0.0:
-            raise ValueError("feedback_delay must be non-negative")
+    def __init__(self, control: RateControl, params: SystemParameters):
         self.control = control
         self.params = params
-        self.feedback_delay = float(feedback_delay)
-
-    def _queue_drift(self, queue: float, rate: float) -> float:
-        drift = rate - self.params.mu
-        if queue <= 0.0 and drift < 0.0:
-            return 0.0
-        return drift
-
-    @staticmethod
-    def _project(state: np.ndarray) -> np.ndarray:
-        return np.array([max(state[0], 0.0), max(state[1], 0.0)])
 
     def solve(self, q0: float, rate0: float, t_end: float,
               dt: float = 0.02) -> FluidTrajectory:
         """Integrate the fluid model from ``(q0, rate0)`` until ``t_end``.
 
-        The undelayed model rides the batched characteristic engine (as a
-        family of one), which is bit-identical to the scalar fixed-step
-        integration the model used before.
+        The model rides the batched characteristic engine (as a family of
+        one), which is bit-identical to the scalar fixed-step integration
+        the model used before.
         """
-        if self.feedback_delay == 0.0:
-            return self.solve_batch([q0], [rate0], t_end=t_end, dt=dt)[0]
-
-        delay = self.feedback_delay
-
-        def delayed_rhs(t: float, state: np.ndarray, history) -> np.ndarray:
-            q, lam = state
-            q_seen = float(history(t - delay)[0])
-            return np.array([
-                self._queue_drift(q, lam),
-                float(np.asarray(self.control.drift(q_seen, lam))),
-            ])
-
-        result = integrate_dde(delayed_rhs, [q0, rate0], t_end=t_end, dt=dt,
-                               projection=self._project)
-        return FluidTrajectory(times=result.times,
-                               queue=result.states[:, 0],
-                               rate=result.states[:, 1],
-                               mu=self.params.mu)
+        return self.solve_batch([q0], [rate0], t_end=t_end, dt=dt)[0]
 
     def solve_batch(self, q0, rate0, t_end: float,
                     dt: float = 0.02) -> List[FluidTrajectory]:
         """Integrate a family of fluid trajectories as one batched run.
 
         *q0* and *rate0* are scalars or broadcastable 1-D arrays of initial
-        conditions.  Only the undelayed model batches (the delayed model is
-        a DDE with per-trajectory history and stays scalar); each returned
-        trajectory is bit-identical to ``solve`` from the same point.
+        conditions; each returned trajectory is bit-identical to ``solve``
+        from the same point.
         """
-        if self.feedback_delay != 0.0:
-            raise ValueError(
-                "solve_batch supports only the undelayed fluid model")
         # The undelayed fluid system *is* the characteristic system (pinned
         # queue drift, non-negativity projection), so the integration is
         # delegated to the one batched implementation of those dynamics.

@@ -29,12 +29,12 @@ KNOWN_NUMERICAL_FAULTS = ("nan-density", "negative-queue")
 _armed: Dict[str, int] = {}
 
 
-def arm_numerical_fault(kind: str, count: int = 1) -> None:
-    """Arm *kind* to fire on its next *count* consumption points."""
+def arm_numerical_fault(kind: str) -> None:
+    """Arm *kind* to fire on one more consumption point."""
     if kind not in KNOWN_NUMERICAL_FAULTS:
         raise ValueError(f"unknown numerical fault kind {kind!r}; "
                          f"expected one of {KNOWN_NUMERICAL_FAULTS}")
-    _armed[kind] = _armed.get(kind, 0) + int(count)
+    _armed[kind] = _armed.get(kind, 0) + 1
 
 
 def consume_numerical_fault(kind: str) -> bool:

@@ -110,21 +110,20 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # Fokker-Planck density invariants (core/)
 
-    def check_fp_density(self, density: np.ndarray, grid, t: float,
-                         absorbed: float = 0.0) -> None:
+    def check_fp_density(self, density: np.ndarray, grid, t: float) -> None:
         """Finiteness, positivity and mass conservation of an FP density.
 
         Runs once per output interval; mutates *density* in place only in
-        repair mode.  *absorbed* is the mass fraction legitimately removed
-        by an absorbing boundary, so the conservation target is
-        ``1 - absorbed``.
+        repair mode.  The conservation target is unit mass: a density that
+        reaches the open ``q = q_max`` edge loses mass there and fires the
+        mass check.
         """
         total = float(density.sum())
         # density >= 0 on the healthy path, so a finite sum certifies every
         # cell; a NaN/Inf anywhere poisons the sum (same certificate the
         # pre-health check used).
         if not (total < np.inf):
-            self._fire_non_finite_density(density, grid, t, absorbed)
+            self._fire_non_finite_density(density, grid, t)
             total = float(density.sum())
 
         min_value = float(density.min())
@@ -145,19 +144,18 @@ class HealthMonitor:
             total = float(density.sum())
 
         mass = total * grid.cell_area
-        expected = 1.0 - absorbed
-        drift = abs(mass - expected)
+        drift = abs(mass - 1.0)
         if drift > MASS_TOLERANCE:
 
             def _renormalize() -> None:
-                if mass > 0.0 and expected > 0.0:
-                    np.multiply(density, expected / mass, out=density)
+                if mass > 0.0:
+                    np.multiply(density, 1.0 / mass, out=density)
 
             self._fire(
                 "mass", time=t, magnitude=drift, threshold=MASS_TOLERANCE,
                 error_cls=MassConservationError, repair=_renormalize,
                 message=(f"total mass {mass:.12g} drifted {drift:.3e} from "
-                         f"conservation target {expected:.12g} at t={t:.6g}"))
+                         f"conservation target 1 at t={t:.6g}"))
 
     def check_fp_half_step(self, intermediate: np.ndarray, grid,
                            t: float) -> None:
@@ -194,8 +192,8 @@ class HealthMonitor:
                 message=(f"ADI half-step intermediate cell {cell} negative "
                          f"({min_value:.3e}) at t={t:.6g}"))
 
-    def _fire_non_finite_density(self, density: np.ndarray, grid, t: float,
-                                 absorbed: float) -> None:
+    def _fire_non_finite_density(self, density: np.ndarray, grid,
+                                 t: float) -> None:
         bad = np.flatnonzero(~np.isfinite(density.ravel()))
         n_bad = int(bad.size)
         cell = (tuple(int(i) for i in
@@ -206,12 +204,11 @@ class HealthMonitor:
             np.nan_to_num(density, copy=False, nan=0.0,
                           posinf=0.0, neginf=0.0)
             remaining = grid.total_mass(density)
-            expected = 1.0 - absorbed
-            if remaining <= 0.0 or expected <= 0.0:
+            if remaining <= 0.0:
                 raise NonFiniteStateError(
                     f"density unrecoverable at t={t:.6g}: no finite mass "
                     f"left after scrubbing {n_bad} non-finite cells")
-            np.multiply(density, expected / remaining, out=density)
+            np.multiply(density, 1.0 / remaining, out=density)
 
         self._fire(
             "finiteness", time=t, magnitude=float(n_bad), threshold=0.0,
@@ -221,12 +218,12 @@ class HealthMonitor:
                      f"first at {cell}"))
 
     # ------------------------------------------------------------------
-    # generic array finiteness (ODE / SDE batch engines)
+    # generic array finiteness (SDE batch engines)
 
     def check_finite_block(self, states: np.ndarray, t: float, *,
                            label: str = "state",
-                           repair: Optional[Callable[[], None]] = None,
-                           fatal: bool = False) -> bool:
+                           repair: Optional[Callable[[], None]] = None
+                           ) -> bool:
         """Finiteness of a trajectory/path block; True when repaired."""
         if np.isfinite(states).all():
             return False
@@ -236,7 +233,6 @@ class HealthMonitor:
         return self._fire(
             "finiteness", time=t, magnitude=float(n_bad), threshold=0.0,
             error_cls=NonFiniteStateError, cell=cell, repair=repair,
-            fatal=fatal,
             message=(f"{label}: {n_bad} non-finite entries at t={t:.6g}, "
                      f"first at index {cell}"))
 
@@ -251,8 +247,7 @@ class HealthMonitor:
             message=(f"{label}: dt={dt:.6g} exceeds the integration "
                      f"horizon {span:.6g}"))
 
-    def check_min_step(self, dt: float, min_dt: float, t: float, *,
-                       label: str = "adaptive integrator") -> bool:
+    def check_min_step(self, dt: float, min_dt: float, t: float) -> bool:
         """Step-size collapse in an adaptive integrator (strict aborts;
         otherwise the caller's original error still follows).
 
@@ -264,8 +259,8 @@ class HealthMonitor:
         return self._fire(
             "step-size", time=t, magnitude=float(dt),
             threshold=float(min_dt), error_cls=StepSizeError,
-            message=(f"{label}: step {dt:.3e} shrank below the minimum "
-                     f"{min_dt:.3e} at t={t:.6g}"))
+            message=(f"adaptive integrator: step {dt:.3e} shrank below the "
+                     f"minimum {min_dt:.3e} at t={t:.6g}"))
 
     # ------------------------------------------------------------------
     # discrete-event invariants (queueing/)
@@ -308,17 +303,16 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # convergence / residual health (design/)
 
-    def check_residual(self, residual: float, tol: float, *, time: float = 0.0,
+    def check_residual(self, residual: float, tol: float, *,
                        label: str = "stationary solve",
-                       repair: Optional[Callable[[], None]] = None,
-                       fatal: bool = False) -> bool:
+                       repair: Optional[Callable[[], None]] = None) -> bool:
         """Residual health of a converged (or failed) stationary solve."""
         if np.isfinite(residual) and residual <= tol:
             return False
         return self._fire(
-            "residual", time=time, magnitude=float(residual),
+            "residual", time=0.0, magnitude=float(residual),
             threshold=float(tol), error_cls=ResidualHealthError,
-            repair=repair, fatal=fatal,
+            repair=repair,
             message=(f"{label}: residual {residual:.3e} exceeds "
                      f"tolerance {tol:.3e}"))
 

@@ -115,14 +115,16 @@ class FairnessReport:
 
 
 def fairness_report(trajectory: MultiSourceTrajectory,
-                    sources: Sequence[SourceParameters],
-                    skip_fraction: float = 0.3) -> FairnessReport:
-    """Compare a simulated multi-source run against the share prediction."""
+                    sources: Sequence[SourceParameters]) -> FairnessReport:
+    """Compare a simulated multi-source run against the share prediction.
+
+    The observed rates average the run's last 70%.
+    """
     if trajectory.n_sources != len(sources):
         raise AnalysisError(
             "trajectory and source list disagree on the number of sources")
     predicted = predicted_equilibrium_shares(sources)
-    observed_rates = trajectory.time_average_rates(skip_fraction)
+    observed_rates = trajectory.time_average_rates(0.3)
     total = float(np.sum(observed_rates))
     observed_shares = (observed_rates / total if total > 0.0
                        else np.full(len(sources), 1.0 / len(sources)))

@@ -283,9 +283,7 @@ class NumericsBackend:
     def stationary_null_vector(self, rows: np.ndarray, cols: np.ndarray,
                                values: np.ndarray, n: int,
                                guess: Optional[np.ndarray] = None,
-                               weights: Optional[np.ndarray] = None,
-                               tol: float = 1e-9,
-                               max_iterations: int = 50):
+                               weights: Optional[np.ndarray] = None):
         """Solve ``M p = 0`` for the mass-normalised stationary vector.
 
         Parameters
@@ -303,10 +301,10 @@ class NumericsBackend:
         weights:
             Quadrature weights defining the mass normalisation
             ``weights · p = 1`` (defaults to uniform).
-        tol:
-            Relative residual target ``max|M p| / (max|M| · max|p|)``.
-        max_iterations:
-            Iteration cap for iterative methods.
+
+        The relative residual target ``max|M p| / (max|M| · max|p|)`` is
+        :data:`NULL_TOL`, and iterative methods stop after
+        :data:`NULL_MAX_ITERATIONS` iterations (both read at call time).
 
         Returns
         -------
@@ -333,6 +331,11 @@ class NumericsBackend:
 #: bound the block storage of its block-banded factorization.  Larger
 #: problems need the scipy backend's sparse factorization.
 DENSE_NULL_LIMIT = 20000
+
+#: Relative residual target of every stationary null solve.
+NULL_TOL = 1e-9
+#: Iteration cap of the null solves' shifted inverse iteration.
+NULL_MAX_ITERATIONS = 50
 
 
 def _coo_tridiagonal_bands(rows: np.ndarray, cols: np.ndarray,
@@ -562,8 +565,7 @@ class NumpyBackend(NumericsBackend):
         return _FlatTridiagonalFactorization(lower, diag, upper)
 
     def stationary_null_vector(self, rows, cols, values, n,
-                               guess=None, weights=None,
-                               tol=1e-9, max_iterations=50):
+                               guess=None, weights=None):
         """Block-banded shifted inverse iteration, dense row-replacement fallback.
 
         The shifted operator is factorized once by
@@ -577,9 +579,9 @@ class NumpyBackend(NumericsBackend):
         iterated = _shifted_inverse_iteration(
             lambda shift: _BlockBandedFactorization(rows, cols, values, n,
                                                     shift),
-            rows, cols, values, n, guess, tol, max_iterations)
+            rows, cols, values, n, guess, NULL_TOL, NULL_MAX_ITERATIONS)
         return _finish_null_solve(
-            rows, cols, values, n, weights, tol, iterated,
+            rows, cols, values, n, weights, NULL_TOL, iterated,
             "block-banded-inverse-iteration",
             lambda: _dense_row_replacement(rows, cols, values, n, guess,
                                            weights),
@@ -724,8 +726,7 @@ class ScipyBackend(NumericsBackend):
         return scipy_available()
 
     def stationary_null_vector(self, rows, cols, values, n,
-                               guess=None, weights=None,
-                               tol=1e-9, max_iterations=50):
+                               guess=None, weights=None):
         """``splu`` shifted inverse iteration, sparse row-replacement fallback.
 
         The shifted operator is factorized once by ``splu`` and the shared
@@ -741,7 +742,7 @@ class ScipyBackend(NumericsBackend):
         iterated = _shifted_inverse_iteration(
             lambda shift: _SpluSparseFactorization(rows, cols, values, n,
                                                    shift),
-            rows, cols, values, n, guess, tol, max_iterations)
+            rows, cols, values, n, guess, NULL_TOL, NULL_MAX_ITERATIONS)
 
         def row_replacement() -> np.ndarray:
             from scipy.sparse import csc_matrix
@@ -755,7 +756,7 @@ class ScipyBackend(NumericsBackend):
             return spsolve(lil.tocsc(), rhs)
 
         return _finish_null_solve(
-            rows, cols, values, n, weights, tol, iterated,
+            rows, cols, values, n, weights, NULL_TOL, iterated,
             "sparse-inverse-iteration", row_replacement,
             "sparse-row-replacement")
 

@@ -27,7 +27,7 @@ class DelayBuffer:
     """History of state samples supporting interpolated lookup of past values.
 
     The buffer is seeded with the constant pre-history (the state for
-    ``t ≤ t_start``) and extended by the integrator after every accepted
+    ``t`` up to its start time) and extended by the integrator after every accepted
     step.  Lookups before the earliest sample return the earliest sample,
     matching the usual constant-history convention for DDEs.
     """
@@ -87,10 +87,11 @@ class DDEResult:
 
 
 def integrate_dde(rhs: DelayedRHS, initial_state: Sequence[float], t_end: float,
-                  dt: float, t_start: float = 0.0,
+                  dt: float,
                   projection: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                   ) -> DDEResult:
-    """Integrate a delay differential equation with fixed-step RK4.
+    """Integrate a delay differential equation with fixed-step RK4 from
+    ``t = 0``.
 
     Parameters
     ----------
@@ -98,24 +99,24 @@ def integrate_dde(rhs: DelayedRHS, initial_state: Sequence[float], t_end: float,
         Callable ``rhs(t, state, history)`` where ``history(s)`` returns the
         (interpolated) state vector at the earlier time ``s``.
     initial_state:
-        State for all ``t ≤ t_start`` (constant pre-history).
-    t_end, dt, t_start:
-        Integration horizon, step and start time.
+        State for all ``t ≤ 0`` (constant pre-history).
+    t_end, dt:
+        Integration horizon and step.
     projection:
         Optional constraint projection applied after each step.
     """
     if dt <= 0.0:
         raise ConvergenceError("dt must be positive")
-    if t_end <= t_start:
-        raise ConvergenceError("t_end must exceed t_start")
+    if t_end <= 0.0:
+        raise ConvergenceError("t_end must be positive")
 
-    buffer = DelayBuffer(t_start, initial_state)
+    buffer = DelayBuffer(0.0, initial_state)
     state = np.asarray(initial_state, dtype=float).copy()
-    times: List[float] = [t_start]
+    times: List[float] = [0.0]
     states: List[np.ndarray] = [state.copy()]
 
-    t = t_start
-    n_steps = int(np.ceil((t_end - t_start) / dt))
+    t = 0.0
+    n_steps = int(np.ceil(t_end / dt))
     for _ in range(n_steps):
         step = min(dt, t_end - t)
         history = buffer.lookup

@@ -39,9 +39,11 @@ def power_spectrum(signal: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarra
     return frequencies, power
 
 
-def dominant_period(signal: np.ndarray, dt: float,
-                    min_relative_power: float = 1e-12) -> float:
+def dominant_period(signal: np.ndarray, dt: float) -> float:
     """Return the period of the strongest non-zero frequency component.
+
+    A component whose power is below ``1e-12`` of the total (at least 1)
+    counts as no oscillation.
 
     Raises
     ------
@@ -54,7 +56,7 @@ def dominant_period(signal: np.ndarray, dt: float,
         raise AnalysisError("signal too short to estimate a period")
     nonzero_power = power[1:]
     total = float(np.sum(nonzero_power))
-    if total <= 0.0 or float(np.max(nonzero_power)) < min_relative_power * max(total, 1.0):
+    if total <= 0.0 or float(np.max(nonzero_power)) < 1e-12 * max(total, 1.0):
         raise AnalysisError("signal has no detectable oscillation")
     peak_index = 1 + int(np.argmax(nonzero_power))
     frequency = frequencies[peak_index]
@@ -63,33 +65,16 @@ def dominant_period(signal: np.ndarray, dt: float,
     return float(1.0 / frequency)
 
 
-def detect_peaks(signal: np.ndarray, min_prominence: float = 0.0) -> List[int]:
+def detect_peaks(signal: np.ndarray) -> List[int]:
     """Return indices of local maxima of *signal*.
 
     A sample is a peak if it is strictly greater than its left neighbour and
-    at least as large as its right neighbour; peaks whose height above the
-    neighbouring minima is below *min_prominence* are discarded.  Plateaus
-    report their first index.
+    at least as large as its right neighbour.  Plateaus report their first
+    index.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.size < 3:
         return []
-    if min_prominence <= 0.0:
-        # Vectorized fast path: identical local-maximum predicate, no
-        # prominence filtering to apply.
-        interior = signal[1:-1]
-        mask = (interior > signal[:-2]) & (interior >= signal[2:])
-        return (np.nonzero(mask)[0] + 1).tolist()
-    peaks: List[int] = []
-    for i in range(1, signal.size - 1):
-        if signal[i] > signal[i - 1] and signal[i] >= signal[i + 1]:
-            if min_prominence > 0.0:
-                left_min = float(np.min(signal[max(0, i - 1)::-1][:max(i, 1)])) \
-                    if i > 0 else signal[i]
-                left_min = float(np.min(signal[:i + 1]))
-                right_min = float(np.min(signal[i:]))
-                prominence = signal[i] - max(left_min, right_min)
-                if prominence < min_prominence:
-                    continue
-            peaks.append(i)
-    return peaks
+    interior = signal[1:-1]
+    mask = (interior > signal[:-2]) & (interior >= signal[2:])
+    return (np.nonzero(mask)[0] + 1).tolist()

@@ -194,9 +194,6 @@ class MultiHopSimulator:
     def _forward(self, packet: Packet, node_name: str) -> None:
         next_node, delay = self._forwarding[node_name][packet.source_id]
         if next_node is not None:
-            # Clear per-node bookkeeping so the next hop re-times the packet.
-            packet.enqueue_time = None
-            packet.departure_time = None
             self.events.schedule_call(
                 self.events.current_time + delay,
                 lambda p=packet, node=next_node: node.receive(p))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["Packet"]
 
@@ -27,11 +26,6 @@ class Packet:
     congestion_marked:
         Set by the bottleneck when the queue exceeded the marking threshold
         at arrival -- the explicit feedback bit of the DECbit scheme.
-    enqueue_time, departure_time:
-        Filled in by the bottleneck for delay accounting; ``None`` if the
-        packet was dropped.
-    dropped:
-        True when the packet was discarded because the buffer was full.
     """
 
     source_id: int
@@ -39,6 +33,3 @@ class Packet:
     creation_time: float
     size: float = 1.0
     congestion_marked: bool = False
-    enqueue_time: Optional[float] = None
-    departure_time: Optional[float] = None
-    dropped: bool = False

@@ -123,16 +123,15 @@ class BottleneckQueue:
             packet.congestion_marked = True
 
         if self.buffer_size is not None and held >= self.buffer_size:
-            packet.dropped = True
             self.total_drops += 1
             self._count_loss(packet.source_id)
             if self.on_drop is not None:
                 self.on_drop(packet)
             return
 
-        packet.enqueue_time = self._events.current_time
+        now = self._events.current_time
         self._queue.append(packet)
-        self._record_sample(packet.enqueue_time, float(held + 1))
+        self._record_sample(now, float(held + 1))
         if not self._busy:
             self._start_service()
 
@@ -152,7 +151,6 @@ class BottleneckQueue:
     def _complete_service(self) -> None:
         packet = self._queue.popleft()
         now = self._events.current_time
-        packet.departure_time = now
         self.total_departures += 1
         self._count_delivery(packet.source_id)
         self._record_sample(now, float(len(self._queue)))

@@ -58,18 +58,17 @@ class RateSource:
         Starting rate ``λ(0)`` (packets per unit time, non-negative).
     control_interval:
         Period between rate updates; each update applies
-        ``λ ← max(λ + g(q_seen, λ) · interval, rate_floor)``.
-    feedback_channel:
-        Channel over which queue-length reports arrive (its delay is the
-        feedback delay ``τ`` of the model).  The source asks the simulator
-        to sample the queue each control interval; the report arrives
-        ``τ`` later and is used at the next update.
-    rate_floor:
-        Smallest rate the source will use while active (keeps the sending
-        process alive so it can probe again after deep decreases).
+        ``λ ← max(λ + g(q_seen, λ) · interval, rate_floor)``, where
+        ``rate_floor`` (0.01) keeps the sending process alive so it can
+        probe again after deep decreases.
     jitter_fraction:
         Relative jitter applied to packet spacing (0 gives perfectly paced
         packets; a positive value models burstiness and feeds the σ² term).
+
+    The simulator sets ``feedback_channel`` after construction when the
+    source has a feedback delay ``τ``: the source asks for a queue sample
+    each control interval, and the report arrives ``τ`` later and is used
+    at the next update.  Without a channel the report arrives at once.
     """
 
     __slots__ = ("source_id", "_events", "_bottleneck", "_trace", "_streams",
@@ -82,24 +81,21 @@ class RateSource:
                  bottleneck: BottleneckQueue, trace: SimulationTrace,
                  streams: RandomStreams, control: RateControl,
                  initial_rate: float, control_interval: float,
-                 feedback_channel: Optional[FeedbackChannel] = None,
-                 rate_floor: float = 0.01, jitter_fraction: float = 0.0):
+                 jitter_fraction: float = 0.0):
         if initial_rate < 0.0:
             raise ConfigurationError("initial_rate must be non-negative")
         if control_interval <= 0.0:
             raise ConfigurationError("control_interval must be positive")
-        if rate_floor <= 0.0:
-            raise ConfigurationError("rate_floor must be positive")
         self.source_id = source_id
         self._events = event_queue
         self._bottleneck = bottleneck
         self._trace = trace
         self._streams = streams
         self.control = control
-        self.rate = max(float(initial_rate), rate_floor)
+        self.rate_floor = 0.01
+        self.rate = max(float(initial_rate), self.rate_floor)
         self.control_interval = float(control_interval)
-        self.feedback_channel = feedback_channel
-        self.rate_floor = float(rate_floor)
+        self.feedback_channel: Optional[FeedbackChannel] = None
         self.jitter_fraction = float(jitter_fraction)
         self._sequence = 0
         self._last_seen_queue = 0.0

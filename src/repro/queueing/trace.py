@@ -138,10 +138,10 @@ class TimeSeriesTrace:
         view.flags.writeable = False
         return view
 
-    def last_value(self, default: float = 0.0) -> float:
-        """Most recent value, or *default* when the trace is empty."""
+    def last_value(self) -> float:
+        """Most recent value, or 0.0 when the trace is empty."""
         if self._length == 0:
-            return default
+            return 0.0
         return float(self._values[self._length - 1])
 
     def time_average(self, t_start: float = 0.0,

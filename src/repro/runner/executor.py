@@ -325,7 +325,14 @@ def _run_serial(supervisor: _Supervisor, pending: Sequence[int],
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill a pool's workers and discard it (watchdog / break recovery)."""
+    """Kill a pool's workers and discard it (watchdog / break recovery).
+
+    The shutdown waits: once the workers are dead the pool's manager
+    thread sees the break, closes the call queue and joins its feeder
+    thread, and only then exits.  A pool discarded without that wait
+    leaves both threads running, and at interpreter exit they write into
+    pipes that are already closed.
+    """
     processes = list(getattr(pool, "_processes", {}).values())
     for process in processes:
         try:
@@ -333,7 +340,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         except OSError:
             pass
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
     except Exception:
         pass
     for process in processes:

@@ -6,7 +6,7 @@ seeded shards whose seeds come from the spawn-key derivation in
 :mod:`repro.queueing.random_streams`.  Shard ``i`` depends only on
 ``(seed, i, its particle count)``, and the shards run in process in
 shard-index order, so a sharded result is reproducible for each
-``(seed, n_paths, n_shards)``.  The parallel form of an ensemble is a
+``(seed, n_paths)``.  The parallel form of an ensemble is a
 runner matrix whose jobs are whole ensembles
 (``repro run ensemble-grid --jobs N``).
 
@@ -16,8 +16,8 @@ Sharded ensembles also take a ``retention`` policy.  Under
 paths are folded, in shard-index order, into streaming
 per-snapshot-time Welford moments plus the final particle states, and the
 shard's history is discarded -- the working set is one shard, not the
-ensemble.  Under ``"none"`` even the final states are streamed into a
-fixed-bin histogram and overflow counters.  Because shard streams depend
+ensemble.  Under ``"none"`` even the final states are streamed, into an
+exact overflow counter at ``2·q̂``.  Because shard streams depend
 only on ``(seed, shard index, shard size)``, a moments-mode run integrates
 exactly the same sample paths as the full-mode run it summarises.
 """
@@ -44,8 +44,8 @@ from .langevin import LangevinModel
 __all__ = ["EnsembleResult", "EnsembleStats", "run_ensemble",
            "compare_with_density", "shard_sizes"]
 
-#: Shard count used when ``seed=`` is given without an explicit ``n_shards``.
-#: A fixed constant, so a sharded result depends only on ``(seed, n_paths)``.
+#: Shard count of a seeded ensemble.  A fixed constant, so a sharded result
+#: depends only on ``(seed, n_paths)``.
 DEFAULT_SHARDS = 8
 
 
@@ -66,19 +66,15 @@ class EnsembleStats:
         Particle states at the final time, shape ``(n_paths, dim)``; kept
         under ``retention="moments"`` (so overflow probabilities and
         empirical densities stay exact), ``None`` under ``"none"``.
-    final_queue_histogram:
-        Fixed-bin histogram of final queue lengths (``retention="none"``
-        with ``histogram_edges``), else ``None``.
     overflow_counts:
-        Exact counts of final queues strictly above each configured
-        threshold (``retention="none"``), keyed by threshold.
+        Exact count of final queues strictly above ``2·q̂``
+        (``retention="none"``), keyed by that threshold.
     """
 
     times: np.ndarray
     n_paths: int
     moments: StreamingMoments
     final_states: Optional[np.ndarray] = None
-    final_queue_histogram: Optional[StreamingHistogram] = None
     overflow_counts: Dict[float, int] = field(default_factory=dict)
 
 
@@ -164,19 +160,11 @@ class EnsembleResult:
             return self.stats.final_states[:, 0]
         raise AnalysisError(
             "final particle states are unavailable under retention='none'; "
-            "rerun with retention='moments' or configure histogram_edges")
+            "rerun with retention='moments'")
 
     def final_queue_density(self, edges: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Empirical queue-length density at the final time on the given bins."""
-        if self.paths is None and self.stats.final_states is None:
-            histogram = self.stats.final_queue_histogram
-            if histogram is not None and np.array_equal(
-                    histogram.edges, np.asarray(edges, dtype=float)):
-                return histogram.density()
-            raise AnalysisError(
-                "empirical density under retention='none' needs "
-                "histogram_edges matching the requested bins")
         histogram = StreamingHistogram(edges)
         histogram.update(self.final_queue_samples())
         return histogram.density()
@@ -188,12 +176,10 @@ class EnsembleResult:
                 if abs(configured - threshold) <= 1e-12 * max(
                         1.0, abs(configured)):
                     return count / self.stats.n_paths
-            histogram = self.stats.final_queue_histogram
-            if histogram is not None:
-                return histogram.tail_fraction(threshold)
             raise AnalysisError(
-                f"overflow threshold {threshold:g} was not streamed; pass it "
-                "via overflow_thresholds= or use retention='moments'")
+                f"overflow threshold {threshold:g} was not streamed "
+                "(retention='none' counts only 2*q_target); use "
+                "retention='moments'")
         samples = self.final_queue_samples()
         return float(np.mean(samples > threshold))
 
@@ -237,9 +223,7 @@ def _simulate_shard(control: RateControl, params: SystemParameters,
 
 
 def _fold_shard(stats: Optional[EnsembleStats], shard: SDEPaths,
-                retention: str,
-                histogram_edges: Optional[np.ndarray],
-                overflow_thresholds: Sequence[float]) -> EnsembleStats:
+                retention: str, overflow_threshold: float) -> EnsembleStats:
     """Fold one shard's paths into the streamed summary, then drop them."""
     n_times, n_paths, dim = shard.paths.shape
     if stats is None:
@@ -247,9 +231,7 @@ def _fold_shard(stats: Optional[EnsembleStats], shard: SDEPaths,
                               moments=StreamingMoments((n_times, dim)))
         if retention == "moments":
             stats.final_states = np.empty((0, dim), dtype=float)
-        elif histogram_edges is not None:
-            stats.final_queue_histogram = StreamingHistogram(histogram_edges)
-        stats.overflow_counts = ({float(t): 0 for t in overflow_thresholds}
+        stats.overflow_counts = ({float(overflow_threshold): 0}
                                  if retention == "none" else {})
     stats.moments.update_batch(shard.paths, axis=1)
     stats.n_paths += n_paths
@@ -259,8 +241,6 @@ def _fold_shard(stats: Optional[EnsembleStats], shard: SDEPaths,
                                             axis=0)
     else:
         final_queues = final[:, 0]
-        if stats.final_queue_histogram is not None:
-            stats.final_queue_histogram.update(final_queues)
         for threshold in stats.overflow_counts:
             stats.overflow_counts[threshold] += int(
                 np.count_nonzero(final_queues > threshold))
@@ -311,12 +291,8 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
                  n_paths: int = 2000, feedback_delay: float = 0.0,
                  rng: Optional[np.random.Generator] = None,
                  seed: Optional[int] = None,
-                 n_shards: Optional[int] = None,
                  retention: str = "full",
-                 memmap_dir: Optional[str] = None,
-                 histogram_edges: Optional[np.ndarray] = None,
-                 overflow_thresholds: Optional[Sequence[float]] = None,
-                 health: Optional[str] = None
+                 memmap_dir: Optional[str] = None
                  ) -> EnsembleResult:
     """Run a Langevin ensemble with the given control law and parameters.
 
@@ -324,45 +300,34 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
 
     * **single-stream** (default, backwards compatible): all particles share
       one generator, supplied via *rng* (or a fixed default);
-    * **sharded** (``seed`` given): particles are split into ``n_shards``
-      shards (default :data:`DEFAULT_SHARDS`), each with its own
-      spawn-key-derived child stream, simulated in process in shard-index
-      order.  The combined paths depend only on
-      ``(seed, n_paths, n_shards)``.
+    * **sharded** (``seed`` given): particles are split into
+      :data:`DEFAULT_SHARDS` shards, each with its own spawn-key-derived
+      child stream, simulated in process in shard-index order.  The
+      combined paths depend only on ``(seed, n_paths)``.
 
     The ``retention`` policy bounds memory for sharded runs: ``"full"``
     keeps every path (``memmap_dir`` spills the combined array to disk),
     ``"moments"`` streams per-snapshot Welford moments plus the final
     particle states and discards each shard after folding, ``"none"``
-    additionally replaces the final states with a fixed-bin histogram
-    (``histogram_edges``) and exact overflow counters
-    (``overflow_thresholds``, default ``(2 * params.q_target,)``).
-    Moments-mode runs integrate exactly the same sample paths as the
-    full-mode run with the same ``(seed, n_paths, n_shards)``.
+    additionally replaces the final states with an exact overflow counter
+    at ``2 * params.q_target``.  Moments-mode runs integrate exactly the
+    same sample paths as the full-mode run with the same
+    ``(seed, n_paths)``.
 
-    ``health`` selects the numerical-health policy (falling back to
-    ``params.health``, then the ``REPRO_HEALTH`` environment / the
-    ``observe`` default): each shard runs under its own monitor, and the
-    per-shard logs are merged in shard-index order into
-    :attr:`EnsembleResult.health`.  ``"off"`` is bit-identical to the
-    unmonitored engine.
+    ``params.health`` selects the numerical-health policy (falling back to
+    the ``REPRO_HEALTH`` environment / the ``observe`` default): each shard
+    runs under its own monitor, and the per-shard logs are merged in
+    shard-index order into :attr:`EnsembleResult.health`.  ``"off"`` is
+    bit-identical to the unmonitored engine.
     """
     validate_retention(retention)
-    health_mode = resolve_health(health or params.health or None)
+    health_mode = resolve_health(params.health or None)
     if seed is not None and rng is not None:
         raise ConfigurationError("pass either rng= or seed=, not both")
-    if seed is None and (n_shards or 1) > 1:
-        raise ConfigurationError(
-            "sharded ensembles need an explicit seed= so shard streams can "
-            "be derived deterministically")
     if retention != "full" and seed is None:
         raise ConfigurationError(
             "streamed retention folds per-shard summaries, so it needs the "
-            "sharded mode: pass seed= (optionally n_shards=)")
-    if overflow_thresholds is None:
-        overflow_thresholds = (2.0 * params.q_target,)
-    if histogram_edges is not None:
-        histogram_edges = np.asarray(histogram_edges, dtype=float)
+            "sharded mode: pass seed=")
 
     if seed is None:
         monitor = HealthMonitor.create(health_mode,
@@ -373,9 +338,7 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
         return EnsembleResult(paths=paths, mu=params.mu,
                               health=monitor.log if monitor else None)
 
-    if n_shards is None:
-        n_shards = DEFAULT_SHARDS
-    sizes = shard_sizes(n_paths, n_shards)
+    sizes = shard_sizes(n_paths, DEFAULT_SHARDS)
     seeds = child_seed_sequences(seed, len(sizes), key=("ensemble",))
 
     # Shards run and combine in shard-index order; the streamed fold order
@@ -394,8 +357,8 @@ def run_ensemble(control: RateControl, params: SystemParameters, q0: float,
         if retention == "full":
             shards.append(shard)
         else:
-            stats = _fold_shard(stats, shard, retention, histogram_edges,
-                                overflow_thresholds)
+            stats = _fold_shard(stats, shard, retention,
+                                2.0 * params.q_target)
     health_log = _merged_health(summaries, health_mode)
     if retention == "full":
         return EnsembleResult(paths=_combine_full(shards, memmap_dir),

@@ -24,18 +24,16 @@ __all__ = [
 ]
 
 
-def single_source_scenario(sigma: float = 0.0,
-                           mu: float = 1.0,
-                           q_target: float = 10.0,
-                           c0: float = 0.05,
-                           c1: float = 0.2) -> Tuple[SystemParameters, JRJControl]:
+def single_source_scenario(sigma: float = 0.0
+                           ) -> Tuple[SystemParameters, JRJControl]:
     """The canonical single-source JRJ setting (Sections 4 and 5).
 
-    Returns the system parameters and the matching JRJ control law.
+    Returns the system parameters (``μ = 1``, ``q̂ = 10``, ``C0 = 0.05``,
+    ``C1 = 0.2``) and the matching JRJ control law.
     """
-    params = SystemParameters(mu=mu, q_target=q_target, c0=c0, c1=c1,
+    params = SystemParameters(mu=1.0, q_target=10.0, c0=0.05, c1=0.2,
                               sigma=sigma)
-    control = JRJControl(c0=c0, c1=c1, q_target=q_target)
+    control = JRJControl(c0=0.05, c1=0.2, q_target=10.0)
     return params, control
 
 
@@ -53,19 +51,18 @@ def homogeneous_sources_scenario(n_sources: int = 4, mu: float = 1.0,
     return params, sources
 
 
-def heterogeneous_parameters_scenario(ratios: Sequence[float] = (1.0, 2.0, 4.0),
-                                      mu: float = 1.0, q_target: float = 10.0,
-                                      base_c0: float = 0.05, c1: float = 0.2
+def heterogeneous_parameters_scenario(ratios: Sequence[float] = (1.0, 2.0, 4.0)
                                       ) -> Tuple[SystemParameters, List[SourceParameters]]:
     """Sources with different increase rates (the exact-share case of Section 6).
 
-    Source ``i`` uses ``C0 = base_c0 · ratios[i]`` and the common ``C1``, so
-    its predicted share is proportional to ``ratios[i]``.
+    Source ``i`` uses ``C0 = 0.05 · ratios[i]`` and the common ``C1 = 0.2``
+    (``μ = 1``, ``q̂ = 10``), so its predicted share is proportional to
+    ``ratios[i]``.
     """
-    params = SystemParameters(mu=mu, q_target=q_target, c0=base_c0, c1=c1)
+    params = SystemParameters(mu=1.0, q_target=10.0, c0=0.05, c1=0.2)
     sources = [
-        SourceParameters(c0=base_c0 * ratio, c1=c1,
-                         initial_rate=mu / (2.0 * len(ratios)),
+        SourceParameters(c0=0.05 * ratio, c1=0.2,
+                         initial_rate=1.0 / (2.0 * len(ratios)),
                          name=f"c0x{ratio:g}")
         for ratio in ratios
     ]
@@ -74,38 +71,32 @@ def heterogeneous_parameters_scenario(ratios: Sequence[float] = (1.0, 2.0, 4.0),
 
 def packet_level_jrj_scenario(n_sources: int = 2, service_rate: float = 10.0,
                               q_target: float = 10.0,
-                              feedback_delays: Optional[Sequence[float]] = None,
-                              buffer_size: Optional[int] = None,
                               seed: int = 7) -> NetworkConfig:
     """Packet-level scenario with rate-based JRJ sources.
 
     ``C0`` and ``C1`` are scaled with the service rate so the relative
-    dynamics match the continuous single-source scenario.
+    dynamics match the continuous single-source scenario.  Feedback is
+    undelayed and the buffer unbounded.
     """
-    if feedback_delays is None:
-        feedback_delays = [0.0] * n_sources
-    if len(feedback_delays) != n_sources:
-        raise ValueError("feedback_delays must have one entry per source")
     c0 = 0.05 * service_rate
     c1 = 0.2
     sources = [
         SourceConfig(kind="rate", control_name="jrj",
                      control_kwargs={"c0": c0, "c1": c1, "q_target": q_target},
-                     feedback_delay=float(feedback_delays[index]),
+                     feedback_delay=0.0,
                      initial_rate=service_rate / (2.0 * n_sources),
                      control_interval=0.25,
                      name=f"jrj-{index}")
         for index in range(n_sources)
     ]
-    return NetworkConfig(service_rate=service_rate, buffer_size=buffer_size,
+    return NetworkConfig(service_rate=service_rate, buffer_size=None,
                          sources=sources, seed=seed)
 
 
 def packet_level_window_scenario(n_sources: int = 2, service_rate: float = 10.0,
                                  buffer_size: int = 30,
                                  round_trip_delays: Optional[Sequence[float]] = None,
-                                 scheme: str = "jacobson",
-                                 seed: int = 11) -> NetworkConfig:
+                                 scheme: str = "jacobson") -> NetworkConfig:
     """Packet-level scenario with window-based sources (Jacobson or DECbit).
 
     The Jacobson variant uses a finite buffer and implicit loss feedback; the
@@ -124,4 +115,4 @@ def packet_level_window_scenario(n_sources: int = 2, service_rate: float = 10.0,
         for index in range(n_sources)
     ]
     return NetworkConfig(service_rate=service_rate, buffer_size=buffer_size,
-                         marking_threshold=marking, sources=sources, seed=seed)
+                         marking_threshold=marking, sources=sources, seed=11)

@@ -27,12 +27,12 @@ from repro import (
     delay_sweep,
     fairness_report,
     integrate_characteristic,
-    is_convergent_spiral,
     measure_oscillation,
     MultiSourceModel,
     predicted_equilibrium_shares,
     verify_theorem1,
 )
+from oracles import is_convergent_spiral
 from repro.analysis import oscillation_metrics
 from repro.control.linear import LinearIncreaseLinearDecrease
 from repro.delay.round_trip import RoundTripUpdateModel

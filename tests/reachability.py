@@ -1,16 +1,21 @@
-"""Which definitions of ``src/repro`` does anything a user runs reach?
+"""Which definitions and options of ``src/repro`` does anything a user run
+reach?
 
 A definition stays in ``src/`` only if something a user runs reaches it: a
 CLI command, a runner matrix, an example, a paper-figure experiment or
-perfbench.  This check works that out with the standard library's ``ast``
-alone, so it runs in seconds with no package installed::
+perfbench.  So does an option, a parameter with a default: it stays only if
+something a user runs passes it.  This check works both out with the
+standard library's ``ast`` alone, so it runs in seconds with no package
+installed::
 
     python tests/reachability.py
 
 It prints each unreached definition that :data:`ALLOWLIST` does not name as
-``path:line name``, and each stale allowlist entry, and exits 1 if there is
-any.  ``tests/unit/test_reachability.py`` runs the same :func:`check` in
-tier-1.
+``path:line name``, each unreached option that :data:`OPTION_ALLOWLIST` does
+not name as ``path:line name(option=)``, and each stale allowlist entry, and
+exits 1 if there is any.  On a clean tree it prints one line: the number of
+defaulted parameters in ``src/``.  ``tests/unit/test_reachability.py`` runs
+the same :func:`check` in tier-1.
 
 The definitions are the top-level functions and classes of every module
 under ``src/repro`` and the methods of those classes.  Reach starts from
@@ -34,8 +39,25 @@ nothing.  Matching by name over-approximates reach (two definitions with
 one name are reached together), so the check can miss dead code but never
 calls live code dead.
 
-The allowlist can only shrink: an entry that is now reached, or whose
-definition no longer exists, is stale and fails the check.
+The option rule covers the defaulted parameters of every reached function
+and method, ``__init__`` included; other dunder methods run through syntax,
+not calls, so their options are out of its scope, and so are closures and
+lambdas (which bind loop variables through defaults), dataclass fields and
+module constants.  An option is reached when a call in reached code (a
+reached body, module-level code or a root directory) whose callee has the
+definition's name passes it, by keyword or by position.  A call of a class
+by its name, or of ``cls`` inside one of its methods, calls the ``__init__``
+of the class and of its bases; positions count from the first parameter
+after ``self`` (one further for a method, so an unbound ``Class.method(obj,
+...)`` call is covered too).  Every option of a definition is reached when
+a call of its name unpacks ``*``/``**`` arguments, or when its name is used
+as a value rather than called: stored in a registry, handed to ``JobSpec``,
+``build_matrix`` or ``set_defaults(func=...)``, passed as a callback.  Like
+definitions, options match by name, so the rule can miss a dead option but
+never calls a live one dead.
+
+Both allowlists can only shrink: an entry that is now reached, or whose
+definition or option no longer exists, is stale and fails the check.
 """
 
 from __future__ import annotations
@@ -48,21 +70,6 @@ from pathlib import Path
 
 #: Unreached definitions that stay, ``"module:qualname" -> reason``.
 ALLOWLIST = {
-    "repro.design.objectives:score_operating_point": (
-        "scalar oracle: test_design.py checks the batched score_gain_grid "
-        "against it"),
-    "repro.characteristics.trajectory:CharacteristicTrajectory.settling_time": (
-        "scalar oracle: test_design.py checks CharacteristicBatch."
-        "settling_times against it, and score_operating_point scores with it"),
-    "repro.characteristics.poincare:compute_poincare_section": (
-        "scalar oracle: test_trajectory_batch.py applies it to the members "
-        "of a reached integrate_characteristic_batch run and to their "
-        "scalar references"),
-    "repro.characteristics.poincare:PoincareSection": (
-        "scalar oracle: the result compute_poincare_section returns"),
-    "repro.characteristics.limit_cycle:is_convergent_spiral": (
-        "predicate: test_paper_claims.py applies it to a reached "
-        "integrate_characteristic trajectory (JRJ converges without delay)"),
     "repro.runner.faults:corrupt_cache_entry": (
         "chaos-suite fault injector: encodes the cache entry layout that "
         "runner/cache.py owns"),
@@ -75,6 +82,27 @@ ALLOWLIST = {
     "repro.exceptions:ResultTransportError": (
         "named by executor messages and docs/robustness.md until the "
         "executor constructs it"),
+}
+
+#: Unreached options that stay, ``"module:qualname(option=)" -> reason``.
+OPTION_ALLOWLIST = {
+    "repro.queueing.simulator:Simulator.__init__(max_events=)": (
+        "feeds HealthMonitor.check_event_budget, which perfbench/tracer.py "
+        "wraps by name; without it that check is never called"),
+    "repro.queueing.multihop:MultiHopSimulator.__init__(max_events=)": (
+        "feeds HealthMonitor.check_event_budget, which perfbench/tracer.py "
+        "wraps by name; without it that check is never called"),
+    "repro.stochastic.ensemble:run_ensemble(feedback_delay=)": (
+        "the delayed Langevin path the ROADMAP keeps (Section 7 ensembles)"),
+    "repro.runner.cache:ResultCache.prune(now=)": (
+        "test hook: test_runner.py prunes at a fixed clock instead of "
+        "sleeping past real entry ages"),
+    "repro.runner.executor:run_jobs(retry_policy=)": (
+        "test hook: test_runner_faults.py exhausts a one-crash budget "
+        "(RetryPolicy(max_crashes=1)) under a worker-kill plan"),
+    "repro.queueing.random_streams:RandomStreams.jitter_factors(block_size=)": (
+        "test hook: test_event_engine.py and test_queueing_primitives.py "
+        "refill the jitter buffer across small block boundaries"),
 }
 
 #: Functions a user runs directly (``[project.scripts]`` in pyproject.toml).
@@ -92,15 +120,45 @@ _IMPORTS = (ast.Import, ast.ImportFrom)
 
 
 @dataclass
+class Passes:
+    """What the calls of one name pass: the most positional arguments of
+    any call, every keyword, and whether any call unpacks ``*``/``**``."""
+
+    positional: int = 0
+    keywords: set[str] = field(default_factory=set)
+    unpacked: bool = False
+
+    def update(self, other: "Passes") -> None:
+        self.positional = max(self.positional, other.positional)
+        self.keywords |= other.keywords
+        self.unpacked = self.unpacked or other.unpacked
+
+
+@dataclass
 class Uses:
-    """Bare names and attribute names that some code uses."""
+    """Bare names and attribute names that some code uses, what its calls
+    pass by callee name, and the names it uses as values (not called)."""
 
     names: set[str] = field(default_factory=set)
     attrs: set[str] = field(default_factory=set)
+    calls: dict[str, Passes] = field(default_factory=dict)
+    values: set[str] = field(default_factory=set)
 
     def update(self, other: "Uses") -> None:
         self.names |= other.names
         self.attrs |= other.attrs
+        for name, passes in other.calls.items():
+            self.calls.setdefault(name, Passes()).update(passes)
+        self.values |= other.values
+
+
+@dataclass
+class Option:
+    """One defaulted parameter of a function or method."""
+
+    name: str
+    line: int
+    position: int | None  # among the positional parameters; None: keyword-only
 
 
 @dataclass
@@ -113,6 +171,8 @@ class Definition:
     line: int
     owner: str | None = None  # the class's key, for a method
     uses: Uses = field(default_factory=Uses, repr=False)
+    options: list[Option] = field(default_factory=list, repr=False)
+    bases: list[str] = field(default_factory=list, repr=False)  # of a class
 
     @property
     def key(self) -> str:
@@ -133,21 +193,60 @@ def _binds_dunder_all(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _uses(nodes, aliases: dict[str, str]) -> Uses:
+def _callee(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _callees(func: ast.AST, bases) -> list[str]:
+    """The names a call of *func* calls by: ``super().__init__`` and
+    ``Base.__init__`` call the base classes' constructors."""
+    if isinstance(func, ast.Attribute) and func.attr == "__init__":
+        if (isinstance(func.value, ast.Call)
+                and _callee(func.value.func) == "super"):
+            return list(bases)
+        return [_callee(func.value) or func.attr]
+    name = _callee(func)
+    return [] if name is None else [name]
+
+
+def _uses(nodes, aliases: dict[str, str], bases=()) -> Uses:
     """What *nodes* use, leaving out imports, annotations and stores.
 
     A use of the name ``y`` bound by ``from m import x as y`` counts as
-    ``x``.
+    ``x``.  *bases* are the bases of the class whose method *nodes* are.
     """
     uses = Uses()
+    # Called functions and the ``x`` of ``x.attr`` are used, but not as
+    # values: nothing can call them with other arguments.
+    not_values: set[int] = set()
     stack = list(nodes)
     while stack:
         node = stack.pop()
+        if isinstance(node, ast.Call):
+            not_values.add(id(node.func))
+            plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+            passes = Passes(len(plain),
+                            {k.arg for k in node.keywords if k.arg},
+                            len(plain) < len(node.args)
+                            or any(k.arg is None for k in node.keywords))
+            for name in _callees(node.func, bases):
+                uses.calls.setdefault(aliases.get(name, name),
+                                      Passes()).update(passes)
         if isinstance(node, ast.Name):
             if not isinstance(node.ctx, ast.Store):
-                uses.names.add(aliases.get(node.id, node.id))
+                name = aliases.get(node.id, node.id)
+                uses.names.add(name)
+                if id(node) not in not_values:
+                    uses.values.add(name)
         elif isinstance(node, ast.Attribute):
             uses.attrs.add(node.attr)
+            not_values.add(id(node.value))
+            if id(node) not in not_values and isinstance(node.ctx, ast.Load):
+                uses.values.add(node.attr)
         annotations = []
         if isinstance(node, (ast.arg, ast.AnnAssign)):
             annotations.append(node.annotation)
@@ -157,6 +256,20 @@ def _uses(nodes, aliases: dict[str, str]) -> Uses:
                      if not isinstance(child, _IMPORTS)
                      and not any(child is a for a in annotations))
     return uses
+
+
+def _options(node: ast.AST) -> list[Option]:
+    """The defaulted parameters of a function definition."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    options = [Option(arg.arg, arg.lineno, index)
+               for index, arg in enumerate(positional) if index >= first]
+    options += [Option(arg.arg, arg.lineno, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults,
+                                        strict=True)
+                if default is not None]
+    return options
 
 
 def _all_names(tree: ast.AST, strings: bool) -> set[str]:
@@ -203,23 +316,34 @@ def scan(root: Path, package: str = "repro"
             if isinstance(node, _FUNCTIONS):
                 outer.uses = _uses(node.decorator_list + [node.args]
                                    + node.body, aliases)
+                outer.options = _options(node)
                 continue
-            class_level = node.decorator_list + node.bases + node.keywords
+            outer.bases = [name for name in map(_callee, node.bases) if name]
+            # Inside its methods, ``cls(...)`` constructs the class.
+            in_class = {**aliases, "cls": node.name}
+            class_level = node.decorator_list + node.keywords
             for item in node.body:
                 if isinstance(item, _FUNCTIONS):
                     definitions.append(Definition(
                         module, f"{node.name}.{item.name}", relpath,
                         item.lineno, owner=outer.key,
                         uses=_uses(item.decorator_list + [item.args]
-                                   + item.body, aliases)))
+                                   + item.body, in_class, outer.bases),
+                        options=_options(item)))
                 elif not _is_docstring(item):
                     class_level.append(item)
             outer.uses = _uses(class_level, aliases)
+            # A base is reached, but naming it in ``class C(Base)`` hands
+            # it to no caller: C's constructor calls reach Base's options.
+            bases = _uses(node.bases, aliases)
+            outer.uses.update(Uses(bases.names, bases.attrs, bases.calls))
     for directory in ROOT_DIRS:
         strings = directory in STRING_ROOT_DIRS
         for path in sorted((root / directory).rglob("*.py")):
-            names = _all_names(ast.parse(path.read_text()), strings)
-            roots.update(Uses(names, names))
+            tree = ast.parse(path.read_text())
+            names = _all_names(tree, strings)
+            uses = _uses([tree], {})
+            roots.update(Uses(names, names, uses.calls, uses.values))
     return definitions, roots
 
 
@@ -239,8 +363,8 @@ def reached_keys(definitions: list[Definition], roots: Uses,
                 hit = name in uses.names or definition.key in entry_points
             else:
                 hit = definition.owner in reached and (
-                    (name.startswith("__") and name.endswith("__"))
-                    or name in uses.attrs or name in uses.names)
+                    _is_dunder(name) or name in uses.attrs
+                    or name in uses.names)
             if hit:
                 reached.add(definition.key)
                 uses.update(definition.uses)
@@ -251,8 +375,67 @@ def reached_keys(definitions: list[Definition], roots: Uses,
     return reached
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached_options(definitions: list[Definition], roots: Uses,
+                      reached: set[str]
+                      ) -> list[tuple[Definition, Option]]:
+    """The options of reached definitions that no reached call passes."""
+    uses = Uses()
+    uses.update(roots)
+    for definition in definitions:
+        if definition.key in reached:
+            uses.update(definition.uses)
+    classes = {d.key: d for d in definitions if d.owner is None}
+    subclasses: dict[str, set[str]] = {}
+    for cls in classes.values():
+        for base in cls.bases:
+            subclasses.setdefault(base, set()).add(cls.name)
+    unreached = []
+    for definition in definitions:
+        name = definition.name
+        if definition.key not in reached or not definition.options:
+            continue
+        if definition.owner is None:
+            callees, shift = {name}, 0
+        elif name == "__init__":
+            # The class's own name, and every subclass's, calls it.
+            callees, pending = {name}, [classes[definition.owner].name]
+            while pending:
+                current = pending.pop()
+                if current not in callees:
+                    callees.add(current)
+                    pending.extend(subclasses.get(current, ()))
+            shift = 1
+        elif _is_dunder(name):
+            continue
+        else:
+            callees, shift = {name}, 1
+        if callees & uses.values:
+            continue
+        passes = Passes()
+        for callee in callees & uses.calls.keys():
+            passes.update(uses.calls[callee])
+        if passes.unpacked:
+            continue
+        for option in definition.options:
+            by_position = (option.position is not None
+                           and option.position < passes.positional + shift)
+            if option.name not in passes.keywords and not by_position:
+                unreached.append((definition, option))
+    return unreached
+
+
+def count_options(definitions: list[Definition]) -> int:
+    """The number of defaulted parameters of the definitions."""
+    return sum(len(d.options) for d in definitions)
+
+
 def check(root: Path, allowlist: dict[str, str] = ALLOWLIST,
-          package: str = "repro", entry_points=ENTRY_POINTS) -> list[str]:
+          package: str = "repro", entry_points=ENTRY_POINTS,
+          option_allowlist: dict[str, str] = OPTION_ALLOWLIST) -> list[str]:
     """Problems of the tree at *root*, one line each; empty when clean.
 
     A method of an unreached class is not reported apart: it goes with its
@@ -270,18 +453,34 @@ def check(root: Path, allowlist: dict[str, str] = ALLOWLIST,
             problems.append(f"stale allowlist entry {key}: no such definition")
         elif key not in dead_keys:
             problems.append(f"stale allowlist entry {key}: now reached")
+    unreached = {f"{d.key}({o.name}=)": (d, o)
+                 for d, o in unreached_options(definitions, roots, reached)}
+    problems += [f"{d.path}:{o.line} {d.qualname}({o.name}=)"
+                 for key, (d, o) in unreached.items()
+                 if key not in option_allowlist]
+    options = {f"{d.key}({o.name}=)" for d in definitions for o in d.options}
+    for key in option_allowlist:
+        if key not in options:
+            problems.append(f"stale option allowlist entry {key}: "
+                            "no such option")
+        elif key not in unreached:
+            problems.append(f"stale option allowlist entry {key}: "
+                            "now passed, or its definition unreached")
     return problems
 
 
 def main() -> int:
-    problems = check(Path(__file__).resolve().parents[1])
+    root = Path(__file__).resolve().parents[1]
+    problems = check(root)
     for line in problems:
         print(line)
     if problems:
         print(f"{len(problems)} reachability problem(s): delete each "
-              "unreached definition (or call it from what a user runs), and "
-              "drop each stale entry from ALLOWLIST in tests/reachability.py")
+              "unreached definition or option (or use it from what a user "
+              "runs), and drop each stale entry from ALLOWLIST or "
+              "OPTION_ALLOWLIST in tests/reachability.py")
         return 1
+    print(f"{count_options(scan(root)[0])} defaulted parameters in src/")
     return 0
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import FokkerPlanckSolver, GridParameters, JRJControl, SystemParameters, TimeParameters
+from repro.core import diffusion
 from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.core.generator import assemble_generator
 from repro.design import solve_stationary
@@ -137,18 +138,18 @@ class TestScipyParity:
             assert np.allclose(scipy_fact.solve(rhs), numpy_fact.solve(rhs),
                                rtol=0.0, atol=1e-13)
 
-    def test_crank_nicolson_backends_agree(self):
+    def test_crank_nicolson_backends_agree(self, monkeypatch):
         grid = PhaseGrid2D(UniformGrid1D(0.0, 20.0, 64),
                            UniformGrid1D(-1.0, 1.0, 12))
         density = grid.gaussian_density(8.0, 0.0, 1.5, 0.3)
-        # dense_limit=0 forces the factorized path so the backends' banded
-        # solvers (not the shared dense combined operator) are compared.
+        # A dense limit of 0 forces the factorized path so the backends'
+        # banded solvers (not the shared dense combined operator) are
+        # compared.
+        monkeypatch.setattr(diffusion, "DENSE_NQ_LIMIT", 0)
         numpy_op = CrankNicolsonDiffusion(grid, 0.5,
-                                          backend=get_backend("numpy"),
-                                          dense_limit=0)
+                                          backend=get_backend("numpy"))
         scipy_op = CrankNicolsonDiffusion(grid, 0.5,
-                                          backend=get_backend("scipy"),
-                                          dense_limit=0)
+                                          backend=get_backend("scipy"))
         a = density
         b = density
         for _ in range(20):
@@ -352,7 +353,8 @@ class TestBlockBandedFactorization:
 
 class TestNullVectorFallback:
     @pytest.mark.parametrize("backend_name", available_backends())
-    def test_row_replacement_matches_iteration(self, backend_name):
+    def test_row_replacement_matches_iteration(self, backend_name,
+                                               monkeypatch):
         grid = GridParameters(q_max=30.0, nq=48, v_min=-1.2, v_max=1.2,
                               nv=36)
         generator = assemble_generator(STATIONARY_PARAMS, grid_params=grid)
@@ -361,9 +363,11 @@ class TestNullVectorFallback:
         iterated, info = backend.stationary_null_vector(
             operator.rows, operator.cols, operator.values, operator.n,
             weights=generator.mass_weights)
+        # No iterations: the row-replacement fallback answers.
+        monkeypatch.setattr(backend_module, "NULL_MAX_ITERATIONS", 0)
         replaced, fallback = backend.stationary_null_vector(
             operator.rows, operator.cols, operator.values, operator.n,
-            weights=generator.mass_weights, max_iterations=0)
+            weights=generator.mass_weights)
         assert info["method"].endswith("inverse-iteration")
         assert info["iterations"] == 2
         assert fallback["method"].endswith("row-replacement")

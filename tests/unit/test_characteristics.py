@@ -9,9 +9,9 @@ from repro import (
     analyze_spiral,
     find_equilibrium,
     integrate_characteristic,
-    is_convergent_spiral,
     quadrant_drift_table,
 )
+from oracles import is_convergent_spiral
 from repro.characteristics.limit_cycle import peak_contraction_ratios
 from repro.characteristics.phase_plane import drift_field
 from repro.characteristics.theorem1 import verify_theorem1
@@ -33,6 +33,17 @@ class TestQuadrantDrifts:
         directions = {row.quadrant: row.direction for row in table}
         assert directions["I"] == "up-right"
         assert directions["III"] == "down-left"
+
+    def test_probe_points_sit_half_the_target_and_a_quarter_mu_away(
+            self, canonical_params, jrj_control):
+        table = quadrant_drift_table(jrj_control, canonical_params)
+        points = {row.quadrant: row.sample_point for row in table}
+        dq = max(0.5 * canonical_params.q_target, 1.0)
+        dv = 0.25 * canonical_params.mu
+        q_target = canonical_params.q_target
+        assert points == {"I": (q_target - dq, dv), "II": (q_target + dq, dv),
+                          "III": (q_target + dq, -dv),
+                          "IV": (q_target - dq, -dv)}
 
     def test_drift_field_shapes(self, canonical_params, jrj_control):
         q_values = np.linspace(0.0, 20.0, 11)

@@ -12,6 +12,7 @@ from repro.control.multiplicative import (
     LinearIncreaseMultiplicativeStepDecrease,
     MultiplicativeIncreaseMultiplicativeDecrease,
 )
+from repro.control import registry
 from repro.control.registry import register_control
 
 _GAINS = {"c0": 0.05, "c1": 0.2, "q_target": 10.0}
@@ -49,13 +50,14 @@ class TestRegistry:
         for name in ("jrj", "linear", "mimd"):
             assert f"'{name}'" in message
 
-    def test_register_custom_control(self):
+    def test_register_custom_control(self, monkeypatch):
         class ConstantControl(RateControl):
             def drift(self, queue_length, rate):
                 return 0.0
 
-        register_control("test-constant-control", ConstantControl,
-                         overwrite=True)
+        # A private copy of the registry, so the name is new on every run.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        register_control("test-constant-control", ConstantControl)
         control = create_control("test-constant-control")
         assert control.drift(3.0, 1.0) == 0.0
 

@@ -42,13 +42,10 @@ def _advect_v(workspace, density, drift, dt):
     return workspace.advect_v(density, dt)
 
 
-def _reference_advect_q(density, grid, dt, reflect_at_zero=True,
-                        clamp=True):
-    """Per-call upwind step along q (``q = 0`` outflow unless reflecting)."""
+def _reference_advect_q(density, grid, dt, clamp=True):
+    """Per-call upwind step along q (reflecting at ``q = 0``)."""
     v = grid.v_centers
     flux = np.zeros((density.shape[0] + 1, density.shape[1]))
-    if not reflect_at_zero:
-        flux[0] = np.where(v < 0.0, v * density[0], 0.0)
     flux[1:-1] = np.where(v > 0.0, v * density[:-1],
                           np.where(v < 0.0, v * density[1:], 0.0))
     flux[-1] = np.where(v > 0.0, v * density[-1], 0.0)
@@ -203,22 +200,16 @@ class TestUpwindAdvectionWorkspace:
         assert np.array_equal(out,
                               _reference_advect_v(density, grid, drift, 0.05))
 
-    @pytest.mark.parametrize("reflect_at_zero", [True, False])
     @pytest.mark.parametrize("shape", [(7, 5), (50, 40), (60, 48)])
-    def test_unclamped_advect_q_is_bitwise_reference(self, shape,
-                                                     reflect_at_zero):
+    def test_unclamped_advect_q_is_bitwise_reference(self, shape):
         grid = _grid(*shape)
         workspace = UpwindAdvection(grid)
         dt = cfl_time_step(grid, np.zeros(grid.shape), 0.9, 1.0)
         rng = np.random.default_rng(shape[0])
-        # Alternate the boundary so a non-reflecting step's q = 0 flux
-        # must not leak into the next reflecting one.
-        for flip in (False, True, False):
-            reflect = reflect_at_zero != flip
+        for _ in range(3):
             density = rng.random(grid.shape)
-            got = workspace.advect_q(density, dt, reflect, clamp=False)
-            want = _reference_advect_q(density, grid, dt, reflect,
-                                       clamp=False)
+            got = workspace.advect_q(density, dt, clamp=False)
+            want = _reference_advect_q(density, grid, dt, clamp=False)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(7, 5), (50, 40), (60, 48)])

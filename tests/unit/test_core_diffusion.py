@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import diffusion
 from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.exceptions import ConfigurationError
 from repro.numerics.backend import NumpyBackend
@@ -171,10 +172,11 @@ class TestCrankNicolsonDiffusionOperator:
             operator.step(density, dt)
         assert len(operator._steps) == 16
 
-    def test_dense_and_factorized_paths_agree(self, grid):
+    def test_dense_and_factorized_paths_agree(self, grid, monkeypatch):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
         dense = CrankNicolsonDiffusion(grid, sigma=0.5)
-        factorized = CrankNicolsonDiffusion(grid, sigma=0.5, dense_limit=0)
+        monkeypatch.setattr(diffusion, "DENSE_NQ_LIMIT", 0)
+        factorized = CrankNicolsonDiffusion(grid, sigma=0.5)
         a = density
         b = density
         for _ in range(10):

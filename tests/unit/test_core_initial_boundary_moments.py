@@ -1,9 +1,8 @@
-"""Unit tests for initial conditions, boundary policy and density moments."""
+"""Unit tests for initial conditions and density moments."""
 
 import numpy as np
 import pytest
 
-from repro.core.boundary import BoundaryConditions
 from repro.core.initial import gaussian_initial_density
 from repro.core.moments import (
     compute_moments,
@@ -30,32 +29,6 @@ class TestInitialConditions:
     def test_gaussian_too_narrow_rejected(self, grid):
         with pytest.raises(ConfigurationError):
             gaussian_initial_density(grid, 8.0, 0.1, q_std=1e-6, v_std=0.2)
-
-
-class TestBoundaryConditions:
-    def test_default_is_fully_reflecting(self, grid):
-        boundary = BoundaryConditions()
-        density = gaussian_initial_density(grid, 19.0, 0.5, 1.0, 0.2)
-        updated, absorbed = boundary.apply_post_step(density, grid)
-        assert absorbed == 0.0
-        assert np.array_equal(updated, density)
-
-    def test_absorbing_top_removes_mass(self, grid):
-        boundary = BoundaryConditions(absorb_q_max=True)
-        density = np.zeros(grid.shape)
-        # Put mass in the last queue cell with positive growth rate.
-        density[-1, -1] = 1.0 / grid.cell_area
-        updated, absorbed = boundary.apply_post_step(density, grid)
-        assert absorbed == pytest.approx(1.0)
-        assert grid.total_mass(updated) == pytest.approx(0.0)
-
-    def test_absorbing_top_ignores_negative_growth(self, grid):
-        boundary = BoundaryConditions(absorb_q_max=True)
-        density = np.zeros(grid.shape)
-        density[-1, 0] = 1.0 / grid.cell_area  # most negative growth rate
-        updated, absorbed = boundary.apply_post_step(density, grid)
-        assert absorbed == 0.0
-        assert grid.total_mass(updated) == pytest.approx(1.0)
 
 
 class TestMoments:

@@ -7,7 +7,8 @@ import pytest
 from seed_engine import use_seed_engine
 
 from repro import SystemParameters, cross_validate
-from repro.crossval import matched_network_config
+from repro.crossval import (CONTROL_INTERVAL, JITTER_FRACTION,
+                            matched_network_config)
 from repro.exceptions import ConfigurationError
 
 
@@ -35,6 +36,12 @@ class TestMatchedConfig:
         assert total_gain == pytest.approx(params.c0)
         total_initial = sum(source.initial_rate for source in config.sources)
         assert total_initial == pytest.approx(0.5 * params.mu)
+
+    def test_every_source_uses_the_fixed_packet_knobs(self, params):
+        config = matched_network_config(params, n_sources=3)
+        assert [(source.control_interval, source.jitter_fraction)
+                for source in config.sources] == \
+            [(CONTROL_INTERVAL, JITTER_FRACTION)] * 3
 
     def test_invalid_population_rejected(self, params):
         with pytest.raises(ConfigurationError):
@@ -80,7 +87,3 @@ class TestCrossValidate:
         assert fast.des_mean_queue == reference.des_mean_queue
         assert fast.des_std_queue == reference.des_std_queue
         assert fast.stationary_tv_distance == reference.stationary_tv_distance
-
-    def test_invalid_warmup_rejected(self, params):
-        with pytest.raises(ConfigurationError):
-            cross_validate(params, warmup_fraction=1.0)

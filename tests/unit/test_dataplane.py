@@ -88,7 +88,7 @@ class TestColumnarTrace:
         assert len(trace) == 0
         assert trace.times.size == 0
         assert trace.values.size == 0
-        assert trace.last_value(default=-1.0) == -1.0
+        assert trace.last_value() == 0.0
 
     @pytest.mark.parametrize("backing", ["ram", "memmap"])
     def test_views_taken_before_growth_keep_their_samples(self, tmp_path,
@@ -209,15 +209,6 @@ class TestStreamingHistogram:
         assert histogram.underflow == 1
         assert histogram.overflow == 1
         assert histogram.total == 6
-        # Samples at or above 1.0: 1.5, 2.5, 1.0 and 2.0 (the final edge
-        # is inclusive; 2.5 lands in the overflow counter).
-        assert histogram.tail_fraction(1.0) == pytest.approx(4 / 6)
-
-    def test_tail_fraction_requires_bin_edge(self):
-        histogram = StreamingHistogram(np.array([0.0, 1.0, 2.0]))
-        histogram.update(0.5)
-        with pytest.raises(AnalysisError):
-            histogram.tail_fraction(0.7)
 
     @staticmethod
     def _density(samples, edges):
@@ -494,7 +485,7 @@ class TestEnsembleRetention:
         params = SystemParameters(sigma=0.4)
         control = jrj_from_parameters(params)
         common = dict(q0=0.0, rate0=0.5, t_end=6.0, dt=0.02, n_paths=120,
-                      seed=42, n_shards=6)
+                      seed=42)
         common.update(kwargs)
         return params, control, common
 
@@ -520,7 +511,7 @@ class TestEnsembleRetention:
         # one shard's path block plus the accumulators: it must stay below
         # the full history that retention="full" returns.
         params, control, common = self._ensembles(t_end=10.0, dt=0.05,
-                                                  n_paths=8000, n_shards=32)
+                                                  n_paths=8000)
         tracemalloc.start()
         try:
             run_ensemble(control, params, retention="moments", **common)
@@ -541,12 +532,24 @@ class TestEnsembleRetention:
         params, control, common = self._ensembles()
         full = run_ensemble(control, params, **common)
         threshold = 2.0 * params.q_target
-        none = run_ensemble(control, params, retention="none",
-                            overflow_thresholds=(threshold,), **common)
+        none = run_ensemble(control, params, retention="none", **common)
         assert none.overflow_probability(threshold) == \
             full.overflow_probability(threshold)
         with pytest.raises(AnalysisError):
             none.final_queue_samples()
+
+    def test_none_counts_only_twice_the_target(self):
+        params, control, common = self._ensembles()
+        none = run_ensemble(control, params, retention="none", **common)
+        assert list(none.stats.overflow_counts) == [2.0 * params.q_target]
+        with pytest.raises(AnalysisError, match=r"2\*q_target"):
+            none.overflow_probability(params.q_target)
+
+    def test_none_keeps_no_final_density(self):
+        params, control, common = self._ensembles()
+        none = run_ensemble(control, params, retention="none", **common)
+        with pytest.raises(AnalysisError, match="retention='none'"):
+            none.final_queue_density(np.linspace(0.0, 20.0, 11))
 
     @pytest.mark.parametrize("retention", ["full", "moments"])
     def test_final_queue_density_matches_seed_histogram(self, retention):

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import score_operating_point, settling_time
 from repro.analysis import oscillations
 from repro.analysis.oscillations import (oscillation_envelope_batch,
                                          oscillation_metrics,
@@ -39,7 +40,6 @@ from repro.design import (
     design_gains,
     pareto_front_indices,
     score_gain_grid,
-    score_operating_point,
     solve_stationary,
 )
 from repro.exceptions import (AnalysisError, ConfigurationError,
@@ -322,7 +322,7 @@ class TestSettlingTimes:
             member = integrate_characteristic(
                 JRJControl(c0=PARAMS.c0, c1=c1, q_target=PARAMS.q_target),
                 PARAMS, 0.0, 0.0, t_end=80.0, dt=0.1)
-            assert member.settling_time(0.1) == batch_times[index]
+            assert settling_time(member, 0.1) == batch_times[index]
 
     def test_scan_matches_accumulate_oracle(self):
         times = np.linspace(0.0, 150.0, 1501)
@@ -352,9 +352,7 @@ class TestSettlingTimes:
         assert n_rows > 3 * (trajectory_module._SCAN_ELEMENTS // batch_size)
         batch = CharacteristicBatch(
             times=times, queue=queue, rate=None, mu=np.ones(batch_size),
-            q_target=np.full(batch_size, 8.0),
-            n_samples=np.full(batch_size, n_rows),
-            event_times=np.full(batch_size, np.nan))
+            q_target=np.full(batch_size, 8.0))
         with np.errstate(invalid="ignore"):
             got = batch.settling_times(0.1)
             want = _settling_times_oracle(batch, 0.1)
@@ -362,34 +360,11 @@ class TestSettlingTimes:
         assert got[1] == got[2] == got[3] == 0.0
         assert got[5] == times[1] and got[6] == got[7] == times[-1]
 
-    @pytest.mark.parametrize("record_rate", [True, False])
-    def test_scan_matches_oracle_on_event_stopped_family(self, record_rate):
-        c1 = np.array([0.05, 0.1, 0.2, 0.4, 0.8, 1.6])
-        thresholds = np.array([12.0, 9.0, 1e9, 10.5, 1e9, 8.5])
-        batch = integrate_characteristic_batch(
-            jrj_from_parameters(PARAMS), PARAMS, 0.0, 0.0, t_end=120.0,
-            dt=0.1, columns={"c1": c1},
-            event=lambda t, states, indices: (states[:, 0]
-                                              - thresholds[indices]),
-            record_rate=record_rate)
-        stopped = batch.n_samples < batch.times.size
-        assert stopped.any() and not stopped.all()
-        got = batch.settling_times(0.1)
-        assert got.tobytes() == _settling_times_oracle(batch, 0.1).tobytes()
-        for index in range(c1.size):
-            n = int(batch.n_samples[index])
-            member = CharacteristicBatch(
-                times=batch.times[:n], queue=batch.queue[:n, [index]],
-                rate=None, mu=batch.mu[[index]],
-                q_target=batch.q_target[[index]], n_samples=np.array([n]),
-                event_times=batch.event_times[[index]])
-            assert member.settling_times(0.1)[0] == got[index]
-
     def test_settling_time_is_finite_and_bounded(self):
         control = jrj_from_parameters(PARAMS)
         trajectory = integrate_characteristic(control, PARAMS, 0.0, 0.0,
                                               t_end=80.0, dt=0.1)
-        settle = trajectory.settling_time(0.1)
+        settle = settling_time(trajectory, 0.1)
         assert 0.0 <= settle <= 80.0
 
     def test_oscillation_batch_matches_scalar(self):
@@ -404,9 +379,7 @@ class TestSettlingTimes:
                              "mu": mu})
         _assert_oscillation_oracle(batch.times, batch.queue)
 
-    @pytest.mark.parametrize("amplitude_floor", [0.05, 0.0])
-    def test_oscillation_batch_matches_scalar_on_edge_columns(
-            self, amplitude_floor):
+    def test_oscillation_batch_matches_scalar_on_edge_columns(self):
         times = np.linspace(0.0, 60.0, 601)
         window = times >= 30.0
         step = np.where(times >= 45.0, 6.0, 5.0)
@@ -419,22 +392,15 @@ class TestSettlingTimes:
             "white noise": np.random.default_rng(7).normal(size=times.size),
             "step": step,
             "single spike": spike,
-            # Sustained above a zero floor but with ~1e-14 of spectral
-            # power: the FFT test finds nothing and peak spacing decides.
+            # Below the floor, with ~1e-14 of spectral power.
             "faint": 3.0 + 1e-9 * np.sin(times),
             "sine": 8.0 + np.sin(times),
         }
         values = np.column_stack(list(columns.values()))
-        _assert_oscillation_oracle(times, values,
-                                   amplitude_floor=amplitude_floor)
+        _assert_oscillation_oracle(times, values)
         faint = values[window, list(columns).index("faint")]
         with pytest.raises(AnalysisError):
             dominant_period(faint, 0.1)
-        if amplitude_floor == 0.0:
-            metrics = oscillation_metrics(times, columns["faint"],
-                                          amplitude_floor=0.0)
-            assert metrics.sustained and metrics.n_peaks >= 2
-            assert metrics.period == pytest.approx(2.0 * np.pi, rel=0.05)
 
 
 def _settling_times_oracle(batch, tolerance):

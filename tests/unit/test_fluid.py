@@ -28,23 +28,6 @@ class TestFluidModel:
         assert trajectory.final_rate == pytest.approx(canonical_params.mu,
                                                       abs=0.1)
 
-    def test_delay_produces_sustained_queue_oscillation(self, canonical_params,
-                                                        jrj_control):
-        model = FluidModel(jrj_control, canonical_params, feedback_delay=4.0)
-        trajectory = model.solve(q0=0.0, rate0=0.5, t_end=600.0, dt=0.05)
-        tail = trajectory.queue[-int(0.3 * trajectory.queue.size):]
-        assert np.max(tail) - np.min(tail) > 2.0
-
-    def test_negative_delay_rejected(self, canonical_params, jrj_control):
-        with pytest.raises(ValueError):
-            FluidModel(jrj_control, canonical_params, feedback_delay=-1.0)
-
-    def test_state_stays_non_negative(self, canonical_params, jrj_control):
-        model = FluidModel(jrj_control, canonical_params, feedback_delay=8.0)
-        trajectory = model.solve(q0=0.0, rate0=0.2, t_end=300.0, dt=0.05)
-        assert np.all(trajectory.queue >= 0.0)
-        assert np.all(trajectory.rate >= 0.0)
-
     def test_time_average_queue(self, canonical_params, jrj_control):
         model = FluidModel(jrj_control, canonical_params)
         trajectory = model.solve(q0=0.0, rate0=0.5, t_end=800.0, dt=0.05)

@@ -7,6 +7,7 @@ from repro.exceptions import ConvergenceError, StabilityError
 from repro.numerics.ode import (
     ODEResult,
     integrate_fixed,
+    integrate_fixed_batch,
     rk4_step,
 )
 
@@ -43,12 +44,19 @@ class TestIntegrateFixed:
                                  projection=lambda s: np.maximum(s, 0.0))
         assert np.all(result.states >= 0.0)
 
-    def test_event_terminates_integration(self):
-        result = integrate_fixed(lambda t, s: np.array([1.0]), [0.0],
-                                 t_end=10.0, dt=0.01,
-                                 event=lambda t, s: s[0] - 1.0)
-        assert result.event_time is not None
-        assert result.event_time == pytest.approx(1.0, abs=0.02)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_last_step_is_shortened_to_end_at_t_end(self, batched):
+        if batched:
+            result = integrate_fixed_batch(
+                lambda t, states: -states, [[1.0]], t_end=1.05, dt=0.1)
+        else:
+            result = integrate_fixed(exponential_decay, [1.0], t_end=1.05,
+                                     dt=0.1)
+        steps = np.diff(result.times)
+        assert result.times[0] == 0.0 and result.times.size == 12
+        assert result.times[-1] == pytest.approx(1.05, abs=1e-15)
+        assert steps[-1] == pytest.approx(0.05, abs=1e-12)
+        assert np.allclose(steps[:-1], 0.1, rtol=0.0, atol=1e-12)
 
     def test_result_helpers(self):
         result = integrate_fixed(exponential_decay, [1.0], t_end=1.0, dt=0.1)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import compute_poincare_section
 from repro import DelayedSystem, integrate_characteristic
-from repro.characteristics import compute_poincare_section
 from repro.characteristics.trajectory import CharacteristicTrajectory
 from repro.exceptions import AnalysisError
 

@@ -1,5 +1,5 @@
-"""The reachability gate: every definition in ``src/`` is reached by what a
-user runs, or named in the allowlist of ``tests/reachability.py``.
+"""The reachability gate: every definition and option in ``src/`` is reached
+by what a user runs, or named in an allowlist of ``tests/reachability.py``.
 
 The repository check runs the same :func:`reachability.check` that CI runs
 as ``python tests/reachability.py``; the other tests run it on small fake
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 import reachability
-from reachability import ALLOWLIST, check
+from reachability import ALLOWLIST, OPTION_ALLOWLIST, check
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -24,7 +24,7 @@ def test_repository_has_no_unreached_definition():
 
 
 def test_every_allowlist_entry_gives_a_reason():
-    for name, reason in ALLOWLIST.items():
+    for name, reason in {**ALLOWLIST, **OPTION_ALLOWLIST}.items():
         assert reason.strip(), name
 
 
@@ -79,9 +79,10 @@ def _tree(root: Path, extra=None) -> Path:
     return root
 
 
-def _check(root: Path, allowlist=None):
+def _check(root: Path, allowlist=None, option_allowlist=None):
     return check(root, allowlist or {}, package="pkg",
-                 entry_points=("pkg.cli:main",))
+                 entry_points=("pkg.cli:main",),
+                 option_allowlist=option_allowlist or {})
 
 
 class TestFakeTrees:
@@ -187,7 +188,8 @@ class TestFakeTrees:
 
     def test_the_entry_point_is_a_root(self, tmp_path):
         root = _tree(tmp_path)
-        problems = check(root, {}, package="pkg", entry_points=())
+        problems = check(root, {}, package="pkg", entry_points=(),
+                         option_allowlist={})
         assert problems == ["src/pkg/cli.py:4 main",
                             "src/pkg/core.py:4 used",
                             "src/pkg/core.py:7 planted",
@@ -282,6 +284,265 @@ class TestFakeTrees:
         assert not any("shapes" in line for line in _check(root))
 
 
+#: A module whose two options (``scaled(factor=)`` and the constructor's
+#: ``unit=``) reach only through what the example of a test passes.
+OPTIONS = {
+    "src/pkg/opts.py": """
+        def scaled(x, factor=1.0):
+            return x * factor
+
+        class Meter:
+            def __init__(self, unit="m"):
+                self.unit = unit
+
+        class Gauge(Meter):
+            pass
+    """,
+    "tests/test_opts.py": """
+        from pkg.opts import Meter, scaled
+
+        def test_options():
+            assert scaled(2, factor=3) == 6
+            assert Meter(unit="s").unit == "s"
+    """,
+}
+
+
+class TestOptions:
+    def _options(self, tmp_path, example, extra=None, option_allowlist=None):
+        root = _tree(tmp_path, {**OPTIONS, "examples/demo.py": example,
+                                **(extra or {})})
+        return [line for line in _check(root,
+                                        option_allowlist=option_allowlist)
+                if "=)" in line]
+
+    def test_an_option_no_reached_call_passes_fails(self, tmp_path):
+        # The test passes both options; tests are not roots.
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            print(scaled(2), Meter().unit)
+        """)
+        assert problems == ["src/pkg/opts.py:2 scaled(factor=)",
+                            "src/pkg/opts.py:6 Meter.__init__(unit=)"]
+
+    @pytest.mark.parametrize("example", [
+        'print(scaled(2, factor=3), Meter(unit="s"))',
+        'print(scaled(2, 3), Meter("s"))',
+        'options = {}\nprint(scaled(2, **options), Meter(**options))',
+        'print(scaled(2, factor=3), Gauge(unit="s"))',
+        'REGISTRY = {"scaled": scaled, "meter": Meter}\n'
+        'print(REGISTRY["scaled"](2), REGISTRY["meter"]())',
+        'args = (3,)\nprint(scaled(2, *args), Meter(*args))',
+        'import functools\n'
+        'print(functools.partial(scaled)(2), [Meter][0]())',
+    ], ids=["keyword", "position", "kwargs", "subclass-name", "registry",
+            "star-args", "callback"])
+    def test_a_passed_option_is_reached(self, tmp_path, example):
+        assert self._options(
+            tmp_path, "from pkg.opts import Gauge, Meter, scaled\n"
+            + example) == []
+
+    @pytest.mark.parametrize("call", ['super().__init__(unit="s")',
+                                      'Meter.__init__(self, "s")'])
+    def test_a_subclass_constructor_passes_to_its_base(self, tmp_path, call):
+        problems = self._options(tmp_path, """
+            from pkg.opts import scaled
+            from pkg.sub import Ruler
+            print(scaled(2, 3), Ruler().unit)
+        """, {"src/pkg/sub.py": f"""
+            from .opts import Meter
+
+            class Ruler(Meter):
+                def __init__(self):
+                    {call}
+        """})
+        assert problems == []
+
+    @pytest.mark.parametrize("call", ['super().__init__(unit="s")',
+                                      'Base.__init__(self, unit="s")'])
+    def test_a_base_constructor_call_passes_only_to_that_base(self, tmp_path,
+                                                               call):
+        # Another class's base takes unit= too; Meter's stays unreached.
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            from pkg.other import Child
+            print(scaled(2, 3), Meter().unit, Child().unit)
+        """, {"src/pkg/other.py": f"""
+            class Base:
+                def __init__(self, unit):
+                    self.unit = unit
+
+            class Child(Base):
+                def __init__(self):
+                    {call}
+        """})
+        assert problems == ["src/pkg/opts.py:6 Meter.__init__(unit=)"]
+
+    def test_cls_in_a_classmethod_calls_its_class(self, tmp_path):
+        problems = self._options(tmp_path, """
+            from pkg.opts import scaled
+            from pkg.sub import Dial
+            print(scaled(2, 3), Dial.parse("s").unit)
+        """, {"src/pkg/sub.py": """
+            class Dial:
+                def __init__(self, unit="m"):
+                    self.unit = unit
+
+                @classmethod
+                def parse(cls, text):
+                    return cls(unit=text)
+        """})
+        assert problems == []
+
+    def test_closures_binding_loop_variables_are_exempt(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/pkg/loops.py": """
+                def handlers():
+                    return [lambda value, index=index: value + index
+                            for index in range(3)]
+
+                def run_all():
+                    def bound(value, scale=2):
+                        return value * scale
+                    return [bound(handler(1)) for handler in handlers()]
+            """,
+            "examples/demo.py": """
+                from pkg.loops import run_all
+                print(run_all())
+            """,
+        })
+        assert not any("loops" in line for line in _check(root))
+
+    @pytest.mark.parametrize("entry, verdict", [
+        ("pkg.opts:scaled(factor=)", "now passed, or its definition "
+                                     "unreached"),
+        ("pkg.opts:scaled(gone=)", "no such option"),
+    ])
+    def test_stale_option_allowlist_entry_fails(self, tmp_path, entry,
+                                                verdict):
+        problems = self._options(
+            tmp_path, "from pkg.opts import Meter, scaled\n"
+            "print(scaled(2, factor=3), Meter(unit='s'))",
+            option_allowlist={entry: "stale"})
+        assert problems == [f"stale option allowlist entry {entry}: {verdict}"]
+
+    def test_a_method_option_passed_by_attribute_call(self, tmp_path):
+        extra = {"src/pkg/dial.py": """
+            class Dial:
+                def read(self, value, rounding=None, *, clamp=False):
+                    return value
+        """}
+        reached = self._options(tmp_path / "a", """
+            from pkg.dial import Dial
+            print(Dial().read(1, 2, clamp=True))
+        """, extra)
+        unbound = self._options(tmp_path / "b", """
+            from pkg.dial import Dial
+            print(Dial.read(Dial(), 1, 2))
+        """, extra)
+        assert [line for line in reached if "Dial" in line] == []
+        assert [line for line in unbound if "Dial" in line] == [
+            "src/pkg/dial.py:3 Dial.read(clamp=)"]
+
+    def test_positions_never_reach_a_keyword_only_option(self, tmp_path):
+        problems = self._options(tmp_path, """
+            from pkg.kw import tagged
+            print(tagged(1, 2, 3, 4))
+        """, {"src/pkg/kw.py": """
+            def tagged(x, *rest, label="x"):
+                return x, rest, label
+        """})
+        assert problems == ["src/pkg/kw.py:2 tagged(label=)"]
+
+    def test_a_call_in_unreached_code_passes_nothing(self, tmp_path):
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            print(scaled(2), Meter(unit="s"))
+        """, {"src/pkg/lonely.py": """
+            from .opts import scaled
+
+            def lonely():
+                return scaled(2, factor=3)
+        """})
+        assert problems == ["src/pkg/opts.py:2 scaled(factor=)"]
+
+    def test_module_level_code_passes_options(self, tmp_path):
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter
+            from pkg.table import TABLE
+            print(TABLE, Meter(unit="s"))
+        """, {"src/pkg/table.py": """
+            from .opts import scaled
+
+            TABLE = [scaled(x, factor=2) for x in range(3)]
+        """})
+        assert problems == []
+
+    def test_perfbench_strings_pass_no_option(self, tmp_path):
+        # A span string names a definition (reaching it) but calls nothing.
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            print(scaled(2), Meter(unit="s"))
+        """, {"perfbench/spans.py": """
+            SPANS = [("pkg.opts", "scaled", "opts.scaled")]
+        """})
+        assert problems == ["src/pkg/opts.py:2 scaled(factor=)"]
+
+    def test_an_attribute_of_a_class_is_not_a_value(self, tmp_path):
+        # ``Meter.unit`` reads the class; it does not hand it to a caller
+        # that could construct it with other arguments.
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            print(scaled(2, 3), Meter.__name__, Meter())
+        """)
+        assert problems == ["src/pkg/opts.py:6 Meter.__init__(unit=)"]
+
+    def test_other_dunder_methods_are_out_of_scope(self, tmp_path):
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            from pkg.law import Law
+            print(scaled(2, 3), Meter("s"), Law()(1.0))
+        """, {"src/pkg/law.py": """
+            class Law:
+                def __call__(self, x, gain=1.0):
+                    return gain * x
+        """})
+        assert problems == []
+
+    def test_one_name_passes_every_definition_of_it(self, tmp_path):
+        # Matching by name: passing factor= to any ``scaled`` reaches both.
+        problems = self._options(tmp_path, """
+            from pkg.opts import Meter, scaled
+            from pkg.other import Other
+            print(scaled(2), Meter("s"), Other().scaled(2, factor=3))
+        """, {"src/pkg/other.py": """
+            class Other:
+                def scaled(self, x, factor=2.0):
+                    return x * factor
+        """})
+        assert problems == []
+
+    def test_the_option_count(self, tmp_path):
+        root = _tree(tmp_path, {**OPTIONS, "src/pkg/kw.py": """
+            def tagged(x, y=1, *rest, label="x", width, **extra):
+                return x
+        """})
+        definitions, _ = reachability.scan(root, "pkg")
+        counted = {d.qualname: [o.name for o in d.options]
+                   for d in definitions if d.options}
+        assert counted == {"scaled": ["factor"],
+                           "Meter.__init__": ["unit"],
+                           "tagged": ["y", "label"]}
+        assert reachability.count_options(definitions) == 4
+
+    def test_an_allowlisted_option_passes(self, tmp_path):
+        problems = self._options(
+            tmp_path, "from pkg.opts import Meter, scaled\n"
+            "print(scaled(2), Meter(unit='s'))",
+            option_allowlist={"pkg.opts:scaled(factor=)": "test hook"})
+        assert problems == []
+
+
 class TestScript:
     def test_main_prints_each_problem_and_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(reachability, "check",
@@ -297,5 +558,7 @@ class TestScript:
             [sys.executable, "-I", str(REPO / "tests" / "reachability.py")],
             cwd=tmp_path, capture_output=True, text=True, timeout=120,
             check=False)
-        assert (completed.returncode, completed.stdout,
-                completed.stderr) == (0, "", "")
+        assert (completed.returncode, completed.stderr) == (0, "")
+        count, _, rest = completed.stdout.partition(" ")
+        assert rest == "defaulted parameters in src/\n"
+        assert int(count) > 0

@@ -37,6 +37,7 @@ from repro.runner import (
     run_jobs,
     truncate_journal,
 )
+from repro.runner import executor
 from repro.runner.journal import decode_value, encode_value
 
 
@@ -187,6 +188,39 @@ class TestWorkerCrash:
         result = run_jobs(jobs, retries=1, faults=plan)
         assert not result.failures
         assert result.outcomes[0].attempts == 2
+
+
+class TestDiscardedPools:
+    """A pool discarded after a worker death or a timeout leaves no thread
+    behind: left running, its manager and call-queue feeder threads write
+    into closed pipes at interpreter exit."""
+
+    PLANS = {
+        "worker-kill": dict(kill_every=1, kill_attempts=1),
+        "timeout": dict(sleep_every=1, sleep_seconds=20.0, sleep_attempts=1),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(PLANS))
+    def test_no_thread_of_a_discarded_pool_is_alive(self, monkeypatch, fault):
+        discarded, left_running = [], []
+        terminate = executor._terminate_pool
+
+        def checked(pool):
+            threads = [pool._executor_manager_thread,
+                       getattr(pool._call_queue, "_thread", None)]
+            terminate(pool)
+            discarded.append(pool)
+            left_running.extend(thread.name for thread in threads
+                                if thread is not None and thread.is_alive())
+
+        monkeypatch.setattr(executor, "_terminate_pool", checked)
+        jobs = _jobs(4)
+        plan = FaultPlan(match_labels=(jobs[1].label,), **self.PLANS[fault])
+        result = run_jobs(jobs, n_jobs=2, retries=1, timeout=0.75,
+                          faults=plan)
+        assert not result.failures
+        assert discarded
+        assert left_running == []
 
 
 class TestTimeouts:

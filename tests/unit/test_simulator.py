@@ -70,8 +70,7 @@ class TestRateBasedSimulation:
         assert result.fairness_index() > 0.98
 
     def test_no_losses_with_infinite_buffer(self):
-        config = packet_level_jrj_scenario(n_sources=2, service_rate=10.0,
-                                           buffer_size=None)
+        config = packet_level_jrj_scenario(n_sources=2, service_rate=10.0)
         result = Simulator(config).run(duration=100.0)
         assert result.total_losses == 0
 

@@ -61,10 +61,3 @@ class TestDetectPeaks:
 
     def test_short_signal_has_no_peaks(self):
         assert detect_peaks(np.array([1.0, 2.0])) == []
-
-    def test_prominence_filter(self):
-        signal = np.array([0.0, 5.0, 4.9, 5.05, 0.0])
-        all_peaks = detect_peaks(signal)
-        prominent = detect_peaks(signal, min_prominence=1.0)
-        assert len(prominent) <= len(all_peaks)
-        assert len(prominent) >= 1

@@ -44,6 +44,3 @@ class TestPhasePortrait:
             render_phase_portrait([], q_target=1.0)
         with pytest.raises(AnalysisError):
             render_phase_portrait([(np.zeros(3), np.zeros(4))], q_target=1.0)
-        with pytest.raises(AnalysisError):
-            render_phase_portrait([(np.zeros(3), np.zeros(3))], q_target=1.0,
-                                  width=5, height=5)

@@ -12,7 +12,6 @@ from repro import (
     SystemParameters,
     TimeParameters,
 )
-from repro.core.boundary import BoundaryConditions
 from repro.core.diffusion import DENSE_NQ_LIMIT
 from repro.core.generator import assemble_generator
 from repro.core.stepper import (
@@ -167,25 +166,16 @@ class TestADIStepper:
     def test_free_running_step_doubles_axis_cfl(self, jrj_control):
         params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)
         backend = get_backend("numpy")
-        boundary = BoundaryConditions()
         grid = PhaseGrid2D.from_bounds(q_max=GRID.q_max, nq=GRID.nq,
                                        v_min=GRID.v_min, v_max=GRID.v_max,
                                        nv=GRID.nv)
         q_mesh, v_mesh = grid.meshgrid()
         drift = jrj_control.drift_in_growth_coordinates(q_mesh, v_mesh,
                                                         params.mu)
-        axis = AxisSplitStepper(grid, params.sigma, drift, backend, boundary)
-        adi = ADIStepper(grid, params.sigma, drift, backend, boundary)
+        axis = AxisSplitStepper(grid, params.sigma, drift, backend)
+        adi = ADIStepper(grid, params.sigma, drift, backend)
         assert adi.free_running_dt(0.8) == pytest.approx(
             2.0 * axis.free_running_dt(0.8))
-
-    def test_rejects_non_reflecting_boundary(self, jrj_control):
-        params = SystemParameters(mu=1.0, sigma=0.4, stepper="adi",
-                                  **CONTROL_KW)
-        with pytest.raises(ConfigurationError):
-            FokkerPlanckSolver(params, jrj_control, grid_params=GRID,
-                               boundary=BoundaryConditions(
-                                   reflect_q_zero=False))
 
 
 class TestSolverReuse:
@@ -227,21 +217,6 @@ class TestSolverReuse:
                                                       self.OTHER_TIME)
         self._assert_identical(other, fresh)
         self._assert_identical(again, first)
-
-    @pytest.mark.parametrize("stepper", ["axis", "adi"])
-    def test_absorbed_mass_is_counted_per_solve(self, jrj_control, stepper):
-        # An absorbing q = q_max edge reports the mass one solve removed; a
-        # second solve starts its count from zero.
-        params = SystemParameters(mu=1.0, sigma=0.4, stepper=stepper,
-                                  **CONTROL_KW)
-        solver = FokkerPlanckSolver(
-            params, jrj_control, grid_params=GRID,
-            boundary=BoundaryConditions(absorb_q_max=True))
-        first = solver.solve_from_point(25.0, 1.2, TIME)
-        second = solver.solve_from_point(25.0, 1.2, TIME)
-        assert first.absorbed_mass > 0.0
-        assert second.absorbed_mass == first.absorbed_mass
-        self._assert_identical(second, first)
 
     @pytest.mark.parametrize("stepper", ["axis", "adi"])
     def test_monitored_solves_keep_their_own_health_logs(self, jrj_control,
@@ -311,7 +286,7 @@ class TestStepperDrift:
         solver = FokkerPlanckSolver(params, jrj_control, grid_params=GRID)
         _, drift = self._grid_and_drift(jrj_control, params)
         built = get_stepper(stepper)(solver.grid, params.sigma, drift,
-                                     solver.backend, solver.boundary)
+                                     solver.backend)
         dt = solver.stepper.free_running_dt(TIME.cfl)
         assert built.free_running_dt(TIME.cfl) == dt
         start = solver.default_initial_density(2.0, 0.6)
@@ -334,15 +309,14 @@ class TestStepperDrift:
         grid, drift = self._grid_and_drift(jrj_control, params)
         backend = get_backend("numpy")
         cls = get_stepper(stepper)
-        still = cls(grid, params.sigma, np.zeros(grid.shape), backend,
-                    BoundaryConditions())
-        driven = cls(grid, params.sigma, drift, backend, BoundaryConditions())
+        still = cls(grid, params.sigma, np.zeros(grid.shape), backend)
+        driven = cls(grid, params.sigma, drift, backend)
         cfl = 0.8
         assert still.free_running_dt(cfl) == factor * (
             cfl * grid.dq / grid.max_abs_v)
         generator = assemble_generator(params, jrj_control, grid_params=GRID)
         assert driven.free_running_dt(cfl) == factor * \
-            generator.max_stable_dt(cfl)
+            generator.max_stable_dt()
         assert driven.free_running_dt(cfl) < still.free_running_dt(cfl)
 
     @pytest.mark.parametrize("stepper", ["axis", "adi"])
@@ -351,7 +325,7 @@ class TestStepperDrift:
         grid, drift = self._grid_and_drift(jrj_control, params)
         with pytest.raises(ReproError, match="shape"):
             get_stepper(stepper)(grid, params.sigma, drift[:, :-1],
-                                 get_backend("numpy"), BoundaryConditions())
+                                 get_backend("numpy"))
 
     def test_direction_bands_sum_to_the_generator(self, jrj_control):
         # ADI's two direction operators, A₁ (q transport and diffusion, in

@@ -1,5 +1,7 @@
 """Unit tests for the Langevin model and ensemble comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,21 +76,20 @@ class TestShardedEnsemble:
 
     def test_seeded_ensemble_reproducible(self, noisy_params, jrj_control):
         first = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                             t_end=10.0, dt=0.05, n_paths=40, seed=123,
-                             n_shards=4)
+                             t_end=10.0, dt=0.05, n_paths=40, seed=123)
         second = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                              t_end=10.0, dt=0.05, n_paths=40, seed=123,
-                              n_shards=4)
+                              t_end=10.0, dt=0.05, n_paths=40, seed=123)
         np.testing.assert_array_equal(first.paths.paths, second.paths.paths)
 
     def test_shard_streams_order_independent(self, noisy_params, jrj_control):
         from repro.queueing import child_seed_sequence
-        from repro.stochastic.ensemble import _simulate_shard, shard_sizes
+        from repro.stochastic.ensemble import (DEFAULT_SHARDS,
+                                               _simulate_shard, shard_sizes)
 
-        n_paths, n_shards, seed = 40, 4, 123
+        n_paths, n_shards, seed = 40, DEFAULT_SHARDS, 123
         combined = run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
                                 t_end=10.0, dt=0.05, n_paths=n_paths,
-                                seed=seed, n_shards=n_shards)
+                                seed=seed)
         # Shard 2 recomputed in isolation (no siblings ever created) must
         # reproduce its slice of the combined ensemble exactly.
         sizes = shard_sizes(n_paths, n_shards)
@@ -106,12 +107,21 @@ class TestShardedEnsemble:
             run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
                          t_end=5.0, n_paths=10, seed=1, rng=rng)
 
-    def test_sharding_requires_seed(self, noisy_params, jrj_control):
-        from repro.exceptions import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            run_ensemble(jrj_control, noisy_params, q0=0.0, rate0=0.5,
-                         t_end=5.0, n_paths=10, n_shards=2)
+class TestEnsembleHealth:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("mode", ["off", "observe"])
+    def test_policy_comes_from_the_parameters(self, noisy_params,
+                                              jrj_control, mode, seed):
+        params = replace(noisy_params, health=mode)
+        ensemble = run_ensemble(jrj_control, params, q0=0.0, rate0=0.5,
+                                t_end=2.0, dt=0.05, n_paths=16, seed=seed,
+                                rng=None if seed else np.random.default_rng(3))
+        if mode == "off":
+            assert ensemble.health is None
+        else:
+            assert ensemble.health.mode == "observe"
+            assert ensemble.health.n_reports == 0
 
 
 class TestEnsembleHelpers:

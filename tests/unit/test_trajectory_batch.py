@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import compute_poincare_section
 from repro import SystemParameters
 from repro.analysis import render_phase_portrait
 from repro.characteristics import (
     analyze_spiral,
-    compute_poincare_section,
     integrate_characteristic,
     integrate_characteristic_batch,
     verify_theorem1,
@@ -133,55 +133,14 @@ class TestBatchedCharacteristics:
                                            [1.0, 2.0], 0.5, t_end=10.0,
                                            columns={"q0": [9.0, 9.0]})
 
-    def test_event_termination(self, jrj_control, canonical_params):
-        def event(t, states, indices):
-            return states[:, 0] - 15.0
-
-        # Both starters drain from above the q = 15 section; each must stop
-        # at its own crossing instead of running the full horizon.
-        batch = integrate_characteristic_batch(
-            jrj_control, canonical_params, [25.0, 30.0], [0.2, 0.3],
-            t_end=300.0, event=event)
-        assert np.isfinite(batch.event_times).all()
-        assert batch.times[-1] < 300.0
-        assert batch.event_time(0) < batch.event_time(1)
-
-    def test_event_termination_with_columns(self, canonical_params):
-        # Members stop at different times, so the active set shrinks while
-        # the others keep integrating; each survivor must keep its own
-        # parameter columns through every compaction.
-        c0s = np.array([0.2, 0.025, 0.1, 0.05, 0.4])
-        c1s = np.array([0.1, 0.3, 0.2, 0.4, 0.15])
-        q_targets = np.array([5.0, 12.0, 8.0, 10.0, 6.0])
-        mus = np.array([1.2, 0.8, 1.0, 0.9, 1.1])
-        # The last member's threshold is out of reach: it never stops.
-        thresholds = np.array([4.0, 9.0, 6.0, 8.0, 1e9])
-
-        def event(t, states, indices):
-            return states[:, 0] - thresholds[indices]
-
-        control = JRJControl(c0=canonical_params.c0, c1=canonical_params.c1,
-                             q_target=canonical_params.q_target)
-        batch = integrate_characteristic_batch(
-            control, canonical_params, 0.0, 0.5, t_end=150.0, event=event,
-            columns={"c0": c0s, "c1": c1s, "q_target": q_targets, "mu": mus})
-        stops = batch.event_times[:-1]
-        assert np.isfinite(stops).all() and np.isnan(batch.event_times[-1])
-        assert np.unique(stops).size == stops.size
-        for index in range(c0s.size):
-            point = replace(canonical_params, c0=float(c0s[index]),
-                            c1=float(c1s[index]),
-                            q_target=float(q_targets[index]),
-                            mu=float(mus[index]))
-            reference = integrate_characteristic(
-                JRJControl(c0=point.c0, c1=point.c1,
-                           q_target=point.q_target),
-                point, 0.0, 0.5, t_end=150.0)
-            member = batch.trajectory(index)
-            count = member.times.size
-            assert np.array_equal(reference.times[:count], member.times)
-            assert np.array_equal(reference.queue[:count], member.queue)
-            assert np.array_equal(reference.rate[:count], member.rate)
+    def test_final_values_are_the_horizon_rows(self, jrj_control,
+                                               canonical_params):
+        batch = integrate_characteristic_batch(jrj_control, canonical_params,
+                                               Q0S, RATE0S, t_end=50.0)
+        assert batch.final_queues.tobytes() == batch.queue[-1].tobytes()
+        assert batch.final_rates.tobytes() == batch.rate[-1].tobytes()
+        member = batch.trajectory(1)
+        assert member.times.size == batch.times.size == 2501
 
     def test_derived_series_match_scalar(self, jrj_control, canonical_params):
         batch = integrate_characteristic_batch(jrj_control, canonical_params,
@@ -341,10 +300,3 @@ class TestFluidBatch:
             assert np.array_equal(reference.times, member.times)
             assert np.array_equal(reference.queue, member.queue)
             assert np.array_equal(reference.rate, member.rate)
-
-    def test_solve_batch_requires_undelayed_model(self, jrj_control,
-                                                  canonical_params):
-        delayed = FluidModel(jrj_control, canonical_params,
-                             feedback_delay=1.0)
-        with pytest.raises(ValueError):
-            delayed.solve_batch([0.0], [0.5], t_end=10.0)

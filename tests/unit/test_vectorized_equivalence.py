@@ -31,11 +31,6 @@ class TestDetectPeaksFastPath:
         assert detect_peaks(signal) == _loop_detect_peaks(signal)
         assert detect_peaks(signal) == [1, 4]
 
-    def test_prominence_path_unchanged(self):
-        signal = np.array([0.0, 5.0, 0.0, 0.5, 0.4, 0.0, 4.0, 0.0])
-        strong = detect_peaks(signal, min_prominence=1.0)
-        assert strong == [1, 6]
-
 
 class TestSDEPreallocatedRecording:
     @staticmethod

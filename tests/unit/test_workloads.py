@@ -37,9 +37,12 @@ class TestScenarioBuilders:
         assert config.service_rate == 20.0
         assert all(source.kind == "rate" for source in config.sources)
 
-    def test_packet_level_jrj_delay_length_mismatch(self):
-        with pytest.raises(ValueError):
-            packet_level_jrj_scenario(n_sources=2, feedback_delays=[1.0])
+    def test_packet_level_jrj_feedback_is_undelayed_and_buffer_unbounded(
+            self):
+        config = packet_level_jrj_scenario(n_sources=2)
+        assert config.buffer_size is None
+        assert [source.feedback_delay for source in config.sources] == \
+            [0.0, 0.0]
 
     def test_packet_level_window_scenario_marking_only_for_decbit(self):
         tcp = packet_level_window_scenario(scheme="jacobson")
